@@ -88,7 +88,7 @@ def _comma_floats(text: str, what: str) -> list[float]:
 
 
 def _load_laws(args) -> tuple:
-    if getattr(args, "laws", None):
+    if args.laws:
         return load_law_overrides(args.laws)
     from .laws import DEFAULT_LAWS
 
@@ -430,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, seed_default=None):
-        p.add_argument("--laws", help="JSON file with law coefficient overrides")
         p.add_argument("--seed", type=int, default=seed_default, help="random seed")
         p.add_argument("--out", help="output path (default: stdout)")
 
@@ -444,6 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--use-active", action="store_true")
     p.add_argument("--meituan-params", help="lambda,alpha,lambda_b,alpha_b")
     p.add_argument("--snap", action="store_true", help="snap onto the sweep grid")
+    p.add_argument("--laws", help="JSON file with law coefficient overrides")
     add_common(p)
     p.set_defaults(func=cmd_predict)
 
@@ -475,6 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meituan-params", help="lambda,alpha,lambda_b,alpha_b")
     p.add_argument("--use-snapped", action="store_true", help="score snapped points")
     p.add_argument("--csv", help="also write rows as CSV to this path")
+    p.add_argument("--laws", help="JSON file with law coefficient overrides")
     add_common(p)
     p.set_defaults(func=cmd_compare)
 

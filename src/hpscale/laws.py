@@ -269,6 +269,21 @@ _OVERRIDE_FIELDS = {
     "porian": ("lr_coef", "lr_exp", "bs_coef", "bs_exp"),
     "minicpm": ("bs_coef", "bs_exp"),
 }
+# Coefficients that must be positive: power-law leading coefficients go
+# through log(), and openai's slope divides its non-positive-lr threshold.
+_POSITIVE_FIELDS = {"c", "d", "slope", "bs_coef", "coef", "lr_coef"}
+
+
+def _override_value(law: str, key: str, value) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ArgumentError(f"{law}.{key} must be a finite number, got {value!r}")
+    if key in _POSITIVE_FIELDS and not number > 0:
+        raise ArgumentError(f"{law}.{key} must be positive, got {value!r}")
+    return number
 
 
 def law_overrides_from_dict(doc: Mapping) -> tuple[LawLibrary, AuxInputs]:
@@ -278,6 +293,7 @@ def law_overrides_from_dict(doc: Mapping) -> tuple[LawLibrary, AuxInputs]:
     {...}, "meituan": {...}} or a flat fit-result document carrying
     c/alpha/beta/d/gamma at top level, which is treated as a step-law
     override so fitted laws can be fed straight back into prediction.
+    Every value must be a finite number, and leading coefficients positive.
     """
     if not isinstance(doc, Mapping):
         raise ArgumentError("law overrides must be a JSON object")
@@ -287,27 +303,26 @@ def law_overrides_from_dict(doc: Mapping) -> tuple[LawLibrary, AuxInputs]:
     laws = LawLibrary()
     meituan: tuple[float, float, float, float] | None = None
     for name, params in doc.items():
+        if name != "meituan" and name not in _OVERRIDE_FIELDS:
+            raise ArgumentError(f"unknown law {name!r} in overrides")
+        if not isinstance(params, Mapping):
+            raise ArgumentError(f"overrides for law {name!r} must be a JSON object")
         if name == "meituan":
-            try:
-                meituan = (
-                    float(params["lambda"]),
-                    float(params["alpha"]),
-                    float(params["lambda_b"]),
-                    float(params["alpha_b"]),
-                )
-            except (KeyError, TypeError) as exc:
+            keys = ("lambda", "alpha", "lambda_b", "alpha_b")
+            if any(k not in params for k in keys):
                 raise ArgumentError(
                     "meituan overrides need lambda, alpha, lambda_b, alpha_b"
-                ) from exc
+                )
+            meituan = tuple(_override_value(name, k, params[k]) for k in keys)
             continue
-        if name not in _OVERRIDE_FIELDS:
-            raise ArgumentError(f"unknown law {name!r} in overrides")
         allowed = _OVERRIDE_FIELDS[name]
         unknown = set(params) - set(allowed)
         if unknown:
             raise ArgumentError(f"unknown keys {sorted(unknown)} for law {name!r}")
         current = getattr(laws, name)
-        updated = replace(current, **{k: float(v) for k, v in params.items()})
+        updated = replace(
+            current, **{k: _override_value(name, k, v) for k, v in params.items()}
+        )
         laws = replace(laws, **{name: updated})
     aux = AuxInputs(meituan_params=meituan)
     return laws, aux
@@ -315,11 +330,15 @@ def law_overrides_from_dict(doc: Mapping) -> tuple[LawLibrary, AuxInputs]:
 
 def load_law_overrides(path) -> tuple[LawLibrary, AuxInputs]:
     """Parse a law-override JSON file; see law_overrides_from_dict."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ArgumentError(f"invalid JSON in {path}: {exc}") from exc
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ArgumentError(f"cannot read {path}: {exc}") from exc
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArgumentError(f"invalid JSON in {path}: {exc}") from exc
     return law_overrides_from_dict(doc)
 
 
@@ -331,7 +350,10 @@ def _powerlaw(coef: float, *terms: tuple[float, float]) -> float:
     acc = math.log(coef)
     for base, exponent in terms:
         acc += exponent * math.log(base)
-    value = math.exp(acc)
+    try:
+        value = math.exp(acc)
+    except OverflowError:  # an override exponent can push acc past ~709
+        value = math.inf
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(f"power-law evaluation not finite (log value {acc})")
     return value

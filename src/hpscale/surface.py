@@ -7,6 +7,23 @@ log-log coordinates, relative-error scoring of off-grid predictions,
 plateau extraction, per-slice unimodality diagnostics, and train/val
 argmin consistency.
 
+Representation. A surface is validated once, when it is built, into a
+dense grid: the sorted distinct learning rates and batch sizes (the
+axes), their natural logs, and a train table and a val table indexed
+[lr index][bs index]. A cell that no point fills holds None in both
+tables; that is the fill mask. The optimum of each metric is found on
+first use and cached. Every analytic reads this state and none rescans
+the points. The invariants:
+
+- ties for the optimum break to the smaller lr, then the smaller bs;
+- a grid with unfilled cells is a valid surface: find_optimum and
+  plateau work on it, and only the operations that need every cell
+  (grid_losses, interpolate_loss, relative_error, convexity_report and
+  the SVG view) raise GridShapeError;
+- `points` lists the input rows in input order: the tuple a caller
+  passed in, or, for a surface loaded from CSV, SweepPoints built on
+  first read; surfaces compare and hash by scale, points and tags.
+
 Surfaces are immutable after construction; every operation here is a pure
 function of its inputs.
 """
@@ -14,10 +31,10 @@ function of its inputs.
 from __future__ import annotations
 
 import bisect
-import io
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ArgumentError, GridShapeError, OutOfHullError, ParseError
 from .laws import ModelScale
@@ -27,6 +44,19 @@ METRICS = ("train", "val")
 # Bilinear interpolation can round a hair below the node minimum when all
 # cell corners are equal; treat anything this close to zero as zero.
 _UNDERSHOOT_TOL = 1e-12
+
+
+def _check_point(lr, bs_tokens, train_smooth_loss, val_loss) -> None:
+    if not (lr > 0) or not math.isfinite(lr):
+        raise ArgumentError(f"lr must be finite and positive, got {lr}")
+    if bs_tokens <= 0:
+        raise ArgumentError(f"bs_tokens must be positive, got {bs_tokens}")
+    if not math.isfinite(train_smooth_loss) or train_smooth_loss <= 0:
+        raise ArgumentError(
+            f"train_smooth_loss must be finite and positive, got {train_smooth_loss}"
+        )
+    if val_loss is not None and (not math.isfinite(val_loss) or val_loss <= 0):
+        raise ArgumentError(f"val_loss must be finite and positive, got {val_loss}")
 
 
 @dataclass(frozen=True)
@@ -39,21 +69,7 @@ class SweepPoint:
     val_loss: float | None = None
 
     def __post_init__(self):
-        if not (self.lr > 0) or not math.isfinite(self.lr):
-            raise ArgumentError(f"lr must be finite and positive, got {self.lr}")
-        if self.bs_tokens <= 0:
-            raise ArgumentError(f"bs_tokens must be positive, got {self.bs_tokens}")
-        if not math.isfinite(self.train_smooth_loss) or self.train_smooth_loss <= 0:
-            raise ArgumentError(
-                f"train_smooth_loss must be finite and positive, "
-                f"got {self.train_smooth_loss}"
-            )
-        if self.val_loss is not None and (
-            not math.isfinite(self.val_loss) or self.val_loss <= 0
-        ):
-            raise ArgumentError(
-                f"val_loss must be finite and positive, got {self.val_loss}"
-            )
+        _check_point(self.lr, self.bs_tokens, self.train_smooth_loss, self.val_loss)
 
     def loss(self, metric: str) -> float:
         if metric == "train":
@@ -68,63 +84,162 @@ class SweepPoint:
 
 
 @dataclass(frozen=True)
-class LossSurface:
-    """Immutable collection of SweepPoints for one (N, D) run family."""
-
-    scale: ModelScale
-    points: tuple[SweepPoint, ...]
-    arch_tag: str = ""
-    recipe_tag: str = ""
-
-    def __post_init__(self):
-        if not self.points:
-            raise ArgumentError("surface must contain at least one point")
-        seen = set()
-        for pt in self.points:
-            key = (pt.lr, pt.bs_tokens)
-            if key in seen:
-                raise ArgumentError(f"duplicate sweep point at lr={pt.lr}, bs={pt.bs_tokens}")
-            seen.add(key)
-
-    def lr_values(self) -> tuple[float, ...]:
-        return tuple(sorted({pt.lr for pt in self.points}))
-
-    def bs_values(self) -> tuple[int, ...]:
-        return tuple(sorted({pt.bs_tokens for pt in self.points}))
-
-    def has_full_val(self) -> bool:
-        return all(pt.val_loss is not None for pt in self.points)
-
-    def point_at(self, lr: float, bs_tokens: int) -> SweepPoint:
-        for pt in self.points:
-            if pt.lr == lr and pt.bs_tokens == bs_tokens:
-                return pt
-        raise ArgumentError(f"no sweep point at lr={lr}, bs={bs_tokens}")
-
-    def grid_losses(self, metric: str) -> list[list[float]]:
-        """Losses as a [lr index][bs index] table; requires a complete grid."""
-        lrs, bss = self.lr_values(), self.bs_values()
-        if len(self.points) != len(lrs) * len(bss):
-            raise GridShapeError(
-                f"surface has {len(self.points)} points but the lr x bs grid "
-                f"needs {len(lrs)} x {len(bss)} = {len(lrs) * len(bss)}"
-            )
-        li = {v: i for i, v in enumerate(lrs)}
-        bi = {v: j for j, v in enumerate(bss)}
-        table: list[list[float | None]] = [[None] * len(bss) for _ in lrs]
-        for pt in self.points:
-            table[li[pt.lr]][bi[pt.bs_tokens]] = pt.loss(metric)
-        # uniqueness + count guarantee every cell is filled
-        return [[v for v in row] for row in table]  # type: ignore[misc]
-
-
-@dataclass(frozen=True)
 class OptimumReport:
     """Grid point with the lowest loss under the chosen metric."""
 
     hp: tuple[float, int]
     loss: float
     metric: str
+
+
+class _DuplicateRow(Exception):
+    """Row `row` of the input fills a grid cell an earlier row filled."""
+
+    def __init__(self, row: int):
+        super().__init__(row)
+        self.row = row
+
+
+class _Grid:
+    """Input rows as columns, and the dense lr x bs tables built from them."""
+
+    def __init__(self, lrs, bss, trains, vals):
+        self.columns = (tuple(lrs), tuple(bss), tuple(trains), tuple(vals))
+        self.lr_values = tuple(sorted(set(lrs)))
+        self.bs_values = tuple(sorted(set(bss)))
+        self.lr_index = {v: i for i, v in enumerate(self.lr_values)}
+        self.bs_index = {v: j for j, v in enumerate(self.bs_values)}
+        train = [[None] * len(self.bs_values) for _ in self.lr_values]
+        val = [[None] * len(self.bs_values) for _ in self.lr_values]
+        li, bi = self.lr_index, self.bs_index
+        for k, (lr, bs, t, v) in enumerate(zip(lrs, bss, trains, vals)):
+            i, j = li[lr], bi[bs]
+            if train[i][j] is not None:
+                raise _DuplicateRow(k)
+            train[i][j] = t
+            val[i][j] = v
+        self.train = tuple(map(tuple, train))
+        self.val = tuple(map(tuple, val))
+        self.log_lrs = [math.log(v) for v in self.lr_values]
+        self.log_bss = [math.log(v) for v in self.bs_values]
+        self.complete = len(self.columns[0]) == len(self.lr_values) * len(self.bs_values)
+        self.full_val = None not in self.columns[3]
+        self._optima: dict[str, OptimumReport] = {}
+
+    def optimum(self, metric: str) -> OptimumReport:
+        """First minimum in (lr, bs) order over the filled cells."""
+        opt = self._optima.get(metric)
+        if opt is None:
+            table = self.train if metric == "train" else self.val
+            best, bi, bj = None, 0, 0
+            for i, row in enumerate(table):
+                for j, v in enumerate(row):
+                    if v is not None and (best is None or v < best):
+                        best, bi, bj = v, i, j
+            opt = OptimumReport(
+                hp=(self.lr_values[bi], self.bs_values[bj]), loss=best, metric=metric
+            )
+            self._optima[metric] = opt
+        return opt
+
+
+class LossSurface:
+    """Immutable lr x bs grid of sweep results for one (N, D) run family.
+
+    Built from SweepPoints, or by load_surface straight from CSV columns;
+    the module docstring describes the grid it holds.
+    """
+
+    def __init__(
+        self,
+        scale: ModelScale,
+        points: tuple[SweepPoint, ...],
+        arch_tag: str = "",
+        recipe_tag: str = "",
+    ):
+        points = tuple(points)
+        if not points:
+            raise ArgumentError("surface must contain at least one point")
+        try:
+            grid = _Grid(
+                [pt.lr for pt in points],
+                [pt.bs_tokens for pt in points],
+                [pt.train_smooth_loss for pt in points],
+                [pt.val_loss for pt in points],
+            )
+        except _DuplicateRow as dup:
+            pt = points[dup.row]
+            raise ArgumentError(
+                f"duplicate sweep point at lr={pt.lr}, bs={pt.bs_tokens}"
+            ) from None
+        self._init(scale, grid, arch_tag, recipe_tag)
+        self.__dict__["points"] = points
+
+    @classmethod
+    def _from_grid(cls, scale, grid: _Grid, arch_tag: str, recipe_tag: str):
+        surface = cls.__new__(cls)
+        surface._init(scale, grid, arch_tag, recipe_tag)
+        return surface
+
+    def _init(self, scale, grid, arch_tag, recipe_tag) -> None:
+        self.__dict__.update(
+            scale=scale, arch_tag=arch_tag, recipe_tag=recipe_tag, _grid=grid
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LossSurface is immutable; cannot set {name!r}")
+
+    @cached_property
+    def points(self) -> tuple[SweepPoint, ...]:
+        """The sweep points in input order, built on first read."""
+        return tuple(SweepPoint(*row) for row in zip(*self._grid.columns))
+
+    def _key(self):
+        return (self.scale, self._grid.columns, self.arch_tag, self.recipe_tag)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        g = self._grid
+        return (
+            f"LossSurface(scale={self.scale!r}, points=<{len(g.columns[0])} on a "
+            f"{len(g.lr_values)}x{len(g.bs_values)} grid>, "
+            f"arch_tag={self.arch_tag!r}, recipe_tag={self.recipe_tag!r})"
+        )
+
+    def lr_values(self) -> tuple[float, ...]:
+        return self._grid.lr_values
+
+    def bs_values(self) -> tuple[int, ...]:
+        return self._grid.bs_values
+
+    def has_full_val(self) -> bool:
+        return self._grid.full_val
+
+    def point_at(self, lr: float, bs_tokens: int) -> SweepPoint:
+        g = self._grid
+        i, j = g.lr_index.get(lr), g.bs_index.get(bs_tokens)
+        if i is None or j is None or g.train[i][j] is None:
+            raise ArgumentError(f"no sweep point at lr={lr}, bs={bs_tokens}")
+        return SweepPoint(g.lr_values[i], g.bs_values[j], g.train[i][j], g.val[i][j])
+
+    def grid_losses(self, metric: str) -> tuple[tuple[float, ...], ...]:
+        """Losses as a [lr index][bs index] table; requires a complete grid."""
+        g = self._grid
+        if not g.complete:
+            n_lr, n_bs = len(g.lr_values), len(g.bs_values)
+            raise GridShapeError(
+                f"surface has {len(g.columns[0])} points but the lr x bs grid "
+                f"needs {n_lr} x {n_bs} = {n_lr * n_bs}"
+            )
+        _check_metric(self, metric)
+        return g.train if metric == "train" else g.val
 
 
 @dataclass(frozen=True)
@@ -170,7 +285,8 @@ def load_surface(source) -> LossSurface:
 
     Comment lines starting with '#' carry key=value metadata; n_params and
     d_tokens are required. The header is lr,bs_tokens,train_smooth_loss
-    with an optional trailing val_loss column.
+    with an optional trailing val_loss column. Errors name the first bad
+    line in file order.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -181,63 +297,71 @@ def load_surface(source) -> LossSurface:
 
     meta: dict[str, str] = {}
     header: list[str] | None = None
-    points: list[SweepPoint] = []
-    seen: set[tuple[float, int]] = set()
+    lrs: list[float] = []
+    bss: list[int] = []
+    trains: list[float] = []
+    vals: list[float | None] = []
+    lines: list[int] = []
 
-    for lineno, raw in enumerate(io.StringIO(data), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if header is None:
-            if cells[: len(_HEADER_BASE)] != _HEADER_BASE or len(cells) > 4 or (
-                len(cells) == 4 and cells[3] != "val_loss"
-            ):
+    try:
+        for lineno, raw in enumerate(data.split("\n"), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if "=" in body:
+                    key, _, value = body.partition("=")
+                    meta[key.strip()] = value.strip()
+                continue
+            cells = line.split(",")
+            if header is None:
+                cells = [c.strip() for c in cells]
+                if cells[: len(_HEADER_BASE)] != _HEADER_BASE or len(cells) > 4 or (
+                    len(cells) == 4 and cells[3] != "val_loss"
+                ):
+                    raise ParseError(
+                        f"bad header {line!r}; expected "
+                        "'lr,bs_tokens,train_smooth_loss[,val_loss]'",
+                        line=lineno,
+                    )
+                header = cells
+                continue
+            if len(cells) != len(header):
                 raise ParseError(
-                    f"bad header {line!r}; expected "
-                    "'lr,bs_tokens,train_smooth_loss[,val_loss]'",
-                    line=lineno,
+                    f"expected {len(header)} columns, found {len(cells)}", line=lineno
                 )
-            header = cells
-            continue
-        if len(cells) != len(header):
-            raise ParseError(
-                f"expected {len(header)} columns, found {len(cells)}", line=lineno
-            )
-        try:
-            lr = float(cells[0])
-            bs_raw = float(cells[1])
-            train = float(cells[2])
-            val = None
-            if len(header) == 4 and cells[3] != "":
-                val = float(cells[3])
-        except ValueError as exc:
-            raise ParseError(f"non-numeric value: {exc}", line=lineno) from exc
-        if not math.isfinite(bs_raw) or bs_raw != round(bs_raw):
-            raise ParseError(f"bs_tokens must be integral, got {cells[1]}", line=lineno)
-        try:
-            point = SweepPoint(lr, int(round(bs_raw)), train, val)
-        except ArgumentError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        key = (point.lr, point.bs_tokens)
-        if key in seen:
-            raise ParseError(
-                f"duplicate (lr, bs) pair ({point.lr}, {point.bs_tokens})",
-                line=lineno,
-            )
-        seen.add(key)
-        points.append(point)
+            try:
+                lr, bs_raw, train, val = _row_values(cells)
+            except ValueError:
+                # float() keeps the separators \x1c-\x1f that strip() removes
+                cells = [c.strip() for c in cells]
+                try:
+                    lr, bs_raw, train, val = _row_values(cells)
+                except ValueError as exc:
+                    raise ParseError(f"non-numeric value: {exc}", line=lineno) from exc
+            if not math.isfinite(bs_raw) or bs_raw != (bs := round(bs_raw)):
+                raise ParseError(
+                    f"bs_tokens must be integral, got {cells[1].strip()}", line=lineno
+                )
+            try:
+                _check_point(lr, bs, train, val)
+            except ArgumentError as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+            lrs.append(lr)
+            bss.append(bs)
+            trains.append(train)
+            vals.append(val)
+            lines.append(lineno)
+    except ParseError:
+        _parsed_grid(lrs, bss, trains, vals, lines)  # an earlier duplicate wins
+        raise
 
     if header is None:
         raise ParseError("no header found (empty file?)")
-    if not points:
+    if not lrs:
         raise ParseError("no data rows found")
+    grid = _parsed_grid(lrs, bss, trains, vals, lines)
     missing = [k for k in _REQUIRED_META if k not in meta]
     if missing:
         raise ParseError(f"missing required metadata {missing}")
@@ -252,12 +376,26 @@ def load_surface(source) -> LossSurface:
         )
     except (ValueError, ArgumentError) as exc:
         raise ParseError(f"bad metadata: {exc}") from exc
-    return LossSurface(
-        scale=scale,
-        points=tuple(points),
-        arch_tag=meta.get("arch_tag", ""),
-        recipe_tag=meta.get("recipe_tag", ""),
+    return LossSurface._from_grid(
+        scale, grid, meta.get("arch_tag", ""), meta.get("recipe_tag", "")
     )
+
+
+def _row_values(cells) -> tuple[float, float, float, float | None]:
+    """lr, bs, train and val of one data row; an empty val cell is None."""
+    lr, bs, train = float(cells[0]), float(cells[1]), float(cells[2])
+    val = float(cells[3]) if len(cells) == 4 and cells[3].strip() else None
+    return lr, bs, train, val
+
+
+def _parsed_grid(lrs, bss, trains, vals, lines) -> _Grid:
+    try:
+        return _Grid(lrs, bss, trains, vals)
+    except _DuplicateRow as dup:
+        k = dup.row
+        raise ParseError(
+            f"duplicate (lr, bs) pair ({lrs[k]}, {bss[k]})", line=lines[k]
+        ) from None
 
 
 def load_surface_file(path: str | os.PathLike) -> LossSurface:
@@ -279,13 +417,16 @@ def surface_to_csv(surface: LossSurface) -> str:
         lines.append(f"# arch_tag={surface.arch_tag}")
     if surface.recipe_tag:
         lines.append(f"# recipe_tag={surface.recipe_tag}")
-    has_val = surface.has_full_val()
-    lines.append(",".join(_HEADER_BASE + (["val_loss"] if has_val else [])))
-    for pt in sorted(surface.points, key=lambda p: (p.lr, p.bs_tokens)):
-        row = [repr(pt.lr), str(pt.bs_tokens), repr(pt.train_smooth_loss)]
-        if has_val:
-            row.append(repr(pt.val_loss))
-        lines.append(",".join(row))
+    g = surface._grid
+    lines.append(",".join(_HEADER_BASE + (["val_loss"] if g.full_val else [])))
+    for lr, train_row, val_row in zip(g.lr_values, g.train, g.val):
+        for bs, train, val in zip(g.bs_values, train_row, val_row):
+            if train is None:
+                continue
+            row = [repr(lr), str(bs), repr(train)]
+            if g.full_val:
+                row.append(repr(val))
+            lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
@@ -295,10 +436,7 @@ def surface_to_csv(surface: LossSurface) -> str:
 def find_optimum(surface: LossSurface, metric: str = "train") -> OptimumReport:
     """Grid point with minimal loss; ties break to smaller lr, then bs."""
     _check_metric(surface, metric)
-    best = min(surface.points, key=lambda pt: (pt.loss(metric), pt.lr, pt.bs_tokens))
-    return OptimumReport(
-        hp=(best.lr, best.bs_tokens), loss=best.loss(metric), metric=metric
-    )
+    return surface._grid.optimum(metric)
 
 
 def _check_metric(surface: LossSurface, metric: str) -> None:
@@ -320,14 +458,14 @@ def interpolate_loss(
     if not (lr > 0) or not (bs_tokens > 0):
         raise ArgumentError("query lr and bs must be positive")
     table = surface.grid_losses(metric)
-    lrs, bss = surface.lr_values(), surface.bs_values()
-    log_lrs = [math.log(v) for v in lrs]
-    log_bss = [math.log(v) for v in bss]
+    g = surface._grid
+    log_lrs, log_bss = g.log_lrs, g.log_bss
     qx, qy = math.log(lr), math.log(bs_tokens)
 
     if not (log_lrs[0] <= qx <= log_lrs[-1]) or not (log_bss[0] <= qy <= log_bss[-1]):
-        corner_lr = min(lrs, key=lambda v: abs(math.log(v) - qx))
-        corner_bs = min(bss, key=lambda v: abs(math.log(v) - qy))
+        ci = min(range(len(log_lrs)), key=lambda k: abs(log_lrs[k] - qx))
+        cj = min(range(len(log_bss)), key=lambda k: abs(log_bss[k] - qy))
+        corner_lr, corner_bs = g.lr_values[ci], g.bs_values[cj]
         raise OutOfHullError(
             f"query (lr={lr:.6e}, bs={bs_tokens:.6e}) lies outside the grid hull; "
             f"nearest corner is (lr={corner_lr:.6e}, bs={corner_bs:.6e})",
@@ -338,8 +476,8 @@ def interpolate_loss(
     j = _cell_index(log_bss, qy)
     t = _cell_frac(log_lrs, i, qx)
     u = _cell_frac(log_bss, j, qy)
-    i1 = i + 1 if len(lrs) > 1 else i
-    j1 = j + 1 if len(bss) > 1 else j
+    i1 = i + 1 if len(log_lrs) > 1 else i
+    j1 = j + 1 if len(log_bss) > 1 else j
     v00, v01 = table[i][j], table[i][j1]
     v10, v11 = table[i1][j], table[i1][j1]
     return (
@@ -382,10 +520,14 @@ def plateau(
     if not (delta >= 0):
         raise ArgumentError(f"delta must be >= 0, got {delta}")
     opt = find_optimum(surface, metric)
+    g = surface._grid
+    table = g.train if metric == "train" else g.val
+    bss = g.bs_values
     members = frozenset(
-        (pt.lr, pt.bs_tokens)
-        for pt in surface.points
-        if (pt.loss(metric) - opt.loss) / opt.loss <= delta
+        (lr, bss[j])
+        for lr, row in zip(g.lr_values, table)
+        for j, v in enumerate(row)
+        if v is not None and (v - opt.loss) / opt.loss <= delta
     )
     return PlateauRegion(delta=delta, members=members)
 
@@ -406,17 +548,15 @@ def convexity_report(
     violations: list[ConvexityViolation] = []
 
     row_ok = 0
-    for j, bs in enumerate(bss):  # fixed bs, losses along lr
-        bad = _unimodality_breaks([table[i][j] for i in range(len(lrs))], epsilon)
+    for bs, values in zip(bss, zip(*table)):  # fixed bs, losses along lr
+        bad = _unimodality_breaks(values, epsilon)
         if bad:
-            violations.extend(
-                ConvexityViolation("row", float(bs), k) for k in bad
-            )
+            violations.extend(ConvexityViolation("row", float(bs), k) for k in bad)
         else:
             row_ok += 1
     col_ok = 0
-    for i, lr in enumerate(lrs):  # fixed lr, losses along bs
-        bad = _unimodality_breaks(table[i], epsilon)
+    for lr, values in zip(lrs, table):  # fixed lr, losses along bs
+        bad = _unimodality_breaks(values, epsilon)
         if bad:
             violations.extend(ConvexityViolation("col", lr, k) for k in bad)
         else:
@@ -430,7 +570,7 @@ def convexity_report(
     )
 
 
-def _unimodality_breaks(values: list[float], epsilon: float) -> list[int]:
+def _unimodality_breaks(values, epsilon: float) -> list[int]:
     m = values.index(min(values))
     breaks = []
     for k in range(len(values) - 1):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ArgumentError
 from .surface import LossSurface, find_optimum
 
@@ -26,64 +28,71 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
+_EDGES = {"a": (0, 1), "b": (1, 2), "c": (2, 3), "d": (3, 0)}
+_CASE_EDGES = {
+    1: ("d", "a"),
+    2: ("a", "b"),
+    3: ("d", "b"),
+    4: ("b", "c"),
+    6: ("a", "c"),
+    7: ("d", "c"),
+    8: ("c", "d"),
+    9: ("a", "c"),
+    11: ("b", "c"),
+    12: ("b", "d"),
+    13: ("a", "b"),
+    14: ("a", "d"),
+}
+
+
 def _marching_squares(xs, ys, field, level):
-    """Line segments of the `field == level` isocontour, in data coords."""
+    """Line segments of the `field == level` isocontour, in data coords.
+
+    field is a len(xs) x len(ys) array. All cells are classified at once;
+    only those the contour crosses are visited, in (i, j) order.
+    """
+    above = (field > level).astype(np.uint8)
+    cases = (
+        above[:-1, :-1]
+        | above[1:, :-1] << 1
+        | above[1:, 1:] << 2
+        | above[:-1, 1:] << 3
+    )
+    ii, jj = np.nonzero((cases != 0) & (cases != 15))
+    values = field.tolist()
     segments = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            corners = (
-                (xs[i], ys[j], field[i][j]),
-                (xs[i + 1], ys[j], field[i + 1][j]),
-                (xs[i + 1], ys[j + 1], field[i + 1][j + 1]),
-                (xs[i], ys[j + 1], field[i][j + 1]),
-            )
-            case = 0
-            for bit, (_, _, v) in enumerate(corners):
-                if v > level:
-                    case |= 1 << bit
+    for i, j, case in zip(ii.tolist(), jj.tolist(), cases[ii, jj].tolist()):
+        corners = (
+            (xs[i], ys[j], values[i][j]),
+            (xs[i + 1], ys[j], values[i + 1][j]),
+            (xs[i + 1], ys[j + 1], values[i + 1][j + 1]),
+            (xs[i], ys[j + 1], values[i][j + 1]),
+        )
 
-            def cross(a: int, b: int):
-                xa, ya, va = corners[a]
-                xb, yb, vb = corners[b]
-                t = (level - va) / (vb - va)
-                return (xa + t * (xb - xa), ya + t * (yb - ya))
+        def cross(a: int, b: int):
+            xa, ya, va = corners[a]
+            xb, yb, vb = corners[b]
+            t = (level - va) / (vb - va)
+            return (xa + t * (xb - xa), ya + t * (yb - ya))
 
-            edges = {"a": (0, 1), "b": (1, 2), "c": (2, 3), "d": (3, 0)}
+        def seg(e1: str, e2: str):
+            segments.append((cross(*_EDGES[e1]), cross(*_EDGES[e2])))
 
-            def seg(e1: str, e2: str):
-                segments.append((cross(*edges[e1]), cross(*edges[e2])))
-
-            if case in (0, 15):
-                continue
-            if case in (5, 10):  # saddle: split on the cell-center value
-                center = sum(v for _, _, v in corners) / 4.0
-                above = center > level
-                if case == 5:
-                    if above:
-                        seg("d", "c"), seg("a", "b")
-                    else:
-                        seg("d", "a"), seg("b", "c")
+        if case in (5, 10):  # saddle: split on the cell-center value
+            center = sum(v for _, _, v in corners) / 4.0
+            above_center = center > level
+            if case == 5:
+                if above_center:
+                    seg("d", "c"), seg("a", "b")
                 else:
-                    if above:
-                        seg("a", "b"), seg("c", "d")
-                    else:
-                        seg("a", "d"), seg("b", "c")
-                continue
-            table = {
-                1: ("d", "a"),
-                2: ("a", "b"),
-                3: ("d", "b"),
-                4: ("b", "c"),
-                6: ("a", "c"),
-                7: ("d", "c"),
-                8: ("c", "d"),
-                9: ("a", "c"),
-                11: ("b", "c"),
-                12: ("b", "d"),
-                13: ("a", "b"),
-                14: ("a", "d"),
-            }
-            seg(*table[case])
+                    seg("d", "a"), seg("b", "c")
+            else:
+                if above_center:
+                    seg("a", "b"), seg("c", "d")
+                else:
+                    seg("a", "d"), seg("b", "c")
+            continue
+        seg(*_CASE_EDGES[case])
     return segments
 
 
@@ -134,10 +143,7 @@ def render_surface_svg(
     log_lrs = [math.log(v) for v in lrs]
     log_bss = [math.log(v) for v in bss]
     opt = find_optimum(surface, metric)
-    field = [
-        [(table[i][j] - opt.loss) / opt.loss * 1000.0 for j in range(len(bss))]
-        for i in range(len(lrs))
-    ]
+    field = (np.array(table) - opt.loss) / opt.loss * 1000.0
     ax = _Axes(log_lrs, log_bss)
 
     out = [

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import hpscale
 from conftest import FIG3_PATH, LATTICE_D, LATTICE_N
 from hpscale import (
     ComputeBudget,
@@ -22,11 +24,17 @@ from hpscale import (
 )
 
 CLI = [sys.executable, "-m", "hpscale"]
+# the CLI subprocess imports the same hpscale these tests imported
+_SRC = str(Path(hpscale.__file__).resolve().parents[1])
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run(*args, input_bytes=None, expect=0):
     proc = subprocess.run(
-        CLI + list(args), input=input_bytes, capture_output=True
+        CLI + list(args), input=input_bytes, capture_output=True, env=CLI_ENV
     )
     assert proc.returncode == expect, (proc.returncode, proc.stderr.decode())
     return proc
@@ -134,6 +142,60 @@ def test_predict_laws_override(tmp_path):
         "--laws", str(laws),
     )
     assert doc["lr"] == pytest.approx(2 * 2.1172385170686054e-4, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "method,doc",
+    [
+        ("step", b'{"step": 5}'),
+        ("step", b'{"step": {"c": "abc"}}'),
+        ("step", b'{"step": {"c": -1}}'),
+        ("step", b'{"step": {"d": 0}}'),
+        ("step", b'{"step": {"gamma": null}}'),
+        ("step", b'{"step": {"alpha": 1e999}}'),
+        ("openai", b'{"openai": {"intercept": -1, "slope": 0}}'),
+        ("meituan", b'{"meituan": {"lambda": "x", "alpha": 1, "lambda_b": 1, "alpha_b": 1}}'),
+        ("step", b"\xff\xfe"),
+        ("step", b"[1, 2]"),
+    ],
+)
+def test_predict_bad_law_overrides_exit_2(tmp_path, method, doc):
+    laws = tmp_path / "laws.json"
+    laws.write_bytes(doc)
+    proc = run(
+        "predict", "--method", method, "--n", "1e9", "--d", "1e10", "--loss", "2.5",
+        "--laws", str(laws), expect=2,
+    )  # fmt: skip
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"error:")
+
+
+def test_predict_law_override_overflow_exit_3(tmp_path):
+    laws = tmp_path / "laws.json"
+    laws.write_bytes(b'{"step": {"alpha": 1e5}}')
+    proc = run("predict", "--method", "step", "--n", "1e9", "--d", "1e10",
+               "--laws", str(laws), expect=3)  # fmt: skip
+    assert b"Traceback" not in proc.stderr
+
+
+def test_predict_missing_law_file_exit_2(tmp_path):
+    run("predict", "--method", "step", "--n", "1e9", "--d", "1e10",
+        "--laws", str(tmp_path / "absent.json"), expect=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fit", "--observations", "x"),
+        ("stats", "--observations", "x"),
+        ("analyze", "--surface", "x"),
+        ("synth", "surface", "--spec", "x"),
+        ("plot", "--surface", "x"),
+    ],
+)
+def test_laws_option_only_where_laws_are_used(argv):
+    proc = run(*argv, "--laws", "x", expect=2)
+    assert b"unrecognized arguments: --laws" in proc.stderr
 
 
 # --- fit / stats ----------------------------------------------------------------

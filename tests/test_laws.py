@@ -352,6 +352,28 @@ def test_law_overrides_errors():
         law_overrides_from_dict({"step": {"cc": 1.0}})
     with pytest.raises(ArgumentError, match="lambda"):
         law_overrides_from_dict({"meituan": {"lambda": 1.0}})
+    with pytest.raises(ArgumentError, match="JSON object"):
+        law_overrides_from_dict({"step": 5})
+    with pytest.raises(ArgumentError, match="JSON object"):
+        law_overrides_from_dict({"meituan": [1.0, 1.0, 1.0, 1.0]})
+    for bad in ("abc", None, [1.0], {"x": 1}, math.nan, math.inf, "inf", 10**400):
+        with pytest.raises(ArgumentError, match="finite number"):
+            law_overrides_from_dict({"step": {"beta": bad}})
+    for law, key in (("step", "c"), ("step", "d"), ("openai", "slope"),
+                     ("microsoft", "coef"), ("porian", "bs_coef")):
+        for bad in (0, -1.5):
+            with pytest.raises(ArgumentError, match="positive"):
+                law_overrides_from_dict({law: {key: bad}})
+    # exponents and the openai intercept may be zero or negative
+    laws, _ = law_overrides_from_dict({"step": {"alpha": 0}, "openai": {"intercept": -1}})
+    assert laws.step.alpha == 0.0 and laws.openai.intercept == -1.0
+
+
+@pytest.mark.parametrize("alpha", [1e5, -1e5])
+def test_override_exponent_out_of_float_range_is_domain_error(alpha):
+    laws, _ = law_overrides_from_dict({"step": {"alpha": alpha}})
+    with pytest.raises(DomainError, match="not finite"):
+        baseline_predict("step", ModelScale(1e9, 1e10), laws=laws)
 
 
 def _linspace(a, b, num):

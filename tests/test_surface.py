@@ -422,3 +422,85 @@ def test_argmin_consistency_displaced_val_min():
 def test_argmin_consistency_requires_val():
     with pytest.raises(ArgumentError, match="val"):
         argmin_consistency(_bowl())
+
+
+# --- parsing: behaviour pinned across the columnar loader ---------------------
+
+HEAD = "# n_params=1e9\n# d_tokens=1e10\nlr,bs_tokens,train_smooth_loss,val_loss\n"
+GOOD_ROWS = ["1e-3,32768,2.0,2.1", "1e-3,65536,2.2,2.3", "2e-3,32768,2.4,2.5"]
+BAD_ROWS = {
+    "duplicate": ("1e-3,32768,2.6,2.7", "duplicate"),
+    "non-numeric": ("2e-3, abc ,2.0,2.1", "non-numeric value: could not convert "
+                    "string to float: 'abc'"),
+    "integral": ("2e-3,32768.5,2.0,2.1", "bs_tokens must be integral, got 32768.5"),
+    "columns": ("2e-3,65536,2.0", "expected 4 columns, found 3"),
+    "range": ("2e-3,65536,-2.0,2.1", "train_smooth_loss must be finite and positive"),
+}
+
+
+@pytest.mark.parametrize("first", sorted(BAD_ROWS))
+@pytest.mark.parametrize("second", sorted(BAD_ROWS))
+def test_load_surface_names_first_bad_line(first, second):
+    # data rows start on line 4; the first bad row sits on line 7
+    rows = GOOD_ROWS + [BAD_ROWS[first][0], BAD_ROWS[second][0]]
+    with pytest.raises(ParseError, match="^line 7: " + BAD_ROWS[first][1]) as err:
+        load_surface(HEAD + "\n".join(rows) + "\n")
+    assert err.value.line == 7
+
+
+def test_load_surface_first_bad_line_before_metadata_errors():
+    text = HEAD.replace("# d_tokens=1e10\n", "") + "\n".join(GOOD_ROWS + GOOD_ROWS[:1])
+    with pytest.raises(ParseError, match="line 6: duplicate"):
+        load_surface(text)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_load_surface_rejects_non_finite_val(value):
+    text = HEAD + f"1e-3,32768,2.0,{value}\n"
+    expected = f"line 4: val_loss must be finite and positive, got {float(value)}"
+    with pytest.raises(ParseError) as err:
+        load_surface(text)
+    assert str(err.value) == expected
+
+
+def test_load_surface_partial_val_column_keeps_values():
+    surf = load_surface(HEAD + "1e-3,32768,2.0,2.1\n1e-3,65536,2.2,\n2e-3,32768,2.4, \n")
+    assert [p.val_loss for p in surf.points] == [2.1, None, None]
+    assert not surf.has_full_val()
+    with pytest.raises(ArgumentError, match="val"):
+        find_optimum(surf, "val")
+    assert "val_loss" not in surface_to_csv(surf)
+
+
+def test_load_surface_crlf_and_padding():
+    text = (HEAD + "\n".join(GOOD_ROWS) + "\n").replace("\n", "\r\n")
+    text = text.replace("2e-3,", " 2e-3 ,\t").replace(",32768,", ",\x1c32768\x1f,")
+    surf = load_surface(text)
+    assert surf == load_surface(HEAD + "\n".join(GOOD_ROWS) + "\n")
+    assert surf.point_at(2e-3, 32768) == SweepPoint(2e-3, 32768, 2.4, 2.5)
+
+
+def test_load_surface_huge_integral_bs_round_trips():
+    surf = load_surface(HEAD + "1e-3,1e30,2.0,2.1\n")
+    (pt,) = surf.points
+    assert type(pt.bs_tokens) is int and pt.bs_tokens == int(1e30)
+    again = load_surface(surface_to_csv(surf))
+    assert again.points[0].bs_tokens == pt.bs_tokens
+    assert again == surf
+
+
+def test_surface_equality_and_hash():
+    text = HEAD + "\n".join(GOOD_ROWS) + "\n"
+    loaded = load_surface(text)
+    points = tuple(
+        SweepPoint(lr, bs, train, val)
+        for lr, bs, train, val in ((1e-3, 32768, 2.0, 2.1), (1e-3, 65536, 2.2, 2.3),
+                                   (2e-3, 32768, 2.4, 2.5))
+    )  # fmt: skip
+    built = LossSurface(scale=ModelScale(1e9, 1e10), points=points)
+    assert loaded == built and hash(loaded) == hash(built)
+    assert loaded.points == points
+    assert len({loaded, built, load_surface(text)}) == 1
+    reordered = LossSurface(scale=built.scale, points=points[::-1])
+    assert reordered != built  # points compare in input order
+    assert LossSurface(scale=built.scale, points=points, arch_tag="moe") != built
