@@ -84,7 +84,7 @@ from .synth import (
     SurfaceSpec,
     generate_observations,
     generate_surface,
-    load_spec_file,
+    load_spec_file_bytes,
 )
 
 __version__ = "0.1.0"

@@ -7,13 +7,24 @@ whole pipelines can run through files or pipes. Every command is
 deterministic given its arguments, inputs, and --seed.
 
 Exit codes: 0 ok, 2 argument/parse error, 3 domain error, 4 write failure.
+A malformed input file (spec, observations, surface, overlay, law
+overrides) exits 2, and a well-formed one whose numbers overflow a float
+exits 3; no input file ends in a traceback.
+
+main() may be called many times in one process (the benchmark, notebooks,
+driver scripts): the argument parser is built once and shared, and each
+call parses into a fresh namespace, so no flag or default carries over
+from one command to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
+import math
 import sys
 
 from . import __version__
@@ -41,7 +52,13 @@ from .surface import (
     surface_to_csv,
 )
 from .svgplot import DEFAULT_LEVELS_PERMILLE, render_surface_svg
-from .synth import ObservationSpec, SurfaceSpec, generate_observations, generate_surface
+from .synth import (
+    ObservationSpec,
+    SurfaceSpec,
+    generate_observations,
+    generate_surface,
+    load_spec_file_bytes,
+)
 
 
 def _read_input(path: str) -> bytes:
@@ -146,44 +163,19 @@ def cmd_stats(args) -> int:
     raw = _read_input(args.observations)
     obs = load_observations(raw)
     comparison = compare_formulations(obs)
+    report = comparison.full_report
     doc = {
         "meta": _meta(args.seed, raw),
-        "formulations": [
-            {
-                "name": f.name,
-                "r_squared": f.r_squared,
-                "adjusted_r_squared": f.adjusted_r_squared,
-                "delta_adj_r2_vs_full": f.delta_adj_r2_vs_full,
-                "f_statistic": f.f_statistic,
-            }
-            for f in comparison.formulations
-        ],
-        "nested_tests": [
-            {
-                "restricted": t.restricted,
-                "full": t.full,
-                "f_statistic": t.f_statistic,
-                "p_value": t.p_value,
-            }
-            for t in comparison.nested_tests
-        ],
+        "formulations": [dataclasses.asdict(f) for f in comparison.formulations],
+        "nested_tests": [dataclasses.asdict(t) for t in comparison.nested_tests],
+        # full_model renames n_obs to n and leaves out rss and df_resid
         "full_model": {
-            "n": comparison.full_report.n_obs,
-            "r_squared": comparison.full_report.r_squared,
-            "adjusted_r_squared": comparison.full_report.adjusted_r_squared,
-            "f_statistic": comparison.full_report.f_statistic,
-            "f_pvalue": comparison.full_report.f_pvalue,
-            "predictors": [
-                {
-                    "name": row.name,
-                    "coefficient": row.coefficient,
-                    "standard_error": row.standard_error,
-                    "t_value": row.t_value,
-                    "p_value": row.p_value,
-                    "ci95": list(row.ci95),
-                }
-                for row in comparison.full_report.predictors
-            ],
+            "n": report.n_obs,
+            "r_squared": report.r_squared,
+            "adjusted_r_squared": report.adjusted_r_squared,
+            "f_statistic": report.f_statistic,
+            "f_pvalue": report.f_pvalue,
+            "predictors": [dataclasses.asdict(row) for row in report.predictors],
         },
     }
     _emit_json(doc, args.out)
@@ -347,46 +339,48 @@ def cmd_synth(args) -> int:
     raw = _read_input(args.spec)
     spec = load_spec_file_bytes(raw)
     if args.seed is not None:
-        from dataclasses import replace
-
-        spec = replace(spec, seed=args.seed)
+        spec = dataclasses.replace(spec, seed=args.seed)
     if args.kind == "surface":
         if not isinstance(spec, SurfaceSpec):
             raise ArgumentError('spec has "kind": "observations" but surface requested')
-        surf = generate_surface(spec)
-        text = surface_to_csv(surf)
-        header = (
-            f"# version={__version__}\n"
-            f"# seed={spec.seed}\n"
-            f"# spec_digest={_digest(raw)}\n"
-        )
-        _emit(header + text, args.out)
+        text = surface_to_csv(generate_surface(spec))
     else:
         if not isinstance(spec, ObservationSpec):
             raise ArgumentError('spec has "kind": "surface" but observations requested')
-        obs = generate_observations(spec)
-        header = (
-            f"# version={__version__}\n"
-            f"# seed={spec.seed}\n"
-            f"# spec_digest={_digest(raw)}\n"
-        )
-        _emit(header + observations_to_csv(obs), args.out)
+        text = observations_to_csv(generate_observations(spec))
+    header = (
+        f"# version={__version__}\n"
+        f"# seed={spec.seed}\n"
+        f"# spec_digest={_digest(raw)}\n"
+    )
+    _emit(header + text, args.out)
     return 0
 
 
-def load_spec_file_bytes(raw: bytes):
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArgumentError(f"invalid spec JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ArgumentError("spec must be a JSON object")
-    kind = doc.pop("kind", None)
-    if kind == "surface":
-        return SurfaceSpec.from_json_dict(doc)
-    if kind == "observations":
-        return ObservationSpec.from_json_dict(doc)
-    raise ArgumentError('spec JSON needs "kind": "surface" or "observations"')
+def _check_overlay_row(row, index: int) -> None:
+    """An overlay row is an object; its predicted and snapped are objects or
+    null, holding lr and bs that are positive finite numbers or null."""
+    if not isinstance(row, dict):
+        raise ArgumentError(f"overlay row {index} must be a JSON object")
+    for group in ("predicted", "snapped"):
+        block = row.get(group)
+        if block is None:
+            continue
+        if not isinstance(block, dict):
+            raise ArgumentError(f"overlay row {index}: {group} must be an object or null")
+        for key in ("lr", "bs"):
+            value = block.get(key)
+            if value is None:
+                continue
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not (0 < value < math.inf)
+            ):
+                raise ArgumentError(
+                    f"overlay row {index}: {group}.{key} must be a positive "
+                    f"finite number or null, got {value!r:.40}"
+                )
 
 
 def cmd_plot(args) -> int:
@@ -402,11 +396,15 @@ def cmd_plot(args) -> int:
         overlay_raw = _read_input(args.overlay)
         try:
             overlay_doc = json.loads(overlay_raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ArgumentError(f"invalid overlay JSON: {exc}") from exc
-        overlays = overlay_doc.get("rows", overlay_doc)
-        if not isinstance(overlays, list):
+        if isinstance(overlay_doc, dict):
+            overlay_doc = overlay_doc.get("rows", overlay_doc)
+        if not isinstance(overlay_doc, list):
             raise ArgumentError("overlay JSON must hold a list of compare rows")
+        for i, row in enumerate(overlay_doc):
+            _check_overlay_row(row, i)
+        overlays = overlay_doc
     svg = render_surface_svg(
         surf,
         metric=args.metric,
@@ -421,7 +419,14 @@ def cmd_plot(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The hpscale argument parser, built once per process and shared.
+
+    Every caller gets the same object, so it must not be mutated (no
+    add_argument, set_defaults or attribute writes); parse_args returns a
+    fresh namespace on each call and is safe to call repeatedly.
+    """
     parser = argparse.ArgumentParser(
         prog="hpscale",
         description="Hyperparameter scaling-law toolkit for LLM pre-training.",

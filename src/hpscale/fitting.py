@@ -342,7 +342,10 @@ def load_observations(source) -> list[OptimumObservation]:
     else:
         data = source
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 text: {exc}") from exc
     reader = csv.reader(io.StringIO(data))
     rows = [(i, [c.strip() for c in row]) for i, row in enumerate(reader, start=1)]
     rows = [

@@ -42,18 +42,17 @@ class ModelScale:
     flops_per_token: float | None = None
 
     def __post_init__(self):
-        if not (self.n_params > 0):
-            raise ArgumentError(f"n_params must be positive, got {self.n_params}")
-        if not (self.d_tokens > 0):
-            raise ArgumentError(f"d_tokens must be positive, got {self.d_tokens}")
+        for name in ("n_params", "d_tokens"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise ArgumentError(f"{name} must be finite and positive, got {value}")
         if self.n_active is not None and not (0 < self.n_active <= self.n_params):
             raise ArgumentError(
                 f"n_active must lie in (0, n_params], got {self.n_active}"
             )
-        if self.flops_per_token is not None and not (self.flops_per_token > 0):
-            raise ArgumentError(
-                f"flops_per_token must be positive, got {self.flops_per_token}"
-            )
+        fpt = self.flops_per_token
+        if fpt is not None and not (0 < fpt < math.inf):
+            raise ArgumentError(f"flops_per_token must be finite and positive, got {fpt}")
 
 
 @dataclass(frozen=True)

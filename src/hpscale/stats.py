@@ -287,8 +287,11 @@ def nested_f_test(
         raise ArgumentError(
             "nested test needs the restricted model to drop >= 1 predictor"
         )
-    f_stat = ((restricted.rss - full.rss) / q) / (full.rss / full.df_resid)
-    f_stat = max(f_stat, 0.0)  # guard fp noise when RSS values are equal
+    if full.rss > 0:
+        f_stat = ((restricted.rss - full.rss) / q) / (full.rss / full.df_resid)
+        f_stat = max(f_stat, 0.0)  # guard fp noise when RSS values are equal
+    else:  # the full model fits exactly; as in a regression's own F
+        f_stat = math.inf if restricted.rss > 0 else 0.0
     return NestedTest(
         restricted=restricted_name,
         full=full_name,

@@ -293,7 +293,10 @@ def load_surface(source) -> LossSurface:
     else:
         data = source
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 text: {exc}") from exc
 
     meta: dict[str, str] = {}
     header: list[str] | None = None

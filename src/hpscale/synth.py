@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, DomainError
 from .fitting import OptimumObservation
 from .laws import GridSpec, ModelScale
 from .surface import LossSurface, SweepPoint
@@ -52,7 +53,7 @@ class SurfaceSpec:
             raise ArgumentError("opt_lr and opt_bs must be positive")
         if self.curvature_lr < 0 or self.curvature_bs < 0:
             raise ArgumentError("curvatures must be >= 0")
-        if self.cross_term**2 > self.curvature_lr * self.curvature_bs:
+        if self.cross_term * self.cross_term > self.curvature_lr * self.curvature_bs:
             raise ArgumentError(
                 f"cross_term {self.cross_term} breaks positive semi-definiteness "
                 f"(needs cross**2 <= {self.curvature_lr * self.curvature_bs})"
@@ -61,13 +62,21 @@ class SurfaceSpec:
             raise ArgumentError("base_loss must be positive")
         if self.noise_sigma < 0:
             raise ArgumentError("noise_sigma must be >= 0")
+        _check_seed(self.seed)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SurfaceSpec":
-        doc = dict(doc)
+        """Build from a spec JSON object; every bad type is an ArgumentError."""
+        doc = _coerce(
+            doc,
+            "surface",
+            floats=("opt_lr", "opt_bs", "curvature_lr", "curvature_bs", "cross_term",
+                     "base_loss", "noise_sigma", "n_params", "d_tokens"),
+            optional=("val_offset",),
+        )  # fmt: skip
         scale = ModelScale(
-            n_params=float(doc.pop("n_params", 1.0e9)),
-            d_tokens=float(doc.pop("d_tokens", 1.0e11)),
+            n_params=doc.pop("n_params", 1.0e9),
+            d_tokens=doc.pop("d_tokens", 1.0e11),
         )
         try:
             return cls(scale=scale, **doc)
@@ -104,26 +113,69 @@ class ObservationSpec:
             raise ArgumentError("lattice values must be positive")
         if self.noise_sigma < 0:
             raise ArgumentError("noise_sigma must be >= 0")
+        _check_seed(self.seed)
+        if not isinstance(self.snap, bool):
+            raise ArgumentError(f"snap must be true or false, got {self.snap!r:.40}")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ObservationSpec":
-        doc = dict(doc)
-        for key in ("n_values", "d_values"):
-            if key in doc:
-                doc[key] = tuple(float(v) for v in doc[key])
+        """Build from a spec JSON object; every bad type is an ArgumentError."""
+        doc = _coerce(
+            doc,
+            "observation",
+            floats=("c", "alpha", "beta", "d_coef", "gamma", "noise_sigma"),
+            lists=("n_values", "d_values"),
+        )
         try:
             return cls(**doc)
         except TypeError as exc:
             raise ArgumentError(f"bad observation spec: {exc}") from exc
 
 
-def load_spec_file(path) -> SurfaceSpec | ObservationSpec:
-    """Read a spec JSON; the "kind" key selects surface vs observations."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ArgumentError(f"seed must be a non-negative integer, got {seed!r:.40}")
+
+
+def _number(value, where: str) -> float:
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ArgumentError(f"invalid JSON in {path}: {exc}") from exc
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ArgumentError(f"{where} must be a finite number, got {value!r:.40}")
+
+
+def _coerce(doc: dict, what: str, floats, optional=(), lists=()) -> dict:
+    """Copy of a spec JSON object with its number fields made floats.
+
+    Float keys must hold finite JSON numbers (bools are not numbers);
+    optional keys may also be null and list keys hold a list of numbers.
+    Any other value is an ArgumentError. Remaining keys pass through for
+    the dataclass to check or reject.
+    """
+    out = dict(doc)
+    for key in (*floats, *optional, *lists):
+        if key not in out or (key in optional and out[key] is None):
+            continue
+        where = f"{what} spec {key}"
+        if key in lists:
+            if not isinstance(out[key], list):
+                raise ArgumentError(f"{where} must be a list of numbers")
+            out[key] = tuple(_number(v, where) for v in out[key])
+        else:
+            out[key] = _number(out[key], where)
+    return out
+
+
+def load_spec_file_bytes(raw: bytes) -> SurfaceSpec | ObservationSpec:
+    """Parse spec JSON bytes; the "kind" key selects surface vs observations."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ArgumentError(f"invalid spec JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ArgumentError("spec must be a JSON object")
     kind = doc.pop("kind", None)
@@ -132,6 +184,13 @@ def load_spec_file(path) -> SurfaceSpec | ObservationSpec:
     if kind == "observations":
         return ObservationSpec.from_json_dict(doc)
     raise ArgumentError('spec JSON needs "kind": "surface" or "observations"')
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:  # from extreme spec values; callers reject inf
+        return math.inf
 
 
 def _point_normal(seed: int, stream: int, i: int, j: int) -> float:
@@ -162,7 +221,9 @@ def generate_surface(spec: SurfaceSpec, grid: GridSpec | None = None) -> LossSur
             )
             loss = spec.base_loss + q
             if spec.noise_sigma > 0:
-                loss *= math.exp(spec.noise_sigma * _point_normal(spec.seed, 0, i, j))
+                loss *= _exp(spec.noise_sigma * _point_normal(spec.seed, 0, i, j))
+            if not math.isfinite(loss):
+                raise DomainError(f"synthetic loss at lr={lr:g}, bs={bs_tokens} is {loss}")
             val = None if spec.val_offset is None else loss + spec.val_offset
             points.append(SweepPoint(lr, bs_tokens, loss, val))
     return LossSurface(
@@ -188,7 +249,12 @@ def generate_observations(spec: ObservationSpec) -> list[OptimumObservation]:
             if spec.noise_sigma > 0:
                 log_lr += spec.noise_sigma * _point_normal(spec.seed, 1, i, j)
                 log_bs += spec.noise_sigma * _point_normal(spec.seed, 2, i, j)
-            opt_lr, opt_bs = math.exp(log_lr), math.exp(log_bs)
+            opt_lr, opt_bs = _exp(log_lr), _exp(log_bs)
+            if not (0 < opt_lr < math.inf and 0 < opt_bs < math.inf):
+                raise DomainError(
+                    f"law optimum at N={n:g}, D={d:g} is ({opt_lr}, {opt_bs}), "
+                    "outside the positive finite floats"
+                )
             if spec.snap:
                 snapped = snap_to_grid(
                     Prediction(lr=opt_lr, bs_tokens=opt_bs, method="synthetic"), grid

@@ -1,0 +1,318 @@
+"""The CLI called in-process, many times in one interpreter.
+
+main() shares one argument parser across calls. These tests run every
+subcommand through it repeatedly, in mixed order, against a subprocess
+run of the same command, and fuzz the file inputs through it: whatever
+the bytes, a command ends in exit 0, 2 or 3 and never in an exception.
+"""
+
+import contextlib
+import io
+import json
+import subprocess
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import FIG3_PATH, LATTICE_D, LATTICE_N
+from hpscale import cli
+from hpscale.laws import LAW_METHODS
+from test_cli import CLI, CLI_ENV, run
+
+
+def main_inprocess(*argv):
+    """(exit code, stdout bytes, stderr text) of cli.main; SystemExit counts."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(list(argv))
+        except SystemExit as exc:  # argparse errors, --help, --version
+            rc = exc.code
+    return rc, out.getvalue().encode("utf-8"), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inprocess")
+    surface_spec = root / "surface_spec.json"
+    surface_spec.write_text(json.dumps({
+        "kind": "surface", "opt_lr": 2.0**-9, "opt_bs": 262144.0,
+        "noise_sigma": 0.01, "seed": 1, "val_offset": 0.02,
+    }))  # fmt: skip
+    obs_spec = root / "obs_spec.json"
+    obs_spec.write_text(json.dumps({
+        "kind": "observations", "n_values": list(LATTICE_N),
+        "d_values": list(LATTICE_D), "noise_sigma": 0.05, "seed": 3,
+    }))  # fmt: skip
+    obs = root / "obs.csv"
+    obs.write_bytes(run("synth", "observations", "--spec", str(obs_spec)).stdout)
+    overlay = root / "compare.json"
+    run("compare", "--surface", str(FIG3_PATH), "--methods", "step,porian,meituan",
+        "--loss", "2.0", "--meituan-params", "0.01,2.0,1e9,0.5",
+        "--out", str(overlay))  # fmt: skip
+    return {"surface_spec": surface_spec, "obs": obs, "overlay": overlay}
+
+
+def _commands(inputs):
+    surf, obs = str(FIG3_PATH), str(inputs["obs"])
+    spec, overlay = str(inputs["surface_spec"]), str(inputs["overlay"])
+    return [
+        ("predict", "--method", "step", "--n", "1e9", "--d", "1e10", "--snap"),
+        ("predict", "--method", "step", "--n", "1e9", "--d", "1e10"),
+        ("predict", "--method", "openai", "--n", "1e9", "--d", "1e10"),  # exit 2
+        ("predict", "--method", "step", "--n", "1e9", "--d", "inf"),  # exit 2
+        ("fit", "--observations", obs, "--bootstrap", "40", "--seed", "5"),
+        ("fit", "--observations", obs, "--bootstrap", "40"),
+        ("stats", "--observations", obs),
+        ("analyze", "--surface", surf, "--metric", "val"),
+        ("analyze", "--surface", surf),
+        ("compare", "--surface", surf, "--methods", "step,porian", "--use-snapped"),
+        ("compare", "--surface", surf, "--methods", "step,porian"),
+        ("synth", "surface", "--spec", spec, "--seed", "7"),
+        ("synth", "surface", "--spec", spec),
+        ("plot", "--surface", surf, "--overlay", overlay, "--use-snapped"),
+        ("plot", "--surface", surf, "--levels", "2,20"),
+        ("analyze", "--surface", surf, "--laws", "x"),  # argparse exit 2
+    ]
+
+
+def test_main_reuses_one_parser_and_matches_subprocess(inputs):
+    assert cli.build_parser() is cli.build_parser()
+    commands = _commands(inputs)
+    expected = {}
+    for argv in commands:
+        proc = subprocess.run(CLI + list(argv), capture_output=True, env=CLI_ENV)
+        expected[argv] = (proc.returncode, proc.stdout)
+    # twice through, the second time interleaved from both ends
+    order = commands + [c for pair in zip(commands[::-1], commands) for c in pair]
+    for argv in order:
+        rc, stdout, stderr = main_inprocess(*argv)
+        assert (rc, stdout) == expected[argv], argv
+        assert "Traceback" not in stderr
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parsed_flags_do_not_leak_between_calls():
+    parser = cli.build_parser()
+    snapped = parser.parse_args(["compare", "--surface", "s", "--methods", "step",
+                                 "--use-snapped", "--metric", "val"])  # fmt: skip
+    assert snapped.use_snapped is True and snapped.metric == "val"
+    plain = parser.parse_args(["compare", "--surface", "s", "--methods", "step"])
+    assert plain.use_snapped is False and plain.metric == "train"
+    assert plain.csv is None and plain.laws is None
+    assert parser.parse_args(["fit", "--seed", "9"]).seed == 9
+    assert parser.parse_args(["fit"]).seed == 0
+    assert parser.parse_args(["stats"]).seed is None
+    assert plain is not parser.parse_args(["compare", "--surface", "s", "--methods", "step"])
+
+
+# --- malformed inputs that once ended in a traceback ------------------------------
+
+
+@pytest.mark.parametrize(
+    "overlay",
+    [
+        b"[1,2]",
+        b'{"rows": [1]}',
+        b'{"rows": [{"method": "x", "predicted": [1, 2], "status": "ok"}]}',
+        b'{"rows": [{"method": "x", "predicted": {"lr": "x", "bs": 1}}]}',
+        b'{"rows": [{"method": "x", "snapped": {"lr": 1e-3, "bs": 0}}]}',
+        b'{"rows": [{"method": "x", "predicted": {"lr": true, "bs": 1}}]}',
+        b'{"rows": [{"method": "x", "predicted": {"lr": NaN, "bs": 1}}]}',
+    ],
+)
+def test_plot_bad_overlay_exit_2(tmp_path, overlay):
+    path = tmp_path / "overlay.json"
+    path.write_bytes(overlay)
+    rc, _, stderr = main_inprocess("plot", "--surface", str(FIG3_PATH),
+                                   "--overlay", str(path))  # fmt: skip
+    assert rc == 2 and stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "kind,spec",
+    [
+        ("surface", {"opt_lr": 1e-3, "opt_bs": 2e5, "n_params": "abc"}),
+        ("observations", {"n_values": "ab", "d_values": [1e9, 1e10]}),
+        ("observations", {"n_values": 5, "d_values": [1e9, 1e10]}),
+        ("observations", {"n_values": [1e8, 1e9], "d_values": [1e9, 1e10],
+                          "noise_sigma": 0.1, "seed": "x"}),
+    ],
+)  # fmt: skip
+def test_synth_bad_spec_types_exit_2(tmp_path, kind, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": kind, **spec}))
+    rc, _, stderr = main_inprocess("synth", kind, "--spec", str(path))
+    assert rc == 2 and stderr.startswith("error: ")
+
+
+def test_synth_negative_seed_exit_2(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "surface", "opt_lr": 1e-3, "opt_bs": 2e5,
+                                "noise_sigma": 0.1}))  # fmt: skip
+    rc, _, stderr = main_inprocess("synth", "surface", "--spec", str(path), "--seed", "-1")
+    assert rc == 2 and "seed" in stderr
+
+
+@pytest.mark.parametrize("flag,value", [("--d", "inf"), ("--n", "nan"), ("--n", "inf")])
+def test_predict_non_finite_scale_exit_2(flag, value):
+    argv = {"--n": "1e9", "--d": "1e10", flag: value}
+    rc, _, stderr = main_inprocess("predict", "--method", "step",
+                                   *[t for kv in argv.items() for t in kv])  # fmt: skip
+    assert rc == 2 and "finite" in stderr
+
+
+def test_stats_keys(inputs):
+    rc, stdout, _ = main_inprocess("stats", "--observations", str(inputs["obs"]))
+    doc = json.loads(stdout)
+    assert rc == 0
+    assert {tuple(sorted(f)) for f in doc["formulations"]} == {(
+        "adjusted_r_squared", "delta_adj_r2_vs_full", "f_statistic", "name",
+        "r_squared",
+    )}  # fmt: skip
+    assert {tuple(sorted(t)) for t in doc["nested_tests"]} == {
+        ("f_statistic", "full", "p_value", "restricted")
+    }
+    full = doc["full_model"]
+    assert sorted(full) == ["adjusted_r_squared", "f_pvalue", "f_statistic", "n",
+                            "predictors", "r_squared"]  # fmt: skip
+    assert {tuple(sorted(p)) for p in full["predictors"]} == {(
+        "ci95", "coefficient", "name", "p_value", "standard_error", "t_value",
+    )}  # fmt: skip
+
+
+# --- in-process fuzz of every file input ---------------------------------------
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**20), max_value=10**20)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6)
+)
+json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+_numbers = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-5, 10**6)
+# spec-like values: mostly numbers and lists of numbers, sometimes anything
+_spec_values = _numbers | st.lists(_numbers, max_size=5) | json_values
+
+
+def _json_bytes(strategy):
+    return strategy.map(lambda doc: json.dumps(doc).encode("utf-8"))
+
+
+def _objects_with(keys, values, required=None):
+    return st.fixed_dictionaries(
+        required or {}, optional={k: values for k in keys}
+    )
+
+
+_SPEC_KEYS = (
+    "opt_lr", "opt_bs", "curvature_lr", "curvature_bs", "cross_term", "base_loss",
+    "noise_sigma", "seed", "val_offset", "n_params", "d_tokens", "c", "alpha",
+    "beta", "d_coef", "gamma", "n_values", "d_values", "snap", "scale",
+)  # fmt: skip
+spec_docs = _objects_with(
+    _SPEC_KEYS, _spec_values,
+    required={"kind": st.sampled_from(["surface", "observations"])},
+)  # fmt: skip
+law_docs = st.dictionaries(
+    st.sampled_from(LAW_METHODS),
+    _objects_with(
+        ("c", "alpha", "beta", "d", "gamma", "intercept", "slope", "bs_coef",
+         "bs_exp", "coef", "n_exp", "d_exp", "lr_coef", "lr_exp", "lambda",
+         "lambda_b", "alpha_b"),
+        _numbers | json_values,
+    ),
+    max_size=3,
+)  # fmt: skip
+_coords = _objects_with(("lr", "bs"), _numbers | json_values) | json_values
+overlay_docs = st.fixed_dictionaries({
+    "rows": st.lists(
+        _objects_with(
+            ("method", "predicted", "snapped", "status"), _coords
+        ) | json_values,
+        max_size=4,
+    )
+})  # fmt: skip
+
+
+def _csv_rows(header, width):
+    cell = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.integers(-5, 10**12).map(str),
+        st.sampled_from(["", "x", "1e999", " 1", "nan"]),
+    )
+    rows = st.lists(st.lists(cell, min_size=width - 1, max_size=width + 1), max_size=12)
+    return rows.map(
+        lambda rs: (header + "".join(",".join(r) + "\n" for r in rs)).encode("utf-8")
+    )
+
+
+observation_csvs = _csv_rows("n_params,d_tokens,opt_lr,opt_bs_tokens\n", 4)
+surface_csvs = _csv_rows(
+    "# n_params=1e9\n# d_tokens=1e10\nlr,bs_tokens,train_smooth_loss,val_loss\n", 4
+)
+FIG3_TEXT = FIG3_PATH.read_bytes()
+
+
+def _fuzz_commands(option, path):
+    fig3 = str(FIG3_PATH)
+    return {
+        "--laws": [
+            ("predict", "--method", "step", "--n", "1e9", "--d", "1e10",
+             "--laws", path),
+            ("compare", "--surface", fig3, "--methods", ",".join(LAW_METHODS),
+             "--loss", "2.5", "--laws", path),
+        ],
+        "--spec": [
+            ("synth", "surface", "--spec", path),
+            ("synth", "observations", "--spec", path),
+        ],
+        "--observations": [
+            ("fit", "--observations", path, "--bootstrap", "20"),
+            ("stats", "--observations", path),
+        ],
+        "--surface": [
+            ("analyze", "--surface", path, "--metric", "val"),
+            ("compare", "--surface", path, "--methods", "step,porian"),
+            ("plot", "--surface", path),
+        ],
+        "--overlay": [("plot", "--surface", fig3, "--overlay", path)],
+    }[option]  # fmt: skip
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+_payloads = {
+    "--laws": _json_bytes(law_docs | json_values),
+    "--spec": _json_bytes(spec_docs | json_values),
+    "--observations": observation_csvs,
+    "--surface": surface_csvs | st.just(FIG3_TEXT).flatmap(
+        lambda text: st.integers(0, len(text)).map(lambda k: text[:k])
+    ),
+    "--overlay": _json_bytes(overlay_docs | json_values),
+}
+
+
+@settings(max_examples=150)
+@given(
+    option=st.sampled_from(sorted(_payloads)),
+    data=st.data(),
+)
+def test_file_inputs_never_escape_the_exit_code_contract(fuzz_dir, option, data):
+    payload = data.draw(_payloads[option] | st.binary(max_size=64), label="payload")
+    path = fuzz_dir / "input"
+    path.write_bytes(payload)
+    for argv in _fuzz_commands(option, str(path)):
+        rc, _, stderr = main_inprocess(*argv)
+        assert rc in (0, 2, 3), (argv, payload, stderr)
+        assert "Traceback" not in stderr

@@ -304,6 +304,18 @@ def test_model_scale_validation():
         ModelScale(1e9, 1e10, flops_per_token=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_model_scale_rejects_non_finite(bad):
+    for kwargs in (
+        {"n_params": bad, "d_tokens": 1e10},
+        {"n_params": 1e9, "d_tokens": bad},
+        {"n_params": 1e9, "d_tokens": 1e10, "n_active": bad},
+        {"n_params": 1e9, "d_tokens": 1e10, "flops_per_token": bad},
+    ):
+        with pytest.raises(ArgumentError, match="finite|n_active"):
+            ModelScale(**kwargs)
+
+
 def test_prediction_validation():
     with pytest.raises(ArgumentError):
         Prediction(lr=-1.0, bs_tokens=None, method="x")

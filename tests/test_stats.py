@@ -10,6 +10,7 @@ from hpscale import (
     ArgumentError,
     DegenerateDesignError,
     OptimumObservation,
+    RegressionReport,
     compare_formulations,
     f_sf,
     nested_f_test,
@@ -216,6 +217,22 @@ def test_nested_f_test_rejects_different_samples():
     other = regress(("logD",), independent_n_observations(4, n=30))
     with pytest.raises(ArgumentError, match="same observations"):
         nested_f_test(other, full)
+
+
+def test_nested_f_test_exact_full_fit():
+    def report(rss, df_resid):
+        return RegressionReport(predictors=(), n_obs=10, r_squared=1.0,
+                                adjusted_r_squared=1.0, f_statistic=math.inf,
+                                f_pvalue=0.0, rss=rss, df_resid=df_resid)  # fmt: skip
+
+    test = nested_f_test(report(0.5, 8), report(0.0, 7))
+    assert (test.f_statistic, test.p_value) == (math.inf, 0.0)
+    test = nested_f_test(report(0.0, 8), report(0.0, 7))
+    assert (test.f_statistic, test.p_value) == (0.0, 1.0)
+    # constant batch sizes: every formulation fits exactly
+    obs = [OptimumObservation(n, d, 1e-3, 1.0) for n in (1e8, 1e9) for d in (1e9, 1e10)]
+    for test in compare_formulations(obs).nested_tests:
+        assert (test.f_statistic, test.p_value) == (0.0, 1.0)
 
 
 def test_rejection_frequencies_over_seeds():

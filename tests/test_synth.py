@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from conftest import LATTICE_D, LATTICE_N, LAW_COEFFS
 from hpscale import (
     ArgumentError,
+    DomainError,
     GridSpec,
+    ModelScale,
     ObservationSpec,
     SurfaceSpec,
     convexity_report,
@@ -39,6 +42,70 @@ def test_observation_spec_validation():
         ObservationSpec(n_values=(1e8, -1e9), d_values=(1e9, 2e9))
     with pytest.raises(ArgumentError, match="coefficients"):
         ObservationSpec(c=-1.0, n_values=(1e8, 1e9), d_values=(1e9, 2e9))
+
+
+@pytest.mark.parametrize(
+    "doc,match",
+    [
+        ({"n_params": "abc"}, "n_params must be a finite number"),
+        ({"d_tokens": 1e999}, "d_tokens must be a finite number"),
+        ({"opt_lr": True}, "opt_lr must be a finite number"),
+        ({"curvature_lr": [1]}, "curvature_lr must be a finite number"),
+        ({"val_offset": "x"}, "val_offset must be a finite number"),
+        ({"seed": "x", "noise_sigma": 0.1}, "seed must be a non-negative integer"),
+        ({"seed": -1}, "seed must be a non-negative integer"),
+        ({"seed": 1.5}, "seed must be a non-negative integer"),
+        ({"cross_term": 1e200}, "semi-definite"),
+        ({"colour": 1}, "bad surface spec"),
+    ],
+)
+def test_surface_spec_from_json_rejects_bad_types(doc, match):
+    with pytest.raises(ArgumentError, match=match):
+        SurfaceSpec.from_json_dict({"opt_lr": 1e-3, "opt_bs": 2e5, **doc})
+
+
+@pytest.mark.parametrize(
+    "doc,match",
+    [
+        ({"n_values": "ab"}, "n_values must be a list of numbers"),
+        ({"n_values": 5}, "n_values must be a list of numbers"),
+        ({"d_values": [1e9, "x"]}, "d_values must be a finite number"),
+        ({"seed": "x", "noise_sigma": 0.1}, "seed must be a non-negative integer"),
+        ({"snap": 1}, "snap must be true or false"),
+        ({"gamma": None}, "gamma must be a finite number"),
+    ],
+)
+def test_observation_spec_from_json_rejects_bad_types(doc, match):
+    base = {"n_values": [1e8, 1e9], "d_values": [1e9, 1e10]}
+    with pytest.raises(ArgumentError, match=match):
+        ObservationSpec.from_json_dict({**base, **doc})
+
+
+def test_spec_from_json_keeps_valid_values():
+    spec = SurfaceSpec.from_json_dict(
+        {"opt_lr": 1, "opt_bs": 2e5, "n_params": 10**9, "val_offset": None, "seed": 3}
+    )
+    assert spec == SurfaceSpec(opt_lr=1.0, opt_bs=2e5, seed=3,
+                               scale=ModelScale(1e9, 1e11))  # fmt: skip
+    obs = ObservationSpec.from_json_dict(
+        {"n_values": [1, 2], "d_values": [3, 4.5], "snap": True}
+    )
+    assert obs.n_values == (1.0, 2.0) and obs.d_values == (3.0, 4.5) and obs.snap
+
+
+def test_seed_replaced_after_parsing_is_checked():
+    spec = ObservationSpec(n_values=(1e8, 1e9), d_values=(1e9, 1e10))
+    with pytest.raises(ArgumentError, match="seed"):
+        dataclasses.replace(spec, seed=-1)
+
+
+def test_generators_reject_overflowing_specs():
+    with pytest.raises(DomainError, match="synthetic loss"):
+        generate_surface(SurfaceSpec(opt_lr=1e-3, opt_bs=2e5, noise_sigma=1e300))
+    spec = ObservationSpec(alpha=1e300, n_values=(1.0, 2.0), d_values=(1.0, 2.0),
+                           snap=True)  # fmt: skip
+    with pytest.raises(DomainError, match="law optimum"):
+        generate_observations(spec)
 
 
 def test_planted_optimum_recovered_exactly():
