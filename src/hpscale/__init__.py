@@ -27,7 +27,6 @@ from .fitting import (
     fit_bs_law,
     fit_lr_law,
     load_observations,
-    load_observations_file,
     observations_to_csv,
     ols,
 )
@@ -74,7 +73,6 @@ from .surface import (
     find_optimum,
     interpolate_loss,
     load_surface,
-    load_surface_file,
     plateau,
     relative_error,
     surface_to_csv,

@@ -3,13 +3,17 @@
 Subcommands: predict, fit, stats, analyze, compare, synth
 (surface|observations), plot. Reports are JSON (sorted keys, two-space
 indent); synth emits the CSV schemas consumed by the other commands so
-whole pipelines can run through files or pipes. Every command is
-deterministic given its arguments, inputs, and --seed.
+whole pipelines can run through files or pipes: every input option
+(--observations, --surface, --spec, --overlay, --laws) reads stdin when
+given '-'. Every command is deterministic given its arguments and inputs;
+--seed exists on fit (bootstrap draws) and synth (spec seed override)
+only, the two commands that draw random numbers.
 
 Exit codes: 0 ok, 2 argument/parse error, 3 domain error, 4 write failure.
 A malformed input file (spec, observations, surface, overlay, law
 overrides) exits 2, and a well-formed one whose numbers overflow a float
-exits 3; no input file ends in a traceback.
+exits 3; no input file ends in a traceback. Files are opened here only;
+the loaders parse the bytes through the input boundary in errors.py.
 
 main() may be called many times in one process (the benchmark, notebooks,
 driver scripts): the argument parser is built once and shared, and each
@@ -24,11 +28,17 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import sys
 
 from . import __version__
-from .errors import ArgumentError, DomainError, HpscaleError, OutOfHullError
+from .errors import (
+    ArgumentError,
+    DomainError,
+    HpscaleError,
+    OutOfHullError,
+    decode_json,
+    json_number,
+)
 from .fitting import bootstrap_fit, load_observations, observations_to_csv
 from .laws import (
     AuxInputs,
@@ -76,12 +86,8 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _meta(seed, input_bytes: bytes) -> dict:
-    return {
-        "version": __version__,
-        "seed": seed,
-        "input_digest": _digest(input_bytes),
-    }
+def _meta(input_bytes: bytes) -> dict:
+    return {"version": __version__, "input_digest": _digest(input_bytes)}
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -99,14 +105,15 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
 
 def _comma_floats(text: str, what: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ArgumentError(f"bad {what} {text!r}: {exc}") from exc
+    return [json_number(v, what) for v in values]
 
 
 def _load_laws(args) -> tuple:
     if args.laws:
-        return load_law_overrides(args.laws)
+        return load_law_overrides(_read_input(args.laws))
     from .laws import DEFAULT_LAWS
 
     return DEFAULT_LAWS, AuxInputs()
@@ -154,7 +161,7 @@ def cmd_fit(args) -> int:
     obs = load_observations(raw)
     result = bootstrap_fit(obs, resamples=args.bootstrap, seed=args.seed)
     doc = result.to_json_dict()
-    doc["meta"] = _meta(args.seed, raw)
+    doc["meta"] = _meta(raw)
     _emit_json(doc, args.out)
     return 0
 
@@ -165,7 +172,7 @@ def cmd_stats(args) -> int:
     comparison = compare_formulations(obs)
     report = comparison.full_report
     doc = {
-        "meta": _meta(args.seed, raw),
+        "meta": _meta(raw),
         "formulations": [dataclasses.asdict(f) for f in comparison.formulations],
         "nested_tests": [dataclasses.asdict(t) for t in comparison.nested_tests],
         # full_model renames n_obs to n and leaves out rss and df_resid
@@ -189,7 +196,7 @@ def cmd_analyze(args) -> int:
     region = plateau(surf, args.delta, args.metric)
     convex = convexity_report(surf, args.epsilon, args.metric)
     doc = {
-        "meta": _meta(args.seed, raw),
+        "meta": _meta(raw),
         "optimum": {
             "lr": opt.hp[0],
             "bs": opt.hp[1],
@@ -300,7 +307,7 @@ def cmd_compare(args) -> int:
         budget_factor=args.budget_factor,
         use_snapped=args.use_snapped,
     )
-    doc = {"meta": _meta(args.seed, raw), "rows": rows}
+    doc = {"meta": _meta(raw), "rows": rows}
     _emit_json(doc, args.out)
     if args.csv:
         header = (
@@ -369,18 +376,8 @@ def _check_overlay_row(row, index: int) -> None:
         if not isinstance(block, dict):
             raise ArgumentError(f"overlay row {index}: {group} must be an object or null")
         for key in ("lr", "bs"):
-            value = block.get(key)
-            if value is None:
-                continue
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not (0 < value < math.inf)
-            ):
-                raise ArgumentError(
-                    f"overlay row {index}: {group}.{key} must be a positive "
-                    f"finite number or null, got {value!r:.40}"
-                )
+            if block.get(key) is not None:
+                json_number(block[key], f"overlay row {index}: {group}.{key}", positive=True)
 
 
 def cmd_plot(args) -> int:
@@ -393,11 +390,7 @@ def cmd_plot(args) -> int:
     )
     overlays = None
     if args.overlay:
-        overlay_raw = _read_input(args.overlay)
-        try:
-            overlay_doc = json.loads(overlay_raw.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise ArgumentError(f"invalid overlay JSON: {exc}") from exc
+        overlay_doc = decode_json(_read_input(args.overlay), "overlay")
         if isinstance(overlay_doc, dict):
             overlay_doc = overlay_doc.get("rows", overlay_doc)
         if not isinstance(overlay_doc, list):
@@ -434,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hpscale {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed_default=None):
-        p.add_argument("--seed", type=int, default=seed_default, help="random seed")
+    def add_out(p):
         p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("predict", help="evaluate one law at (N, D)")
@@ -448,19 +440,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--use-active", action="store_true")
     p.add_argument("--meituan-params", help="lambda,alpha,lambda_b,alpha_b")
     p.add_argument("--snap", action="store_true", help="snap onto the sweep grid")
-    p.add_argument("--laws", help="JSON file with law coefficient overrides")
-    add_common(p)
+    p.add_argument("--laws", help="law override JSON path or -")
+    add_out(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("fit", help="bootstrap-fit both laws from observations CSV")
     p.add_argument("--observations", default="-", help="CSV path or - for stdin")
     p.add_argument("--bootstrap", type=int, default=1000)
-    add_common(p, seed_default=0)
+    p.add_argument("--seed", type=int, default=0, help="bootstrap seed")
+    add_out(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("stats", help="batch-size N-independence diagnostics")
     p.add_argument("--observations", default="-", help="CSV path or - for stdin")
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("analyze", help="optimum, plateau, convexity of a surface")
@@ -468,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default="train", choices=("train", "val"))
     p.add_argument("--delta", type=float, default=0.0025)
     p.add_argument("--epsilon", type=float, default=1e-3)
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare", help="score law predictions against a surface")
@@ -480,14 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meituan-params", help="lambda,alpha,lambda_b,alpha_b")
     p.add_argument("--use-snapped", action="store_true", help="score snapped points")
     p.add_argument("--csv", help="also write rows as CSV to this path")
-    p.add_argument("--laws", help="JSON file with law coefficient overrides")
-    add_common(p)
+    p.add_argument("--laws", help="law override JSON path or -")
+    add_out(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("synth", help="generate synthetic surfaces or observations")
     p.add_argument("kind", choices=("surface", "observations"))
     p.add_argument("--spec", required=True, help="spec JSON path or -")
-    add_common(p)
+    p.add_argument("--seed", type=int, help="replaces the spec's seed")
+    add_out(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("plot", help="SVG contour plot of a surface")
@@ -496,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", help="comma-separated per-mille contour levels")
     p.add_argument("--overlay", help="compare JSON whose rows to overlay")
     p.add_argument("--use-snapped", action="store_true")
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_plot)
 
     return parser

@@ -1,10 +1,21 @@
-"""Exception hierarchy shared by all hpscale modules.
+"""Exception hierarchy shared by all hpscale modules, and the input boundary.
 
 The CLI maps these onto process exit codes: ArgumentError (and its
 subclasses) exit 2, DomainError exits 3, write failures exit 4.
+
+Outside bytes become checked values here and nowhere else: decode_text
+turns bytes into text, decode_json parses a JSON document, json_number
+accepts a JSON number and check_seed a random seed. Each turns every
+malformed input into an ArgumentError, so one rule covers every spec,
+law-override, overlay and CSV input and none ends in a traceback. The
+loaders parse bytes; only the CLI opens files.
 """
 
 from __future__ import annotations
+
+import json
+import math
+import numbers
 
 
 class HpscaleError(Exception):
@@ -54,3 +65,53 @@ class OutOfHullError(DomainError):
     def __init__(self, message: str, nearest_corner: tuple[float, float]):
         super().__init__(message)
         self.nearest_corner = nearest_corner
+
+
+# --- input boundary -------------------------------------------------------------
+
+
+def decode_text(source) -> str:
+    """Text of a str, UTF-8 bytes or a readable stream of either."""
+    data = source.read() if hasattr(source, "read") else source
+    if isinstance(data, bytes):
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 text: {exc}") from exc
+    return data
+
+
+def decode_json(raw, what: str):
+    """The JSON document in raw (see decode_text).
+
+    Non-UTF-8 bytes, malformed JSON, nesting too deep to decode and
+    integers past the int-conversion digit limit are all ParseErrors that
+    name `what`.
+    """
+    try:
+        return json.loads(decode_text(raw))
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid {what} JSON: {exc}") from exc
+
+
+def json_number(value, where: str, positive: bool = False) -> float:
+    """value as a float, if it is a finite number (and positive when asked).
+
+    Bools and strings are not numbers, and an integer too large for a
+    float is not finite.
+    """
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number) and (number > 0 or not positive):
+            return number
+    kind = "a positive finite number" if positive else "a finite number"
+    raise ArgumentError(f"{where} must be {kind}, got {value!r:.40}")
+
+
+def check_seed(seed) -> None:
+    """A seed is a non-negative integer (not a bool)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ArgumentError(f"seed must be a non-negative integer, got {seed!r:.40}")

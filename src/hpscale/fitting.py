@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,8 @@ from .errors import (
     DegenerateDesignError,
     ParseError,
     SingularityError,
+    check_seed,
+    decode_text,
 )
 
 _MAX_REDRAWS = 10
@@ -279,6 +280,7 @@ def bootstrap_fit(obs, resamples: int = 1000, seed: int = 0) -> FitResult:
     """
     if resamples < 1:
         raise ArgumentError(f"resamples must be >= 1, got {resamples}")
+    check_seed(seed)
     items = _sorted_obs(obs)
     _check_lr_span(items)
     log_n, log_d, log_lr, log_bs = _log_columns(items)
@@ -337,15 +339,7 @@ _OBS_HEADER = ["n_params", "d_tokens", "opt_lr", "opt_bs_tokens"]
 
 def load_observations(source) -> list[OptimumObservation]:
     """Parse observations from CSV text, bytes, or a readable stream."""
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = source
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not UTF-8 text: {exc}") from exc
+    data = decode_text(source)
     reader = csv.reader(io.StringIO(data))
     rows = [(i, [c.strip() for c in row]) for i, row in enumerate(reader, start=1)]
     rows = [
@@ -375,11 +369,6 @@ def load_observations(source) -> list[OptimumObservation]:
     if not out:
         raise ParseError("no observation rows found")
     return out
-
-
-def load_observations_file(path: str | os.PathLike) -> list[OptimumObservation]:
-    with open(path, "rb") as fh:
-        return load_observations(fh)
 
 
 def observations_to_csv(obs) -> str:

@@ -17,12 +17,11 @@ so predictions stay finite out to D ~ 1e13 and beyond.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, decode_json, json_number
 
 LAW_METHODS = ("step", "openai", "microsoft", "deepseek", "porian", "minicpm", "meituan")
 
@@ -260,29 +259,9 @@ class LawLibrary:
 
 DEFAULT_LAWS = LawLibrary()
 
-_OVERRIDE_FIELDS = {
-    "step": ("c", "alpha", "beta", "d", "gamma"),
-    "openai": ("intercept", "slope", "bs_coef", "bs_exp"),
-    "microsoft": ("coef", "n_exp", "d_exp"),
-    "deepseek": ("lr_coef", "lr_exp", "bs_coef", "bs_exp"),
-    "porian": ("lr_coef", "lr_exp", "bs_coef", "bs_exp"),
-    "minicpm": ("bs_coef", "bs_exp"),
-}
 # Coefficients that must be positive: power-law leading coefficients go
 # through log(), and openai's slope divides its non-positive-lr threshold.
 _POSITIVE_FIELDS = {"c", "d", "slope", "bs_coef", "coef", "lr_coef"}
-
-
-def _override_value(law: str, key: str, value) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ArgumentError(f"{law}.{key} must be a finite number, got {value!r}")
-    if key in _POSITIVE_FIELDS and not number > 0:
-        raise ArgumentError(f"{law}.{key} must be positive, got {value!r}")
-    return number
 
 
 def law_overrides_from_dict(doc: Mapping) -> tuple[LawLibrary, AuxInputs]:
@@ -300,9 +279,10 @@ def law_overrides_from_dict(doc: Mapping) -> tuple[LawLibrary, AuxInputs]:
         doc = {"step": {k: doc[k] for k in ("c", "alpha", "beta", "d", "gamma")}}
 
     laws = LawLibrary()
+    law_names = {f.name for f in fields(LawLibrary)}
     meituan: tuple[float, float, float, float] | None = None
     for name, params in doc.items():
-        if name != "meituan" and name not in _OVERRIDE_FIELDS:
+        if name != "meituan" and name not in law_names:
             raise ArgumentError(f"unknown law {name!r} in overrides")
         if not isinstance(params, Mapping):
             raise ArgumentError(f"overrides for law {name!r} must be a JSON object")
@@ -312,33 +292,24 @@ def law_overrides_from_dict(doc: Mapping) -> tuple[LawLibrary, AuxInputs]:
                 raise ArgumentError(
                     "meituan overrides need lambda, alpha, lambda_b, alpha_b"
                 )
-            meituan = tuple(_override_value(name, k, params[k]) for k in keys)
+            meituan = tuple(json_number(params[k], f"meituan.{k}") for k in keys)
             continue
-        allowed = _OVERRIDE_FIELDS[name]
-        unknown = set(params) - set(allowed)
+        current = getattr(laws, name)
+        unknown = set(params) - {f.name for f in fields(current)}
         if unknown:
             raise ArgumentError(f"unknown keys {sorted(unknown)} for law {name!r}")
-        current = getattr(laws, name)
-        updated = replace(
-            current, **{k: _override_value(name, k, v) for k, v in params.items()}
-        )
+        updated = replace(current, **{
+            k: json_number(v, f"{name}.{k}", positive=k in _POSITIVE_FIELDS)
+            for k, v in params.items()
+        })  # fmt: skip
         laws = replace(laws, **{name: updated})
     aux = AuxInputs(meituan_params=meituan)
     return laws, aux
 
 
-def load_law_overrides(path) -> tuple[LawLibrary, AuxInputs]:
-    """Parse a law-override JSON file; see law_overrides_from_dict."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ArgumentError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArgumentError(f"invalid JSON in {path}: {exc}") from exc
-    return law_overrides_from_dict(doc)
+def load_law_overrides(raw) -> tuple[LawLibrary, AuxInputs]:
+    """Parse law-override JSON bytes; see law_overrides_from_dict."""
+    return law_overrides_from_dict(decode_json(raw, "law overrides"))
 
 
 # --- evaluation ------------------------------------------------------------

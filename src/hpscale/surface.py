@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import ArgumentError, GridShapeError, OutOfHullError, ParseError
+from .errors import ArgumentError, GridShapeError, OutOfHullError, ParseError, decode_text
 from .laws import ModelScale
 
 METRICS = ("train", "val")
@@ -288,15 +287,7 @@ def load_surface(source) -> LossSurface:
     with an optional trailing val_loss column. Errors name the first bad
     line in file order.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = source
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not UTF-8 text: {exc}") from exc
+    data = decode_text(source)
 
     meta: dict[str, str] = {}
     header: list[str] | None = None
@@ -399,11 +390,6 @@ def _parsed_grid(lrs, bss, trains, vals, lines) -> _Grid:
         raise ParseError(
             f"duplicate (lr, bs) pair ({lrs[k]}, {bss[k]})", line=lines[k]
         ) from None
-
-
-def load_surface_file(path: str | os.PathLike) -> LossSurface:
-    with open(path, "rb") as fh:
-        return load_surface(fh)
 
 
 def surface_to_csv(surface: LossSurface) -> str:

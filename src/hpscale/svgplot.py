@@ -136,8 +136,8 @@ def render_surface_svg(
     border and drawn with a distinct triangular glyph.
     """
     levels = tuple(float(v) for v in levels_permille)
-    if any(v <= 0 for v in levels):
-        raise ArgumentError("contour levels must be positive per-mille values")
+    if not all(0 < v < math.inf for v in levels):
+        raise ArgumentError("contour levels must be positive finite per-mille values")
     table = surface.grid_losses(metric)
     lrs, bss = surface.lr_values(), surface.bs_values()
     log_lrs = [math.log(v) for v in lrs]

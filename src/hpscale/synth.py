@@ -12,14 +12,12 @@ parallelized without changing the output.
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, check_seed, decode_json, json_number
 from .fitting import OptimumObservation
 from .laws import GridSpec, ModelScale
 from .surface import LossSurface, SweepPoint
@@ -62,7 +60,7 @@ class SurfaceSpec:
             raise ArgumentError("base_loss must be positive")
         if self.noise_sigma < 0:
             raise ArgumentError("noise_sigma must be >= 0")
-        _check_seed(self.seed)
+        check_seed(self.seed)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SurfaceSpec":
@@ -113,7 +111,7 @@ class ObservationSpec:
             raise ArgumentError("lattice values must be positive")
         if self.noise_sigma < 0:
             raise ArgumentError("noise_sigma must be >= 0")
-        _check_seed(self.seed)
+        check_seed(self.seed)
         if not isinstance(self.snap, bool):
             raise ArgumentError(f"snap must be true or false, got {self.snap!r:.40}")
 
@@ -132,22 +130,6 @@ class ObservationSpec:
             raise ArgumentError(f"bad observation spec: {exc}") from exc
 
 
-def _check_seed(seed) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ArgumentError(f"seed must be a non-negative integer, got {seed!r:.40}")
-
-
-def _number(value, where: str) -> float:
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            value = float(value)
-        except OverflowError:  # an integer beyond the float range
-            value = math.inf
-        if math.isfinite(value):
-            return value
-    raise ArgumentError(f"{where} must be a finite number, got {value!r:.40}")
-
-
 def _coerce(doc: dict, what: str, floats, optional=(), lists=()) -> dict:
     """Copy of a spec JSON object with its number fields made floats.
 
@@ -164,18 +146,15 @@ def _coerce(doc: dict, what: str, floats, optional=(), lists=()) -> dict:
         if key in lists:
             if not isinstance(out[key], list):
                 raise ArgumentError(f"{where} must be a list of numbers")
-            out[key] = tuple(_number(v, where) for v in out[key])
+            out[key] = tuple(json_number(v, where) for v in out[key])
         else:
-            out[key] = _number(out[key], where)
+            out[key] = json_number(out[key], where)
     return out
 
 
 def load_spec_file_bytes(raw: bytes) -> SurfaceSpec | ObservationSpec:
     """Parse spec JSON bytes; the "kind" key selects surface vs observations."""
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ArgumentError(f"invalid spec JSON: {exc}") from exc
+    doc = decode_json(raw, "spec")
     if not isinstance(doc, dict):
         raise ArgumentError("spec must be a JSON object")
     kind = doc.pop("kind", None)

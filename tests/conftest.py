@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from hpscale import OptimumObservation, load_surface_file
+from hpscale import OptimumObservation, load_surface
 
 settings.register_profile(
     "det",
@@ -29,7 +29,7 @@ LATTICE_D = (2e9, 1e10, 4e10, 2e11)
 
 @pytest.fixture(scope="session")
 def fig3_surface():
-    return load_surface_file(FIG3_PATH)
+    return load_surface(FIG3_PATH.read_bytes())
 
 
 def independent_n_observations(seed: int, n: int = 40, sigma: float = 0.1):

@@ -178,6 +178,13 @@ def test_predict_law_override_overflow_exit_3(tmp_path):
     assert b"Traceback" not in proc.stderr
 
 
+def test_predict_reads_law_overrides_from_stdin():
+    overrides = b'{"step": {"c": 2.0, "alpha": 0, "beta": 0}}'
+    proc = run("predict", "--method", "step", "--n", "1e9", "--d", "1e10",
+               "--laws", "-", input_bytes=overrides)  # fmt: skip
+    assert json.loads(proc.stdout)["lr"] == pytest.approx(2.0, rel=1e-14)
+
+
 def test_predict_missing_law_file_exit_2(tmp_path):
     run("predict", "--method", "step", "--n", "1e9", "--d", "1e10",
         "--laws", str(tmp_path / "absent.json"), expect=2)
@@ -211,7 +218,7 @@ def test_fit_deterministic_and_well_formed(obs_csv, tmp_path):
     assert set(doc) == {"c", "alpha", "beta", "d", "gamma", "ci", "resamples",
                         "seed", "meta"}
     assert doc["meta"]["version"]
-    assert doc["meta"]["seed"] == 42
+    assert doc["seed"] == 42
     assert doc["meta"]["input_digest"].startswith("sha256:")
     assert doc["resamples"] == 300
     assert doc["ci"]["alpha"][0] <= doc["alpha"] <= doc["ci"]["alpha"][1]

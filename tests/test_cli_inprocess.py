@@ -103,8 +103,22 @@ def test_parsed_flags_do_not_leak_between_calls():
     assert plain.csv is None and plain.laws is None
     assert parser.parse_args(["fit", "--seed", "9"]).seed == 9
     assert parser.parse_args(["fit"]).seed == 0
-    assert parser.parse_args(["stats"]).seed is None
     assert plain is not parser.parse_args(["compare", "--surface", "s", "--methods", "step"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("predict", "--method", "step", "--n", "1e9", "--d", "1e10"),
+        ("stats", "--observations", "x"),
+        ("analyze", "--surface", "x"),
+        ("compare", "--surface", "x", "--methods", "step"),
+        ("plot", "--surface", "x"),
+    ],
+)
+def test_seed_option_only_where_it_seeds(argv):
+    rc, _, stderr = main_inprocess(*argv, "--seed", "1")
+    assert rc == 2 and "unrecognized arguments: --seed" in stderr
 
 
 # --- malformed inputs that once ended in a traceback ------------------------------
@@ -153,6 +167,45 @@ def test_synth_negative_seed_exit_2(tmp_path):
                                 "noise_sigma": 0.1}))  # fmt: skip
     rc, _, stderr = main_inprocess("synth", "surface", "--spec", str(path), "--seed", "-1")
     assert rc == 2 and "seed" in stderr
+
+
+def test_fit_negative_seed_exit_2(inputs):
+    rc, _, stderr = main_inprocess("fit", "--observations", str(inputs["obs"]), "--seed", "-1")
+    assert rc == 2 and stderr.startswith("error: ") and "seed" in stderr
+
+
+@pytest.mark.parametrize("levels", ["nan", "inf", "2,nan", "1e999"])
+def test_plot_non_finite_levels_exit_2(levels):
+    rc, stdout, stderr = main_inprocess("plot", "--surface", str(FIG3_PATH), "--levels", levels)
+    assert rc == 2 and stdout == b"" and stderr.startswith("error: ")
+
+
+# a document of each JSON option with %s where a number goes
+_NUMBER_SLOTS = {
+    "--laws": b'{"step": {"c": %s}}',
+    "--spec": b'{"kind": "surface", "opt_lr": %s, "opt_bs": 200000}',
+    "--overlay": b'{"rows": [{"method": "step", "predicted": {"lr": %s, "bs": 1}}]}',
+}
+
+
+@pytest.mark.parametrize(
+    "option,payload",
+    [
+        *[pytest.param(option, payload, id=f"{option[2:]}-{name}")
+          for option, slot in _NUMBER_SLOTS.items()
+          for name, payload in (("deep", b"[" * 100_000),
+                                ("5000-digit", slot % (b"9" * 5000)),
+                                ("not-utf8", b"\xff"))],
+        pytest.param("--laws", b'{"__class__": {}}', id="laws-dunder"),
+    ],
+)  # fmt: skip
+def test_hostile_json_exit_2(tmp_path, option, payload):
+    path = tmp_path / "input.json"
+    path.write_bytes(payload)
+    for argv in _fuzz_commands(option, str(path)):
+        rc, _, stderr = main_inprocess(*argv)
+        assert rc == 2, (argv, stderr)
+        assert stderr.startswith("error: ") and "Traceback" not in stderr
 
 
 @pytest.mark.parametrize("flag,value", [("--d", "inf"), ("--n", "nan"), ("--n", "inf")])

@@ -306,6 +306,9 @@ def test_bootstrap_validates_arguments():
         bootstrap_fit(lattice_obs(), 0, seed=1)
     with pytest.raises(DegenerateDesignError):
         bootstrap_fit(lattice_obs()[:2], 10, seed=1)
+    for seed in (-1, 1.5, True, "3"):
+        with pytest.raises(ArgumentError, match="seed must be a non-negative integer"):
+            bootstrap_fit(lattice_obs(), 10, seed=seed)
 
 
 def test_fit_result_json_shape():

@@ -348,11 +348,9 @@ def test_law_overrides_nested():
     assert pred.lr == pytest.approx(2.0, rel=1e-14)
 
 
-def test_law_overrides_flat_fit_document(tmp_path):
+def test_law_overrides_flat_fit_document():
     doc = {"c": 1.5, "alpha": -0.7, "beta": 0.3, "d": 0.6, "gamma": 0.55, "seed": 1}
-    path = tmp_path / "fit.json"
-    path.write_text(json.dumps(doc))
-    laws, _ = load_law_overrides(path)
+    laws, _ = load_law_overrides(json.dumps(doc).encode("utf-8"))
     assert laws.step.c == 1.5
     assert laws.step.gamma == 0.55
 
@@ -368,7 +366,7 @@ def test_law_overrides_errors():
         law_overrides_from_dict({"step": 5})
     with pytest.raises(ArgumentError, match="JSON object"):
         law_overrides_from_dict({"meituan": [1.0, 1.0, 1.0, 1.0]})
-    for bad in ("abc", None, [1.0], {"x": 1}, math.nan, math.inf, "inf", 10**400):
+    for bad in ("abc", None, [1.0], {"x": 1}, math.nan, math.inf, "inf", 10**400, "2", True):
         with pytest.raises(ArgumentError, match="finite number"):
             law_overrides_from_dict({"step": {"beta": bad}})
     for law, key in (("step", "c"), ("step", "d"), ("openai", "slope"),

@@ -338,3 +338,9 @@ def test_marching_squares_saddles(field):
     want = ref_marching_squares(xs, ys, field, 2.5)
     assert got == want
     assert len(want) >= 2
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, 0.0, -1.0])
+def test_render_rejects_levels_outside_the_positive_finite_floats(fig3_surface, level):
+    with pytest.raises(ArgumentError, match="positive finite"):
+        render_surface_svg(fig3_surface, levels_permille=(1.0, level))
