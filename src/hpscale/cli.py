@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: predict, fit, stats, analyze, compare, synth
-(surface|observations), plot. Reports are JSON (sorted keys, two-space
-indent); synth emits the CSV schemas consumed by the other commands so
-whole pipelines can run through files or pipes: every input option
-(--observations, --surface, --spec, --overlay, --laws) reads stdin when
-given '-'. Every command is deterministic given its arguments and inputs;
---seed exists on fit (bootstrap draws) and synth (spec seed override)
-only, the two commands that draw random numbers.
+(surface|observations), plot. Reports are strict JSON (sorted keys,
+two-space indent); a non-finite float, such as an infinite --delta or
+the F statistic of an exact fit, is written as null. synth emits the CSV
+schemas consumed by the other commands so whole pipelines can run
+through files or pipes: every input option (--observations, --surface,
+--spec, --overlay, --laws) reads stdin when given '-'. Every command is
+deterministic given its arguments and inputs; --seed exists on fit
+(bootstrap draws) and synth (spec seed override) only, the two commands
+that draw random numbers.
 
 Exit codes: 0 ok, 2 argument/parse error, 3 domain error, 4 write failure.
 A malformed input file (spec, observations, surface, overlay, law
@@ -36,8 +38,8 @@ from .errors import (
     DomainError,
     HpscaleError,
     OutOfHullError,
+    check_number,
     decode_json,
-    json_number,
 )
 from .fitting import bootstrap_fit, load_observations, observations_to_csv
 from .laws import (
@@ -100,7 +102,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(doc: dict, out_path: str | None) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # non-finite floats become null, as JSON.stringify writes them
+        doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    _emit(text + "\n", out_path)
 
 
 def _comma_floats(text: str, what: str) -> list[float]:
@@ -108,7 +115,7 @@ def _comma_floats(text: str, what: str) -> list[float]:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ArgumentError(f"bad {what} {text!r}: {exc}") from exc
-    return [json_number(v, what) for v in values]
+    return [check_number(v, what) for v in values]
 
 
 def _load_laws(args) -> tuple:
@@ -122,10 +129,7 @@ def _load_laws(args) -> tuple:
 def _build_aux(args, laws_aux: AuxInputs) -> AuxInputs:
     meituan = laws_aux.meituan_params
     if getattr(args, "meituan_params", None):
-        values = _comma_floats(args.meituan_params, "--meituan-params")
-        if len(values) != 4:
-            raise ArgumentError("--meituan-params needs four comma-separated values")
-        meituan = tuple(values)
+        meituan = tuple(_comma_floats(args.meituan_params, "--meituan-params"))
     return AuxInputs(expected_loss=getattr(args, "loss", None), meituan_params=meituan)
 
 
@@ -133,6 +137,7 @@ def _build_aux(args, laws_aux: AuxInputs) -> AuxInputs:
 
 
 def cmd_predict(args) -> int:
+    check_number(args.budget_factor, "--budget-factor", "positive")
     laws, laws_aux = _load_laws(args)
     aux = _build_aux(args, laws_aux)
     scale = ModelScale(
@@ -240,6 +245,7 @@ def compare_rows(
     """One CompareRow dict per method; relative error only when status ok."""
     if not methods:
         raise ArgumentError("method list must not be empty")
+    check_number(budget_factor, "--budget-factor", "positive")
     grid = GridSpec.default()
     rows = []
     for method in methods:
@@ -310,34 +316,14 @@ def cmd_compare(args) -> int:
     doc = {"meta": _meta(raw), "rows": rows}
     _emit_json(doc, args.out)
     if args.csv:
-        header = (
-            "method,predicted_lr,predicted_bs,snapped_lr,snapped_bs,"
-            "loss,relative_error_permille,status"
-        )
-        lines = [header]
+        lines = ["method,predicted_lr,predicted_bs,snapped_lr,snapped_bs,"
+                 "loss,relative_error_permille,status"]  # fmt: skip
         for row in rows:
-            def cell(group, key):
-                block = row[group]
-                if block is None or block.get(key) is None:
-                    return ""
-                return repr(block[key])
-
-            lines.append(
-                ",".join(
-                    [
-                        row["method"],
-                        cell("predicted", "lr"),
-                        cell("predicted", "bs"),
-                        cell("snapped", "lr"),
-                        cell("snapped", "bs"),
-                        "" if row["loss"] is None else repr(row["loss"]),
-                        ""
-                        if row["relative_error_permille"] is None
-                        else repr(row["relative_error_permille"]),
-                        row["status"],
-                    ]
-                )
-            )
+            pred, snap = row["predicted"] or {}, row["snapped"] or {}
+            values = (pred.get("lr"), pred.get("bs"), snap.get("lr"), snap.get("bs"),
+                      row["loss"], row["relative_error_permille"])  # fmt: skip
+            cells = ["" if v is None else repr(v) for v in values]
+            lines.append(",".join([row["method"], *cells, row["status"]]))
         _emit("\n".join(lines) + "\n", args.csv)
     return 0
 
@@ -377,7 +363,7 @@ def _check_overlay_row(row, index: int) -> None:
             raise ArgumentError(f"overlay row {index}: {group} must be an object or null")
         for key in ("lr", "bs"):
             if block.get(key) is not None:
-                json_number(block[key], f"overlay row {index}: {group}.{key}", positive=True)
+                check_number(block[key], f"overlay row {index}: {group}.{key}", "positive")
 
 
 def cmd_plot(args) -> int:

@@ -4,11 +4,16 @@ The CLI maps these onto process exit codes: ArgumentError (and its
 subclasses) exit 2, DomainError exits 3, write failures exit 4.
 
 Outside bytes become checked values here and nowhere else: decode_text
-turns bytes into text, decode_json parses a JSON document, json_number
-accepts a JSON number and check_seed a random seed. Each turns every
+turns bytes into text, decode_json parses a JSON document, check_number
+accepts a number and check_seed a random seed. Each turns every
 malformed input into an ArgumentError, so one rule covers every spec,
 law-override, overlay and CSV input and none ends in a traceback. The
 loaders parse bytes; only the CLI opens files.
+
+The number rule lives in check_number, and every numeric input field
+and argument goes through it, with two exceptions: surface._check_point spells
+the same rule inline on the per-row load path, and plateau and
+convexity_report accept an infinite delta or epsilon by design.
 """
 
 from __future__ import annotations
@@ -94,20 +99,24 @@ def decode_json(raw, what: str):
         raise ParseError(f"invalid {what} JSON: {exc}") from exc
 
 
-def json_number(value, where: str, positive: bool = False) -> float:
-    """value as a float, if it is a finite number (and positive when asked).
+def check_number(value, where: str, sign: str = "") -> float:
+    """value as a float, if it is a finite number in the domain sign names.
 
-    Bools and strings are not numbers, and an integer too large for a
-    float is not finite.
+    sign is "" (any finite number), "positive" or "non-negative". Bools
+    and strings are not numbers, and an integer too large for a float is
+    not finite. The error names `where`. int and float are tested first,
+    so only other types (numpy scalars) pay for the numbers.Real check.
     """
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
+    if not isinstance(value, bool) and isinstance(value, (int, float, numbers.Real)):
         try:
             number = float(value)
         except OverflowError:
             number = math.inf
-        if math.isfinite(number) and (number > 0 or not positive):
+        if math.isfinite(number) and (
+            not sign or number > 0 or (number == 0 and sign == "non-negative")
+        ):
             return number
-    kind = "a positive finite number" if positive else "a finite number"
+    kind = f"a {sign} finite number" if sign else "a finite number"
     raise ArgumentError(f"{where} must be {kind}, got {value!r:.40}")
 
 

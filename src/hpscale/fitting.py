@@ -19,8 +19,6 @@ are bit-identical under input reordering.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -30,8 +28,10 @@ from .errors import (
     ArgumentError,
     BootstrapFailureError,
     DegenerateDesignError,
+    DomainError,
     ParseError,
     SingularityError,
+    check_number,
     check_seed,
     decode_text,
 )
@@ -56,9 +56,7 @@ class OptimumObservation:
 
     def __post_init__(self):
         for name in ("n_params", "d_tokens", "opt_lr", "opt_bs_tokens"):
-            v = getattr(self, name)
-            if not (v > 0) or not math.isfinite(v):
-                raise ArgumentError(f"{name} must be finite and positive, got {v}")
+            check_number(getattr(self, name), name, "positive")
 
 
 @dataclass(frozen=True)
@@ -314,16 +312,22 @@ def bootstrap_fit(obs, resamples: int = 1000, seed: int = 0) -> FitResult:
     lo, hi = np.percentile(params, [2.5, 97.5], axis=0)
     names = ("log_c", "alpha", "beta", "log_d", "gamma")
     ci = {}
-    for k, name in enumerate(names):
-        if name in ("log_c", "log_d"):
-            ci[name.removeprefix("log_")] = (math.exp(lo[k]), math.exp(hi[k]))
-        else:
-            ci[name] = (float(lo[k]), float(hi[k]))
+    try:
+        for k, name in enumerate(names):
+            if name in ("log_c", "log_d"):
+                ci[name.removeprefix("log_")] = (math.exp(lo[k]), math.exp(hi[k]))
+            else:
+                ci[name] = (float(lo[k]), float(hi[k]))
+        c, d = math.exp(means[0]), math.exp(means[3])
+    except OverflowError:  # steep data can fit log c or log d past ~709
+        raise DomainError(
+            f"fitted c or d overflows a float (log c {means[0]:.6g}, log d {means[3]:.6g})"
+        ) from None
     return FitResult(
-        c=math.exp(means[0]),
+        c=c,
         alpha=float(means[1]),
         beta=float(means[2]),
-        d=math.exp(means[3]),
+        d=d,
         gamma=float(means[4]),
         ci=ci,
         resamples=resamples,
@@ -338,15 +342,15 @@ _OBS_HEADER = ["n_params", "d_tokens", "opt_lr", "opt_bs_tokens"]
 
 
 def load_observations(source) -> list[OptimumObservation]:
-    """Parse observations from CSV text, bytes, or a readable stream."""
-    data = decode_text(source)
-    reader = csv.reader(io.StringIO(data))
-    rows = [(i, [c.strip() for c in row]) for i, row in enumerate(reader, start=1)]
-    rows = [
-        (i, row)
-        for i, row in rows
-        if row and any(row) and not row[0].startswith("#")
-    ]
+    """Parse observations from CSV text, bytes, or a readable stream.
+
+    Lines split as in load_surface, with no CSV quoting; errors name the line.
+    """
+    rows = []
+    for lineno, raw in enumerate(decode_text(source).split("\n"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            rows.append((lineno, [c.strip() for c in line.split(",")]))
     if not rows:
         raise ParseError("empty observations file")
     first_line, header = rows[0]

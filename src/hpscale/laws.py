@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
-from .errors import ArgumentError, DomainError, decode_json, json_number
+from .errors import ArgumentError, DomainError, check_number, decode_json
 
 LAW_METHODS = ("step", "openai", "microsoft", "deepseek", "porian", "minicpm", "meituan")
 
@@ -41,17 +41,13 @@ class ModelScale:
     flops_per_token: float | None = None
 
     def __post_init__(self):
-        for name in ("n_params", "d_tokens"):
-            value = getattr(self, name)
-            if not (0 < value < math.inf):
-                raise ArgumentError(f"{name} must be finite and positive, got {value}")
-        if self.n_active is not None and not (0 < self.n_active <= self.n_params):
-            raise ArgumentError(
-                f"n_active must lie in (0, n_params], got {self.n_active}"
-            )
-        fpt = self.flops_per_token
-        if fpt is not None and not (0 < fpt < math.inf):
-            raise ArgumentError(f"flops_per_token must be finite and positive, got {fpt}")
+        check_number(self.n_params, "n_params", "positive")
+        check_number(self.d_tokens, "d_tokens", "positive")
+        for name in ("n_active", "flops_per_token"):
+            if getattr(self, name) is not None:
+                check_number(getattr(self, name), name, "positive")
+        if self.n_active is not None and self.n_active > self.n_params:
+            raise ArgumentError(f"n_active must lie in (0, n_params], got {self.n_active}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +57,7 @@ class ComputeBudget:
     flops: float
 
     def __post_init__(self):
-        if not (self.flops > 0):
-            raise ArgumentError(f"flops must be positive, got {self.flops}")
+        check_number(self.flops, "flops", "positive")
 
 
 @dataclass(frozen=True)
@@ -78,18 +73,17 @@ class AuxInputs:
     meituan_params: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
-        if self.expected_loss is not None and not (self.expected_loss > 0):
-            raise ArgumentError(
-                f"expected_loss must be positive, got {self.expected_loss}"
-            )
+        if self.expected_loss is not None:
+            check_number(self.expected_loss, "expected_loss", "positive")
         if self.meituan_params is not None:
-            if len(self.meituan_params) != 4 or not all(
-                p > 0 for p in self.meituan_params
-            ):
+            if len(self.meituan_params) != 4:
                 raise ArgumentError(
-                    "meituan_params must be four positive numbers "
+                    "meituan_params must be four numbers "
                     f"(lam, alpha, lam_b, alpha_b), got {self.meituan_params}"
                 )
+            names = ("lam", "alpha", "lam_b", "alpha_b")
+            for name, value in zip(names, self.meituan_params):
+                check_number(value, f"meituan_params {name}", "positive")
 
 
 @dataclass(frozen=True)
@@ -107,10 +101,10 @@ class Prediction:
     snapped: bool = False
 
     def __post_init__(self):
-        if self.lr is not None and not (self.lr > 0):
-            raise ArgumentError(f"lr must be positive, got {self.lr}")
-        if self.bs_tokens is not None and not (self.bs_tokens > 0):
-            raise ArgumentError(f"bs_tokens must be positive, got {self.bs_tokens}")
+        if self.lr is not None:
+            check_number(self.lr, "lr", "positive")
+        if self.bs_tokens is not None:
+            check_number(self.bs_tokens, "bs_tokens", "positive")
         if self.lr is None and self.bs_tokens is None:
             raise ArgumentError("prediction must carry at least one of lr, bs")
 
@@ -135,8 +129,8 @@ class GridSpec:
         for name, values in (("lr_values", self.lr_values), ("bs_values", self.bs_values)):
             if not values:
                 raise ArgumentError(f"{name} must be non-empty")
-            if any(v <= 0 for v in values):
-                raise ArgumentError(f"{name} must be positive")
+            for v in values:
+                check_number(v, name, "positive")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ArgumentError(f"{name} must be strictly increasing")
             ratios = [b / a for a, b in zip(values, values[1:])]
@@ -170,8 +164,8 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.min_mode not in ("fixed_min", "conventional"):
             raise ArgumentError(f"unknown min_mode {self.min_mode!r}")
-        if not (self.lr_max > 0):
-            raise ArgumentError(f"lr_max must be positive, got {self.lr_max}")
+        check_number(self.lr_max, "lr_max", "positive")
+        check_number(self.lr_min_fixed, "lr_min_fixed", "non-negative")
         if not (0 < self.warmup_steps < self.total_steps):
             raise ArgumentError(
                 f"need 0 < warmup_steps < total_steps, got "
@@ -292,14 +286,14 @@ def law_overrides_from_dict(doc: Mapping) -> tuple[LawLibrary, AuxInputs]:
                 raise ArgumentError(
                     "meituan overrides need lambda, alpha, lambda_b, alpha_b"
                 )
-            meituan = tuple(json_number(params[k], f"meituan.{k}") for k in keys)
+            meituan = tuple(check_number(params[k], f"meituan.{k}", "positive") for k in keys)
             continue
         current = getattr(laws, name)
         unknown = set(params) - {f.name for f in fields(current)}
         if unknown:
             raise ArgumentError(f"unknown keys {sorted(unknown)} for law {name!r}")
         updated = replace(current, **{
-            k: json_number(v, f"{name}.{k}", positive=k in _POSITIVE_FIELDS)
+            k: check_number(v, f"{name}.{k}", "positive" if k in _POSITIVE_FIELDS else "")
             for k, v in params.items()
         })  # fmt: skip
         laws = replace(laws, **{name: updated})
@@ -349,15 +343,17 @@ def compute_budget(
     N is n_params, or n_active when use_active is set. The factor defaults
     to the conventional 6 but stays caller-configurable.
     """
-    if not (flops_factor > 0):
-        raise ArgumentError(f"flops_factor must be positive, got {flops_factor}")
+    check_number(flops_factor, "flops_factor", "positive")
     if use_active:
         if scale.n_active is None:
             raise ArgumentError("use_active requires n_active on the scale")
         n_eff = scale.n_active
     else:
         n_eff = scale.n_params
-    return ComputeBudget(flops=flops_factor * n_eff * scale.d_tokens)
+    flops = flops_factor * n_eff * scale.d_tokens
+    if flops == math.inf:  # valid factors can still overflow a float
+        raise DomainError(f"compute budget {flops_factor} * N * D overflows a float")
+    return ComputeBudget(flops=flops)
 
 
 def baseline_predict(

@@ -34,8 +34,10 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import inf
 
-from .errors import ArgumentError, GridShapeError, OutOfHullError, ParseError, decode_text
+from .errors import ArgumentError, GridShapeError, OutOfHullError, ParseError
+from .errors import check_number, decode_text
 from .laws import ModelScale
 
 METRICS = ("train", "val")
@@ -46,15 +48,18 @@ _UNDERSHOOT_TOL = 1e-12
 
 
 def _check_point(lr, bs_tokens, train_smooth_loss, val_loss) -> None:
-    if not (lr > 0) or not math.isfinite(lr):
+    # errors.check_number's rule spelled inline: this runs per CSV row, where
+    # four helper calls would add most of a surface load's time again. The
+    # 0.0 literals and the global inf keep the float comparisons fast.
+    if not 0.0 < lr < inf:
         raise ArgumentError(f"lr must be finite and positive, got {lr}")
-    if bs_tokens <= 0:
-        raise ArgumentError(f"bs_tokens must be positive, got {bs_tokens}")
-    if not math.isfinite(train_smooth_loss) or train_smooth_loss <= 0:
+    if not 0 < bs_tokens < inf:
+        raise ArgumentError(f"bs_tokens must be finite and positive, got {bs_tokens}")
+    if not 0.0 < train_smooth_loss < inf:
         raise ArgumentError(
             f"train_smooth_loss must be finite and positive, got {train_smooth_loss}"
         )
-    if val_loss is not None and (not math.isfinite(val_loss) or val_loss <= 0):
+    if val_loss is not None and not 0.0 < val_loss < inf:
         raise ArgumentError(f"val_loss must be finite and positive, got {val_loss}")
 
 
@@ -276,6 +281,7 @@ class ConsistencyReport:
 # --- CSV ingestion ----------------------------------------------------------
 
 _REQUIRED_META = ("n_params", "d_tokens")
+_SCALE_META = (*_REQUIRED_META, "n_active", "flops_per_token")
 _HEADER_BASE = ["lr", "bs_tokens", "train_smooth_loss"]
 
 
@@ -360,14 +366,7 @@ def load_surface(source) -> LossSurface:
     if missing:
         raise ParseError(f"missing required metadata {missing}")
     try:
-        scale = ModelScale(
-            n_params=float(meta["n_params"]),
-            d_tokens=float(meta["d_tokens"]),
-            n_active=float(meta["n_active"]) if "n_active" in meta else None,
-            flops_per_token=(
-                float(meta["flops_per_token"]) if "flops_per_token" in meta else None
-            ),
-        )
+        scale = ModelScale(**{k: float(meta[k]) for k in _SCALE_META if k in meta})
     except (ValueError, ArgumentError) as exc:
         raise ParseError(f"bad metadata: {exc}") from exc
     return LossSurface._from_grid(
@@ -444,8 +443,8 @@ def interpolate_loss(
     nearest grid corner; incomplete grids raise GridShapeError.
     """
     _check_metric(surface, metric)
-    if not (lr > 0) or not (bs_tokens > 0):
-        raise ArgumentError("query lr and bs must be positive")
+    check_number(lr, "query lr", "positive")
+    check_number(bs_tokens, "query bs", "positive")
     table = surface.grid_losses(metric)
     g = surface._grid
     log_lrs, log_bss = g.log_lrs, g.log_bss
@@ -506,7 +505,7 @@ def plateau(
     surface: LossSurface, delta: float = 0.0025, metric: str = "train"
 ) -> PlateauRegion:
     """Points with (loss - min) / min <= delta; delta defaults to 0.25%."""
-    if not (delta >= 0):
+    if not (delta >= 0):  # not check_number: inf is a valid tolerance
         raise ArgumentError(f"delta must be >= 0, got {delta}")
     opt = find_optimum(surface, metric)
     g = surface._grid
@@ -530,7 +529,7 @@ def convexity_report(
     index and non-decreasing afterwards, with each comparison slackened by
     epsilon in absolute loss units.
     """
-    if not (epsilon >= 0):
+    if not (epsilon >= 0):  # not check_number: inf is a valid tolerance
         raise ArgumentError(f"epsilon must be >= 0, got {epsilon}")
     table = surface.grid_losses(metric)
     lrs, bss = surface.lr_values(), surface.bs_values()

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import check_number
 from .surface import LossSurface, find_optimum
 
 WIDTH, HEIGHT = 640, 480
@@ -135,9 +135,7 @@ def render_surface_svg(
     snapped, status); rows flagged out_of_hull are clamped to the hull
     border and drawn with a distinct triangular glyph.
     """
-    levels = tuple(float(v) for v in levels_permille)
-    if not all(0 < v < math.inf for v in levels):
-        raise ArgumentError("contour levels must be positive finite per-mille values")
+    levels = tuple(check_number(v, "contour level", "positive") for v in levels_permille)
     table = surface.grid_losses(metric)
     lrs, bss = surface.lr_values(), surface.bs_values()
     log_lrs = [math.log(v) for v in lrs]

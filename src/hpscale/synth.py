@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, check_seed, decode_json, json_number
+from .errors import ArgumentError, DomainError, check_number, check_seed, decode_json
 from .fitting import OptimumObservation
 from .laws import GridSpec, ModelScale
 from .surface import LossSurface, SweepPoint
@@ -47,19 +47,20 @@ class SurfaceSpec:
     scale: ModelScale = ModelScale(1.0e9, 1.0e11)
 
     def __post_init__(self):
-        if not (self.opt_lr > 0) or not (self.opt_bs > 0):
-            raise ArgumentError("opt_lr and opt_bs must be positive")
-        if self.curvature_lr < 0 or self.curvature_bs < 0:
-            raise ArgumentError("curvatures must be >= 0")
+        check_number(self.opt_lr, "opt_lr", "positive")
+        check_number(self.opt_bs, "opt_bs", "positive")
+        check_number(self.curvature_lr, "curvatures: curvature_lr", "non-negative")
+        check_number(self.curvature_bs, "curvatures: curvature_bs", "non-negative")
+        check_number(self.cross_term, "cross_term")
         if self.cross_term * self.cross_term > self.curvature_lr * self.curvature_bs:
             raise ArgumentError(
                 f"cross_term {self.cross_term} breaks positive semi-definiteness "
                 f"(needs cross**2 <= {self.curvature_lr * self.curvature_bs})"
             )
-        if not (self.base_loss > 0):
-            raise ArgumentError("base_loss must be positive")
-        if self.noise_sigma < 0:
-            raise ArgumentError("noise_sigma must be >= 0")
+        check_number(self.base_loss, "base_loss", "positive")
+        check_number(self.noise_sigma, "noise_sigma", "non-negative")
+        if self.val_offset is not None:
+            check_number(self.val_offset, "val_offset")
         check_seed(self.seed)
 
     @classmethod
@@ -103,14 +104,16 @@ class ObservationSpec:
     snap: bool = False
 
     def __post_init__(self):
-        if self.c <= 0 or self.d_coef <= 0:
-            raise ArgumentError("law coefficients c and d_coef must be positive")
+        check_number(self.c, "law coefficients: c", "positive")
+        check_number(self.d_coef, "law coefficients: d_coef", "positive")
+        for name in ("alpha", "beta", "gamma"):
+            check_number(getattr(self, name), name)
+        for name in ("n_values", "d_values"):
+            for v in getattr(self, name):
+                check_number(v, name, "positive")
         if len(set(self.n_values)) < 2 or len(set(self.d_values)) < 2:
             raise ArgumentError("lattice needs >= 2 distinct N and >= 2 distinct D")
-        if any(v <= 0 for v in self.n_values) or any(v <= 0 for v in self.d_values):
-            raise ArgumentError("lattice values must be positive")
-        if self.noise_sigma < 0:
-            raise ArgumentError("noise_sigma must be >= 0")
+        check_number(self.noise_sigma, "noise_sigma", "non-negative")
         check_seed(self.seed)
         if not isinstance(self.snap, bool):
             raise ArgumentError(f"snap must be true or false, got {self.snap!r:.40}")
@@ -146,9 +149,9 @@ def _coerce(doc: dict, what: str, floats, optional=(), lists=()) -> dict:
         if key in lists:
             if not isinstance(out[key], list):
                 raise ArgumentError(f"{where} must be a list of numbers")
-            out[key] = tuple(json_number(v, where) for v in out[key])
+            out[key] = tuple(check_number(v, where) for v in out[key])
         else:
-            out[key] = json_number(out[key], where)
+            out[key] = check_number(out[key], where)
     return out
 
 

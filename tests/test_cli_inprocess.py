@@ -2,13 +2,15 @@
 
 main() shares one argument parser across calls. These tests run every
 subcommand through it repeatedly, in mixed order, against a subprocess
-run of the same command, and fuzz the file inputs through it: whatever
-the bytes, a command ends in exit 0, 2 or 3 and never in an exception.
+run of the same command, and fuzz the file inputs and the numeric flags
+through it: whatever the bytes or the number, a command ends in exit 0,
+2 or 3 and never in an exception, and a JSON report is strict JSON.
 """
 
 import contextlib
 import io
 import json
+import math
 import subprocess
 
 import pytest
@@ -16,9 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIG3_PATH, LATTICE_D, LATTICE_N
-from hpscale import cli
+from hpscale import cli, load_surface
 from hpscale.laws import LAW_METHODS
 from test_cli import CLI, CLI_ENV, run
+
+
+JSON_COMMANDS = ("predict", "fit", "stats", "analyze", "compare")
+
+
+def strict_json(stdout: bytes):
+    """The parsed report; NaN and Infinity tokens fail the test."""
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    return json.loads(stdout, parse_constant=reject)
 
 
 def main_inprocess(*argv):
@@ -208,6 +222,99 @@ def test_hostile_json_exit_2(tmp_path, option, payload):
         assert stderr.startswith("error: ") and "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("predict", "--method", "deepseek", "--n", "1e9", "--d", "1e10"),
+        ("predict", "--method", "step", "--n", "1e9", "--d", "1e10"),
+        ("compare", "--surface", str(FIG3_PATH), "--methods", "step,deepseek"),
+    ],
+    ids=["predict-deepseek", "predict-step", "compare"],
+)
+def test_bad_budget_factor_exit_2(argv, value):
+    rc, stdout, stderr = main_inprocess(*argv, f"--budget-factor={value}")
+    assert rc == 2 and stdout == b"" and "--budget-factor must be a positive finite" in stderr
+
+
+def test_overflowing_budget_keeps_deepseek_row_unsupported():
+    rc, stdout, _ = main_inprocess("compare", "--surface", str(FIG3_PATH), "--methods",
+                                   "step,deepseek", "--budget-factor", "1e300")  # fmt: skip
+    rows = {row["method"]: row for row in strict_json(stdout)["rows"]}
+    assert rc == 0 and rows["deepseek"]["status"] == "unsupported"
+    assert "overflows" in rows["deepseek"]["note"] and rows["step"]["status"] == "ok"
+    rc, _, stderr = main_inprocess("predict", "--method", "deepseek", "--n", "1e9",
+                                   "--d", "1e10", "--budget-factor", "1e300")  # fmt: skip
+    assert rc == 3 and "overflows" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("predict", "--method", "openai", "--n", "1e9", "--d", "1e10", "--loss", "inf"),
+        ("predict", "--method", "step", "--n", "1e9", "--d", "1e10", "--loss", "inf"),
+        ("compare", "--surface", str(FIG3_PATH), "--methods", "step,openai", "--loss", "inf"),
+        ("predict", "--method", "step", "--n", "1e9", "--d", "1e10", "--n-active", "inf"),
+    ],
+    ids=["predict-openai-loss", "predict-step-loss", "compare-loss", "n-active"],
+)
+def test_infinite_loss_or_active_count_exit_2(argv):
+    rc, stdout, stderr = main_inprocess(*argv)
+    assert rc == 2 and stdout == b"" and "must be a positive finite number" in stderr
+
+
+@pytest.mark.parametrize("flag,key", [("--delta", "plateau"), ("--epsilon", "convexity")])
+def test_infinite_tolerance_reported_as_null(flag, key):
+    rc, stdout, _ = main_inprocess("analyze", "--surface", str(FIG3_PATH), flag, "inf")
+    doc = strict_json(stdout)
+    assert rc == 0 and doc[key][flag[2:]] is None
+    if key == "plateau":  # every point lies within an infinite tolerance
+        assert len(doc["plateau"]["members"]) == len(load_surface(FIG3_TEXT).points)
+
+
+def test_stats_on_exact_lattice_is_strict_json(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "observations", "n_values": list(LATTICE_N),
+                                "d_values": list(LATTICE_D)}))  # fmt: skip
+    obs = tmp_path / "obs.csv"
+    obs.write_bytes(main_inprocess("synth", "observations", "--spec", str(spec))[1])
+    rc, stdout, _ = main_inprocess("stats", "--observations", str(obs))
+    doc = strict_json(stdout)
+    assert rc == 0 and doc["full_model"]["f_statistic"] is None
+    assert b"Infinity" not in stdout and b": null" in stdout
+
+
+def test_finite_reports_are_unchanged_by_the_strict_encoder():
+    rc, stdout, _ = main_inprocess("analyze", "--surface", str(FIG3_PATH))
+    assert rc == 0
+    assert stdout.decode() == json.dumps(strict_json(stdout), indent=2, sort_keys=True) + "\n"
+
+
+# lr falls from 1e-3 at N=1e9 to 1e-53 at N=1e10: alpha = -50, log c = 1,029
+STEEP_OBSERVATIONS = b"""n_params,d_tokens,opt_lr,opt_bs_tokens
+1e9,1e10,1e-3,1e5
+1e10,1e10,1e-53,1e5
+1e9,1e11,1e-3,2e5
+1e10,1e11,1e-53,2e5
+1e9,1e12,1e-3,4e5
+"""
+
+
+def test_fit_overflowing_coefficient_exit_3(tmp_path):
+    path = tmp_path / "steep.csv"
+    path.write_bytes(STEEP_OBSERVATIONS)
+    rc, stdout, stderr = main_inprocess("fit", "--observations", str(path), "--bootstrap", "50")
+    assert rc == 3 and stdout == b"" and "fitted c" in stderr and "overflows" in stderr
+
+
+@pytest.mark.parametrize("command", ["fit", "stats"])
+def test_oversized_observation_field_exit_2(tmp_path, command):
+    path = tmp_path / "obs.csv"
+    path.write_bytes(b"n_params,d_tokens,opt_lr,opt_bs_tokens\n1e9,1e10,1e-3," + b"7" * 131_073)
+    rc, stdout, stderr = main_inprocess(command, "--observations", str(path))
+    assert rc == 2 and stdout == b"" and stderr.startswith("error: line 2: ")
+
+
 @pytest.mark.parametrize("flag,value", [("--d", "inf"), ("--n", "nan"), ("--n", "inf")])
 def test_predict_non_finite_scale_exit_2(flag, value):
     argv = {"--n": "1e9", "--d": "1e10", flag: value}
@@ -366,6 +473,58 @@ def test_file_inputs_never_escape_the_exit_code_contract(fuzz_dir, option, data)
     path = fuzz_dir / "input"
     path.write_bytes(payload)
     for argv in _fuzz_commands(option, str(path)):
-        rc, _, stderr = main_inprocess(*argv)
+        rc, stdout, stderr = main_inprocess(*argv)
         assert rc in (0, 2, 3), (argv, payload, stderr)
         assert "Traceback" not in stderr
+        if rc == 0 and argv[0] in JSON_COMMANDS:
+            strict_json(stdout)
+
+
+# --- in-process fuzz of the numeric flags ---------------------------------------
+
+_flag_numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, math.nan, math.inf, -math.inf]).map(repr),
+    st.sampled_from(["1e999", "-1e999", "NaN", "-inf", "0x10", "1_0", " 2", "", "x"]),
+)
+# --bootstrap sizes the index matrix and the list of Generators: keep it small
+_bootstrap_counts = st.integers(-3, 2000).map(str) | st.sampled_from(["1e3", "nan", "x"])
+_NUMERIC_FLAGS = {
+    "predict": ("--n", "--d", "--loss", "--n-active", "--budget-factor"),
+    "compare": ("--loss", "--budget-factor"),
+    "analyze": ("--delta", "--epsilon"),
+    "plot": ("--levels",),
+    "fit": ("--bootstrap",),
+}
+
+
+@settings(max_examples=200)
+@given(command=st.sampled_from(sorted(_NUMERIC_FLAGS)), data=st.data())
+def test_numeric_flags_never_escape_the_exit_code_contract(inputs, command, data):
+    fig3, meituan = str(FIG3_PATH), "--meituan-params=0.01,2.0,1e9,0.5"
+    argv = {
+        "predict": ["predict", f"--method={data.draw(st.sampled_from(LAW_METHODS))}",
+                    "--n=1e9", "--d=1e10", meituan],
+        "compare": ["compare", f"--surface={fig3}", f"--methods={','.join(LAW_METHODS)}",
+                    meituan],
+        "analyze": ["analyze", f"--surface={fig3}"],
+        "plot": ["plot", f"--surface={fig3}"],
+        "fit": ["fit", f"--observations={inputs['obs']}"],
+    }[command]  # fmt: skip
+    for flag in _NUMERIC_FLAGS[command]:
+        if flag == "--bootstrap":
+            value = data.draw(_bootstrap_counts, label=flag)
+        elif flag == "--levels":
+            value = ",".join(data.draw(st.lists(_flag_numbers, min_size=1, max_size=3)))
+        elif data.draw(st.booleans(), label=f"set {flag}"):
+            value = data.draw(_flag_numbers, label=flag)
+        else:
+            continue
+        argv.append(f"{flag}={value}")
+        if flag == "--n-active":
+            argv.append("--use-active")
+    rc, stdout, stderr = main_inprocess(*argv)
+    assert rc in (0, 2, 3), (argv, stderr)
+    assert "Traceback" not in stderr
+    if rc == 0 and command in JSON_COMMANDS:
+        strict_json(stdout)

@@ -347,3 +347,11 @@ def test_observations_csv_errors():
         load_observations("n_params,d_tokens,opt_lr,opt_bs_tokens\n1,2,x,4\n")
     with pytest.raises(ParseError, match="positive"):
         load_observations("n_params,d_tokens,opt_lr,opt_bs_tokens\n1,2,-3,4\n")
+    # errors name physical lines; quoted cells and rows of empty cells are errors
+    header = "n_params,d_tokens,opt_lr,opt_bs_tokens\n"
+    with pytest.raises(ParseError, match="line 3: expected 4 columns"):
+        load_observations(header + '1,2,3,4\n1,"2\n",3,4\n1,2,x,4\n')
+    with pytest.raises(ParseError, match="line 3: non-numeric"):
+        load_observations(header + "\n,,,\n")
+    with pytest.raises(ParseError, match="line 2: opt_bs_tokens must be a positive finite"):
+        load_observations(header + "1,2,3," + "9" * 131_073 + "\n")

@@ -1,0 +1,137 @@
+"""The one number rule: errors.check_number, and every field that uses it."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from hpscale import (
+    ArgumentError,
+    AuxInputs,
+    ComputeBudget,
+    GridSpec,
+    ModelScale,
+    ObservationSpec,
+    OptimumObservation,
+    Prediction,
+    ScheduleSpec,
+    SurfaceSpec,
+    compute_budget,
+    generate_surface,
+    interpolate_loss,
+)
+from hpscale.errors import check_number
+from hpscale.svgplot import render_surface_svg
+
+
+@pytest.mark.parametrize(
+    "value,sign,expected",
+    [
+        (3, "", 3.0),
+        (-2.5, "", -2.5),
+        (0, "non-negative", 0.0),
+        (-0.0, "non-negative", -0.0),
+        (1e-300, "positive", 1e-300),
+        (10**300, "positive", 1e300),
+        (np.int64(7), "positive", 7.0),
+        (np.float32(0.5), "positive", 0.5),
+    ],
+)
+def test_check_number_accepts(value, sign, expected):
+    got = check_number(value, "x", sign)
+    assert got == expected and type(got) is float
+
+
+@pytest.mark.parametrize(
+    "value,sign",
+    [
+        (math.nan, ""), (math.inf, ""), (-math.inf, ""), (True, ""), ("1", ""),
+        (None, ""), (10**400, ""), (0, "positive"), (-0.0, "positive"),
+        (-1e-300, "non-negative"), (np.bool_(True), ""), (np.float64("nan"), ""),
+    ],
+)  # fmt: skip
+def test_check_number_rejects(value, sign):
+    kind = f"a {sign} finite number" if sign else "a finite number"
+    with pytest.raises(ArgumentError, match=f"^x must be {kind}, got "):
+        check_number(value, "x", sign)
+
+
+_BOWL = generate_surface(SurfaceSpec(opt_lr=2.0**-9, opt_bs=262144.0))
+_LATTICE = {"n_values": (1e8, 1e9), "d_values": (1e9, 1e10)}
+
+
+def _surface_spec(**field):
+    return SurfaceSpec(opt_lr=1e-3, opt_bs=2e5, **field)
+
+
+def _observation_spec(**field):
+    return ObservationSpec(**{**_LATTICE, **field})
+
+
+def _observation(name, value):
+    row = {"n_params": 1e9, "d_tokens": 1e10, "opt_lr": 1e-3, "opt_bs_tokens": 2e5}
+    return OptimumObservation(**{**row, name: value})
+
+
+def _schedule(**field):
+    return ScheduleSpec(**{"lr_max": 1e-3, "total_steps": 100, "warmup_steps": 10, **field})
+
+
+# (owner, where the error points, its domain, a build that puts the value there)
+_FIELDS = [
+    ("ModelScale", "n_params", "positive", lambda v: ModelScale(v, 1e10)),
+    ("ModelScale", "d_tokens", "positive", lambda v: ModelScale(1e9, v)),
+    ("ModelScale", "n_active", "positive", lambda v: ModelScale(1e9, 1e10, n_active=v)),
+    ("ModelScale", "flops_per_token", "positive",
+     lambda v: ModelScale(1e9, 1e10, flops_per_token=v)),
+    ("ComputeBudget", "flops", "positive", lambda v: ComputeBudget(v)),
+    ("compute_budget", "flops_factor", "positive",
+     lambda v: compute_budget(ModelScale(1e9, 1e10), v)),
+    ("AuxInputs", "expected_loss", "positive", lambda v: AuxInputs(expected_loss=v)),
+    ("AuxInputs", "meituan_params lam_b", "positive",
+     lambda v: AuxInputs(meituan_params=(1, 2, v, 1))),
+    ("Prediction", "lr", "positive", lambda v: Prediction(v, None, "x")),
+    ("Prediction", "bs_tokens", "positive", lambda v: Prediction(None, v, "x")),
+    ("GridSpec", "lr_values", "positive", lambda v: GridSpec((v,), (1.0,))),
+    ("GridSpec", "bs_values", "positive", lambda v: GridSpec((1.0,), (1.0, v))),
+    ("ScheduleSpec", "lr_max", "positive", lambda v: _schedule(lr_max=v)),
+    ("ScheduleSpec", "lr_min_fixed", "non-negative", lambda v: _schedule(lr_min_fixed=v)),
+    ("SurfaceSpec", "opt_lr", "positive", lambda v: SurfaceSpec(opt_lr=v, opt_bs=2e5)),
+    ("SurfaceSpec", "opt_bs", "positive", lambda v: SurfaceSpec(opt_lr=1e-3, opt_bs=v)),
+    ("SurfaceSpec", "curvatures: curvature_lr", "non-negative",
+     lambda v: _surface_spec(curvature_lr=v)),
+    ("SurfaceSpec", "curvatures: curvature_bs", "non-negative",
+     lambda v: _surface_spec(curvature_bs=v)),
+    ("SurfaceSpec", "cross_term", "", lambda v: _surface_spec(cross_term=v)),
+    ("SurfaceSpec", "base_loss", "positive", lambda v: _surface_spec(base_loss=v)),
+    ("SurfaceSpec", "noise_sigma", "non-negative", lambda v: _surface_spec(noise_sigma=v)),
+    ("SurfaceSpec", "val_offset", "", lambda v: _surface_spec(val_offset=v)),
+    ("ObservationSpec", "law coefficients: c", "positive", lambda v: _observation_spec(c=v)),
+    ("ObservationSpec", "alpha", "", lambda v: _observation_spec(alpha=v)),
+    ("ObservationSpec", "beta", "", lambda v: _observation_spec(beta=v)),
+    ("ObservationSpec", "law coefficients: d_coef", "positive",
+     lambda v: _observation_spec(d_coef=v)),
+    ("ObservationSpec", "gamma", "", lambda v: _observation_spec(gamma=v)),
+    ("ObservationSpec", "n_values", "positive", lambda v: _observation_spec(n_values=(1e8, v))),
+    ("ObservationSpec", "d_values", "positive", lambda v: _observation_spec(d_values=(v, 1e10))),
+    ("ObservationSpec", "noise_sigma", "non-negative",
+     lambda v: _observation_spec(noise_sigma=v)),
+    *[("OptimumObservation", name, "positive", lambda v, name=name: _observation(name, v))
+      for name in ("n_params", "d_tokens", "opt_lr", "opt_bs_tokens")],
+    ("interpolate_loss", "query lr", "positive", lambda v: interpolate_loss(_BOWL, v, 2e5)),
+    ("interpolate_loss", "query bs", "positive", lambda v: interpolate_loss(_BOWL, 2e-3, v)),
+    ("render_surface_svg", "contour level", "positive",
+     lambda v: render_surface_svg(_BOWL, levels_permille=(1.0, v))),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True], ids=repr)
+@pytest.mark.parametrize(
+    "where,sign,build",
+    [pytest.param(*case[1:], id=f"{case[0]}.{case[1]}") for case in _FIELDS],
+)
+def test_every_number_field_rejects_nan_inf_and_bool(where, sign, build, value):
+    kind = f"a {sign} finite number" if sign else "a finite number"
+    with pytest.raises(ArgumentError, match=f"^{re.escape(where)} must be {kind}, got "):
+        build(value)

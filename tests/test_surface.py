@@ -127,6 +127,9 @@ def test_sweep_point_validation():
         SweepPoint(-1e-3, 32768, 2.0)
     with pytest.raises(ArgumentError):
         SweepPoint(1e-3, 0, 2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ArgumentError, match="bs_tokens must be finite and positive"):
+            SweepPoint(1e-3, bad, 2.0)
     with pytest.raises(ArgumentError):
         SweepPoint(1e-3, 32768, math.inf)
     with pytest.raises(ArgumentError):
