@@ -37,12 +37,10 @@ from .laws import (
     LawLibrary,
     ModelScale,
     Prediction,
-    ScheduleSpec,
     baseline_predict,
     compute_budget,
     law_overrides_from_dict,
     load_law_overrides,
-    schedule_value,
     snap_to_grid,
     step_law,
 )
@@ -56,7 +54,6 @@ from .stats import (
     nested_f_test,
     regress,
     regularized_incomplete_beta,
-    student_t_cdf,
     student_t_critical,
     student_t_two_sided_p,
 )

@@ -11,6 +11,10 @@ deterministic given its arguments and inputs; --seed exists on fit
 (bootstrap draws) and synth (spec seed override) only, the two commands
 that draw random numbers.
 
+compare snaps each prediction to the nearest node, in log space, of the
+surface's own grid, so its snapped point is a run that was swept.
+predict --snap has no surface and snaps to the default sweep grid.
+
 Exit codes: 0 ok, 2 argument/parse error, 3 domain error, 4 write failure.
 A malformed input file (spec, observations, surface, overlay, law
 overrides) exits 2, and a well-formed one whose numbers overflow a float
@@ -242,11 +246,12 @@ def compare_rows(
     budget_factor: float = 6.0,
     use_snapped: bool = False,
 ) -> list[dict]:
-    """One CompareRow dict per method; relative error only when status ok."""
+    """One CompareRow dict per method, snapped to the surface's own grid;
+    relative error only when status ok."""
     if not methods:
         raise ArgumentError("method list must not be empty")
     check_number(budget_factor, "--budget-factor", "positive")
-    grid = GridSpec.default()
+    grid = GridSpec(surf.lr_values(), surf.bs_values())
     rows = []
     for method in methods:
         if method not in LAW_METHODS:

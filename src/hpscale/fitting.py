@@ -356,7 +356,7 @@ def load_observations(source) -> list[OptimumObservation]:
     first_line, header = rows[0]
     if header != _OBS_HEADER:
         raise ParseError(
-            f"bad header {header}; expected {_OBS_HEADER}", line=first_line
+            f"bad header {header!r:.40}; expected {_OBS_HEADER}", line=first_line
         )
     out = []
     for lineno, row in rows[1:]:
@@ -364,8 +364,8 @@ def load_observations(source) -> list[OptimumObservation]:
             raise ParseError(f"expected 4 columns, found {len(row)}", line=lineno)
         try:
             values = [float(c) for c in row]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric value: {exc}", line=lineno) from exc
+        except ValueError as exc:  # float() quotes the whole cell: keep 40 chars
+            raise ParseError(f"non-numeric value: {exc!s:.75}", line=lineno) from exc
         try:
             out.append(OptimumObservation(*values))
         except ArgumentError as exc:

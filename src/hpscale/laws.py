@@ -7,9 +7,8 @@ batch size,
     bs(D)    = d * D**gamma                  (d=0.58,  gamma=0.571)
 
 together with six published baseline rules (openai, microsoft, deepseek,
-porian, minicpm, meituan), compute-budget derivation, snapping of
-predictions onto the standard sweep grid, and warmup+cosine learning-rate
-schedule evaluation.
+porian, minicpm, meituan), compute-budget derivation, and snapping of
+predictions onto a sweep grid.
 
 All evaluation happens in log space (exp of a linear combination of logs)
 so predictions stay finite out to D ~ 1e13 and beyond.
@@ -109,17 +108,14 @@ class Prediction:
             raise ArgumentError("prediction must carry at least one of lr, bs")
 
 
-_GEOM_RATIO_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometric sweep grid for learning rate and batch size.
+    """Sweep grid for learning rate and batch size: two strictly increasing
+    axes of positive values.
 
-    Both value sets must be strictly increasing with a constant ratio
-    (within 1e-12 relative), matching the sweep design: learning rates
-    2**e for e = -10.5, -10.0, ..., -7.0 and batch sizes from 32,768
-    growing by sqrt(2) up to 4,194,304.
+    The default grid is the paper's sweep design: learning rates 2**e for
+    e = -10.5, -10.0, ..., -7.0 and batch sizes from 32,768 growing by
+    sqrt(2) up to 4,194,304. A surface's own axes form a grid too.
     """
 
     lr_values: tuple[float, ...]
@@ -133,54 +129,17 @@ class GridSpec:
                 check_number(v, name, "positive")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ArgumentError(f"{name} must be strictly increasing")
-            ratios = [b / a for a, b in zip(values, values[1:])]
-            if ratios and any(
-                abs(r / ratios[0] - 1.0) > _GEOM_RATIO_TOL for r in ratios
-            ):
-                raise ArgumentError(f"{name} must be geometric (constant ratio)")
 
     @classmethod
     def default(cls) -> "GridSpec":
         """The standard sweep grid: 8 learning rates, 15 batch sizes."""
-        lrs = tuple(2.0 ** (-10.5 + 0.5 * k) for k in range(8))
-        bss = tuple(32768.0 * 2.0 ** (k / 2.0) for k in range(15))
-        return cls(lrs, bss)
+        return _DEFAULT_GRID
 
 
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """Warmup + cosine decay schedule.
-
-    min_mode "fixed_min" ends at lr_min_fixed (default 1e-5) regardless of
-    the peak; "conventional" ends at lr_max / 10.
-    """
-
-    lr_max: float
-    total_steps: int
-    warmup_steps: int = 2000
-    min_mode: str = "fixed_min"
-    lr_min_fixed: float = 1e-5
-
-    def __post_init__(self):
-        if self.min_mode not in ("fixed_min", "conventional"):
-            raise ArgumentError(f"unknown min_mode {self.min_mode!r}")
-        check_number(self.lr_max, "lr_max", "positive")
-        check_number(self.lr_min_fixed, "lr_min_fixed", "non-negative")
-        if not (0 < self.warmup_steps < self.total_steps):
-            raise ArgumentError(
-                f"need 0 < warmup_steps < total_steps, got "
-                f"{self.warmup_steps} / {self.total_steps}"
-            )
-        if not (self.lr_max > self.lr_min):
-            raise ArgumentError(
-                f"lr_max {self.lr_max} must exceed lr_min {self.lr_min}"
-            )
-
-    @property
-    def lr_min(self) -> float:
-        if self.min_mode == "fixed_min":
-            return self.lr_min_fixed
-        return self.lr_max / 10.0
+_DEFAULT_GRID = GridSpec(
+    tuple(2.0 ** (-10.5 + 0.5 * k) for k in range(8)),
+    tuple(32768.0 * 2.0 ** (k / 2.0) for k in range(15)),
+)
 
 
 # --- law parameterizations -------------------------------------------------
@@ -444,21 +403,3 @@ def snap_to_grid(p: Prediction, grid: GridSpec) -> Prediction:
     bs = _snap_value(p.bs_tokens, grid.bs_values) if p.bs_tokens is not None else None
     return Prediction(lr=lr, bs_tokens=bs, method=p.method, snapped=True)
 
-
-def schedule_value(step: int, spec: ScheduleSpec) -> float:
-    """Learning rate at an integer step of the warmup+cosine schedule.
-
-    Linear warmup to lr_max over warmup_steps, then cosine decay to
-    spec.lr_min at total_steps.
-    """
-    if step < 0:
-        raise ArgumentError(f"step must be >= 0, got {step}")
-    if step > spec.total_steps:
-        raise ArgumentError(
-            f"step {step} exceeds total_steps {spec.total_steps}"
-        )
-    if step <= spec.warmup_steps:
-        return spec.lr_max * step / spec.warmup_steps
-    lr_min = spec.lr_min
-    phase = (step - spec.warmup_steps) / (spec.total_steps - spec.warmup_steps)
-    return lr_min + 0.5 * (spec.lr_max - lr_min) * (1.0 + math.cos(math.pi * phase))

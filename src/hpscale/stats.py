@@ -107,15 +107,9 @@ def student_t_two_sided_p(t: float, df: float) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, x)
 
 
-def student_t_cdf(t: float, df: float) -> float:
-    """P(T_df <= t)."""
-    p = student_t_two_sided_p(t, df)
-    return 1.0 - 0.5 * p if t >= 0 else 0.5 * p
-
-
 @lru_cache(maxsize=256)
 def student_t_critical(alpha: float, df: int) -> float:
-    """Positive t with two-sided tail mass alpha (bisection on the CDF)."""
+    """Positive t with two-sided tail mass alpha (bisection on the p-value)."""
     if not (0.0 < alpha < 1.0):
         raise ArgumentError(f"alpha must be in (0, 1), got {alpha}")
     hi = 1.0

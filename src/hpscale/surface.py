@@ -321,7 +321,7 @@ def load_surface(source) -> LossSurface:
                     len(cells) == 4 and cells[3] != "val_loss"
                 ):
                     raise ParseError(
-                        f"bad header {line!r}; expected "
+                        f"bad header {line!r:.40}; expected "
                         "'lr,bs_tokens,train_smooth_loss[,val_loss]'",
                         line=lineno,
                     )
@@ -338,11 +338,11 @@ def load_surface(source) -> LossSurface:
                 cells = [c.strip() for c in cells]
                 try:
                     lr, bs_raw, train, val = _row_values(cells)
-                except ValueError as exc:
-                    raise ParseError(f"non-numeric value: {exc}", line=lineno) from exc
+                except ValueError as exc:  # float() quotes the whole cell: keep 40 chars
+                    raise ParseError(f"non-numeric value: {exc!s:.75}", line=lineno) from exc
             if not math.isfinite(bs_raw) or bs_raw != (bs := round(bs_raw)):
                 raise ParseError(
-                    f"bs_tokens must be integral, got {cells[1].strip()}", line=lineno
+                    f"bs_tokens must be integral, got {cells[1].strip():.40}", line=lineno
                 )
             try:
                 _check_point(lr, bs, train, val)
@@ -367,8 +367,10 @@ def load_surface(source) -> LossSurface:
         raise ParseError(f"missing required metadata {missing}")
     try:
         scale = ModelScale(**{k: float(meta[k]) for k in _SCALE_META if k in meta})
-    except (ValueError, ArgumentError) as exc:
+    except ArgumentError as exc:
         raise ParseError(f"bad metadata: {exc}") from exc
+    except ValueError as exc:  # float() quotes the whole value: keep 40 chars
+        raise ParseError(f"bad metadata: {exc!s:.75}") from exc
     return LossSurface._from_grid(
         scale, grid, meta.get("arch_tag", ""), meta.get("recipe_tag", "")
     )

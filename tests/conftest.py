@@ -13,7 +13,21 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# Not part of tier-1: a seeded random run of the in-process fuzz properties
+# with more examples than their tier-1 counts (see fuzz_examples), e.g.
+#   pytest --hypothesis-profile=random --hypothesis-seed=<n> \
+#       tests/test_cli_inprocess.py -k never_escape
+settings.register_profile(
+    "random", parent=settings.get_profile("det"), derandomize=False, max_examples=800
+)
 settings.load_profile("det")
+
+
+def fuzz_examples(tier1: int) -> int:
+    """A fuzz property's example count: tier1 under "det", or the loaded
+    profile's max_examples when that is larger."""
+    return max(tier1, settings.default.max_examples)
+
 
 DATA_DIR = Path(__file__).parent / "data"
 FIG3_PATH = DATA_DIR / "fig3_style.csv"

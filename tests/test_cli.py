@@ -292,6 +292,18 @@ def test_compare_step_beats_offset_law(bowl_csv):
     assert step_err < porian_err
 
 
+def test_compare_snaps_to_the_surface_grid(fig3_surface):
+    # fig3's rounded axes are not the default grid: a snapped point must
+    # still be a swept run, scored at that run's loss
+    doc = run_json("compare", "--surface", str(FIG3_PATH),
+                   "--methods", "step,deepseek,porian", "--use-snapped")  # fmt: skip
+    ok = [row for row in doc["rows"] if row["status"] == "ok"]
+    assert [row["method"] for row in ok] == ["step", "deepseek", "porian"]
+    for row in ok:
+        node = fig3_surface.point_at(row["snapped"]["lr"], row["snapped"]["bs"])
+        assert row["loss"] == node.train_smooth_loss
+
+
 def test_compare_statuses_and_csv(bowl_csv, tmp_path):
     csv_path = tmp_path / "rows.csv"
     doc = run_json(

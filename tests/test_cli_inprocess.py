@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG3_PATH, LATTICE_D, LATTICE_N
+from conftest import FIG3_PATH, LATTICE_D, LATTICE_N, fuzz_examples
 from hpscale import cli, load_surface
 from hpscale.laws import LAW_METHODS
 from test_cli import CLI, CLI_ENV, run
@@ -315,6 +315,38 @@ def test_oversized_observation_field_exit_2(tmp_path, command):
     assert rc == 2 and stdout == b"" and stderr.startswith("error: line 2: ")
 
 
+_LONG = "x" * 131_073
+_META = "# n_params=1e9\n# d_tokens=1e10\n"
+_SURFACE_HEADER = "lr,bs_tokens,train_smooth_loss\n"
+_OBS_HEADER = "n_params,d_tokens,opt_lr,opt_bs_tokens\n"
+
+
+@pytest.mark.parametrize(
+    "option,text,prefix",
+    [
+        ("--surface", f"{_META}{_SURFACE_HEADER}1e-3,32768,{_LONG}\n",
+         "error: line 4: non-numeric value: "),
+        ("--observations", f"{_OBS_HEADER}1e9,1e10,1e-3,{_LONG}\n",
+         "error: line 2: non-numeric value: "),
+        ("--surface", f"{_META}lr,{_LONG}\n", "error: line 3: bad header "),
+        ("--observations", f"n_params,{_LONG}\n", "error: line 1: bad header "),
+        ("--surface", f"{_META}{_SURFACE_HEADER}1e-3,1.{'5' * 131_073},2.0\n",
+         "error: line 4: bs_tokens must be integral, got 1.555"),
+        ("--surface", f"# n_params={_LONG}\n# d_tokens=1e10\n{_SURFACE_HEADER}1e-3,32768,2.0\n",
+         "error: bad metadata: "),
+    ],
+    ids=["surface-cell", "observation-cell", "surface-header", "observation-header",
+         "bs-tokens", "metadata"],
+)  # fmt: skip
+def test_parse_errors_quote_a_short_excerpt(tmp_path, option, text, prefix):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    for argv in _fuzz_commands(option, str(path)):
+        rc, stdout, stderr = main_inprocess(*argv)
+        assert rc == 2 and stdout == b"" and stderr.startswith(prefix), (argv, stderr[:300])
+        assert len(stderr.encode("utf-8")) < 300, argv
+
+
 @pytest.mark.parametrize("flag,value", [("--d", "inf"), ("--n", "nan"), ("--n", "inf")])
 def test_predict_non_finite_scale_exit_2(flag, value):
     argv = {"--n": "1e9", "--d": "1e10", flag: value}
@@ -463,7 +495,7 @@ _payloads = {
 }
 
 
-@settings(max_examples=150)
+@settings(max_examples=fuzz_examples(150))
 @given(
     option=st.sampled_from(sorted(_payloads)),
     data=st.data(),
@@ -498,7 +530,7 @@ _NUMERIC_FLAGS = {
 }
 
 
-@settings(max_examples=200)
+@settings(max_examples=fuzz_examples(200))
 @given(command=st.sampled_from(sorted(_NUMERIC_FLAGS)), data=st.data())
 def test_numeric_flags_never_escape_the_exit_code_contract(inputs, command, data):
     fig3, meituan = str(FIG3_PATH), "--meituan-params=0.01,2.0,1e9,0.5"

@@ -13,12 +13,10 @@ from hpscale import (
     GridSpec,
     ModelScale,
     Prediction,
-    ScheduleSpec,
     baseline_predict,
     compute_budget,
     law_overrides_from_dict,
     load_law_overrides,
-    schedule_value,
     snap_to_grid,
     step_law,
 )
@@ -204,11 +202,16 @@ def test_default_grid_shape():
         assert all(abs(r / ratios[0] - 1.0) <= 1e-12 for r in ratios)
 
 
-def test_grid_validation():
+def test_default_grid_is_built_once():
+    assert GridSpec.default() is GridSpec.default()
+
+
+def test_grid_validation(fig3_surface):
     with pytest.raises(ArgumentError, match="increasing"):
         GridSpec((2.0, 1.0), (1.0, 2.0))
-    with pytest.raises(ArgumentError, match="geometric"):
-        GridSpec((1.0, 2.0, 3.0), (1.0, 2.0))
+    # a surface's own axes are a grid, even rounded ones without a constant ratio
+    grid = GridSpec(fig3_surface.lr_values(), fig3_surface.bs_values())
+    assert grid.lr_values[:2] == (0.000488, 0.000690)
     with pytest.raises(ArgumentError, match="non-empty"):
         GridSpec((), (1.0,))
 
@@ -249,45 +252,6 @@ def test_snap_keeps_partial_predictions():
     snapped = snap_to_grid(Prediction(lr=None, bs_tokens=1e5, method="minicpm"), grid)
     assert snapped.lr is None
     assert snapped.bs_tokens in grid.bs_values
-
-
-# --- schedule ----------------------------------------------------------------
-
-
-def test_schedule_endpoints():
-    spec = ScheduleSpec(lr_max=1e-3, total_steps=12000)
-    assert schedule_value(0, spec) == 0.0
-    assert schedule_value(spec.warmup_steps, spec) == 1e-3
-    assert schedule_value(12000, spec) == 1e-5  # exact
-
-    conv = ScheduleSpec(lr_max=1e-3, total_steps=12000, min_mode="conventional")
-    assert schedule_value(12000, conv) == 1e-3 / 10.0  # exact
-
-
-def test_schedule_cosine_midpoint():
-    spec = ScheduleSpec(lr_max=1e-3, total_steps=12000, warmup_steps=2000)
-    mid = 2000 + (12000 - 2000) // 2
-    assert schedule_value(mid, spec) == pytest.approx(5.05e-4, rel=1e-12)
-
-
-def test_schedule_warmup_continuity_and_monotonicity():
-    spec = ScheduleSpec(lr_max=3e-3, total_steps=10000, warmup_steps=2000)
-    boundary = schedule_value(spec.warmup_steps, spec)
-    assert abs(boundary - spec.lr_max) <= 1e-15 * spec.lr_max
-    values = [schedule_value(s, spec) for s in range(spec.warmup_steps, 10001)]
-    assert all(a >= b for a, b in zip(values, values[1:]))
-
-
-def test_schedule_argument_errors():
-    spec = ScheduleSpec(lr_max=1e-3, total_steps=5000)
-    with pytest.raises(ArgumentError):
-        schedule_value(5001, spec)
-    with pytest.raises(ArgumentError):
-        schedule_value(-1, spec)
-    with pytest.raises(ArgumentError, match="warmup"):
-        ScheduleSpec(lr_max=1e-3, total_steps=1000, warmup_steps=1000)
-    with pytest.raises(ArgumentError, match="lr_min"):
-        ScheduleSpec(lr_max=1e-5, total_steps=5000)  # peak below fixed floor
 
 
 # --- types + overrides -------------------------------------------------------

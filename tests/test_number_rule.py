@@ -15,7 +15,6 @@ from hpscale import (
     ObservationSpec,
     OptimumObservation,
     Prediction,
-    ScheduleSpec,
     SurfaceSpec,
     compute_budget,
     generate_surface,
@@ -74,10 +73,6 @@ def _observation(name, value):
     return OptimumObservation(**{**row, name: value})
 
 
-def _schedule(**field):
-    return ScheduleSpec(**{"lr_max": 1e-3, "total_steps": 100, "warmup_steps": 10, **field})
-
-
 # (owner, where the error points, its domain, a build that puts the value there)
 _FIELDS = [
     ("ModelScale", "n_params", "positive", lambda v: ModelScale(v, 1e10)),
@@ -95,8 +90,6 @@ _FIELDS = [
     ("Prediction", "bs_tokens", "positive", lambda v: Prediction(None, v, "x")),
     ("GridSpec", "lr_values", "positive", lambda v: GridSpec((v,), (1.0,))),
     ("GridSpec", "bs_values", "positive", lambda v: GridSpec((1.0,), (1.0, v))),
-    ("ScheduleSpec", "lr_max", "positive", lambda v: _schedule(lr_max=v)),
-    ("ScheduleSpec", "lr_min_fixed", "non-negative", lambda v: _schedule(lr_min_fixed=v)),
     ("SurfaceSpec", "opt_lr", "positive", lambda v: SurfaceSpec(opt_lr=v, opt_bs=2e5)),
     ("SurfaceSpec", "opt_bs", "positive", lambda v: SurfaceSpec(opt_lr=1e-3, opt_bs=v)),
     ("SurfaceSpec", "curvatures: curvature_lr", "non-negative",
