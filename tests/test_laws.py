@@ -216,6 +216,55 @@ def test_grid_validation(fig3_surface):
         GridSpec((), (1.0,))
 
 
+@pytest.mark.parametrize(
+    "lr_values, bs_values, match",
+    [
+        ((1.0,), (), "^bs_values must be non-empty$"),
+        ((1.0, 1.0), (1.0,), "^lr_values must be strictly increasing$"),
+        ((1.0,), (1.0, 3.0, 2.0), "^bs_values must be strictly increasing$"),
+        ((0.0, 1.0), (1.0,), "^lr_values must be a positive finite number"),
+        ((1.0,), (-2.0, 1.0), "^bs_values must be a positive finite number"),
+    ],
+    ids=["bs-empty", "lr-repeated", "bs-unsorted", "lr-zero", "bs-negative"],
+)
+def test_grid_rejects_each_axis_rule(lr_values, bs_values, match):
+    with pytest.raises(ArgumentError, match=match):
+        GridSpec(lr_values, bs_values)
+
+
+_UNEVEN = GridSpec((1.0, 2.0, 10.0, 11.0), (1.0, 2.0, 10.0, 11.0))
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (1.45, 2.0),  # nearer 1.0 on a linear scale, nearer 2.0 in log space
+        (4.0, 2.0),
+        (5.0, 10.0),
+        (10.4, 10.0),
+        (0.1, 1.0),
+        (100.0, 11.0),
+    ],
+)
+def test_snap_on_uneven_grid_is_nearest_in_log_space(value, expected):
+    snapped = snap_to_grid(Prediction(lr=value, bs_tokens=value, method="x"), _UNEVEN)
+    assert snapped.lr == expected
+    assert snapped.bs_tokens == expected
+
+
+@given(
+    axis=st.lists(st.floats(min_value=1e-6, max_value=1e7), min_size=1, max_size=12, unique=True),
+    value=st.floats(min_value=1e-8, max_value=1e9),
+)
+def test_snap_picks_a_node_no_other_node_beats(axis, value):
+    axis = tuple(sorted(axis))
+    grid = GridSpec(axis, (1.0,))
+    snapped = snap_to_grid(Prediction(lr=value, bs_tokens=None, method="x"), grid)
+    assert snapped.lr in axis
+    best = abs(math.log(value) - math.log(snapped.lr))
+    assert all(abs(math.log(value) - math.log(g)) >= best for g in axis)
+
+
 def test_snap_to_grid_examples():
     grid = GridSpec.default()
     pred = Prediction(lr=1.374e-3, bs_tokens=262144.0, method="step")
