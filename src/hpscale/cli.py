@@ -45,7 +45,7 @@ from .errors import (
     check_number,
     decode_json,
 )
-from .fitting import bootstrap_fit, load_observations, observations_to_csv
+from .fitting import MAX_RESAMPLES, bootstrap_fit, load_observations, observations_to_csv
 from .laws import (
     AuxInputs,
     GridSpec,
@@ -118,7 +118,8 @@ def _comma_floats(text: str, what: str) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise ArgumentError(f"bad {what} {text!r}: {exc}") from exc
+        # float() quotes the bad cell: keep 75 characters of its message
+        raise ArgumentError(f"bad {what} {text!r:.40}: {exc!s:.75}") from exc
     return [check_number(v, what) for v in values]
 
 
@@ -256,7 +257,7 @@ def compare_rows(
     for method in methods:
         if method not in LAW_METHODS:
             raise ArgumentError(
-                f"unknown method {method!r}; expected one of {LAW_METHODS}"
+                f"unknown method {method!r:.40}; expected one of {LAW_METHODS}"
             )
         row = {
             "method": method,
@@ -437,7 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="bootstrap-fit both laws from observations CSV")
     p.add_argument("--observations", default="-", help="CSV path or - for stdin")
-    p.add_argument("--bootstrap", type=int, default=1000)
+    p.add_argument(
+        "--bootstrap", type=int, default=1000,
+        help=f"number of resamples, 1 to {MAX_RESAMPLES:,} (default: 1000)",
+    )
     p.add_argument("--seed", type=int, default=0, help="bootstrap seed")
     add_out(p)
     p.set_defaults(func=cmd_fit)

@@ -12,6 +12,8 @@ bootstrap_fit resamples whole observations with replacement, refits both
 laws per resample, averages the per-resample (log c, alpha, beta, log d,
 gamma), and reports empirical 2.5/97.5 percentile confidence bands.
 
+One generator, seeded with the bootstrap seed, draws the whole index
+matrix (resample_indices), and all resamples are solved in one batch.
 All solves go through a QR decomposition rather than the normal
 equations. Observations are canonically sorted before fitting so results
 are bit-identical under input reordering.
@@ -36,6 +38,7 @@ from .errors import (
     decode_text,
 )
 
+MAX_RESAMPLES = 100_000
 _MAX_REDRAWS = 10
 _RANK_TOL = 1e-10
 
@@ -103,8 +106,10 @@ class FitResult:
     """Bootstrap-averaged law coefficients with percentile confidence bands.
 
     ci maps each coefficient name (c, alpha, beta, d, gamma) to its
-    (lower, upper) 95% band; samples holds the raw per-resample values of
-    (log_c, alpha, beta, log_d, gamma) for downstream diagnostics.
+    (lower, upper) 95% band; redraws counts the resamples whose first
+    draw was degenerate and was drawn again; samples holds the raw
+    per-resample values of (log_c, alpha, beta, log_d, gamma) for
+    downstream diagnostics.
     """
 
     c: float
@@ -115,6 +120,7 @@ class FitResult:
     ci: dict[str, tuple[float, float]]
     resamples: int
     seed: int
+    redraws: int
     samples: dict[str, np.ndarray]
 
     def to_json_dict(self) -> dict:
@@ -127,6 +133,7 @@ class FitResult:
             "ci": {k: [lo, hi] for k, (lo, hi) in self.ci.items()},
             "resamples": self.resamples,
             "seed": self.seed,
+            "redraws": self.redraws,
         }
 
 
@@ -238,75 +245,88 @@ def fit_bs_law(obs) -> BsLawFit:
 # --- bootstrap ---------------------------------------------------------------
 
 
-def _batched_fits(log_n, log_d, log_lr, log_bs, index_matrix):
+def resample_indices(n: int, resamples: int, seed: int, degenerate):
+    """The bootstrap index matrix: row i lists resample i's observations.
+
+    One generator, default_rng(seed), draws all (resamples, n) indices at
+    once, and each row is sorted. degenerate(rows, idx) gets row numbers
+    and their index rows and returns a mask of those to draw again; they
+    are redrawn from the same generator, all at once in ascending row
+    order, up to 10 times. Returns the final matrix and the ascending
+    numbers of the redrawn rows.
+    """
+    rng = np.random.default_rng(seed)
+    idx = np.sort(rng.integers(0, n, (resamples, n)), axis=1)
+    pending = redrawn = np.flatnonzero(degenerate(np.arange(resamples), idx))
+    for _ in range(_MAX_REDRAWS):
+        if pending.size == 0:
+            break
+        idx[pending] = np.sort(rng.integers(0, n, (pending.size, n)), axis=1)
+        pending = pending[degenerate(pending, idx[pending])]
+    if pending.size:
+        raise BootstrapFailureError(
+            f"{pending.size} resamples stayed degenerate after "
+            f"{_MAX_REDRAWS} redraws (first index {int(pending[0])})"
+        )
+    return idx, redrawn
+
+
+def _batched_fits(lr_table, bs_table, index_matrix):
     """Solve both laws for every resample at once via stacked QR.
+
+    lr_table has the columns (1, log N, log D, log lr) and bs_table
+    (1, log D, log bs). Only R of each resample's QR is formed: its
+    leading block is the design's R and its last column is Q^T y.
 
     Returns (params, bad) where params is (resamples, 5) holding
     (log_c, alpha, beta, log_d, gamma) and bad flags rank-deficient
     learning-rate designs.
     """
-    rn = log_n[index_matrix]  # (resamples, n)
-    rd = log_d[index_matrix]
-    ones = np.ones_like(rn)
-    x3 = np.stack([ones, rn, rd], axis=-1)  # (resamples, n, 3)
-    q3, r3 = np.linalg.qr(x3)
-    diag3 = np.abs(np.diagonal(r3, axis1=-2, axis2=-1))
+    # np.take gathers the rows about 10x faster than lr_table[index_matrix]
+    r3 = np.linalg.qr(np.take(lr_table, index_matrix, axis=0), mode="r")  # (resamples, 4, 4)
+    diag3 = np.abs(np.diagonal(r3[:, :3, :3], axis1=-2, axis2=-1))
     bad = diag3.min(axis=-1) <= _RANK_TOL * np.maximum(diag3.max(axis=-1), 1.0)
 
     params = np.full((index_matrix.shape[0], 5), np.nan)
     good = ~bad
     if good.any():
-        rhs3 = np.einsum("bij,bj->bi", q3[good].transpose(0, 2, 1), log_lr[index_matrix[good]])
-        beta3 = np.linalg.solve(r3[good], rhs3[..., None])[..., 0]
-        x2 = np.stack([ones[good], rd[good]], axis=-1)
-        q2, r2 = np.linalg.qr(x2)
-        rhs2 = np.einsum("bij,bj->bi", q2.transpose(0, 2, 1), log_bs[index_matrix[good]])
-        beta2 = np.linalg.solve(r2, rhs2[..., None])[..., 0]
-        params[good, :3] = beta3
-        params[good, 3:] = beta2
+        params[good, :3] = np.linalg.solve(r3[good, :3, :3], r3[good, :3, 3:])[..., 0]
+        r2 = np.linalg.qr(np.take(bs_table, index_matrix[good], axis=0), mode="r")
+        params[good, 3:] = np.linalg.solve(r2[:, :2, :2], r2[:, :2, 2:])[..., 0]
     return params, bad
 
 
 def bootstrap_fit(obs, resamples: int = 1000, seed: int = 0) -> FitResult:
     """Bootstrap both laws over `resamples` draws with replacement.
 
-    Each resample derives its random stream from (seed, resample index),
-    so serial and parallel execution agree bit for bit. Degenerate
-    resamples (design rank below 3, which covers the all-same-N and
-    all-same-D cases) are redrawn from their own stream, up to 10 retries,
-    keeping the resample count intact.
+    resample_indices draws every resample's indices from one generator
+    seeded with `seed`, so the result is a pure function of the sorted
+    observations, resamples and seed. Degenerate resamples (design rank
+    below 3, which covers the all-same-N and all-same-D cases) are redrawn
+    from that generator, up to 10 times, keeping the resample count
+    intact; FitResult.redraws counts them. resamples must lie in
+    1..MAX_RESAMPLES, checked before anything is allocated.
     """
-    if resamples < 1:
-        raise ArgumentError(f"resamples must be >= 1, got {resamples}")
+    if not 1 <= resamples <= MAX_RESAMPLES:
+        raise ArgumentError(
+            f"resamples must be between 1 and {MAX_RESAMPLES:,}, got {resamples!r:.40}"
+        )
     check_seed(seed)
     items = _sorted_obs(obs)
     _check_lr_span(items)
     log_n, log_d, log_lr, log_bs = _log_columns(items)
-    n = len(items)
-
-    rngs = [
-        np.random.default_rng(child)
-        for child in np.random.SeedSequence(seed).spawn(resamples)
-    ]
-    idx = np.empty((resamples, n), dtype=np.intp)
-    for i, rng in enumerate(rngs):
-        idx[i] = np.sort(rng.integers(0, n, n))
+    ones = np.ones(len(items))
+    lr_table = np.column_stack([ones, log_n, log_d, log_lr])
+    bs_table = np.column_stack([ones, log_d, log_bs])
 
     params = np.full((resamples, 5), np.nan)
-    pending = np.arange(resamples)
-    for attempt in range(_MAX_REDRAWS + 1):
-        got, bad = _batched_fits(log_n, log_d, log_lr, log_bs, idx[pending])
-        params[pending[~bad]] = got[~bad]
-        pending = pending[bad]
-        if pending.size == 0:
-            break
-        if attempt == _MAX_REDRAWS:
-            raise BootstrapFailureError(
-                f"{pending.size} resamples stayed degenerate after "
-                f"{_MAX_REDRAWS} redraws (first index {int(pending[0])})"
-            )
-        for i in pending:
-            idx[i] = np.sort(rngs[i].integers(0, n, n))
+
+    def degenerate(rows, idx):
+        got, bad = _batched_fits(lr_table, bs_table, idx)
+        params[rows[~bad]] = got[~bad]
+        return bad
+
+    _, redrawn = resample_indices(len(items), resamples, seed, degenerate)
 
     means = params.mean(axis=0)
     lo, hi = np.percentile(params, [2.5, 97.5], axis=0)
@@ -332,6 +352,7 @@ def bootstrap_fit(obs, resamples: int = 1000, seed: int = 0) -> FitResult:
         ci=ci,
         resamples=resamples,
         seed=seed,
+        redraws=int(redrawn.size),
         samples={name: params[:, k].copy() for k, name in enumerate(names)},
     )
 

@@ -236,7 +236,7 @@ def law_overrides_from_dict(doc: Mapping) -> tuple[LawLibrary, AuxInputs]:
     meituan: tuple[float, float, float, float] | None = None
     for name, params in doc.items():
         if name != "meituan" and name not in law_names:
-            raise ArgumentError(f"unknown law {name!r} in overrides")
+            raise ArgumentError(f"unknown law {name!r:.40} in overrides")
         if not isinstance(params, Mapping):
             raise ArgumentError(f"overrides for law {name!r} must be a JSON object")
         if name == "meituan":
@@ -250,7 +250,7 @@ def law_overrides_from_dict(doc: Mapping) -> tuple[LawLibrary, AuxInputs]:
         current = getattr(laws, name)
         unknown = set(params) - {f.name for f in fields(current)}
         if unknown:
-            raise ArgumentError(f"unknown keys {sorted(unknown)} for law {name!r}")
+            raise ArgumentError(f"unknown keys {sorted(unknown)!r:.40} for law {name!r}")
         updated = replace(current, **{
             k: check_number(v, f"{name}.{k}", "positive" if k in _POSITIVE_FIELDS else "")
             for k, v in params.items()
@@ -372,7 +372,7 @@ def baseline_predict(
         lr = _powerlaw(lam, (loss, -alpha))
         bs = _powerlaw(lam_b, (loss, -1.0 / alpha_b))
         return Prediction(lr=lr, bs_tokens=bs, method=method)
-    raise ArgumentError(f"unknown method {method!r}; expected one of {LAW_METHODS}")
+    raise ArgumentError(f"unknown method {method!r:.40}; expected one of {LAW_METHODS}")
 
 
 def _require_loss(aux: AuxInputs, method: str) -> float:

@@ -79,8 +79,8 @@ class SurfaceSpec:
         )
         try:
             return cls(scale=scale, **doc)
-        except TypeError as exc:
-            raise ArgumentError(f"bad surface spec: {exc}") from exc
+        except TypeError as exc:  # quotes the unknown key: keep 100 chars
+            raise ArgumentError(f"bad surface spec: {exc!s:.100}") from exc
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ class ObservationSpec:
         )
         try:
             return cls(**doc)
-        except TypeError as exc:
-            raise ArgumentError(f"bad observation spec: {exc}") from exc
+        except TypeError as exc:  # quotes the unknown key: keep 100 chars
+            raise ArgumentError(f"bad observation spec: {exc!s:.100}") from exc
 
 
 def _coerce(doc: dict, what: str, floats, optional=(), lists=()) -> dict:

@@ -216,7 +216,7 @@ def test_fit_deterministic_and_well_formed(obs_csv, tmp_path):
     assert a.stdout == b.stdout  # byte-identical
     doc = json.loads(a.stdout)
     assert set(doc) == {"c", "alpha", "beta", "d", "gamma", "ci", "resamples",
-                        "seed", "meta"}
+                        "seed", "redraws", "meta"}
     assert doc["meta"]["version"]
     assert doc["seed"] == 42
     assert doc["meta"]["input_digest"].startswith("sha256:")

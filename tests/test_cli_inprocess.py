@@ -347,6 +347,47 @@ def test_parse_errors_quote_a_short_excerpt(tmp_path, option, text, prefix):
         assert len(stderr.encode("utf-8")) < 300, argv
 
 
+_HUGE = "q" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv,file_text",
+    [
+        (["compare", f"--surface={FIG3_PATH}", "--methods", _HUGE], None),
+        (["plot", f"--surface={FIG3_PATH}", "--levels", _HUGE[:50_000]], None),
+        (["predict", "--method=meituan", "--n=1e9", "--d=1e10", "--loss=2",
+          "--meituan-params", _HUGE], None),
+        (["predict", "--method=step", "--n=1e9", "--d=1e10", "--laws", "FILE"],
+         json.dumps({_HUGE: {}})),
+        (["compare", f"--surface={FIG3_PATH}", "--methods=step", "--laws", "FILE"],
+         json.dumps({"step": {_HUGE: 1.0}})),
+        (["synth", "surface", "--spec", "FILE"], json.dumps({"kind": "surface", _HUGE: 1})),
+        (["synth", "observations", "--spec", "FILE"],
+         json.dumps({"kind": "observations", "n_values": [1, 2], "d_values": [1, 2], _HUGE: 1})),
+    ],
+    ids=["methods", "levels", "meituan-params", "law-name", "law-keys", "surface-spec",
+         "observation-spec"],
+)  # fmt: skip
+def test_argument_errors_quote_a_short_excerpt(tmp_path, argv, file_text):
+    if file_text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(file_text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    rc, stdout, stderr = main_inprocess(*argv)
+    assert rc == 2 and stdout == b"" and stderr.startswith("error: "), stderr[:300]
+    assert len(stderr.encode("utf-8")) < 300, stderr[:300]
+
+
+def test_fit_resample_cap_is_stated_and_enforced(inputs):
+    rc, stdout, _ = main_inprocess("fit", "--help")
+    assert rc == 0 and b"1 to 100,000" in stdout
+    for count in ("100001", "1000000000"):
+        rc, stdout, stderr = main_inprocess(
+            "fit", f"--observations={inputs['obs']}", f"--bootstrap={count}"
+        )
+        assert rc == 2 and stdout == b"" and "between 1 and 100,000" in stderr
+
+
 @pytest.mark.parametrize("flag,value", [("--d", "inf"), ("--n", "nan"), ("--n", "inf")])
 def test_predict_non_finite_scale_exit_2(flag, value):
     argv = {"--n": "1e9", "--d": "1e10", flag: value}
@@ -519,8 +560,11 @@ _flag_numbers = st.one_of(
     st.sampled_from([0.0, -0.0, 1e308, -1e308, math.nan, math.inf, -math.inf]).map(repr),
     st.sampled_from(["1e999", "-1e999", "NaN", "-inf", "0x10", "1_0", " 2", "", "x"]),
 )
-# --bootstrap sizes the index matrix and the list of Generators: keep it small
-_bootstrap_counts = st.integers(-3, 2000).map(str) | st.sampled_from(["1e3", "nan", "x"])
+# --bootstrap sizes the index matrix: keep it small, or past the cap, where
+# it is rejected before anything is allocated
+_bootstrap_counts = st.integers(-3, 2000).map(str) | st.sampled_from(
+    ["1e3", "nan", "x", "100001", "1000000000", "9" * 40]
+)
 _NUMERIC_FLAGS = {
     "predict": ("--n", "--d", "--loss", "--n-active", "--budget-factor"),
     "compare": ("--loss", "--budget-factor"),

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import LATTICE_D, LATTICE_N, LAW_COEFFS
 from hpscale import (
@@ -21,6 +23,7 @@ from hpscale import (
     observations_to_csv,
     ols,
 )
+from hpscale.fitting import MAX_RESAMPLES, _sorted_obs, resample_indices
 
 
 def lattice_obs(noise_sigma=0.0, seed=0, **kwargs):
@@ -260,24 +263,86 @@ def test_bootstrap_ci_matches_percentiles_of_samples():
     assert result.c == pytest.approx(math.exp(float(result.samples["log_c"].mean())))
 
 
+def _no_redraws(rows, idx):
+    return np.zeros(len(rows), dtype=bool)
+
+
 def test_bootstrap_matches_per_resample_ols_fits():
     # reconstruct each resample and refit through the public single-fit path
     obs = lattice_obs(noise_sigma=0.05, seed=6)
     resamples, seed = 16, 13
     result = bootstrap_fit(obs, resamples, seed=seed)
 
-    from hpscale.fitting import _sorted_obs
-
     items = _sorted_obs(obs)
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(resamples)]
-    for i, rng in enumerate(rngs):
-        idx = np.sort(rng.integers(0, len(items), len(items)))
+    indices, _ = resample_indices(len(items), resamples, seed, _no_redraws)
+    for i, idx in enumerate(indices):
         resample = [items[j] for j in idx]
         lr_fit = fit_lr_law(resample)
         bs_fit = fit_bs_law(resample)
         assert result.samples["alpha"][i] == pytest.approx(lr_fit.alpha, abs=1e-10)
         assert result.samples["beta"][i] == pytest.approx(lr_fit.beta, abs=1e-10)
         assert result.samples["gamma"][i] == pytest.approx(bs_fit.gamma, abs=1e-10)
+
+
+def test_bootstrap_redraws_degenerate_resamples():
+    # four observations share N: a resample is degenerate when it misses
+    # the fifth, or holds only one of the four D values (rank 2)
+    obs = [OptimumObservation(1e8, d, 1e-3 * (1 + k / 7), 1e5 * (1 + k / 5))
+           for k, d in enumerate((1e9, 3e9, 1e10, 3e10))]  # fmt: skip
+    obs.append(OptimumObservation(1e9, 1e10, 4e-4, 3e5))
+    resamples, seed = 40, 3
+    result = bootstrap_fit(obs, resamples, seed=seed)
+    items = _sorted_obs(obs)
+
+    def single_fit_fails(rows, idx):
+        bad = []
+        for row in idx:
+            try:
+                fit_lr_law([items[j] for j in row])
+                bad.append(False)
+            except (DegenerateDesignError, SingularityError):
+                bad.append(True)
+        return np.array(bad)
+
+    indices, redrawn = resample_indices(len(items), resamples, seed, single_fit_fails)
+    assert 0 < result.redraws == redrawn.size < resamples
+    for samples in result.samples.values():
+        assert np.isfinite(samples).all()
+    for i, idx in enumerate(indices):
+        resample = [items[j] for j in idx]
+        lr_fit, bs_fit = fit_lr_law(resample), fit_bs_law(resample)
+        assert result.samples["alpha"][i] == pytest.approx(lr_fit.alpha, abs=1e-10)
+        assert result.samples["beta"][i] == pytest.approx(lr_fit.beta, abs=1e-10)
+        assert result.samples["gamma"][i] == pytest.approx(bs_fit.gamma, abs=1e-10)
+
+
+@given(
+    k=st.integers(1, 60),
+    extra=st.integers(0, 60),
+    seed=st.integers(0, 2**32),
+)
+def test_bootstrap_rows_do_not_depend_on_resample_count(k, extra, seed):
+    # one generator draws the (R, n) matrix row by row, so with no
+    # redraws the first k resamples are the same for every R >= k
+    obs = lattice_obs(noise_sigma=0.05, seed=6)
+    n = len(obs)
+    small, large = bootstrap_fit(obs, k, seed=seed), bootstrap_fit(obs, k + extra, seed=seed)
+    assert small.redraws == large.redraws == 0
+    for name, samples in small.samples.items():
+        assert np.array_equal(samples, large.samples[name][:k])
+    first = np.sort(np.random.default_rng(seed).integers(0, n, (k + extra, n)), axis=1)
+    indices, redrawn = resample_indices(n, k + extra, seed, _no_redraws)
+    assert np.array_equal(indices, first) and redrawn.size == 0
+
+
+def test_bootstrap_rejects_too_many_resamples_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for resamples in (MAX_RESAMPLES + 1, 10**9, 10**30):
+        with pytest.raises(ArgumentError, match="between 1 and 100,000"):
+            bootstrap_fit(lattice_obs(), resamples, seed=1)
 
 
 def test_bootstrap_single_resample_degenerate_ci():
@@ -313,7 +378,8 @@ def test_bootstrap_validates_arguments():
 
 def test_fit_result_json_shape():
     doc = bootstrap_fit(lattice_obs(), 10, seed=4).to_json_dict()
-    assert set(doc) == {"c", "alpha", "beta", "d", "gamma", "ci", "resamples", "seed"}
+    assert set(doc) == {"c", "alpha", "beta", "d", "gamma", "ci", "resamples", "seed",
+                        "redraws"}
     assert set(doc["ci"]) == {"c", "alpha", "beta", "d", "gamma"}
     assert doc["resamples"] == 10
     assert doc["seed"] == 4

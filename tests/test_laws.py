@@ -164,6 +164,12 @@ def test_unknown_method():
         baseline_predict("chinchilla", ModelScale(1e9, 1e10))
 
 
+def test_unknown_method_quotes_a_short_excerpt():
+    with pytest.raises(ArgumentError, match="unknown method 'qqq") as info:
+        baseline_predict("q" * 100_000, ModelScale(1e9, 1e10))
+    assert len(str(info.value)) < 200
+
+
 # --- compute budget ----------------------------------------------------------
 
 
