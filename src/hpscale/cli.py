@@ -34,6 +34,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import re
 import sys
 
 from . import __version__
@@ -403,6 +404,17 @@ def cmd_plot(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+# A Python string literal, as argparse quotes a bad value with %r.
+_QUOTED = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors quote at most 40 characters of
+    a bad value, as the loaders' errors do; subparsers share the class."""
+
+    def error(self, message):
+        super().error(_QUOTED.sub(lambda m: m[0][:40], message))
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -412,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_argument, set_defaults or attribute writes); parse_args returns a
     fresh namespace on each call and is safe to call repeatedly.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hpscale",
         description="Hyperparameter scaling-law toolkit for LLM pre-training.",
     )

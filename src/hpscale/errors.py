@@ -11,9 +11,11 @@ law-override, overlay and CSV input and none ends in a traceback. The
 loaders parse bytes; only the CLI opens files.
 
 The number rule lives in check_number, and every numeric input field
-and argument goes through it, with two exceptions: surface._check_point spells
-the same rule inline on the per-row load path, and plateau and
-convexity_report accept an infinite delta or epsilon by design.
+and argument goes through it, with three exceptions: load_surface's bulk
+path checks whole columns against it at once, surface._check_point spells
+it inline for each SweepPoint and each row of load_surface's row loop,
+and plateau and convexity_report accept an infinite delta or epsilon by
+design.
 """
 
 from __future__ import annotations

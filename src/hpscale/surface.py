@@ -24,6 +24,11 @@ the points. The invariants:
   passed in, or, for a surface loaded from CSV, SweepPoints built on
   first read; surfaces compare and hash by scale, points and tags.
 
+load_surface parses a CSV's data block in one numpy call and checks it
+as whole columns; every value it keeps is a Python float or int. Only
+when that refuses the input does a row loop read it again, one line at
+a time, and name the first bad line.
+
 Surfaces are immutable after construction; every operation here is a pure
 function of its inputs.
 """
@@ -35,6 +40,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
+
+import numpy as np
 
 from .errors import ArgumentError, GridShapeError, OutOfHullError, ParseError
 from .errors import check_number, decode_text
@@ -48,9 +55,10 @@ _UNDERSHOOT_TOL = 1e-12
 
 
 def _check_point(lr, bs_tokens, train_smooth_loss, val_loss) -> None:
-    # errors.check_number's rule spelled inline: this runs per CSV row, where
-    # four helper calls would add most of a surface load's time again. The
-    # 0.0 literals and the global inf keep the float comparisons fast.
+    # errors.check_number's rule spelled inline: this runs for every SweepPoint
+    # and every row the CSV row loop reads, where four helper calls would add
+    # most of their time again. The 0.0 literals and the global inf keep the
+    # float comparisons fast.
     if not 0.0 < lr < inf:
         raise ArgumentError(f"lr must be finite and positive, got {lr}")
     if not 0 < bs_tokens < inf:
@@ -292,11 +300,61 @@ def load_surface(source) -> LossSurface:
     d_tokens are required. The header is lr,bs_tokens,train_smooth_loss
     with an optional trailing val_loss column. Errors name the first bad
     line in file order.
+
+    The data block is parsed in one numpy call and checked as whole
+    columns. Whatever that refuses (a cell numpy does not read, such as a
+    blank val cell or float()'s underscores and non-ASCII digits, a wrong
+    width, a value out of range, a duplicate cell) goes to the row loop in
+    _load_surface_rows, which parses the text again and alone writes row
+    errors.
     """
     data = decode_text(source)
-
     meta: dict[str, str] = {}
-    header: list[str] | None = None
+    header: str | None = None
+    rows: list[str] = []
+    for raw in data.split("\n"):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            _read_meta(line, meta)
+        elif header is None:
+            header = line
+        else:
+            rows.append(line)
+    grid = _bulk_grid(header, rows)
+    if grid is None:
+        return _load_surface_rows(data)
+    return _surface(grid, meta)
+
+
+def _bulk_grid(header: str | None, rows: list[str]) -> _Grid | None:
+    """The grid of all data rows, or None when the row loop must read them."""
+    width = _header_width(header) if header is not None and rows else None
+    if width is None:
+        return None
+    try:
+        # comments=None: a '#' inside a row fails here as it does in the row loop
+        table = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(rows), width):
+        return None
+    bs = table[:, 1]
+    if not (((table > 0.0) & (table < inf)).all() and (np.rint(bs) == bs).all()):
+        return None
+    lrs, bss, trains, *vals = table.T.tolist()  # Python floats, never numpy scalars
+    try:
+        return _Grid(lrs, list(map(int, bss)), trains, vals[0] if vals else [None] * len(lrs))
+    except _DuplicateRow:
+        return None
+
+
+def _load_surface_rows(data: str) -> LossSurface:
+    """load_surface of decoded text, one row at a time: the path that names
+    the first bad line."""
+    meta: dict[str, str] = {}
+    width: int | None = None
     lrs: list[float] = []
     bss: list[int] = []
     trains: list[float] = []
@@ -309,27 +367,21 @@ def load_surface(source) -> LossSurface:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
+                _read_meta(line, meta)
                 continue
-            cells = line.split(",")
-            if header is None:
-                cells = [c.strip() for c in cells]
-                if cells[: len(_HEADER_BASE)] != _HEADER_BASE or len(cells) > 4 or (
-                    len(cells) == 4 and cells[3] != "val_loss"
-                ):
+            if width is None:
+                width = _header_width(line)
+                if width is None:
                     raise ParseError(
                         f"bad header {line!r:.40}; expected "
                         "'lr,bs_tokens,train_smooth_loss[,val_loss]'",
                         line=lineno,
                     )
-                header = cells
                 continue
-            if len(cells) != len(header):
+            cells = line.split(",")
+            if len(cells) != width:
                 raise ParseError(
-                    f"expected {len(header)} columns, found {len(cells)}", line=lineno
+                    f"expected {width} columns, found {len(cells)}", line=lineno
                 )
             try:
                 lr, bs_raw, train, val = _row_values(cells)
@@ -357,23 +409,25 @@ def load_surface(source) -> LossSurface:
         _parsed_grid(lrs, bss, trains, vals, lines)  # an earlier duplicate wins
         raise
 
-    if header is None:
+    if width is None:
         raise ParseError("no header found (empty file?)")
     if not lrs:
         raise ParseError("no data rows found")
-    grid = _parsed_grid(lrs, bss, trains, vals, lines)
-    missing = [k for k in _REQUIRED_META if k not in meta]
-    if missing:
-        raise ParseError(f"missing required metadata {missing}")
-    try:
-        scale = ModelScale(**{k: float(meta[k]) for k in _SCALE_META if k in meta})
-    except ArgumentError as exc:
-        raise ParseError(f"bad metadata: {exc}") from exc
-    except ValueError as exc:  # float() quotes the whole value: keep 40 chars
-        raise ParseError(f"bad metadata: {exc!s:.75}") from exc
-    return LossSurface._from_grid(
-        scale, grid, meta.get("arch_tag", ""), meta.get("recipe_tag", "")
-    )
+    return _surface(_parsed_grid(lrs, bss, trains, vals, lines), meta)
+
+
+def _read_meta(line: str, meta: dict[str, str]) -> None:
+    """Record the key=value of a '#' comment line, if it holds one."""
+    body = line.lstrip("#").strip()
+    if "=" in body:
+        key, _, value = body.partition("=")
+        meta[key.strip()] = value.strip()
+
+
+def _header_width(line: str) -> int | None:
+    """The column count a header line declares, or None if it is not a header."""
+    cells = [c.strip() for c in line.split(",")]
+    return len(cells) if cells in (_HEADER_BASE, [*_HEADER_BASE, "val_loss"]) else None
 
 
 def _row_values(cells) -> tuple[float, float, float, float | None]:
@@ -391,6 +445,22 @@ def _parsed_grid(lrs, bss, trains, vals, lines) -> _Grid:
         raise ParseError(
             f"duplicate (lr, bs) pair ({lrs[k]}, {bss[k]})", line=lines[k]
         ) from None
+
+
+def _surface(grid: _Grid, meta: dict[str, str]) -> LossSurface:
+    """The surface of a parsed grid and the file's metadata."""
+    missing = [k for k in _REQUIRED_META if k not in meta]
+    if missing:
+        raise ParseError(f"missing required metadata {missing}")
+    try:
+        scale = ModelScale(**{k: float(meta[k]) for k in _SCALE_META if k in meta})
+    except ArgumentError as exc:
+        raise ParseError(f"bad metadata: {exc}") from exc
+    except ValueError as exc:  # float() quotes the whole value: keep 40 chars
+        raise ParseError(f"bad metadata: {exc!s:.75}") from exc
+    return LossSurface._from_grid(
+        scale, grid, meta.get("arch_tag", ""), meta.get("recipe_tag", "")
+    )
 
 
 def surface_to_csv(surface: LossSurface) -> str:

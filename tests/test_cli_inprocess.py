@@ -378,6 +378,28 @@ def test_argument_errors_quote_a_short_excerpt(tmp_path, argv, file_text):
     assert len(stderr.encode("utf-8")) < 300, stderr[:300]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--method", "VALUE", "--n=1e9", "--d=1e10"],
+        ["fit", "--bootstrap", "VALUE"],
+        ["predict", "--method=step", "--n", "VALUE", "--d=1e10"],
+        ["VALUE"],
+    ],
+    ids=["choice", "int", "float", "command"],
+)
+def test_usage_errors_quote_a_short_excerpt(argv):
+    def usage_error(value):
+        rc, stdout, stderr = main_inprocess(*[value if a == "VALUE" else a for a in argv])
+        assert rc == 2 and stdout == b"" and "invalid" in stderr, stderr[:300]
+        return stderr
+
+    huge = usage_error(_HUGE)
+    assert len(huge.encode("utf-8")) < 1024, huge[:300]
+    # argparse's own message, the value's quote cut after 40 characters
+    assert huge == usage_error(_HUGE[:39]).replace(f"'{_HUGE[:39]}'", f"'{_HUGE[:39]}")
+
+
 def test_fit_resample_cap_is_stated_and_enforced(inputs):
     rc, stdout, _ = main_inprocess("fit", "--help")
     assert rc == 0 and b"1 to 100,000" in stdout

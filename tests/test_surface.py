@@ -1,7 +1,8 @@
 import math
+import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpscale import (
@@ -24,6 +25,8 @@ from hpscale import (
     relative_error,
     surface_to_csv,
 )
+from hpscale import surface as surface_module
+from conftest import fuzz_examples
 
 MINI_CSV = """\
 # n_params=1.07e9
@@ -507,3 +510,130 @@ def test_surface_equality_and_hash():
     reordered = LossSurface(scale=built.scale, points=points[::-1])
     assert reordered != built  # points compare in input order
     assert LossSurface(scale=built.scale, points=points, arch_tag="moe") != built
+
+
+# --- parsing: the bulk path and the row loop agree ----------------------------
+
+_PAD = st.sampled_from(["", "", "", " ", "\t", "\x1c", "\x1f", " \x1f\t"])
+# spellings of a few lr and bs values
+_LRS = (("1e-3", "0.001"), ("0.002", "2e-3"), ("0.004",), ("8e-3", "0.0080"))
+_BSS = (("65536", "65536.0", "6.5536e4"), ("131072",), ("1e30",), ("262144",))
+_HOSTILE = st.sampled_from([
+    "", " ", "1_000", "\u0663", "\u0661e-3", "nan", "inf", "Infinity", "-Infinity",
+    "0", "-1", "1e400", "1e-400", "2#5", "0x10", "abc",
+])  # fmt: skip
+
+
+@st.composite
+def _surface_csv(draw):
+    """Surface CSV text, valid or with up to two faults, mixing in what
+    np.loadtxt and the row loop might treat differently: padding, CRLF,
+    comments between and inside rows, blank val cells, underscores,
+    non-ASCII digits, non-finite values, huge and fractional bs, duplicate
+    cells and rows of the wrong width."""
+    width = draw(st.sampled_from([3, 4]))
+    keys = st.tuples(st.integers(0, len(_LRS) - 1), st.integers(0, len(_BSS) - 1))
+    rows = [
+        [draw(st.sampled_from(_LRS[i])), draw(st.sampled_from(_BSS[j])),
+         *(repr(draw(st.floats(1.0, 5.0))) for _ in range(width - 2))]
+        for i, j in draw(st.lists(keys, min_size=1, max_size=6, unique=True))
+    ]  # fmt: skip
+    for _ in range(draw(st.integers(0, 2))):
+        cells = draw(st.sampled_from(rows))
+        fault = draw(st.integers(0, 9))
+        if fault < 5:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_HOSTILE)
+        elif fault == 5:
+            cells.append("2.5")
+        elif fault == 6:
+            cells.pop()
+        elif fault == 7:
+            cells[-1] += " # note"
+        elif fault == 8:
+            cells[:2] = rows[0][:2]
+        else:
+            cells[1] += ".5"
+    lines = ["# n_params=1e9"]
+    if draw(st.integers(0, 9)) < 9:
+        lines.append("# d_tokens=1e10")
+    header = ["lr", "bs_tokens", "train_smooth_loss", "val_loss"][:width]
+    lines.append(",".join(draw(_PAD) + h + draw(_PAD) for h in header))
+    for cells in rows:
+        lines.append(",".join(draw(_PAD) + c + draw(_PAD) for c in cells))
+        if not draw(st.integers(0, 4)):
+            lines.append(draw(st.sampled_from(["# note", "#arch_tag=moe", "#"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+def _load_outcome(load, text):
+    try:
+        surf = load(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+    g = surf._grid
+    types = [type(v) for values in (*g.columns, g.lr_values, g.bs_values) for v in values]
+    return surf, g.columns, g.train, g.val, g.lr_values, g.bs_values, types
+
+
+@settings(max_examples=fuzz_examples(400))
+@given(text=_surface_csv())
+@example(text=HEAD + "1e-3,32768,2.0,0\n")
+@example(text=HEAD + "1e-3,32768,2.0,2.1#3\n")
+@example(text=HEAD + "1e-3,32768,2.0,2.1\n1e-3,3.2768e4,2.0,2.1\n")
+def test_bulk_parse_matches_row_loop(text):
+    expected = _load_outcome(surface_module._load_surface_rows, text)
+    assert _load_outcome(load_surface, text) == expected
+
+
+def _dense_surface():
+    # the benchmark's 60 x 70 dense grid
+    grid = GridSpec(
+        tuple(2.0 ** (-12.0 + 6.0 * k / 59) for k in range(60)),
+        tuple(2.0 ** (14.0 + 8.5 * k / 69) for k in range(70)),
+    )
+    spec = SurfaceSpec(opt_lr=2.0**-9, opt_bs=262144.0, noise_sigma=1e-4, val_offset=0.02)
+    return generate_surface(spec, grid)
+
+
+def test_dense_csv_round_trips_with_python_numbers():
+    surf = _dense_surface()
+    text = surface_to_csv(surf)
+    loaded = load_surface(text)
+    assert loaded == surf and surface_to_csv(loaded) == text
+    losses = [v for metric in ("train", "val") for row in loaded.grid_losses(metric)
+              for v in row]  # fmt: skip
+    assert {type(v) for v in (*loaded.lr_values(), *losses)} == {float}
+    assert {type(v) for v in loaded.bs_values()} == {int}
+    point_types = {tuple(type(v) for v in (p.lr, p.bs_tokens, p.train_smooth_loss,
+                                          p.val_loss)) for p in loaded.points}  # fmt: skip
+    assert point_types == {(float, int, float, float)}
+
+
+@pytest.mark.parametrize("surface", [load_surface(MINI_CSV), _bowl(), _bowl(val_offset=0.1)],
+                         ids=["mini", "bowl", "bowl-val"])  # fmt: skip
+def test_valid_csv_never_reaches_the_row_loop(monkeypatch, surface):
+    def refuse(_text):
+        raise AssertionError("row loop ran on a valid file")
+
+    monkeypatch.setattr(surface_module, "_load_surface_rows", refuse)
+    assert load_surface(surface_to_csv(surface)) == surface
+
+
+@pytest.mark.parametrize(
+    "rows,error",
+    [
+        (["1e-3,32768,2.0,2.1"], None),
+        (["1e-3,32768,nan,2.1"], "line 4: train_smooth_loss must be finite"),
+        (["# 1e-3,32768,2.0,2.1", "# 2e-3,32768,2.4,2.5"], "no data rows found"),
+    ],
+    ids=["one-row", "one-nan-row", "commented-rows"],
+)
+def test_small_files_load_without_warnings(rows, error):
+    text = HEAD + "\n".join(rows) + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            assert len(load_surface(text).points) == 1
+        else:
+            with pytest.raises(ParseError, match=error):
+                load_surface(text)
