@@ -406,6 +406,8 @@ def cmd_plot(args) -> int:
 
 # A Python string literal, as argparse quotes a bad value with %r.
 _QUOTED = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"")
+# argparse joins the extra argv after this unquoted
+_UNRECOGNIZED = "unrecognized arguments: "
 
 
 class _Parser(argparse.ArgumentParser):
@@ -413,6 +415,8 @@ class _Parser(argparse.ArgumentParser):
     a bad value, as the loaders' errors do; subparsers share the class."""
 
     def error(self, message):
+        if message.startswith(_UNRECOGNIZED):
+            message = message[: len(_UNRECOGNIZED) + 40]
         super().error(_QUOTED.sub(lambda m: m[0][:40], message))
 
 

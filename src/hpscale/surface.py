@@ -8,13 +8,22 @@ plateau extraction, per-slice unimodality diagnostics, and train/val
 argmin consistency.
 
 Representation. A surface is validated once, when it is built, into a
-dense grid: the sorted distinct learning rates and batch sizes (the
-axes), their natural logs, and a train table and a val table indexed
-[lr index][bs index]. A cell that no point fills holds None in both
-tables; that is the fill mask. The optimum of each metric is found on
-first use and cached. Every analytic reads this state and none rescans
-the points. The invariants:
+dense grid held as numpy arrays: the input rows as one (n, 4) float64
+array of lr, bs, train and val in input order (NaN for a missing val),
+the sorted distinct learning rates and batch sizes (the axes), and a
+train table and a val table indexed [lr index, bs index]. A cell that
+no row fills holds NaN in both tables; that is the fill mask, and no
+loss can be NaN. bs is compared as float64 everywhere, as a CSV's bs
+column always was: two integer batch sizes that differ only beyond
+2**53 fill one cell, and a bs that is not integral is refused. The
+optimum of each metric is found on first use and cached. Every analytic
+reads the arrays in whole-array expressions and none rescans the
+points. The invariants:
 
+- every value that leaves the module is a Python float or int, never a
+  numpy scalar (taken with ndarray.item or .tolist());
+- the axes' logs are math.log of the Python axis values, not np.log,
+  which can differ by one ulp and so move an interpolated value;
 - ties for the optimum break to the smaller lr, then the smaller bs;
 - a grid with unfilled cells is a valid surface: find_optimum and
   plateau work on it, and only the operations that need every cell
@@ -22,12 +31,12 @@ the points. The invariants:
   the SVG view) raise GridShapeError;
 - `points` lists the input rows in input order: the tuple a caller
   passed in, or, for a surface loaded from CSV, SweepPoints built on
-  first read; surfaces compare and hash by scale, points and tags.
+  first read; surfaces compare and hash by scale, the rows as Python
+  numbers (also built on first read) and tags.
 
 load_surface parses a CSV's data block in one numpy call and checks it
-as whole columns; every value it keeps is a Python float or int. Only
-when that refuses the input does a row loop read it again, one line at
-a time, and name the first bad line.
+as whole columns. Only when that refuses the input does a row loop read
+it again, one line at a time, and name the first bad line.
 
 Surfaces are immutable after construction; every operation here is a pure
 function of its inputs.
@@ -113,46 +122,74 @@ class _DuplicateRow(Exception):
 
 
 class _Grid:
-    """Input rows as columns, and the dense lr x bs tables built from them."""
+    """Input rows, and the dense lr x bs tables built from them.
 
-    def __init__(self, lrs, bss, trains, vals):
-        self.columns = (tuple(lrs), tuple(bss), tuple(trains), tuple(vals))
-        self.lr_values = tuple(sorted(set(lrs)))
-        self.bs_values = tuple(sorted(set(bss)))
-        self.lr_index = {v: i for i, v in enumerate(self.lr_values)}
-        self.bs_index = {v: j for j, v in enumerate(self.bs_values)}
-        train = [[None] * len(self.bs_values) for _ in self.lr_values]
-        val = [[None] * len(self.bs_values) for _ in self.lr_values]
-        li, bi = self.lr_index, self.bs_index
-        for k, (lr, bs, t, v) in enumerate(zip(lrs, bss, trains, vals)):
-            i, j = li[lr], bi[bs]
-            if train[i][j] is not None:
-                raise _DuplicateRow(k)
-            train[i][j] = t
-            val[i][j] = v
-        self.train = tuple(map(tuple, train))
-        self.val = tuple(map(tuple, val))
+    rows is an (n, 4) float64 array of lr, bs, train and val in input
+    order, with NaN for a missing val.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        self.lr_axis, li = np.unique(rows[:, 0], return_inverse=True)
+        self.bs_axis, bi = np.unique(rows[:, 1], return_inverse=True)
+        shape = (self.lr_axis.size, self.bs_axis.size)
+        cells = li * shape[1] + bi
+        train = np.full(shape[0] * shape[1], np.nan)
+        train[cells] = rows[:, 2]
+        # no train loss is NaN, so fewer filled cells than rows means a repeat
+        if np.count_nonzero(np.isnan(train)) != train.size - len(rows):
+            raise _DuplicateRow(_first_repeat(cells))
+        val = np.full_like(train, np.nan)
+        val[cells] = rows[:, 3]
+        self.train, self.val = train.reshape(shape), val.reshape(shape)
+        self.lr_values = tuple(self.lr_axis.tolist())
+        self.bs_values = tuple(map(int, self.bs_axis.tolist()))
         self.log_lrs = [math.log(v) for v in self.lr_values]
         self.log_bss = [math.log(v) for v in self.bs_values]
-        self.complete = len(self.columns[0]) == len(self.lr_values) * len(self.bs_values)
-        self.full_val = None not in self.columns[3]
+        self.complete = len(rows) == train.size
+        self.full_val = not np.isnan(rows[:, 3]).any()
         self._optima: dict[str, OptimumReport] = {}
+
+    @cached_property
+    def columns(self) -> tuple[tuple, ...]:
+        """lr, bs, train and val of the rows as Python numbers; None for a
+        missing val."""
+        lrs, bss, trains, vals = self.rows.T.tolist()
+        vals = vals if self.full_val else [None if math.isnan(v) else v for v in vals]
+        return tuple(lrs), tuple(map(int, bss)), tuple(trains), tuple(vals)
+
+    def table(self, metric: str) -> np.ndarray:
+        return self.train if metric == "train" else self.val
 
     def optimum(self, metric: str) -> OptimumReport:
         """First minimum in (lr, bs) order over the filled cells."""
         opt = self._optima.get(metric)
         if opt is None:
-            table = self.train if metric == "train" else self.val
-            best, bi, bj = None, 0, 0
-            for i, row in enumerate(table):
-                for j, v in enumerate(row):
-                    if v is not None and (best is None or v < best):
-                        best, bi, bj = v, i, j
+            table = self.table(metric)
+            k = int(np.where(np.isnan(table), inf, table).argmin())
+            i, j = divmod(k, table.shape[1])
             opt = OptimumReport(
-                hp=(self.lr_values[bi], self.bs_values[bj]), loss=best, metric=metric
+                hp=(self.lr_values[i], self.bs_values[j]), loss=table.item(k), metric=metric
             )
             self._optima[metric] = opt
         return opt
+
+
+def _first_repeat(cells: np.ndarray) -> int:
+    """Index of the first entry equal to an earlier one."""
+    _, first = np.unique(cells, return_index=True)
+    repeat = np.ones(cells.size, dtype=bool)
+    repeat[first] = False
+    return int(repeat.argmax())
+
+
+def _axis_index(axis: np.ndarray, value) -> int | None:
+    """Position of value on a sorted axis, compared as float64, or None."""
+    try:
+        k = int(np.searchsorted(axis, value))
+    except TypeError:  # None and other values numpy cannot order: on no axis
+        return None
+    return k if k < axis.size and axis[k] == value else None
 
 
 class LossSurface:
@@ -173,12 +210,18 @@ class LossSurface:
         if not points:
             raise ArgumentError("surface must contain at least one point")
         try:
-            grid = _Grid(
-                [pt.lr for pt in points],
-                [pt.bs_tokens for pt in points],
-                [pt.train_smooth_loss for pt in points],
-                [pt.val_loss for pt in points],
+            rows = np.array(
+                [(pt.lr, pt.bs_tokens, pt.train_smooth_loss, pt.val_loss) for pt in points],
+                dtype=np.float64,
             )
+        except OverflowError:  # an int past the largest float
+            raise ArgumentError("sweep point values must fit in a float64") from None
+        fractional = np.rint(rows[:, 1]) != rows[:, 1]
+        if fractional.any():
+            bs = points[int(fractional.argmax())].bs_tokens
+            raise ArgumentError(f"bs_tokens must be integral, got {bs}")
+        try:
+            grid = _Grid(rows)
         except _DuplicateRow as dup:
             pt = points[dup.row]
             raise ArgumentError(
@@ -220,7 +263,7 @@ class LossSurface:
     def __repr__(self):
         g = self._grid
         return (
-            f"LossSurface(scale={self.scale!r}, points=<{len(g.columns[0])} on a "
+            f"LossSurface(scale={self.scale!r}, points=<{len(g.rows)} on a "
             f"{len(g.lr_values)}x{len(g.bs_values)} grid>, "
             f"arch_tag={self.arch_tag!r}, recipe_tag={self.recipe_tag!r})"
         )
@@ -236,22 +279,29 @@ class LossSurface:
 
     def point_at(self, lr: float, bs_tokens: int) -> SweepPoint:
         g = self._grid
-        i, j = g.lr_index.get(lr), g.bs_index.get(bs_tokens)
-        if i is None or j is None or g.train[i][j] is None:
+        i, j = _axis_index(g.lr_axis, lr), _axis_index(g.bs_axis, bs_tokens)
+        if i is None or j is None or math.isnan(train := g.train.item(i, j)):
             raise ArgumentError(f"no sweep point at lr={lr}, bs={bs_tokens}")
-        return SweepPoint(g.lr_values[i], g.bs_values[j], g.train[i][j], g.val[i][j])
+        val = g.val.item(i, j)
+        return SweepPoint(
+            g.lr_values[i], g.bs_values[j], train, None if math.isnan(val) else val
+        )
 
     def grid_losses(self, metric: str) -> tuple[tuple[float, ...], ...]:
         """Losses as a [lr index][bs index] table; requires a complete grid."""
+        return tuple(map(tuple, self._losses(metric).tolist()))
+
+    def _losses(self, metric: str) -> np.ndarray:
+        """The grid_losses table as the grid's own array; do not write to it."""
         g = self._grid
         if not g.complete:
             n_lr, n_bs = len(g.lr_values), len(g.bs_values)
             raise GridShapeError(
-                f"surface has {len(g.columns[0])} points but the lr x bs grid "
+                f"surface has {len(g.rows)} points but the lr x bs grid "
                 f"needs {n_lr} x {n_bs} = {n_lr * n_bs}"
             )
         _check_metric(self, metric)
-        return g.train if metric == "train" else g.val
+        return g.table(metric)
 
 
 @dataclass(frozen=True)
@@ -309,28 +359,21 @@ def load_surface(source) -> LossSurface:
     errors.
     """
     data = decode_text(source)
+    lines = [line for line in map(str.strip, data.split("\n")) if line]
     meta: dict[str, str] = {}
-    header: str | None = None
-    rows: list[str] = []
-    for raw in data.split("\n"):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
+    for line in lines:
+        if line[0] == "#":
             _read_meta(line, meta)
-        elif header is None:
-            header = line
-        else:
-            rows.append(line)
-    grid = _bulk_grid(header, rows)
+    body = [line for line in lines if line[0] != "#"]
+    grid = _bulk_grid(body[0], body[1:]) if body else None
     if grid is None:
         return _load_surface_rows(data)
     return _surface(grid, meta)
 
 
-def _bulk_grid(header: str | None, rows: list[str]) -> _Grid | None:
+def _bulk_grid(header: str, rows: list[str]) -> _Grid | None:
     """The grid of all data rows, or None when the row loop must read them."""
-    width = _header_width(header) if header is not None and rows else None
+    width = _header_width(header) if rows else None
     if width is None:
         return None
     try:
@@ -343,9 +386,10 @@ def _bulk_grid(header: str | None, rows: list[str]) -> _Grid | None:
     bs = table[:, 1]
     if not (((table > 0.0) & (table < inf)).all() and (np.rint(bs) == bs).all()):
         return None
-    lrs, bss, trains, *vals = table.T.tolist()  # Python floats, never numpy scalars
+    if width == 3:
+        table = np.column_stack((table, np.full(len(rows), np.nan)))
     try:
-        return _Grid(lrs, list(map(int, bss)), trains, vals[0] if vals else [None] * len(lrs))
+        return _Grid(table)
     except _DuplicateRow:
         return None
 
@@ -439,7 +483,7 @@ def _row_values(cells) -> tuple[float, float, float, float | None]:
 
 def _parsed_grid(lrs, bss, trains, vals, lines) -> _Grid:
     try:
-        return _Grid(lrs, bss, trains, vals)
+        return _Grid(np.array((lrs, bss, trains, vals), dtype=np.float64).T)
     except _DuplicateRow as dup:
         k = dup.row
         raise ParseError(
@@ -479,14 +523,16 @@ def surface_to_csv(surface: LossSurface) -> str:
         lines.append(f"# recipe_tag={surface.recipe_tag}")
     g = surface._grid
     lines.append(",".join(_HEADER_BASE + (["val_loss"] if g.full_val else [])))
-    for lr, train_row, val_row in zip(g.lr_values, g.train, g.val):
-        for bs, train, val in zip(g.bs_values, train_row, val_row):
-            if train is None:
-                continue
-            row = [repr(lr), str(bs), repr(train)]
-            if g.full_val:
-                row.append(repr(val))
-            lines.append(",".join(row))
+    filled = ~np.isnan(g.train)
+    ii, jj = np.nonzero(filled)
+    cells = [
+        map(repr, g.lr_axis[ii].tolist()),
+        map(str, map(g.bs_values.__getitem__, jj.tolist())),
+        map(repr, g.train[filled].tolist()),
+    ]
+    if g.full_val:
+        cells.append(map(repr, g.val[filled].tolist()))
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -517,7 +563,7 @@ def interpolate_loss(
     _check_metric(surface, metric)
     check_number(lr, "query lr", "positive")
     check_number(bs_tokens, "query bs", "positive")
-    table = surface.grid_losses(metric)
+    table = surface._losses(metric)
     g = surface._grid
     log_lrs, log_bss = g.log_lrs, g.log_bss
     qx, qy = math.log(lr), math.log(bs_tokens)
@@ -538,8 +584,8 @@ def interpolate_loss(
     u = _cell_frac(log_bss, j, qy)
     i1 = i + 1 if len(log_lrs) > 1 else i
     j1 = j + 1 if len(log_bss) > 1 else j
-    v00, v01 = table[i][j], table[i][j1]
-    v10, v11 = table[i1][j], table[i1][j1]
+    v00, v01 = table.item(i, j), table.item(i, j1)
+    v10, v11 = table.item(i1, j), table.item(i1, j1)
     return (
         (1.0 - t) * (1.0 - u) * v00
         + t * (1.0 - u) * v10
@@ -581,14 +627,9 @@ def plateau(
         raise ArgumentError(f"delta must be >= 0, got {delta}")
     opt = find_optimum(surface, metric)
     g = surface._grid
-    table = g.train if metric == "train" else g.val
-    bss = g.bs_values
-    members = frozenset(
-        (lr, bss[j])
-        for lr, row in zip(g.lr_values, table)
-        for j, v in enumerate(row)
-        if v is not None and (v - opt.loss) / opt.loss <= delta
-    )
+    ii, jj = np.nonzero((g.table(metric) - opt.loss) / opt.loss <= delta)
+    lrs, bss = g.lr_values, g.bs_values
+    members = frozenset((lrs[i], bss[j]) for i, j in zip(ii.tolist(), jj.tolist()))
     return PlateauRegion(delta=delta, members=members)
 
 
@@ -603,44 +644,35 @@ def convexity_report(
     """
     if not (epsilon >= 0):  # not check_number: inf is a valid tolerance
         raise ArgumentError(f"epsilon must be >= 0, got {epsilon}")
-    table = surface.grid_losses(metric)
-    lrs, bss = surface.lr_values(), surface.bs_values()
+    table = surface._losses(metric)
     violations: list[ConvexityViolation] = []
-
-    row_ok = 0
-    for bs, values in zip(bss, zip(*table)):  # fixed bs, losses along lr
-        bad = _unimodality_breaks(values, epsilon)
-        if bad:
-            violations.extend(ConvexityViolation("row", float(bs), k) for k in bad)
-        else:
-            row_ok += 1
-    col_ok = 0
-    for lr, values in zip(lrs, table):  # fixed lr, losses along bs
-        bad = _unimodality_breaks(values, epsilon)
-        if bad:
-            violations.extend(ConvexityViolation("col", lr, k) for k in bad)
-        else:
-            col_ok += 1
+    unimodal = []
+    for axis, fixed, slices in (
+        ("row", [float(bs) for bs in surface.bs_values()], table.T),  # losses along lr
+        ("col", surface.lr_values(), table),  # losses along bs
+    ):
+        breaks = _unimodality_breaks(slices, epsilon)
+        ss, kk = np.nonzero(breaks)
+        violations += [
+            ConvexityViolation(axis, fixed[s], k + 1) for s, k in zip(ss.tolist(), kk.tolist())
+        ]
+        unimodal.append((len(fixed) - int(breaks.any(axis=1).sum())) / len(fixed))
 
     return ConvexityReport(
-        row_unimodal_fraction=row_ok / len(bss),
-        col_unimodal_fraction=col_ok / len(lrs),
+        row_unimodal_fraction=unimodal[0],
+        col_unimodal_fraction=unimodal[1],
         tolerance=epsilon,
         violations=tuple(violations),
     )
 
 
-def _unimodality_breaks(values, epsilon: float) -> list[int]:
-    m = values.index(min(values))
-    breaks = []
-    for k in range(len(values) - 1):
-        if k < m:  # must be non-increasing before the minimum
-            if values[k + 1] > values[k] + epsilon:
-                breaks.append(k + 1)
-        else:  # non-decreasing after it
-            if values[k + 1] < values[k] - epsilon:
-                breaks.append(k + 1)
-    return breaks
+def _unimodality_breaks(slices: np.ndarray, epsilon: float) -> np.ndarray:
+    """[s, k] is True where slice s breaks unimodality from index k to k + 1:
+    a rise by more than epsilon before the slice's first minimum, or a fall
+    by more than epsilon from it on."""
+    before, after = slices[:, :-1], slices[:, 1:]
+    descending = np.arange(slices.shape[1] - 1) < slices.argmin(axis=1)[:, None]
+    return np.where(descending, after > before + epsilon, after < before - epsilon)
 
 
 def argmin_consistency(surface: LossSurface) -> ConsistencyReport:

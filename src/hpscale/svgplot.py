@@ -136,12 +136,12 @@ def render_surface_svg(
     border and drawn with a distinct triangular glyph.
     """
     levels = tuple(check_number(v, "contour level", "positive") for v in levels_permille)
-    table = surface.grid_losses(metric)
+    table = surface._losses(metric)
     lrs, bss = surface.lr_values(), surface.bs_values()
     log_lrs = [math.log(v) for v in lrs]
     log_bss = [math.log(v) for v in bss]
     opt = find_optimum(surface, metric)
-    field = (np.array(table) - opt.loss) / opt.loss * 1000.0
+    field = (table - opt.loss) / opt.loss * 1000.0
     ax = _Axes(log_lrs, log_bss)
 
     out = [

@@ -400,6 +400,19 @@ def test_usage_errors_quote_a_short_excerpt(argv):
     assert huge == usage_error(_HUGE[:39]).replace(f"'{_HUGE[:39]}'", f"'{_HUGE[:39]}")
 
 
+def test_unrecognized_arguments_quote_a_short_excerpt():
+    def extra_argv_error(extra):
+        rc, stdout, stderr = main_inprocess("predict", "--method=step", "--n", "1", "--d=1", extra)
+        assert rc == 2 and stdout == b"", stderr[:300]
+        return stderr
+
+    huge = extra_argv_error(_HUGE)
+    assert len(huge.encode("utf-8")) < 1024, huge[:300]
+    # argparse's own message, the extra argv cut after 40 characters
+    assert huge == extra_argv_error(_HUGE[:40])
+    assert huge.endswith(f"error: unrecognized arguments: {_HUGE[:40]}\n")
+
+
 def test_fit_resample_cap_is_stated_and_enforced(inputs):
     rc, stdout, _ = main_inprocess("fit", "--help")
     assert rc == 0 and b"1 to 100,000" in stdout

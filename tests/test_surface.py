@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -63,6 +64,15 @@ def test_load_surface_parses_rows_and_metadata():
     assert surf.scale.d_tokens == 1.0e11
     pt = surf.point_at(0.001950, 393216)
     assert pt == SweepPoint(1.95e-3, 393216, 2.279, 2.038)
+
+
+def test_point_at_a_cell_no_row_fills_raises():
+    surf = LossSurface(scale=ModelScale(1e9, 1e10),
+                       points=(SweepPoint(1e-3, 32768, 2.0), SweepPoint(2e-3, 65536, 2.1)))  # fmt: skip
+    for lr, bs in ((1e-3, 65536), (1e-3, 1), (1.0, 32768), (math.nan, 32768), (None, 32768),
+                   (1e-3, None)):  # fmt: skip
+        with pytest.raises(ArgumentError, match="no sweep point"):
+            surf.point_at(lr, bs)
 
 
 def test_load_surface_optional_metadata_and_bytes():
@@ -143,8 +153,24 @@ def test_surface_rejects_duplicates_and_empty():
     pt = SweepPoint(1e-3, 32768, 2.0)
     with pytest.raises(ArgumentError, match="duplicate"):
         LossSurface(scale=ModelScale(1e9, 1e10), points=(pt, pt))
+    # [A, B, B', A']: the first row to repeat an earlier cell is B'
+    a, b = SweepPoint(1e-3, 32768, 2.0), SweepPoint(2e-3, 65536, 2.1)
+    again = (SweepPoint(2e-3, 65536, 2.2), SweepPoint(1e-3, 32768, 2.3))
+    with pytest.raises(ArgumentError, match=r"^duplicate sweep point at lr=0\.002, bs=65536$"):
+        LossSurface(scale=ModelScale(1e9, 1e10), points=(a, b, *again))
     with pytest.raises(ArgumentError, match="at least one"):
         LossSurface(scale=ModelScale(1e9, 1e10), points=())
+
+
+def test_surface_takes_bs_as_an_integral_float64():
+    for bs, match in ((32768.5, "bs_tokens must be integral, got 32768.5"),
+                      (10**400, "fit in a float64")):  # fmt: skip
+        with pytest.raises(ArgumentError, match=match):
+            LossSurface(scale=ModelScale(1e9, 1e10), points=(SweepPoint(1e-3, bs, 2.0),))
+    # bs is compared as float64: 2**53 + 1 and 2**53 are one cell
+    pts = (SweepPoint(1e-3, 2**53, 2.0), SweepPoint(1e-3, 2**53 + 1, 2.1))
+    with pytest.raises(ArgumentError, match="duplicate"):
+        LossSurface(scale=ModelScale(1e9, 1e10), points=pts)
 
 
 # --- optimum -----------------------------------------------------------------
@@ -572,7 +598,9 @@ def _load_outcome(load, text):
         return str(exc), exc.line
     g = surf._grid
     types = [type(v) for values in (*g.columns, g.lr_values, g.bs_values) for v in values]
-    return surf, g.columns, g.train, g.val, g.lr_values, g.bs_values, types
+    # the tables with None for NaN, so that unfilled cells compare equal
+    tables = [np.where(np.isnan(t), None, t).tolist() for t in (g.train, g.val)]
+    return surf, g.columns, tables, g.lr_values, g.bs_values, types
 
 
 @settings(max_examples=fuzz_examples(400))

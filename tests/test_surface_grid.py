@@ -20,11 +20,14 @@ from hpscale import (
     ModelScale,
     OutOfHullError,
     SweepPoint,
+    argmin_consistency,
     convexity_report,
     find_optimum,
     interpolate_loss,
+    load_surface,
     plateau,
     relative_error,
+    surface_to_csv,
 )
 from hpscale.svgplot import _marching_squares, render_surface_svg
 
@@ -296,6 +299,62 @@ def test_partial_val_rejects_val_metric_everywhere():
     ):
         with pytest.raises(ArgumentError, match="val"):
             op()
+
+
+def _csv_with_blank_vals(surf):
+    """surf as CSV text with a val column, blank where a point has no val."""
+    rows = [f"{p.lr!r},{p.bs_tokens},{p.train_smooth_loss!r},"
+            + ("" if p.val_loss is None else repr(p.val_loss)) for p in surf.points]  # fmt: skip
+    return "# n_params=1e9\n# d_tokens=1e10\nlr,bs_tokens,train_smooth_loss,val_loss\n" + (
+        "\n".join(rows) + "\n"
+    )
+
+
+def _assert_python_numbers(surf):
+    """Every number the surface and its analytics hand out is a Python float
+    or int (a numpy float64 passes isinstance(v, float), so test the type)."""
+
+    def check(values, kinds):
+        assert [type(v) for v in values] == list(kinds), values
+
+    def check_point(pt):
+        check((pt.lr, pt.bs_tokens, pt.train_smooth_loss), (float, int, float))
+        assert pt.val_loss is None or type(pt.val_loss) is float
+
+    check(surf.lr_values(), [float] * len(surf.lr_values()))
+    check(surf.bs_values(), [int] * len(surf.bs_values()))
+    for pt in surf.points:
+        check_point(pt)
+        check_point(surf.point_at(pt.lr, pt.bs_tokens))
+    for metric in _metrics(surf):
+        opt = find_optimum(surf, metric)
+        check((*opt.hp, opt.loss), (float, int, float))
+        for member in plateau(surf, 0.01, metric).members:
+            check(member, (float, int))
+        if len(surf.points) < len(surf.lr_values()) * len(surf.bs_values()):
+            continue
+        for row in surf.grid_losses(metric):
+            check(row, [float] * len(row))
+        rep = convexity_report(surf, 0.0, metric)
+        check((rep.row_unimodal_fraction, rep.col_unimodal_fraction), (float, float))
+        for v in rep.violations:
+            check((v.fixed_value, v.index), (float, int))
+        pt = surf.points[-1]
+        for lr, bs in ((pt.lr, pt.bs_tokens), (pt.lr * 1.1, pt.bs_tokens * 1.1)):
+            if surf.lr_values()[0] <= lr <= surf.lr_values()[-1] and (
+                surf.bs_values()[0] <= bs <= surf.bs_values()[-1]
+            ):
+                check((interpolate_loss(surf, lr, bs, metric),), (float,))
+                check((relative_error(surf, (lr, bs), metric),), (float,))
+    if surf.has_full_val():
+        assert type(argmin_consistency(surf).consistent) is bool
+
+
+@given(surfaces())
+def test_no_numpy_scalar_leaves_the_surface(surf):
+    _assert_python_numbers(surf)
+    _assert_python_numbers(load_surface(_csv_with_blank_vals(surf)))
+    _assert_python_numbers(load_surface(surface_to_csv(surf)))
 
 
 # --- marching squares -----------------------------------------------------------
