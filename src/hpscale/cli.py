@@ -24,7 +24,8 @@ the loaders parse the bytes through the input boundary in errors.py.
 main() may be called many times in one process (the benchmark, notebooks,
 driver scripts): the argument parser is built once and shared, and each
 call parses into a fresh namespace, so no flag or default carries over
-from one command to the next.
+from one command to the next. Consecutive commands on the same surface
+bytes parse them once (see load_surface).
 """
 
 from __future__ import annotations

@@ -38,8 +38,14 @@ load_surface parses a CSV's data block in one numpy call and checks it
 as whole columns. Only when that refuses the input does a row loop read
 it again, one line at a time, and name the first bad line.
 
-Surfaces are immutable after construction; every operation here is a pure
-function of its inputs.
+Surfaces are immutable after construction, and every analytic here is a
+pure function of its inputs. load_surface keeps one memo entry: the
+UTF-8 bytes of the last text it parsed successfully, with that text's
+grid, scale and tags. Given the same text again, as str, bytes or a
+stream, it returns a new surface over the same grid, so consecutive
+commands on one file parse it once. The entry is dropped before any
+other text is parsed, and a failed parse is never kept; the entry holds
+no caller's surface or points.
 """
 
 from __future__ import annotations
@@ -149,14 +155,9 @@ class _Grid:
         self.complete = len(rows) == train.size
         self.full_val = not np.isnan(rows[:, 3]).any()
         self._optima: dict[str, OptimumReport] = {}
-
-    @cached_property
-    def columns(self) -> tuple[tuple, ...]:
-        """lr, bs, train and val of the rows as Python numbers; None for a
-        missing val."""
-        lrs, bss, trains, vals = self.rows.T.tolist()
-        vals = vals if self.full_val else [None if math.isnan(v) else v for v in vals]
-        return tuple(lrs), tuple(map(int, bss)), tuple(trains), tuple(vals)
+        # load_surface's memo hands one grid to many surfaces
+        for array in (rows, self.lr_axis, self.bs_axis, self.train, self.val):
+            array.flags.writeable = False
 
     def table(self, metric: str) -> np.ndarray:
         return self.train if metric == "train" else self.val
@@ -247,10 +248,19 @@ class LossSurface:
     @cached_property
     def points(self) -> tuple[SweepPoint, ...]:
         """The sweep points in input order, built on first read."""
-        return tuple(SweepPoint(*row) for row in zip(*self._grid.columns))
+        return tuple(SweepPoint(*row) for row in zip(*self._columns))
+
+    @cached_property
+    def _columns(self) -> tuple[tuple, ...]:
+        """lr, bs, train and val of the rows as Python numbers; None for a
+        missing val."""
+        g = self._grid
+        lrs, bss, trains, vals = g.rows.T.tolist()
+        vals = vals if g.full_val else [None if math.isnan(v) else v for v in vals]
+        return tuple(lrs), tuple(map(int, bss)), tuple(trains), tuple(vals)
 
     def _key(self):
-        return (self.scale, self._grid.columns, self.arch_tag, self.recipe_tag)
+        return (self.scale, self._columns, self.arch_tag, self.recipe_tag)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -343,6 +353,12 @@ _SCALE_META = (*_REQUIRED_META, "n_active", "flops_per_token")
 _HEADER_BASE = ["lr", "bs_tokens", "train_smooth_loss"]
 
 
+# (UTF-8 bytes of the text, scale, grid, arch_tag, recipe_tag) of the last
+# successful load_surface, or None. Replaced whole, never mutated, so a
+# reader that takes it into a local sees one consistent entry.
+_last_load: tuple | None = None
+
+
 def load_surface(source) -> LossSurface:
     """Parse a surface from CSV text, bytes, or a readable stream.
 
@@ -357,8 +373,43 @@ def load_surface(source) -> LossSurface:
     width, a value out of range, a duplicate cell) goes to the row loop in
     _load_surface_rows, which parses the text again and alone writes row
     errors.
+
+    The UTF-8 bytes, grid, scale and tags of the last successful parse
+    are kept. When the input's UTF-8 bytes equal the kept ones, that is,
+    when its text equals the kept text, the result is a new, equal surface
+    over the kept grid, and nothing is parsed or decoded. Any other input
+    drops the entry, is parsed, and is kept only if the parse succeeds.
     """
-    data = decode_text(source)
+    global _last_load
+    raw = source.read() if hasattr(source, "read") else source
+    key = _utf8_key(raw)
+    last = _last_load
+    if last is not None and last[0] == key:
+        # keep the bytes just given, which a bytes caller holds anyway, not a copy
+        _last_load = (key, *last[1:])
+        return LossSurface._from_grid(*last[1:])
+    # hold neither the old text nor its grid while the new text is parsed
+    last = _last_load = None
+    surface = _parse_surface(decode_text(raw))
+    if key is not None:
+        _last_load = (key, surface.scale, surface._grid, surface.arch_tag, surface.recipe_tag)
+    return surface
+
+
+def _utf8_key(raw) -> bytes | None:
+    """raw's text as UTF-8 bytes, the form the memo keeps and compares.
+    None for a str with a lone surrogate, which UTF-8 cannot encode, and
+    for input that is neither str nor bytes."""
+    if isinstance(raw, str):
+        try:
+            return raw.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+    return raw if isinstance(raw, bytes) else None
+
+
+def _parse_surface(data: str) -> LossSurface:
+    """load_surface of decoded text, without the memo."""
     lines = [line for line in map(str.strip, data.split("\n")) if line]
     meta: dict[str, str] = {}
     for line in lines:

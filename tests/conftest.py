@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from hpscale import OptimumObservation, load_surface
+from hpscale import surface as surface_module
 
 settings.register_profile(
     "det",
@@ -39,6 +40,14 @@ LAW_COEFFS = {"c": 1.79, "alpha": -0.713, "beta": 0.307, "d": 0.58, "gamma": 0.5
 # 4x4 lattice used by the fitter round-trip tests.
 LATTICE_N = (6e7, 2e8, 6.3e8, 2e9)
 LATTICE_D = (2e9, 1e10, 4e10, 2e11)
+
+
+@pytest.fixture(autouse=True)
+def cold_surface_memo():
+    """Start every test with load_surface's memo empty, so a test that
+    counts or patches the parsers does not depend on which text the
+    previous test loaded."""
+    surface_module._last_load = None
 
 
 @pytest.fixture(scope="session")

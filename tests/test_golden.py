@@ -2,8 +2,9 @@
 
 analyze, compare, compare --use-snapped and plot (with the compare rows
 overlaid) run on tests/data/fig3_style.csv and on the 60 x 70 surface the
-dense_grid benchmark sweeps. However a surface is held or read, every
-byte of their output must stay as it is.
+dense_grid benchmark sweeps, alone and one after another in one process.
+However a surface is held or read, every byte of their output must stay
+as it is.
 """
 
 import hashlib
@@ -51,9 +52,8 @@ def test_dense_csv_bytes_are_pinned(dense_csv):
     assert _sha256(dense_csv.read_bytes()) == DENSE_CSV_SHA256
 
 
-@pytest.mark.parametrize("name", ["fig3", "dense"])
-def test_surface_command_output_is_pinned(dense_csv, tmp_path, name):
-    path = str(FIG3_PATH if name == "fig3" else dense_csv)
+def _surface_command_digests(path, tmp_path) -> dict[str, str]:
+    """sha256 of what each surface command writes for the surface at path."""
     compare = ["compare", f"--surface={path}", "--methods", ",".join(LAW_METHODS),
                "--loss=2.5", "--meituan-params=0.006,1.0,1e8,0.2"]  # fmt: skip
     rows = tmp_path / "rows.json"
@@ -71,4 +71,17 @@ def test_surface_command_output_is_pinned(dense_csv, tmp_path, name):
         if key == "compare":
             rows.write_bytes(stdout)
         outputs[key] = _sha256(stdout)
-    assert outputs == GOLDEN_SHA256[name]
+    return outputs
+
+
+@pytest.mark.parametrize("name", ["fig3", "dense"])
+def test_surface_command_output_is_pinned(dense_csv, tmp_path, name):
+    path = FIG3_PATH if name == "fig3" else dense_csv
+    assert _surface_command_digests(path, tmp_path) == GOLDEN_SHA256[name]
+
+
+def test_surface_command_output_is_pinned_across_a_sequence(dense_csv, tmp_path):
+    # one process, the surface changing between runs of the commands
+    for name in ("fig3", "dense", "fig3"):
+        path = FIG3_PATH if name == "fig3" else dense_csv
+        assert _surface_command_digests(path, tmp_path) == GOLDEN_SHA256[name], name

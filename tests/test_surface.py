@@ -1,5 +1,8 @@
+import gc
+import io
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -597,10 +600,16 @@ def _load_outcome(load, text):
     except ParseError as exc:
         return str(exc), exc.line
     g = surf._grid
-    types = [type(v) for values in (*g.columns, g.lr_values, g.bs_values) for v in values]
+    types = [type(v) for values in (*surf._columns, g.lr_values, g.bs_values) for v in values]
     # the tables with None for NaN, so that unfilled cells compare equal
     tables = [np.where(np.isnan(t), None, t).tolist() for t in (g.train, g.val)]
-    return surf, g.columns, tables, g.lr_values, g.bs_values, types
+    return surf, surf._columns, tables, g.lr_values, g.bs_values, types
+
+
+def _cold_load(source):
+    """load_surface with its memo emptied first."""
+    surface_module._last_load = None
+    return load_surface(source)
 
 
 @settings(max_examples=fuzz_examples(400))
@@ -610,7 +619,7 @@ def _load_outcome(load, text):
 @example(text=HEAD + "1e-3,32768,2.0,2.1\n1e-3,3.2768e4,2.0,2.1\n")
 def test_bulk_parse_matches_row_loop(text):
     expected = _load_outcome(surface_module._load_surface_rows, text)
-    assert _load_outcome(load_surface, text) == expected
+    assert _load_outcome(_cold_load, text) == expected
 
 
 def _dense_surface():
@@ -665,3 +674,148 @@ def test_small_files_load_without_warnings(rows, error):
         else:
             with pytest.raises(ParseError, match=error):
                 load_surface(text)
+
+
+# --- parsing: the one-entry memo ---------------------------------------------
+
+PARTIAL_VAL_CSV = HEAD + "1e-3,32768,2.0,2.1\n1e-3,65536,2.2,\n"  # the row loop reads it
+GOOD_CSV = HEAD + "\n".join(GOOD_ROWS) + "\n"
+MEMO_BAD = {
+    "duplicate": GOOD_CSV + BAD_ROWS["duplicate"][0] + "\n",
+    "non-numeric": GOOD_CSV + BAD_ROWS["non-numeric"][0] + "\n",
+    "no-d_tokens": MINI_CSV.replace("# d_tokens=1.0e11\n", ""),  # the bulk parse succeeds
+    "bad-metadata": MINI_CSV.replace("1.0e11", "1.0e1x"),
+    "empty": "",
+}
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Calls made to the bulk parse and to the row loop."""
+    counts = {"bulk": 0, "rows": 0}
+    for key, name in (("bulk", "_bulk_grid"), ("rows", "_load_surface_rows")):
+
+        def counted(*args, _real=getattr(surface_module, name), _key=key):
+            counts[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(surface_module, name, counted)
+    return counts
+
+
+def test_memo_parses_the_same_text_once_in_any_form(parses):
+    forms = [MINI_CSV.encode(), MINI_CSV, io.BytesIO(MINI_CSV.encode()), io.StringIO(MINI_CSV)]
+    first, *rest = [load_surface(source) for source in forms]
+    assert parses == {"bulk": 1, "rows": 0}
+    assert all(surf == first for surf in rest)
+
+
+def test_memo_keeps_one_entry(parses):
+    a, b, again = (load_surface(text) for text in (MINI_CSV, GOOD_CSV, MINI_CSV))
+    assert parses == {"bulk": 3, "rows": 0}
+    assert a == again != b
+
+
+@pytest.mark.parametrize("bad", sorted(MEMO_BAD))
+def test_memo_bad_after_good_fails_as_a_cold_load(parses, bad):
+    cold = _load_outcome(_cold_load, MEMO_BAD[bad])
+    assert isinstance(cold[0], str)  # the message; cold[1] is the line
+    good = load_surface(MINI_CSV)
+    assert _load_outcome(load_surface, MEMO_BAD[bad]) == cold
+    assert _load_outcome(load_surface, MEMO_BAD[bad]) == cold  # a failure is never kept
+    bulk = parses["bulk"]
+    assert load_surface(MINI_CSV) == good
+    assert parses["bulk"] == bulk + 1  # the bad text dropped the good one's entry
+
+
+def test_memo_serves_a_row_loop_parse(parses):
+    first = load_surface(PARTIAL_VAL_CSV)
+    served = _load_outcome(load_surface, PARTIAL_VAL_CSV)
+    assert parses == {"bulk": 1, "rows": 1}
+    assert served == _load_outcome(surface_module._load_surface_rows, PARTIAL_VAL_CSV)
+    assert served[0] == first and [p.val_loss for p in first.points] == [2.1, None]
+
+
+def test_memo_returns_distinct_surfaces_with_their_own_points():
+    a, b = load_surface(MINI_CSV), load_surface(MINI_CSV)
+    assert a == b and a is not b
+    points = a.points
+    assert "points" not in b.__dict__
+    assert b.points == points and b.points is not points
+    assert a._grid is b._grid  # shared, so no surface may write to it
+    with pytest.raises(ValueError, match="read-only"):
+        a._grid.train[0, 0] = 1.0
+
+
+def test_memo_keeps_no_callers_surface_alive(parses):
+    surf = load_surface(MINI_CSV)
+    assert surf.points and find_optimum(surf)
+    ref = weakref.ref(surf)
+    del surf
+    gc.collect()
+    assert ref() is None
+    assert load_surface(MINI_CSV) == _cold_load(MINI_CSV)
+    assert parses["bulk"] == 2  # the second load was served, the cold one parsed
+
+
+def test_memo_drops_the_old_entry_before_parsing(monkeypatch):
+    old_grid = weakref.ref(load_surface(MINI_CSV)._grid)
+    seen = []
+
+    def bulk_grid(*args, _real=surface_module._bulk_grid):
+        gc.collect()
+        seen.append(old_grid())
+        return _real(*args)
+
+    monkeypatch.setattr(surface_module, "_bulk_grid", bulk_grid)
+    load_surface(GOOD_CSV)
+    assert seen == [None]
+
+
+@pytest.mark.parametrize("buffer", [bytearray, memoryview])
+def test_memo_is_not_keyed_by_a_buffer(buffer):
+    def outcome(load):
+        try:
+            return load(buffer(MINI_CSV.encode()))
+        except Exception as exc:  # whatever a cold load does, the memo must match
+            return type(exc)
+
+    cold = outcome(_cold_load)
+    load_surface(MINI_CSV)
+    assert outcome(load_surface) == cold
+
+
+# these parse as str, but have no UTF-8 bytes to be kept by
+_SURROGATE_CSV = MINI_CSV.replace("# d_tokens", "# \ud800\n# d_tokens")
+_SURROGATE_GOOD_CSV = GOOD_CSV.replace("# d_tokens", "# \udfff\n# d_tokens")
+_MEMO_POOL = (
+    MINI_CSV,
+    MINI_CSV.encode(),
+    MINI_CSV.replace("2.038", "2.039"),  # same length, differs in the last row
+    GOOD_CSV,
+    PARTIAL_VAL_CSV,
+    PARTIAL_VAL_CSV.encode(),
+    *MEMO_BAD.values(),
+    b"\xff" + MINI_CSV.encode(),  # not UTF-8
+    _SURROGATE_GOOD_CSV,
+    _SURROGATE_CSV,
+    _SURROGATE_CSV.encode("utf-8", "surrogatepass"),  # not UTF-8
+)
+
+
+@settings(max_examples=fuzz_examples(100))
+@given(
+    loads=st.lists(st.tuples(st.integers(0, len(_MEMO_POOL) - 1), st.booleans()),
+                   min_size=1, max_size=12)
+)  # fmt: skip
+@example(loads=[(len(_MEMO_POOL) - 3, False), (len(_MEMO_POOL) - 2, False)])
+@example(loads=[(len(_MEMO_POOL) - 2, False), (len(_MEMO_POOL) - 1, False)])
+def test_memo_outcomes_match_cold_loads(loads):
+    # each load passes a text from the pool, as it is or as a stream
+    cold = [_load_outcome(_cold_load, source) for source in _MEMO_POOL]
+    surface_module._last_load = None
+    for k, streamed in loads:
+        source = _MEMO_POOL[k]
+        if streamed:
+            source = io.BytesIO(source) if isinstance(source, bytes) else io.StringIO(source)
+        assert _load_outcome(load_surface, source) == cold[k]
