@@ -11,11 +11,10 @@ law-override, overlay and CSV input and none ends in a traceback. The
 loaders parse bytes; only the CLI opens files.
 
 The number rule lives in check_number, and every numeric input field
-and argument goes through it, with three exceptions: load_surface's bulk
-path checks whole columns against it at once, surface._check_point spells
-it inline for each SweepPoint and each row of load_surface's row loop,
-and plateau and convexity_report accept an infinite delta or epsilon by
-design.
+and argument goes through it, with two exceptions: the rows of a loss
+surface, which surface._check_rows checks as one array however the
+surface is built, and the delta and epsilon of plateau and
+convexity_report, which may be infinite by design.
 """
 
 from __future__ import annotations
@@ -78,14 +77,21 @@ class OutOfHullError(DomainError):
 
 
 def decode_text(source) -> str:
-    """Text of a str, UTF-8 bytes or a readable stream of either."""
+    """Text of a str, of UTF-8 in any bytes-like object (bytes, bytearray,
+    memoryview, ...), or of a readable stream of either."""
     data = source.read() if hasattr(source, "read") else source
-    if isinstance(data, bytes):
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not UTF-8 text: {exc}") from exc
-    return data
+    if isinstance(data, str):
+        return data
+    try:
+        raw = data if isinstance(data, bytes) else memoryview(data).tobytes()
+    except TypeError:
+        raise ArgumentError(
+            f"input must be text or bytes, got {type(data).__name__:.40}"
+        ) from None
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from exc
 
 
 def decode_json(raw, what: str):

@@ -22,6 +22,7 @@ are bit-identical under input reordering.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,12 +305,17 @@ def bootstrap_fit(obs, resamples: int = 1000, seed: int = 0) -> FitResult:
     observations, resamples and seed. Degenerate resamples (design rank
     below 3, which covers the all-same-N and all-same-D cases) are redrawn
     from that generator, up to 10 times, keeping the resample count
-    intact; FitResult.redraws counts them. resamples must lie in
-    1..MAX_RESAMPLES, checked before anything is allocated.
+    intact; FitResult.redraws counts them. resamples must be an integer
+    (not a bool) in 1..MAX_RESAMPLES, checked before anything is allocated.
     """
-    if not 1 <= resamples <= MAX_RESAMPLES:
+    if (
+        isinstance(resamples, bool)
+        or not isinstance(resamples, numbers.Integral)
+        or not 1 <= resamples <= MAX_RESAMPLES
+    ):
         raise ArgumentError(
-            f"resamples must be between 1 and {MAX_RESAMPLES:,}, got {resamples!r:.40}"
+            f"resamples must be an integer between 1 and {MAX_RESAMPLES:,}, "
+            f"got {resamples!r:.40}"
         )
     check_seed(seed)
     items = _sorted_obs(obs)

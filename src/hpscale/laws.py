@@ -30,23 +30,21 @@ class ModelScale:
     """Training budget of one run family.
 
     n_params counts non-vocabulary parameters; for MoE models this is the
-    total count, not the activated count (n_active carries the latter).
-    flops_per_token is the optional non-embedding FLOPs/token figure.
+    total count, not the activated count (n_active carries the latter,
+    which compute_budget can use).
     """
 
     n_params: float
     d_tokens: float
     n_active: float | None = None
-    flops_per_token: float | None = None
 
     def __post_init__(self):
         check_number(self.n_params, "n_params", "positive")
         check_number(self.d_tokens, "d_tokens", "positive")
-        for name in ("n_active", "flops_per_token"):
-            if getattr(self, name) is not None:
-                check_number(getattr(self, name), name, "positive")
-        if self.n_active is not None and self.n_active > self.n_params:
-            raise ArgumentError(f"n_active must lie in (0, n_params], got {self.n_active}")
+        if self.n_active is not None:
+            check_number(self.n_active, "n_active", "positive")
+            if self.n_active > self.n_params:
+                raise ArgumentError(f"n_active must lie in (0, n_params], got {self.n_active}")
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,16 @@ train table and a val table indexed [lr index, bs index]. A cell that
 no row fills holds NaN in both tables; that is the fill mask, and no
 loss can be NaN. bs is compared as float64 everywhere, as a CSV's bs
 column always was: two integer batch sizes that differ only beyond
-2**53 fill one cell, and a bs that is not integral is refused. The
-optimum of each metric is found on first use and cached. Every analytic
-reads the arrays in whole-array expressions and none rescans the
-points. The invariants:
+2**53 fill one cell. The optimum of each metric is found on first use
+and cached. Every analytic reads the arrays in whole-array expressions
+and none rescans the points.
+
+The sweep-row rule has one home, _check_rows, which _Grid runs on its
+rows: every value finite and positive except a val the input marks
+missing, every bs integral, no cell filled twice, and the first row in
+input order that breaks it is the one named. LossSurface(scale, points),
+load_surface's bulk parse and its row loop all build a _Grid, so all
+three apply the same rule. The invariants:
 
 - every value that leaves the module is a Python float or int, never a
   numpy scalar (taken with ndarray.item or .tolist());
@@ -27,16 +33,16 @@ points. The invariants:
 - ties for the optimum break to the smaller lr, then the smaller bs;
 - a grid with unfilled cells is a valid surface: find_optimum and
   plateau work on it, and only the operations that need every cell
-  (grid_losses, interpolate_loss, relative_error, convexity_report and
-  the SVG view) raise GridShapeError;
-- `points` lists the input rows in input order: the tuple a caller
-  passed in, or, for a surface loaded from CSV, SweepPoints built on
-  first read; surfaces compare and hash by scale, the rows as Python
-  numbers (also built on first read) and tags.
+  (interpolate_loss, relative_error, convexity_report and the SVG view)
+  raise GridShapeError;
+- `points` lists the rows in input order as SweepPoints, built from the
+  grid's rows on first read, whether the surface was constructed or
+  loaded; surfaces compare and hash by scale, the bytes of the rows and
+  tags.
 
-load_surface parses a CSV's data block in one numpy call and checks it
-as whole columns. Only when that refuses the input does a row loop read
-it again, one line at a time, and name the first bad line.
+load_surface parses a CSV's data block in one numpy call. Only when that
+refuses the input does a row loop read it again, one line at a time, and
+name the first bad line.
 
 Surfaces are immutable after construction, and every analytic here is a
 pure function of its inputs. load_surface keeps one memo entry: the
@@ -52,9 +58,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,45 +77,16 @@ METRICS = ("train", "val")
 _UNDERSHOOT_TOL = 1e-12
 
 
-def _check_point(lr, bs_tokens, train_smooth_loss, val_loss) -> None:
-    # errors.check_number's rule spelled inline: this runs for every SweepPoint
-    # and every row the CSV row loop reads, where four helper calls would add
-    # most of their time again. The 0.0 literals and the global inf keep the
-    # float comparisons fast.
-    if not 0.0 < lr < inf:
-        raise ArgumentError(f"lr must be finite and positive, got {lr}")
-    if not 0 < bs_tokens < inf:
-        raise ArgumentError(f"bs_tokens must be finite and positive, got {bs_tokens}")
-    if not 0.0 < train_smooth_loss < inf:
-        raise ArgumentError(
-            f"train_smooth_loss must be finite and positive, got {train_smooth_loss}"
-        )
-    if val_loss is not None and not 0.0 < val_loss < inf:
-        raise ArgumentError(f"val_loss must be finite and positive, got {val_loss}")
+class SweepPoint(NamedTuple):
+    """One grid-search sample: (lr, bs) and its end-of-training losses.
 
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid-search sample: (lr, bs) and its end-of-training losses."""
+    A plain record: LossSurface checks the values when it builds its grid.
+    """
 
     lr: float
     bs_tokens: int
     train_smooth_loss: float
     val_loss: float | None = None
-
-    def __post_init__(self):
-        _check_point(self.lr, self.bs_tokens, self.train_smooth_loss, self.val_loss)
-
-    def loss(self, metric: str) -> float:
-        if metric == "train":
-            return self.train_smooth_loss
-        if metric == "val":
-            if self.val_loss is None:
-                raise ArgumentError(
-                    f"point (lr={self.lr}, bs={self.bs_tokens}) has no val_loss"
-                )
-            return self.val_loss
-        raise ArgumentError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
 @dataclass(frozen=True)
@@ -119,11 +98,12 @@ class OptimumReport:
     metric: str
 
 
-class _DuplicateRow(Exception):
-    """Row `row` of the input fills a grid cell an earlier row filled."""
+class _BadRow(Exception):
+    """Row `row` of a grid's input breaks the sweep-row rule; the message
+    says how."""
 
-    def __init__(self, row: int):
-        super().__init__(row)
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
         self.row = row
 
 
@@ -131,20 +111,19 @@ class _Grid:
     """Input rows, and the dense lr x bs tables built from them.
 
     rows is an (n, 4) float64 array of lr, bs, train and val in input
-    order, with NaN for a missing val.
+    order; missing_val marks the rows that have no val, whose val is NaN.
+    Raises _BadRow if the rows break the sweep-row rule.
     """
 
-    def __init__(self, rows: np.ndarray):
+    def __init__(self, rows: np.ndarray, missing_val: np.ndarray):
         self.rows = rows
         self.lr_axis, li = np.unique(rows[:, 0], return_inverse=True)
         self.bs_axis, bi = np.unique(rows[:, 1], return_inverse=True)
         shape = (self.lr_axis.size, self.bs_axis.size)
         cells = li * shape[1] + bi
+        _check_rows(rows, missing_val, cells, shape[0] * shape[1])
         train = np.full(shape[0] * shape[1], np.nan)
         train[cells] = rows[:, 2]
-        # no train loss is NaN, so fewer filled cells than rows means a repeat
-        if np.count_nonzero(np.isnan(train)) != train.size - len(rows):
-            raise _DuplicateRow(_first_repeat(cells))
         val = np.full_like(train, np.nan)
         val[cells] = rows[:, 3]
         self.train, self.val = train.reshape(shape), val.reshape(shape)
@@ -153,7 +132,7 @@ class _Grid:
         self.log_lrs = [math.log(v) for v in self.lr_values]
         self.log_bss = [math.log(v) for v in self.bs_values]
         self.complete = len(rows) == train.size
-        self.full_val = not np.isnan(rows[:, 3]).any()
+        self.full_val = not missing_val.any()
         self._optima: dict[str, OptimumReport] = {}
         # load_surface's memo hands one grid to many surfaces
         for array in (rows, self.lr_axis, self.bs_axis, self.train, self.val):
@@ -176,6 +155,35 @@ class _Grid:
         return opt
 
 
+def _check_rows(
+    rows: np.ndarray, missing_val: np.ndarray, cells: np.ndarray, size: int
+) -> None:
+    """The sweep-row rule, over all rows at once.
+
+    Every value is finite and positive, except a val that missing_val
+    marks; every bs is integral; no two rows fill one of the `size` cells
+    (cells holds each row's cell). Raises _BadRow for the first row in
+    input order that breaks the rule.
+    """
+    in_range = (rows > 0.0) & (rows < inf)
+    in_range[:, 3] |= missing_val
+    bs = rows[:, 1]
+    good = in_range.all(axis=1) & (np.rint(bs) == bs)
+    n = len(rows) if good.all() else int(good.argmin())
+    # a count of the filled cells finds a repeat; np.unique only names it
+    filled = np.zeros(size, dtype=bool)
+    filled[cells[:n]] = True
+    if np.count_nonzero(filled) != n:
+        k = _first_repeat(cells[:n])
+        raise _BadRow(k, f"duplicate sweep point at lr={rows.item(k, 0)}, bs={int(bs[k])}")
+    if n < len(rows):
+        if in_range[n].all():
+            raise _BadRow(n, f"bs_tokens must be integral, got {bs.item(n)}")
+        j = int(in_range[n].argmin())
+        name = SweepPoint._fields[j]
+        raise _BadRow(n, f"{name} must be finite and positive, got {rows.item(n, j)}")
+
+
 def _first_repeat(cells: np.ndarray) -> int:
     """Index of the first entry equal to an earlier one."""
     _, first = np.unique(cells, return_index=True)
@@ -184,20 +192,34 @@ def _first_repeat(cells: np.ndarray) -> int:
     return int(repeat.argmax())
 
 
-def _axis_index(axis: np.ndarray, value) -> int | None:
-    """Position of value on a sorted axis, compared as float64, or None."""
+def _is_number(kind: type) -> bool:
+    return kind is not bool and issubclass(kind, numbers.Real)
+
+
+def _point_rows(points: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and missing_val a _Grid takes, of SweepPoints whose values
+    are numbers, not bools; a val of None marks it missing."""
+    columns = tuple(zip(*points))
+    kinds = {*map(type, columns[0]), *map(type, columns[1]), *map(type, columns[2])}
+    if not all(map(_is_number, kinds | (set(map(type, columns[3])) - {type(None)}))):
+        for pt in points:
+            for name, value in zip(SweepPoint._fields, pt):
+                if not (_is_number(type(value)) or (value is None and name == "val_loss")):
+                    raise ArgumentError(f"{name} must be a number, got {value!r:.40}")
     try:
-        k = int(np.searchsorted(axis, value))
-    except TypeError:  # None and other values numpy cannot order: on no axis
-        return None
-    return k if k < axis.size and axis[k] == value else None
+        rows = np.array(columns, dtype=np.float64).T
+    except OverflowError:  # an int past the largest float
+        raise ArgumentError("sweep point values must fit in a float64") from None
+    return rows, np.array([v is None for v in columns[3]])
 
 
 class LossSurface:
     """Immutable lr x bs grid of sweep results for one (N, D) run family.
 
     Built from SweepPoints, or by load_surface straight from CSV columns;
-    the module docstring describes the grid it holds.
+    the module docstring describes the grid it holds. A tag is a str that
+    surface_to_csv and load_surface carry unchanged: no line break and no
+    surrounding whitespace.
     """
 
     def __init__(
@@ -210,26 +232,17 @@ class LossSurface:
         points = tuple(points)
         if not points:
             raise ArgumentError("surface must contain at least one point")
+        for name, tag in (("arch_tag", arch_tag), ("recipe_tag", recipe_tag)):
+            if not isinstance(tag, str) or "\n" in tag or "\r" in tag or tag != tag.strip():
+                raise ArgumentError(
+                    f"{name} must be a str with no line break or surrounding "
+                    f"whitespace, got {tag!r:.40}"
+                )
         try:
-            rows = np.array(
-                [(pt.lr, pt.bs_tokens, pt.train_smooth_loss, pt.val_loss) for pt in points],
-                dtype=np.float64,
-            )
-        except OverflowError:  # an int past the largest float
-            raise ArgumentError("sweep point values must fit in a float64") from None
-        fractional = np.rint(rows[:, 1]) != rows[:, 1]
-        if fractional.any():
-            bs = points[int(fractional.argmax())].bs_tokens
-            raise ArgumentError(f"bs_tokens must be integral, got {bs}")
-        try:
-            grid = _Grid(rows)
-        except _DuplicateRow as dup:
-            pt = points[dup.row]
-            raise ArgumentError(
-                f"duplicate sweep point at lr={pt.lr}, bs={pt.bs_tokens}"
-            ) from None
+            grid = _Grid(*_point_rows(points))
+        except _BadRow as bad:
+            raise ArgumentError(str(bad)) from None
         self._init(scale, grid, arch_tag, recipe_tag)
-        self.__dict__["points"] = points
 
     @classmethod
     def _from_grid(cls, scale, grid: _Grid, arch_tag: str, recipe_tag: str):
@@ -247,20 +260,15 @@ class LossSurface:
 
     @cached_property
     def points(self) -> tuple[SweepPoint, ...]:
-        """The sweep points in input order, built on first read."""
-        return tuple(SweepPoint(*row) for row in zip(*self._columns))
-
-    @cached_property
-    def _columns(self) -> tuple[tuple, ...]:
-        """lr, bs, train and val of the rows as Python numbers; None for a
-        missing val."""
+        """The rows in input order as SweepPoints, built on first read."""
         g = self._grid
         lrs, bss, trains, vals = g.rows.T.tolist()
-        vals = vals if g.full_val else [None if math.isnan(v) else v for v in vals]
-        return tuple(lrs), tuple(map(int, bss)), tuple(trains), tuple(vals)
+        if not g.full_val:  # after the row rule, a NaN val is a missing one
+            vals = [None if math.isnan(v) else v for v in vals]
+        return tuple(map(SweepPoint._make, zip(lrs, map(int, bss), trains, vals)))
 
     def _key(self):
-        return (self.scale, self._columns, self.arch_tag, self.recipe_tag)
+        return (self.scale, self._grid.rows.tobytes(), self.arch_tag, self.recipe_tag)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -287,22 +295,9 @@ class LossSurface:
     def has_full_val(self) -> bool:
         return self._grid.full_val
 
-    def point_at(self, lr: float, bs_tokens: int) -> SweepPoint:
-        g = self._grid
-        i, j = _axis_index(g.lr_axis, lr), _axis_index(g.bs_axis, bs_tokens)
-        if i is None or j is None or math.isnan(train := g.train.item(i, j)):
-            raise ArgumentError(f"no sweep point at lr={lr}, bs={bs_tokens}")
-        val = g.val.item(i, j)
-        return SweepPoint(
-            g.lr_values[i], g.bs_values[j], train, None if math.isnan(val) else val
-        )
-
-    def grid_losses(self, metric: str) -> tuple[tuple[float, ...], ...]:
-        """Losses as a [lr index][bs index] table; requires a complete grid."""
-        return tuple(map(tuple, self._losses(metric).tolist()))
-
     def _losses(self, metric: str) -> np.ndarray:
-        """The grid_losses table as the grid's own array; do not write to it."""
+        """The metric's [lr index, bs index] table, the grid's own read-only
+        array; requires a complete grid."""
         g = self._grid
         if not g.complete:
             n_lr, n_bs = len(g.lr_values), len(g.bs_values)
@@ -349,7 +344,7 @@ class ConsistencyReport:
 # --- CSV ingestion ----------------------------------------------------------
 
 _REQUIRED_META = ("n_params", "d_tokens")
-_SCALE_META = (*_REQUIRED_META, "n_active", "flops_per_token")
+_SCALE_META = (*_REQUIRED_META, "n_active")
 _HEADER_BASE = ["lr", "bs_tokens", "train_smooth_loss"]
 
 
@@ -367,10 +362,10 @@ def load_surface(source) -> LossSurface:
     with an optional trailing val_loss column. Errors name the first bad
     line in file order.
 
-    The data block is parsed in one numpy call and checked as whole
-    columns. Whatever that refuses (a cell numpy does not read, such as a
+    The data block is parsed in one numpy call, and its grid checks the
+    rows. Whatever that refuses (a cell numpy does not read, such as a
     blank val cell or float()'s underscores and non-ASCII digits, a wrong
-    width, a value out of range, a duplicate cell) goes to the row loop in
+    width, a row that breaks the sweep-row rule) goes to the row loop in
     _load_surface_rows, which parses the text again and alone writes row
     errors.
 
@@ -434,14 +429,11 @@ def _bulk_grid(header: str, rows: list[str]) -> _Grid | None:
         return None
     if table.shape != (len(rows), width):
         return None
-    bs = table[:, 1]
-    if not (((table > 0.0) & (table < inf)).all() and (np.rint(bs) == bs).all()):
-        return None
     if width == 3:
         table = np.column_stack((table, np.full(len(rows), np.nan)))
     try:
-        return _Grid(table)
-    except _DuplicateRow:
+        return _Grid(table, np.full(len(rows), width == 3))
+    except _BadRow:
         return None
 
 
@@ -450,10 +442,7 @@ def _load_surface_rows(data: str) -> LossSurface:
     the first bad line."""
     meta: dict[str, str] = {}
     width: int | None = None
-    lrs: list[float] = []
-    bss: list[int] = []
-    trains: list[float] = []
-    vals: list[float | None] = []
+    values: list[tuple] = []  # lr, bs, train and val of each data row
     lines: list[int] = []
 
     try:
@@ -479,36 +468,24 @@ def _load_surface_rows(data: str) -> LossSurface:
                     f"expected {width} columns, found {len(cells)}", line=lineno
                 )
             try:
-                lr, bs_raw, train, val = _row_values(cells)
+                values.append(_row_values(cells))
             except ValueError:
                 # float() keeps the separators \x1c-\x1f that strip() removes
                 cells = [c.strip() for c in cells]
                 try:
-                    lr, bs_raw, train, val = _row_values(cells)
+                    values.append(_row_values(cells))
                 except ValueError as exc:  # float() quotes the whole cell: keep 40 chars
                     raise ParseError(f"non-numeric value: {exc!s:.75}", line=lineno) from exc
-            if not math.isfinite(bs_raw) or bs_raw != (bs := round(bs_raw)):
-                raise ParseError(
-                    f"bs_tokens must be integral, got {cells[1].strip():.40}", line=lineno
-                )
-            try:
-                _check_point(lr, bs, train, val)
-            except ArgumentError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-            lrs.append(lr)
-            bss.append(bs)
-            trains.append(train)
-            vals.append(val)
             lines.append(lineno)
     except ParseError:
-        _parsed_grid(lrs, bss, trains, vals, lines)  # an earlier duplicate wins
+        _parsed_grid(values, lines)  # an earlier row that breaks the row rule wins
         raise
 
     if width is None:
         raise ParseError("no header found (empty file?)")
-    if not lrs:
+    if not values:
         raise ParseError("no data rows found")
-    return _surface(_parsed_grid(lrs, bss, trains, vals, lines), meta)
+    return _surface(_parsed_grid(values, lines), meta)
 
 
 def _read_meta(line: str, meta: dict[str, str]) -> None:
@@ -532,14 +509,14 @@ def _row_values(cells) -> tuple[float, float, float, float | None]:
     return lr, bs, train, val
 
 
-def _parsed_grid(lrs, bss, trains, vals, lines) -> _Grid:
+def _parsed_grid(values: list[tuple], lines: list[int]) -> _Grid:
+    """The grid of the row loop's rows; a row that breaks the row rule is
+    a ParseError on its line."""
+    rows = np.array(values, dtype=np.float64).reshape(-1, 4)
     try:
-        return _Grid(np.array((lrs, bss, trains, vals), dtype=np.float64).T)
-    except _DuplicateRow as dup:
-        k = dup.row
-        raise ParseError(
-            f"duplicate (lr, bs) pair ({lrs[k]}, {bss[k]})", line=lines[k]
-        ) from None
+        return _Grid(rows, np.array([v[3] is None for v in values], dtype=bool))
+    except _BadRow as bad:
+        raise ParseError(str(bad), line=lines[bad.row]) from None
 
 
 def _surface(grid: _Grid, meta: dict[str, str]) -> LossSurface:
@@ -566,8 +543,6 @@ def surface_to_csv(surface: LossSurface) -> str:
     ]
     if surface.scale.n_active is not None:
         lines.append(f"# n_active={surface.scale.n_active!r}")
-    if surface.scale.flops_per_token is not None:
-        lines.append(f"# flops_per_token={surface.scale.flops_per_token!r}")
     if surface.arch_tag:
         lines.append(f"# arch_tag={surface.arch_tag}")
     if surface.recipe_tag:

@@ -42,6 +42,12 @@ LATTICE_N = (6e7, 2e8, 6.3e8, 2e9)
 LATTICE_D = (2e9, 1e10, 4e10, 2e11)
 
 
+def point_at(surface, lr, bs_tokens):
+    """The surface's one SweepPoint at (lr, bs_tokens), found by a scan."""
+    (pt,) = [p for p in surface.points if (p.lr, p.bs_tokens) == (lr, bs_tokens)]
+    return pt
+
+
 @pytest.fixture(autouse=True)
 def cold_surface_memo():
     """Start every test with load_surface's memo empty, so a test that

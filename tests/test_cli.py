@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hpscale
-from conftest import FIG3_PATH, LATTICE_D, LATTICE_N
+from conftest import FIG3_PATH, LATTICE_D, LATTICE_N, point_at
 from hpscale import (
     ComputeBudget,
     ModelScale,
@@ -300,7 +300,7 @@ def test_compare_snaps_to_the_surface_grid(fig3_surface):
     ok = [row for row in doc["rows"] if row["status"] == "ok"]
     assert [row["method"] for row in ok] == ["step", "deepseek", "porian"]
     for row in ok:
-        node = fig3_surface.point_at(row["snapped"]["lr"], row["snapped"]["bs"])
+        node = point_at(fig3_surface, row["snapped"]["lr"], row["snapped"]["bs"])
         assert row["loss"] == node.train_smooth_loss
 
 

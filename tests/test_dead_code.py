@@ -1,0 +1,55 @@
+"""No private name in src/hpscale goes unused.
+
+Each private module-level function, class or constant, and each private
+method, must be named somewhere else in the package: read as a name or an
+attribute, or imported. Its own definition does not count, and neither
+does a mention in a comment or a docstring.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hpscale"
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _definitions(tree):
+    """The names a module defines at its top level, and its methods' names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                item.name
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+
+
+def _uses(tree):
+    """The names a module reads or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+USED = {name for tree in TREES.values() for name in _uses(tree)}
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_private_name_is_used(module):
+    unused = [name for name in _definitions(TREES[module]) if _private(name) and name not in USED]
+    assert unused == []

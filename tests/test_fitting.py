@@ -337,12 +337,14 @@ def test_bootstrap_rows_do_not_depend_on_resample_count(k, extra, seed):
 
 def test_bootstrap_rejects_too_many_resamples_before_drawing(monkeypatch):
     def no_draws(*args):
-        raise AssertionError("a generator was built")
+        raise AssertionError("a generator was built or an array allocated")
 
+    obs = lattice_obs()
     monkeypatch.setattr(np.random, "default_rng", no_draws)
-    for resamples in (MAX_RESAMPLES + 1, 10**9, 10**30):
-        with pytest.raises(ArgumentError, match="between 1 and 100,000"):
-            bootstrap_fit(lattice_obs(), resamples, seed=1)
+    monkeypatch.setattr(np, "full", no_draws)
+    for resamples in (MAX_RESAMPLES + 1, 10**9, 10**30, 0, 10.5, 10.0, True, "10", None):
+        with pytest.raises(ArgumentError, match="an integer between 1 and 100,000"):
+            bootstrap_fit(obs, resamples, seed=1)
 
 
 def test_bootstrap_single_resample_degenerate_ci():

@@ -319,8 +319,6 @@ def test_model_scale_validation():
         ModelScale(1e9, -1.0)
     with pytest.raises(ArgumentError):
         ModelScale(1e9, 1e10, n_active=2e9)
-    with pytest.raises(ArgumentError):
-        ModelScale(1e9, 1e10, flops_per_token=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -329,7 +327,6 @@ def test_model_scale_rejects_non_finite(bad):
         {"n_params": bad, "d_tokens": 1e10},
         {"n_params": 1e9, "d_tokens": bad},
         {"n_params": 1e9, "d_tokens": 1e10, "n_active": bad},
-        {"n_params": 1e9, "d_tokens": 1e10, "flops_per_token": bad},
     ):
         with pytest.raises(ArgumentError, match="finite|n_active"):
             ModelScale(**kwargs)

@@ -1,4 +1,5 @@
-"""The one number rule: errors.check_number, and every field that uses it."""
+"""The input boundary: the one number rule (errors.check_number, and every
+field that uses it) and the decoding of outside bytes (errors.decode_text)."""
 
 import math
 import re
@@ -6,8 +7,11 @@ import re
 import numpy as np
 import pytest
 
+from conftest import FIG3_PATH
 from hpscale import (
     ArgumentError,
+    load_observations,
+    load_surface,
     AuxInputs,
     ComputeBudget,
     GridSpec,
@@ -20,7 +24,7 @@ from hpscale import (
     generate_surface,
     interpolate_loss,
 )
-from hpscale.errors import check_number
+from hpscale.errors import check_number, decode_json
 from hpscale.svgplot import render_surface_svg
 
 
@@ -78,8 +82,6 @@ _FIELDS = [
     ("ModelScale", "n_params", "positive", lambda v: ModelScale(v, 1e10)),
     ("ModelScale", "d_tokens", "positive", lambda v: ModelScale(1e9, v)),
     ("ModelScale", "n_active", "positive", lambda v: ModelScale(1e9, 1e10, n_active=v)),
-    ("ModelScale", "flops_per_token", "positive",
-     lambda v: ModelScale(1e9, 1e10, flops_per_token=v)),
     ("ComputeBudget", "flops", "positive", lambda v: ComputeBudget(v)),
     ("compute_budget", "flops_factor", "positive",
      lambda v: compute_budget(ModelScale(1e9, 1e10), v)),
@@ -128,3 +130,29 @@ def test_every_number_field_rejects_nan_inf_and_bool(where, sign, build, value):
     kind = f"a {sign} finite number" if sign else "a finite number"
     with pytest.raises(ArgumentError, match=f"^{re.escape(where)} must be {kind}, got "):
         build(value)
+
+
+# --- decoding ------------------------------------------------------------------
+
+_DECODERS = [
+    pytest.param(load_surface, FIG3_PATH.read_bytes(), id="load_surface"),
+    pytest.param(load_observations,
+                 b"n_params,d_tokens,opt_lr,opt_bs_tokens\n1e9,1e10,1e-3,262144\n",
+                 id="load_observations"),
+    pytest.param(lambda raw: decode_json(raw, "test"), '{"a": [1, 2.5, "\u00b5"]}'.encode(),
+                 id="decode_json"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("buffer", [bytearray, memoryview])
+@pytest.mark.parametrize("decode,data", _DECODERS)
+def test_decoders_take_any_bytes_like_input(decode, data, buffer):
+    assert decode(buffer(data)) == decode(data)
+
+
+@pytest.mark.parametrize("value", [5, None, 2.5, ["text"]], ids=repr)
+@pytest.mark.parametrize("decode,data", _DECODERS)
+def test_decoders_refuse_input_that_is_neither_text_nor_bytes(decode, data, value):
+    got = type(value).__name__
+    with pytest.raises(ArgumentError, match=f"input must be text or bytes, got {got}$"):
+        decode(value)

@@ -30,7 +30,7 @@ from hpscale import (
     surface_to_csv,
 )
 from hpscale import surface as surface_module
-from conftest import fuzz_examples
+from conftest import fuzz_examples, point_at
 
 MINI_CSV = """\
 # n_params=1.07e9
@@ -65,28 +65,19 @@ def test_load_surface_parses_rows_and_metadata():
     surf = load_surface(MINI_CSV)
     assert surf.scale.n_params == 1.07e9
     assert surf.scale.d_tokens == 1.0e11
-    pt = surf.point_at(0.001950, 393216)
+    pt = point_at(surf, 0.001950, 393216)
     assert pt == SweepPoint(1.95e-3, 393216, 2.279, 2.038)
 
 
-def test_point_at_a_cell_no_row_fills_raises():
-    surf = LossSurface(scale=ModelScale(1e9, 1e10),
-                       points=(SweepPoint(1e-3, 32768, 2.0), SweepPoint(2e-3, 65536, 2.1)))  # fmt: skip
-    for lr, bs in ((1e-3, 65536), (1e-3, 1), (1.0, 32768), (math.nan, 32768), (None, 32768),
-                   (1e-3, None)):  # fmt: skip
-        with pytest.raises(ArgumentError, match="no sweep point"):
-            surf.point_at(lr, bs)
-
-
 def test_load_surface_optional_metadata_and_bytes():
+    # flops_per_token is no scale field: an old file's line is ignored like any unknown key
     text = MINI_CSV.replace(
         "# d_tokens=1.0e11",
         "# d_tokens=1.0e11\n# arch_tag=dense\n# n_active=5e8\n# flops_per_token=2.9e9",
     )
     surf = load_surface(text.encode("utf-8"))
     assert surf.arch_tag == "dense"
-    assert surf.scale.n_active == 5e8
-    assert surf.scale.flops_per_token == 2.9e9
+    assert surf.scale == ModelScale(1.07e9, 1.0e11, n_active=5e8)
 
 
 def test_load_surface_empty_file():
@@ -133,23 +124,49 @@ def test_surface_csv_round_trip():
     assert again.scale.n_params == surf.scale.n_params
     assert sorted(p.lr for p in again.points) == sorted(p.lr for p in surf.points)
     for pt in surf.points:
-        other = again.point_at(pt.lr, pt.bs_tokens)
+        other = point_at(again, pt.lr, pt.bs_tokens)
         assert other.train_smooth_loss == pt.train_smooth_loss  # repr round-trip
         assert other.val_loss == pt.val_loss
 
 
-def test_sweep_point_validation():
-    with pytest.raises(ArgumentError):
-        SweepPoint(-1e-3, 32768, 2.0)
-    with pytest.raises(ArgumentError):
-        SweepPoint(1e-3, 0, 2.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ArgumentError, match="bs_tokens must be finite and positive"):
-            SweepPoint(1e-3, bad, 2.0)
-    with pytest.raises(ArgumentError):
-        SweepPoint(1e-3, 32768, math.inf)
-    with pytest.raises(ArgumentError):
-        SweepPoint(1e-3, 32768, 2.0, -0.5)
+@pytest.mark.parametrize("field", SweepPoint._fields)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0, -1e-3, True, "0.001"],
+                         ids=repr)  # fmt: skip
+def test_surface_refuses_a_bad_value_in_any_field(field, value):
+    good = SweepPoint(1e-3, 32768, 2.0, 2.1)
+    rule = "a number" if isinstance(value, (bool, str)) else "finite and positive"
+    with pytest.raises(ArgumentError, match=f"^{field} must be {rule}, got "):
+        LossSurface(ModelScale(1e9, 1e10), (good._replace(**{field: value}),))
+
+
+def test_surface_points_are_its_rows():
+    scale = ModelScale(1e9, 1e10)
+    pts = (SweepPoint(2e-3, 65536, 2.1, None), SweepPoint(1e-3, 32768, 2.0, 2.2))
+    assert LossSurface(scale, pts).points == pts
+    assert LossSurface(scale, (SweepPoint(1e-3, 32768, 2.0, None),)).points[0].val_loss is None
+    # a partial val column: the constructed surface and its loaded twin
+    built = LossSurface(scale, pts, arch_tag="moe")
+    loaded = load_surface("# n_params=1e9\n# d_tokens=1e10\n# arch_tag=moe\n"
+                          "lr,bs_tokens,train_smooth_loss,val_loss\n"
+                          "2e-3,65536,2.1,\n1e-3,32768,2.0,2.2\n")  # fmt: skip
+    assert loaded == built and hash(loaded) == hash(built)
+    assert loaded.points == pts
+
+
+@pytest.mark.parametrize("tag", ["x\n1e-3,65536,2.0", "x\n# n_params=5", "a\rb", " pad ",
+                                 "pad\t", None, 5])  # fmt: skip
+@pytest.mark.parametrize("name", ["arch_tag", "recipe_tag"])
+def test_surface_refuses_a_tag_that_cannot_round_trip(name, tag):
+    with pytest.raises(ArgumentError, match=f"^{name} must be a str with no line break"):
+        LossSurface(ModelScale(1e9, 1e10), (SweepPoint(1e-3, 32768, 2.0),), **{name: tag})
+
+
+@pytest.mark.parametrize("tag", ["", "dense", "moe v2", "a=b", "#x", "µ-p"])
+def test_surface_tags_round_trip_through_csv(tag):
+    surf = LossSurface(ModelScale(1e9, 1e10), (SweepPoint(1e-3, 32768, 2.0),),
+                       arch_tag=tag, recipe_tag=tag[::-1])  # fmt: skip
+    again = load_surface(surface_to_csv(surf))
+    assert again == surf and (again.arch_tag, again.recipe_tag) == (tag, tag[::-1])
 
 
 def test_surface_rejects_duplicates_and_empty():
@@ -305,7 +322,7 @@ def test_relative_error_one_step_offset_matches_oracle():
     lrs = surf.lr_values()
     i = lrs.index(opt.hp[0])
     probe = (lrs[i + 1], float(opt.hp[1]))
-    expected = (surf.point_at(*[probe[0], int(probe[1])]).train_smooth_loss
+    expected = (point_at(surf, probe[0], int(probe[1])).train_smooth_loss
                 - opt.loss) / opt.loss
     got = relative_error(surf, probe)
     assert got == pytest.approx(expected, rel=1e-12)
@@ -512,7 +529,7 @@ def test_load_surface_crlf_and_padding():
     text = text.replace("2e-3,", " 2e-3 ,\t").replace(",32768,", ",\x1c32768\x1f,")
     surf = load_surface(text)
     assert surf == load_surface(HEAD + "\n".join(GOOD_ROWS) + "\n")
-    assert surf.point_at(2e-3, 32768) == SweepPoint(2e-3, 32768, 2.4, 2.5)
+    assert point_at(surf, 2e-3, 32768) == SweepPoint(2e-3, 32768, 2.4, 2.5)
 
 
 def test_load_surface_huge_integral_bs_round_trips():
@@ -600,10 +617,10 @@ def _load_outcome(load, text):
     except ParseError as exc:
         return str(exc), exc.line
     g = surf._grid
-    types = [type(v) for values in (*surf._columns, g.lr_values, g.bs_values) for v in values]
+    types = [type(v) for values in (*surf.points, g.lr_values, g.bs_values) for v in values]
     # the tables with None for NaN, so that unfilled cells compare equal
     tables = [np.where(np.isnan(t), None, t).tolist() for t in (g.train, g.val)]
-    return surf, surf._columns, tables, g.lr_values, g.bs_values, types
+    return surf, surf.points, tables, g.lr_values, g.bs_values, types
 
 
 def _cold_load(source):
@@ -637,9 +654,7 @@ def test_dense_csv_round_trips_with_python_numbers():
     text = surface_to_csv(surf)
     loaded = load_surface(text)
     assert loaded == surf and surface_to_csv(loaded) == text
-    losses = [v for metric in ("train", "val") for row in loaded.grid_losses(metric)
-              for v in row]  # fmt: skip
-    assert {type(v) for v in (*loaded.lr_values(), *losses)} == {float}
+    assert {type(v) for v in loaded.lr_values()} == {float}
     assert {type(v) for v in loaded.bs_values()} == {int}
     point_types = {tuple(type(v) for v in (p.lr, p.bs_tokens, p.train_smooth_loss,
                                           p.val_loss)) for p in loaded.points}  # fmt: skip

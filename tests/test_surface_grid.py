@@ -34,17 +34,21 @@ from hpscale.svgplot import _marching_squares, render_surface_svg
 # --- point-scan references ----------------------------------------------------
 
 
+def loss(pt, metric):
+    return pt.train_smooth_loss if metric == "train" else pt.val_loss
+
+
 def ref_find_optimum(points, metric):
-    best = min(points, key=lambda pt: (pt.loss(metric), pt.lr, pt.bs_tokens))
-    return (best.lr, best.bs_tokens), best.loss(metric)
+    best = min(points, key=lambda pt: (loss(pt, metric), pt.lr, pt.bs_tokens))
+    return (best.lr, best.bs_tokens), loss(best, metric)
 
 
 def ref_plateau(points, delta, metric):
-    _, loss = ref_find_optimum(points, metric)
+    _, best = ref_find_optimum(points, metric)
     return frozenset(
         (pt.lr, pt.bs_tokens)
         for pt in points
-        if (pt.loss(metric) - loss) / loss <= delta
+        if (loss(pt, metric) - best) / best <= delta
     )
 
 
@@ -57,7 +61,7 @@ def ref_table(points, metric):
     bi = {v: j for j, v in enumerate(bss)}
     table = [[None] * len(bss) for _ in lrs]
     for pt in points:
-        table[li[pt.lr]][bi[pt.bs_tokens]] = pt.loss(metric)
+        table[li[pt.lr]][bi[pt.bs_tokens]] = loss(pt, metric)
     return lrs, bss, table
 
 
@@ -273,7 +277,6 @@ def test_incomplete_grids_raise_only_in_grid_operations(surf):
     if len(surf.points) == n_cells:
         return
     for op in (
-        lambda: surf.grid_losses("train"),
         lambda: interpolate_loss(surf, surf.points[0].lr, surf.points[0].bs_tokens),
         lambda: relative_error(surf, (surf.points[0].lr, surf.points[0].bs_tokens)),
         lambda: convexity_report(surf),
@@ -293,7 +296,6 @@ def test_partial_val_rejects_val_metric_everywhere():
     for op in (
         lambda: find_optimum(surf, "val"),
         lambda: plateau(surf, 0.01, "val"),
-        lambda: surf.grid_losses("val"),
         lambda: convexity_report(surf, 1e-3, "val"),
         lambda: interpolate_loss(surf, 1e-3, 40000, "val"),
     ):
@@ -325,7 +327,6 @@ def _assert_python_numbers(surf):
     check(surf.bs_values(), [int] * len(surf.bs_values()))
     for pt in surf.points:
         check_point(pt)
-        check_point(surf.point_at(pt.lr, pt.bs_tokens))
     for metric in _metrics(surf):
         opt = find_optimum(surf, metric)
         check((*opt.hp, opt.loss), (float, int, float))
@@ -333,8 +334,6 @@ def _assert_python_numbers(surf):
             check(member, (float, int))
         if len(surf.points) < len(surf.lr_values()) * len(surf.bs_values()):
             continue
-        for row in surf.grid_losses(metric):
-            check(row, [float] * len(row))
         rep = convexity_report(surf, 0.0, metric)
         check((rep.row_unimodal_fraction, rep.col_unimodal_fraction), (float, float))
         for v in rep.violations:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import LATTICE_D, LATTICE_N, LAW_COEFFS
+from conftest import LATTICE_D, LATTICE_N, LAW_COEFFS, point_at
 from hpscale import (
     ArgumentError,
     DomainError,
@@ -118,7 +118,7 @@ def test_quadratic_value_one_grid_step_away():
     spec = SurfaceSpec(opt_lr=2.0**-9, opt_bs=262144.0, base_loss=2.0)
     surf = generate_surface(spec)
     delta = math.log(2.0**-8.5) - math.log(2.0**-9)
-    probe = surf.point_at(2.0**-8.5, 262144)
+    probe = point_at(surf, 2.0**-8.5, 262144)
     assert probe.train_smooth_loss == pytest.approx(2.0 + delta**2, rel=1e-12)
 
 
@@ -151,7 +151,7 @@ def test_aligned_indices_share_noise_across_grid_sizes():
     surf_big = generate_surface(spec, big)
     surf_small = generate_surface(spec, small)
     for pt in surf_small.points:
-        assert surf_big.point_at(pt.lr, pt.bs_tokens).train_smooth_loss == (
+        assert point_at(surf_big, pt.lr, pt.bs_tokens).train_smooth_loss == (
             pt.train_smooth_loss
         )
 
