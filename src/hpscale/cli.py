@@ -358,11 +358,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# a character XML 1.0 forbids: a C0 control but \t\n\r, a surrogate, U+FFFE or U+FFFF
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
 def _check_overlay_row(row, index: int) -> None:
-    """An overlay row is an object; its predicted and snapped are objects or
-    null, holding lr and bs that are positive finite numbers or null."""
+    """An overlay row is an object. Its method, the SVG label, if given is a
+    str of characters XML 1.0 allows; its predicted and snapped are objects
+    or null, holding lr and bs that are positive finite numbers or null."""
     if not isinstance(row, dict):
         raise ArgumentError(f"overlay row {index} must be a JSON object")
+    label = row.get("method", "")
+    if not isinstance(label, str) or _NOT_XML_CHAR.search(label):
+        raise ArgumentError(f"overlay row {index}: method must be XML text, got {label!r:.40}")
     for group in ("predicted", "snapped"):
         block = row.get(group)
         if block is None:

@@ -4,7 +4,8 @@ The CLI maps these onto process exit codes: ArgumentError (and its
 subclasses) exit 2, DomainError exits 3, write failures exit 4.
 
 Outside bytes become checked values here and nowhere else: decode_text
-turns bytes into text, decode_json parses a JSON document, check_number
+turns bytes into text, decode_json parses a JSON document, decode_csv
+splits a CSV text into its metadata, header and data lines, check_number
 accepts a number and check_seed a random seed. Each turns every
 malformed input into an ArgumentError, so one rule covers every spec,
 law-override, overlay and CSV input and none ends in a traceback. The
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from typing import NamedTuple
 
 
 class HpscaleError(Exception):
@@ -105,6 +107,40 @@ def decode_json(raw, what: str):
         return json.loads(decode_text(raw))
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid {what} JSON: {exc}") from exc
+
+
+class CsvLines(NamedTuple):
+    """A CSV text's stripped lines, numbered from 1, as decode_csv splits them."""
+
+    meta: dict[str, str]  # key=value of the '#' lines; the last key wins
+    header: str | None  # the first line neither blank nor a comment
+    header_line: int  # its number, 0 when there is none
+    rows: list[str]  # the later lines neither blank nor a comment
+    row_lines: list[int]  # their numbers
+
+
+def decode_csv(raw) -> CsvLines:
+    """The lines of the CSV text in raw (see decode_text), in one scan.
+
+    Each line is stripped, so a CRLF line end goes, and blank lines are
+    skipped. A '#' line is a comment, whose key=value, if it holds one, is
+    metadata. The first other line is the header; the rest are data lines.
+    """
+    meta: dict[str, str] = {}
+    header, header_line, rows, row_lines = None, 0, [], []
+    for number, line in enumerate(map(str.strip, decode_text(raw).split("\n")), start=1):
+        if not line:
+            continue
+        if line[0] == "#":
+            key, eq, value = line.lstrip("#").partition("=")
+            if eq:
+                meta[key.strip()] = value.strip()
+        elif header is None:
+            header, header_line = line, number
+        else:
+            rows.append(line)
+            row_lines.append(number)
+    return CsvLines(meta, header, header_line, rows, row_lines)
 
 
 def check_number(value, where: str, sign: str = "") -> float:

@@ -36,7 +36,7 @@ from .errors import (
     SingularityError,
     check_number,
     check_seed,
-    decode_text,
+    decode_csv,
 )
 
 MAX_RESAMPLES = 100_000
@@ -371,22 +371,20 @@ _OBS_HEADER = ["n_params", "d_tokens", "opt_lr", "opt_bs_tokens"]
 def load_observations(source) -> list[OptimumObservation]:
     """Parse observations from CSV text, bytes, or a readable stream.
 
-    Lines split as in load_surface, with no CSV quoting; errors name the line.
+    Lines split and number as errors.decode_csv says, with no CSV quoting;
+    '#' metadata is ignored. Errors name the line.
     """
-    rows = []
-    for lineno, raw in enumerate(decode_text(source).split("\n"), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            rows.append((lineno, [c.strip() for c in line.split(",")]))
-    if not rows:
+    csv = decode_csv(source)
+    if csv.header is None:
         raise ParseError("empty observations file")
-    first_line, header = rows[0]
+    header = [c.strip() for c in csv.header.split(",")]
     if header != _OBS_HEADER:
         raise ParseError(
-            f"bad header {header!r:.40}; expected {_OBS_HEADER}", line=first_line
+            f"bad header {header!r:.40}; expected {_OBS_HEADER}", line=csv.header_line
         )
     out = []
-    for lineno, row in rows[1:]:
+    for lineno, line in zip(csv.row_lines, csv.rows):
+        row = [c.strip() for c in line.split(",")]
         if len(row) != 4:
             raise ParseError(f"expected 4 columns, found {len(row)}", line=lineno)
         try:

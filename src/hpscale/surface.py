@@ -22,9 +22,10 @@ and none rescans the points.
 The sweep-row rule has one home, _check_rows, which _Grid runs on its
 rows: every value finite and positive except a val the input marks
 missing, every bs integral, no cell filled twice, and the first row in
-input order that breaks it is the one named. LossSurface(scale, points),
-load_surface's bulk parse and its row loop all build a _Grid, so all
-three apply the same rule. The invariants:
+input order that breaks it is the one named. LossSurface(scale, points)
+and load_surface, however it reads the data lines, both build a _Grid, so
+both apply the same rule. A _Grid of more than MAX_GRID_CELLS lr x bs
+cells is refused before its tables are allocated. The invariants:
 
 - every value that leaves the module is a Python float or int, never a
   numpy scalar (taken with ndarray.item or .tolist());
@@ -40,9 +41,9 @@ three apply the same rule. The invariants:
   loaded; surfaces compare and hash by scale, the bytes of the rows and
   tags.
 
-load_surface parses a CSV's data block in one numpy call. Only when that
-refuses the input does a row loop read it again, one line at a time, and
-name the first bad line.
+load_surface splits its text into lines once, with errors.decode_csv,
+and reads the data lines in one numpy call, or, if numpy refuses them, in
+a row loop over the same lines; one _Grid of the rows read checks them.
 
 Surfaces are immutable after construction, and every analytic here is a
 pure function of its inputs. load_surface keeps one memo entry: the
@@ -67,10 +68,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ArgumentError, GridShapeError, OutOfHullError, ParseError
-from .errors import check_number, decode_text
+from .errors import check_number, decode_csv
 from .laws import ModelScale
 
 METRICS = ("train", "val")
+
+# The most lr x bs cells a surface may span: its tables take 16 bytes a cell
+MAX_GRID_CELLS = 1_000_000
 
 # Bilinear interpolation can round a hair below the node minimum when all
 # cell corners are equal; treat anything this close to zero as zero.
@@ -99,8 +103,8 @@ class OptimumReport:
 
 
 class _BadRow(Exception):
-    """Row `row` of a grid's input breaks the sweep-row rule; the message
-    says how."""
+    """Row `row` of a grid's input breaks the sweep-row rule, or the row
+    loop cannot read that data line; the message says how."""
 
     def __init__(self, row: int, message: str):
         super().__init__(message)
@@ -120,6 +124,11 @@ class _Grid:
         self.lr_axis, li = np.unique(rows[:, 0], return_inverse=True)
         self.bs_axis, bi = np.unique(rows[:, 1], return_inverse=True)
         shape = (self.lr_axis.size, self.bs_axis.size)
+        if shape[0] * shape[1] > MAX_GRID_CELLS:
+            raise GridShapeError(
+                f"the lr x bs grid of {shape[0]} x {shape[1]} = {shape[0] * shape[1]} "
+                f"cells exceeds the limit of {MAX_GRID_CELLS}"
+            )
         cells = li * shape[1] + bi
         _check_rows(rows, missing_val, cells, shape[0] * shape[1])
         train = np.full(shape[0] * shape[1], np.nan)
@@ -362,12 +371,11 @@ def load_surface(source) -> LossSurface:
     with an optional trailing val_loss column. Errors name the first bad
     line in file order.
 
-    The data block is parsed in one numpy call, and its grid checks the
-    rows. Whatever that refuses (a cell numpy does not read, such as a
-    blank val cell or float()'s underscores and non-ASCII digits, a wrong
-    width, a row that breaks the sweep-row rule) goes to the row loop in
-    _load_surface_rows, which parses the text again and alone writes row
-    errors.
+    The text is split into lines once (errors.decode_csv). np.loadtxt
+    reads the data lines; only if it refuses them does the row loop read
+    the same lines with float(), up to the first it cannot read. A row that
+    breaks the sweep-row rule is named from the one grid of the rows read,
+    ahead of the line the row loop stopped at.
 
     The UTF-8 bytes, grid, scale and tags of the last successful parse
     are kept. When the input's UTF-8 bytes equal the kept ones, that is,
@@ -385,7 +393,7 @@ def load_surface(source) -> LossSurface:
         return LossSurface._from_grid(*last[1:])
     # hold neither the old text nor its grid while the new text is parsed
     last = _last_load = None
-    surface = _parse_surface(decode_text(raw))
+    surface = _parse_surface(raw)
     if key is not None:
         _last_load = (key, surface.scale, surface._grid, surface.arch_tag, surface.recipe_tag)
     return surface
@@ -403,124 +411,29 @@ def _utf8_key(raw) -> bytes | None:
     return raw if isinstance(raw, bytes) else None
 
 
-def _parse_surface(data: str) -> LossSurface:
-    """load_surface of decoded text, without the memo."""
-    lines = [line for line in map(str.strip, data.split("\n")) if line]
-    meta: dict[str, str] = {}
-    for line in lines:
-        if line[0] == "#":
-            _read_meta(line, meta)
-    body = [line for line in lines if line[0] != "#"]
-    grid = _bulk_grid(body[0], body[1:]) if body else None
-    if grid is None:
-        return _load_surface_rows(data)
-    return _surface(grid, meta)
-
-
-def _bulk_grid(header: str, rows: list[str]) -> _Grid | None:
-    """The grid of all data rows, or None when the row loop must read them."""
-    width = _header_width(header) if rows else None
-    if width is None:
-        return None
-    try:
-        # comments=None: a '#' inside a row fails here as it does in the row loop
-        table = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except ValueError:
-        return None
-    if table.shape != (len(rows), width):
-        return None
-    if width == 3:
-        table = np.column_stack((table, np.full(len(rows), np.nan)))
-    try:
-        return _Grid(table, np.full(len(rows), width == 3))
-    except _BadRow:
-        return None
-
-
-def _load_surface_rows(data: str) -> LossSurface:
-    """load_surface of decoded text, one row at a time: the path that names
-    the first bad line."""
-    meta: dict[str, str] = {}
-    width: int | None = None
-    values: list[tuple] = []  # lr, bs, train and val of each data row
-    lines: list[int] = []
-
-    try:
-        for lineno, raw in enumerate(data.split("\n"), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                _read_meta(line, meta)
-                continue
-            if width is None:
-                width = _header_width(line)
-                if width is None:
-                    raise ParseError(
-                        f"bad header {line!r:.40}; expected "
-                        "'lr,bs_tokens,train_smooth_loss[,val_loss]'",
-                        line=lineno,
-                    )
-                continue
-            cells = line.split(",")
-            if len(cells) != width:
-                raise ParseError(
-                    f"expected {width} columns, found {len(cells)}", line=lineno
-                )
-            try:
-                values.append(_row_values(cells))
-            except ValueError:
-                # float() keeps the separators \x1c-\x1f that strip() removes
-                cells = [c.strip() for c in cells]
-                try:
-                    values.append(_row_values(cells))
-                except ValueError as exc:  # float() quotes the whole cell: keep 40 chars
-                    raise ParseError(f"non-numeric value: {exc!s:.75}", line=lineno) from exc
-            lines.append(lineno)
-    except ParseError:
-        _parsed_grid(values, lines)  # an earlier row that breaks the row rule wins
-        raise
-
-    if width is None:
+def _parse_surface(raw) -> LossSurface:
+    """load_surface of raw text or bytes, without the memo."""
+    csv = decode_csv(raw)
+    if csv.header is None:
         raise ParseError("no header found (empty file?)")
-    if not values:
+    header = [c.strip() for c in csv.header.split(",")]
+    if header not in (_HEADER_BASE, [*_HEADER_BASE, "val_loss"]):
+        raise ParseError(
+            f"bad header {csv.header!r:.40}; expected "
+            "'lr,bs_tokens,train_smooth_loss[,val_loss]'",
+            line=csv.header_line,
+        )
+    if not csv.rows:
         raise ParseError("no data rows found")
-    return _surface(_parsed_grid(values, lines), meta)
-
-
-def _read_meta(line: str, meta: dict[str, str]) -> None:
-    """Record the key=value of a '#' comment line, if it holds one."""
-    body = line.lstrip("#").strip()
-    if "=" in body:
-        key, _, value = body.partition("=")
-        meta[key.strip()] = value.strip()
-
-
-def _header_width(line: str) -> int | None:
-    """The column count a header line declares, or None if it is not a header."""
-    cells = [c.strip() for c in line.split(",")]
-    return len(cells) if cells in (_HEADER_BASE, [*_HEADER_BASE, "val_loss"]) else None
-
-
-def _row_values(cells) -> tuple[float, float, float, float | None]:
-    """lr, bs, train and val of one data row; an empty val cell is None."""
-    lr, bs, train = float(cells[0]), float(cells[1]), float(cells[2])
-    val = float(cells[3]) if len(cells) == 4 and cells[3].strip() else None
-    return lr, bs, train, val
-
-
-def _parsed_grid(values: list[tuple], lines: list[int]) -> _Grid:
-    """The grid of the row loop's rows; a row that breaks the row rule is
-    a ParseError on its line."""
-    rows = np.array(values, dtype=np.float64).reshape(-1, 4)
+    width = len(header)
+    table, missing_val, unread = _bulk_table(csv.rows, width) or _row_table(csv.rows, width)
     try:
-        return _Grid(rows, np.array([v[3] is None for v in values], dtype=bool))
+        grid = _Grid(table, missing_val)
+        if unread is not None:  # raised after the grid: an earlier row-rule break wins
+            raise unread
     except _BadRow as bad:
-        raise ParseError(str(bad), line=lines[bad.row]) from None
-
-
-def _surface(grid: _Grid, meta: dict[str, str]) -> LossSurface:
-    """The surface of a parsed grid and the file's metadata."""
+        raise ParseError(str(bad), line=csv.row_lines[bad.row]) from None
+    meta = csv.meta
     missing = [k for k in _REQUIRED_META if k not in meta]
     if missing:
         raise ParseError(f"missing required metadata {missing}")
@@ -533,6 +446,51 @@ def _surface(grid: _Grid, meta: dict[str, str]) -> LossSurface:
     return LossSurface._from_grid(
         scale, grid, meta.get("arch_tag", ""), meta.get("recipe_tag", "")
     )
+
+
+def _bulk_table(lines: list[str], width: int) -> tuple | None:
+    """The rows and missing_val a _Grid takes, and no fault (the triple
+    _row_table returns), of data lines numpy reads all of in one call;
+    None when numpy refuses them and the row loop must read them."""
+    try:
+        # comments=None: a '#' inside a row fails here as it does in the row loop
+        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(lines), width):
+        return None
+    if width == 3:
+        table = np.column_stack((table, np.full(len(lines), np.nan)))
+    return table, np.full(len(lines), width == 3), None
+
+
+def _row_table(
+    lines: list[str], width: int
+) -> tuple[np.ndarray, np.ndarray, _BadRow | None]:
+    """The row loop: the rows and missing_val a _Grid takes of the data
+    lines float() reads, in order up to the first it cannot, and that
+    line's fault (a wrong width or a non-numeric cell), or None.
+
+    float() reads cells numpy does not: a blank val cell, which is missing,
+    underscores and non-ASCII digits. Cells are stripped first, as float()
+    keeps the separators U+001C to U+001F that strip() removes.
+    """
+    values: list[tuple] = []  # lr, bs, train and val of each row
+    unread = None
+    for k, line in enumerate(lines):
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != width:
+            unread = _BadRow(k, f"expected {width} columns, found {len(cells)}")
+            break
+        try:
+            lr, bs, train = float(cells[0]), float(cells[1]), float(cells[2])
+            val = float(cells[3]) if width == 4 and cells[3] else None
+        except ValueError as exc:  # float() quotes the whole cell: keep 40 chars
+            unread = _BadRow(k, f"non-numeric value: {exc!s:.75}")
+            break
+        values.append((lr, bs, train, val))
+    rows = np.array(values, dtype=np.float64).reshape(-1, 4)
+    return rows, np.array([v[3] is None for v in values], dtype=bool), unread
 
 
 def surface_to_csv(surface: LossSurface) -> str:
@@ -653,7 +611,8 @@ def plateau(
         raise ArgumentError(f"delta must be >= 0, got {delta}")
     opt = find_optimum(surface, metric)
     g = surface._grid
-    ii, jj = np.nonzero((g.table(metric) - opt.loss) / opt.loss <= delta)
+    with np.errstate(over="ignore"):  # an inf is above any delta: not a member
+        ii, jj = np.nonzero((g.table(metric) - opt.loss) / opt.loss <= delta)
     lrs, bss = g.lr_values, g.bs_values
     members = frozenset((lrs[i], bss[j]) for i, j in zip(ii.tolist(), jj.tolist()))
     return PlateauRegion(delta=delta, members=members)

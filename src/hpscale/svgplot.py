@@ -141,7 +141,8 @@ def render_surface_svg(
     log_lrs = [math.log(v) for v in lrs]
     log_bss = [math.log(v) for v in bss]
     opt = find_optimum(surface, metric)
-    field = (table - opt.loss) / opt.loss * 1000.0
+    with np.errstate(over="ignore"):  # an inf lies above every contour level
+        field = (table - opt.loss) / opt.loss * 1000.0
     ax = _Axes(log_lrs, log_bss)
 
     out = [
@@ -226,6 +227,7 @@ def render_surface_svg(
             continue
         x, y = math.log(lr), math.log(bs)
         label = str(row.get("method", "?"))
+        label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         if status == "out_of_hull":
             x, y = ax.clamp(x, y)
             px, py = ax.px(x), ax.py(y)

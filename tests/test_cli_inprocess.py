@@ -12,6 +12,7 @@ import io
 import json
 import math
 import subprocess
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +149,8 @@ def test_seed_option_only_where_it_seeds(argv):
         b'{"rows": [{"method": "x", "snapped": {"lr": 1e-3, "bs": 0}}]}',
         b'{"rows": [{"method": "x", "predicted": {"lr": true, "bs": 1}}]}',
         b'{"rows": [{"method": "x", "predicted": {"lr": NaN, "bs": 1}}]}',
+        b'{"rows": [{"method": 5}]}',
+        b'{"rows": [{"method": null}]}',
     ],
 )
 def test_plot_bad_overlay_exit_2(tmp_path, overlay):
@@ -156,6 +159,60 @@ def test_plot_bad_overlay_exit_2(tmp_path, overlay):
     rc, _, stderr = main_inprocess("plot", "--surface", str(FIG3_PATH),
                                    "--overlay", str(path))  # fmt: skip
     assert rc == 2 and stderr.startswith("error: ")
+
+
+_SVG = "{http://www.w3.org/2000/svg}"
+
+
+def _overlay(tmp_path, method: bytes):
+    path = tmp_path / "overlay.json"
+    path.write_bytes(b'{"rows": [{"method": "%s", "status": "ok", '
+                     b'"predicted": {"lr": 0.001, "bs": 262144}}]}' % method)  # fmt: skip
+    return str(path)
+
+
+def test_plot_overlay_label_is_escaped_text(tmp_path):
+    label = "a<b & </text><script>alert(1)</script>"
+    rc, stdout, _ = main_inprocess("plot", "--surface", str(FIG3_PATH),
+                                   "--overlay", _overlay(tmp_path, label.encode()))  # fmt: skip
+    svg = ET.fromstring(stdout)
+    assert rc == 0 and not list(svg.iter(_SVG + "script"))
+    assert [t.text for t in svg.iter(_SVG + "text")][-1] == label
+
+
+@pytest.mark.parametrize("method", [b"x\\u0001y", b"x\\ud800", b"x\\uffff"],
+                         ids=["control", "lone-surrogate", "noncharacter"])  # fmt: skip
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_plot_overlay_label_outside_xml_exit_2(tmp_path, method, to_file):
+    out = tmp_path / "plot.svg"
+    argv = ["--out", str(out)] if to_file else []
+    rc, stdout, stderr = main_inprocess("plot", "--surface", str(FIG3_PATH),
+                                        "--overlay", _overlay(tmp_path, method), *argv)  # fmt: skip
+    assert rc == 2 and stdout == b"" and not out.exists()
+    assert stderr.startswith("error: overlay row 0: method must be XML text, got ")
+
+
+def test_extreme_losses_analyze_and_plot_without_overflow(tmp_path):
+    # a subnormal minimum and losses near the float maximum pass the row rule;
+    # every relative error but the optimum's overflows to inf
+    path = tmp_path / "extreme.csv"
+    path.write_text("# n_params=1e9\n# d_tokens=1e10\nlr,bs_tokens,train_smooth_loss\n"
+                    "1e-3,65536,1e-320\n1e-3,131072,1e308\n"
+                    "2e-3,65536,1e308\n2e-3,131072,1e308\n")  # fmt: skip
+    rc, stdout, stderr = main_inprocess("analyze", "--surface", str(path))
+    assert rc == 0, stderr
+    assert strict_json(stdout)["plateau"]["members"] == [[1e-3, 65536]]
+    rc, stdout, stderr = main_inprocess("plot", "--surface", str(path))
+    assert rc == 0, stderr
+    ET.fromstring(stdout)
+
+
+def test_surface_past_the_cell_limit_exit_2(tmp_path):
+    path = tmp_path / "diagonal.csv"
+    path.write_text("# n_params=1e9\n# d_tokens=1e10\nlr,bs_tokens,train_smooth_loss\n"
+                    + "".join(f"{k * 1e-6!r},{k},2.0\n" for k in range(1, 1002)))  # fmt: skip
+    rc, _, stderr = main_inprocess("analyze", "--surface", str(path))
+    assert rc == 2 and stderr.startswith("error: ") and "exceeds the limit" in stderr
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """The input boundary: the one number rule (errors.check_number, and every
-field that uses it) and the decoding of outside bytes (errors.decode_text)."""
+field that uses it), the decoding of outside bytes (errors.decode_text) and
+the one CSV line rule (errors.decode_csv)."""
 
+import io
 import math
 import re
 
@@ -10,6 +12,7 @@ import pytest
 from conftest import FIG3_PATH
 from hpscale import (
     ArgumentError,
+    ParseError,
     load_observations,
     load_surface,
     AuxInputs,
@@ -24,7 +27,7 @@ from hpscale import (
     generate_surface,
     interpolate_loss,
 )
-from hpscale.errors import check_number, decode_json
+from hpscale.errors import CsvLines, check_number, decode_csv, decode_json
 from hpscale.svgplot import render_surface_svg
 
 
@@ -141,6 +144,7 @@ _DECODERS = [
                  id="load_observations"),
     pytest.param(lambda raw: decode_json(raw, "test"), '{"a": [1, 2.5, "\u00b5"]}'.encode(),
                  id="decode_json"),
+    pytest.param(decode_csv, b"# a=1\nx,y\n1,2\n", id="decode_csv"),
 ]  # fmt: skip
 
 
@@ -156,3 +160,53 @@ def test_decoders_refuse_input_that_is_neither_text_nor_bytes(decode, data, valu
     got = type(value).__name__
     with pytest.raises(ArgumentError, match=f"input must be text or bytes, got {got}$"):
         decode(value)
+
+
+# --- the CSV line rule ------------------------------------------------------------
+
+# lines 1-10: a comment, a blank line, the padded header, a comment with no
+# '=', a blank line, a row, two metadata lines and a row; CRLF on some
+_CSV_TEXT = "# n=1\r\n\r\n  h1,h2 \r\n# note\n\n1,2\r\n#k = v = w\n# n = 2\n 3,4\n"
+
+
+@pytest.mark.parametrize(
+    "form",
+    [str, str.encode, io.StringIO, lambda text: io.BytesIO(text.encode())],
+    ids=["str", "bytes", "text-stream", "bytes-stream"],
+)
+def test_decode_csv_splits_metadata_header_and_data_lines(form):
+    assert decode_csv(form(_CSV_TEXT)) == CsvLines(
+        meta={"n": "2", "k": "v = w"},  # the last n wins
+        header="h1,h2",
+        header_line=3,
+        rows=["1,2", "3,4"],
+        row_lines=[6, 9],
+    )
+
+
+def test_decode_csv_of_comments_alone_has_no_header():
+    assert decode_csv("\n# a\r\n#\n\n") == CsvLines({}, None, 0, [], [])
+
+
+_OBS_HEADER = "n_params,d_tokens,opt_lr,opt_bs_tokens"
+
+
+@pytest.mark.parametrize(
+    "bad,line",
+    [
+        ({"surface": "lr,bs_tokens,train_smooth_loss\n1e-3,x,2.0",
+          "obs": _OBS_HEADER + "\n1e9,x,1e-3,262144"}, 7),
+        ({"surface": "lr,bs\n1e-3,65536", "obs": "n,d\n1e9,1e10"}, 4),
+    ],
+    ids=["row", "header"],
+)  # fmt: skip
+def test_both_loaders_number_lines_alike(bad, line):
+    # the same blank lines, comments and line ends around a bad line
+    layout = "\n# a comment\r\n\n{header}\r\n# k=v\n\n{row}\n"
+    got = []
+    for load, key in ((load_surface, "surface"), (load_observations, "obs")):
+        header, row = bad[key].split("\n")
+        with pytest.raises(ParseError) as err:
+            load(layout.format(header=header, row=row))
+        got.append(err.value.line)
+    assert got == [line, line]

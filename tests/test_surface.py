@@ -1,8 +1,10 @@
 import gc
 import io
 import math
+import tracemalloc
 import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -629,13 +631,20 @@ def _cold_load(source):
     return load_surface(source)
 
 
+def _row_loop_load(source):
+    """A cold load_surface whose bulk parse refuses every text, so that the
+    row loop reads all of it."""
+    with mock.patch.object(surface_module, "_bulk_table", return_value=None):
+        return _cold_load(source)
+
+
 @settings(max_examples=fuzz_examples(400))
 @given(text=_surface_csv())
 @example(text=HEAD + "1e-3,32768,2.0,0\n")
 @example(text=HEAD + "1e-3,32768,2.0,2.1#3\n")
 @example(text=HEAD + "1e-3,32768,2.0,2.1\n1e-3,3.2768e4,2.0,2.1\n")
 def test_bulk_parse_matches_row_loop(text):
-    expected = _load_outcome(surface_module._load_surface_rows, text)
+    expected = _load_outcome(_row_loop_load, text)
     assert _load_outcome(_cold_load, text) == expected
 
 
@@ -664,10 +673,10 @@ def test_dense_csv_round_trips_with_python_numbers():
 @pytest.mark.parametrize("surface", [load_surface(MINI_CSV), _bowl(), _bowl(val_offset=0.1)],
                          ids=["mini", "bowl", "bowl-val"])  # fmt: skip
 def test_valid_csv_never_reaches_the_row_loop(monkeypatch, surface):
-    def refuse(_text):
+    def refuse(*_args):
         raise AssertionError("row loop ran on a valid file")
 
-    monkeypatch.setattr(surface_module, "_load_surface_rows", refuse)
+    monkeypatch.setattr(surface_module, "_row_table", refuse)
     assert load_surface(surface_to_csv(surface)) == surface
 
 
@@ -708,7 +717,7 @@ MEMO_BAD = {
 def parses(monkeypatch):
     """Calls made to the bulk parse and to the row loop."""
     counts = {"bulk": 0, "rows": 0}
-    for key, name in (("bulk", "_bulk_grid"), ("rows", "_load_surface_rows")):
+    for key, name in (("bulk", "_bulk_table"), ("rows", "_row_table")):
 
         def counted(*args, _real=getattr(surface_module, name), _key=key):
             counts[_key] += 1
@@ -747,8 +756,30 @@ def test_memo_serves_a_row_loop_parse(parses):
     first = load_surface(PARTIAL_VAL_CSV)
     served = _load_outcome(load_surface, PARTIAL_VAL_CSV)
     assert parses == {"bulk": 1, "rows": 1}
-    assert served == _load_outcome(surface_module._load_surface_rows, PARTIAL_VAL_CSV)
+    assert served == _load_outcome(_row_loop_load, PARTIAL_VAL_CSV)
     assert served[0] == first and [p.val_loss for p in first.points] == [2.1, None]
+
+
+@pytest.mark.parametrize(
+    "text,error,counts",
+    [
+        (MEMO_BAD["duplicate"], "line 7: duplicate sweep point", {"bulk": 1, "rows": 0}),
+        (GOOD_CSV + "2e-3,65536,2.0,nan\n", "line 7: val_loss must be finite and positive",
+         {"bulk": 1, "rows": 0}),
+        (GOOD_CSV + BAD_ROWS["integral"][0] + "\n", "line 7: " + BAD_ROWS["integral"][1],
+         {"bulk": 1, "rows": 0}),
+        (PARTIAL_VAL_CSV, None, {"bulk": 1, "rows": 1}),
+    ],
+    ids=["duplicate", "nan", "fractional-bs", "blank-val"],
+)  # fmt: skip
+def test_each_data_line_is_read_once(parses, text, error, counts):
+    # a row-rule fault in lines numpy read is named from that one read
+    if error is None:
+        load_surface(text)
+    else:
+        with pytest.raises(ParseError, match="^" + error):
+            load_surface(text)
+    assert parses == counts
 
 
 def test_memo_returns_distinct_surfaces_with_their_own_points():
@@ -777,12 +808,12 @@ def test_memo_drops_the_old_entry_before_parsing(monkeypatch):
     old_grid = weakref.ref(load_surface(MINI_CSV)._grid)
     seen = []
 
-    def bulk_grid(*args, _real=surface_module._bulk_grid):
+    def bulk_table(*args, _real=surface_module._bulk_table):
         gc.collect()
         seen.append(old_grid())
         return _real(*args)
 
-    monkeypatch.setattr(surface_module, "_bulk_grid", bulk_grid)
+    monkeypatch.setattr(surface_module, "_bulk_table", bulk_table)
     load_surface(GOOD_CSV)
     assert seen == [None]
 
@@ -834,3 +865,35 @@ def test_memo_outcomes_match_cold_loads(loads):
         if streamed:
             source = io.BytesIO(source) if isinstance(source, bytes) else io.StringIO(source)
         assert _load_outcome(load_surface, source) == cold[k]
+
+
+# --- the cell limit --------------------------------------------------------------
+
+
+def _diagonal(n):
+    """n sweep points with every lr and every bs distinct: an n x n grid."""
+    return tuple(SweepPoint(k * 1e-6, k, 2.0) for k in range(1, n + 1))
+
+
+def test_a_grid_past_the_cell_limit_is_refused_before_allocating():
+    points = _diagonal(2000)  # 4,000,000 cells
+    rows = "".join(f"{p.lr!r},{p.bs_tokens},2.0\n" for p in points)
+    text = HEAD.replace(",val_loss", "") + rows
+    refused = "lr x bs grid of 2000 x 2000 = 4000000 cells exceeds the limit of 1000000"
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridShapeError, match=refused):
+            load_surface(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    with pytest.raises(GridShapeError, match=refused):
+        LossSurface(scale=ModelScale(1e9, 1e10), points=points)
+
+
+def test_a_grid_at_the_cell_limit_is_kept(monkeypatch):
+    monkeypatch.setattr(surface_module, "MAX_GRID_CELLS", 4)
+    assert len(LossSurface(scale=ModelScale(1e9, 1e10), points=_diagonal(2)).points) == 2
+    with pytest.raises(GridShapeError, match="3 x 3 = 9 cells exceeds the limit of 4"):
+        LossSurface(scale=ModelScale(1e9, 1e10), points=_diagonal(3))

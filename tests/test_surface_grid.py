@@ -7,6 +7,7 @@ arithmetic on the same values, so results must be exactly equal.
 
 import bisect
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -402,3 +403,11 @@ def test_marching_squares_saddles(field):
 def test_render_rejects_levels_outside_the_positive_finite_floats(fig3_surface, level):
     with pytest.raises(ArgumentError, match="positive finite"):
         render_surface_svg(fig3_surface, levels_permille=(1.0, level))
+
+
+def test_render_escapes_overlay_labels(fig3_surface):
+    # a library caller's rows skip the CLI's overlay check
+    label = "a<b & c>d"
+    row = {"method": label, "status": "ok", "predicted": {"lr": 1e-3, "bs": 262144}}
+    svg = ET.fromstring(render_surface_svg(fig3_surface, overlays=[row]))
+    assert [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")][-1] == label
