@@ -22,10 +22,11 @@ and none rescans the points.
 The sweep-row rule has one home, _check_rows, which _Grid runs on its
 rows: every value finite and positive except a val the input marks
 missing, every bs integral, no cell filled twice, and the first row in
-input order that breaks it is the one named. LossSurface(scale, points)
-and load_surface, however it reads the data lines, both build a _Grid, so
-both apply the same rule. A _Grid of more than MAX_GRID_CELLS lr x bs
-cells is refused before its tables are allocated. The invariants:
+input order that breaks it is the one named. LossSurface(scale, points),
+synth's row arrays (both through LossSurface._from_rows) and load_surface,
+however it reads the data lines, all build a _Grid, so all apply the same
+rule. A _Grid of more than MAX_GRID_CELLS lr x bs cells is refused before
+its tables are allocated. The invariants:
 
 - every value that leaves the module is a Python float or int, never a
   numpy scalar (taken with ndarray.item or .tolist());
@@ -124,11 +125,7 @@ class _Grid:
         self.lr_axis, li = np.unique(rows[:, 0], return_inverse=True)
         self.bs_axis, bi = np.unique(rows[:, 1], return_inverse=True)
         shape = (self.lr_axis.size, self.bs_axis.size)
-        if shape[0] * shape[1] > MAX_GRID_CELLS:
-            raise GridShapeError(
-                f"the lr x bs grid of {shape[0]} x {shape[1]} = {shape[0] * shape[1]} "
-                f"cells exceeds the limit of {MAX_GRID_CELLS}"
-            )
+        _check_cells(*shape)
         cells = li * shape[1] + bi
         _check_rows(rows, missing_val, cells, shape[0] * shape[1])
         train = np.full(shape[0] * shape[1], np.nan)
@@ -162,6 +159,15 @@ class _Grid:
             )
             self._optima[metric] = opt
         return opt
+
+
+def _check_cells(n_lr: int, n_bs: int) -> None:
+    """Refuse an lr x bs grid of more than MAX_GRID_CELLS cells."""
+    if n_lr * n_bs > MAX_GRID_CELLS:
+        raise GridShapeError(
+            f"the lr x bs grid of {n_lr} x {n_bs} = {n_lr * n_bs} "
+            f"cells exceeds the limit of {MAX_GRID_CELLS}"
+        )
 
 
 def _check_rows(
@@ -247,22 +253,24 @@ class LossSurface:
                     f"{name} must be a str with no line break or surrounding "
                     f"whitespace, got {tag!r:.40}"
                 )
+        built = self._from_rows(scale, *_point_rows(points), arch_tag, recipe_tag)
+        self.__dict__.update(vars(built))
+
+    @classmethod
+    def _from_rows(cls, scale, rows: np.ndarray, missing_val: np.ndarray, arch_tag, recipe_tag):
+        """The surface of a _Grid's rows and missing_val, which it takes
+        over; a row that breaks the sweep-row rule is an ArgumentError."""
         try:
-            grid = _Grid(*_point_rows(points))
+            grid = _Grid(rows, missing_val)
         except _BadRow as bad:
             raise ArgumentError(str(bad)) from None
-        self._init(scale, grid, arch_tag, recipe_tag)
+        return cls._from_grid(scale, grid, arch_tag, recipe_tag)
 
     @classmethod
     def _from_grid(cls, scale, grid: _Grid, arch_tag: str, recipe_tag: str):
         surface = cls.__new__(cls)
-        surface._init(scale, grid, arch_tag, recipe_tag)
+        surface.__dict__.update(scale=scale, arch_tag=arch_tag, recipe_tag=recipe_tag, _grid=grid)
         return surface
-
-    def _init(self, scale, grid, arch_tag, recipe_tag) -> None:
-        self.__dict__.update(
-            scale=scale, arch_tag=arch_tag, recipe_tag=recipe_tag, _grid=grid
-        )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LossSurface is immutable; cannot set {name!r}")
@@ -509,9 +517,10 @@ def surface_to_csv(surface: LossSurface) -> str:
     lines.append(",".join(_HEADER_BASE + (["val_loss"] if g.full_val else [])))
     filled = ~np.isnan(g.train)
     ii, jj = np.nonzero(filled)
+    # each axis value is formatted once, then looked up per row
     cells = [
-        map(repr, g.lr_axis[ii].tolist()),
-        map(str, map(g.bs_values.__getitem__, jj.tolist())),
+        map(list(map(repr, g.lr_values)).__getitem__, ii.tolist()),
+        map(list(map(str, g.bs_values)).__getitem__, jj.tolist()),
         map(repr, g.train[filled].tolist()),
     ]
     if g.full_val:

@@ -5,9 +5,22 @@ modules: generate_surface builds a convex (quadratic in log coordinates)
 loss bowl with optional multiplicative lognormal noise, and
 generate_observations emits law-consistent optima over an (N, D) lattice.
 
-Noise streams are derived from (seed, point index), so two grids share
-per-point noise wherever their indices align and generation may be
-parallelized without changing the output.
+Noise. Each draw is a pure function of (seed, stream, i, j), where (i, j)
+is the node's index in the grid or lattice: stream 0 is a surface's loss
+noise, streams 1 and 2 the lr and bs noise of observations. So two grids
+share noise wherever their indices align, and the draws may be made in any
+order or in parallel without changing the output. The draw is the
+counter-based generator Philox4x32-10 (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11) of the counter (i, j, stream, 0)
+under the key (s mod 2**32, (s >> 32) mod 2**32), where s is the seed
+folded to 64 bits: the XOR of its 64-bit words, so that s is the seed
+itself below 2**64, and a larger seed shares its noise with the one its
+words fold to. Of the output words (x0, x1, x2, x3), u1 = ((x0 << 32 | x1)
+>> 11) * 2**-53 and u2 = ((x2 << 32 | x3) >> 11) * 2**-53 are uniform on
+[0, 1), and Box-Muller gives z = sqrt(-2 log(1 - u1)) * cos(2 pi u2). The
+generator runs in exact uint64 arithmetic over whole arrays; log, cos and
+the surface's exp(noise_sigma * z) are taken per element with math, not
+numpy, whose vectorised transcendentals can differ in the last ulp.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ import numpy as np
 from .errors import ArgumentError, DomainError, check_number, check_seed, decode_json
 from .fitting import OptimumObservation
 from .laws import GridSpec, ModelScale
-from .surface import LossSurface, SweepPoint
+from .surface import LossSurface, _check_cells
 
 
 @dataclass(frozen=True)
@@ -175,9 +188,55 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _point_normal(seed: int, stream: int, i: int, j: int) -> float:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, stream, i, j)))
-    return float(rng.standard_normal())
+# Philox4x32-10's round multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+def _philox4x32(x0, x1, x2, x3, k0: int, k1: int) -> tuple:
+    """Philox4x32-10 of the counter words (x0, x1, x2, x3), uint64 arrays
+    that broadcast together and hold 32-bit values, under the key (k0, k1).
+
+    Each 32 x 32-bit product is exact in uint64, so the result is the
+    reference generator's, word for word.
+    """
+    for _ in range(10):
+        p0, p1 = _PHILOX_M[0] * x0, _PHILOX_M[1] * x2
+        x0, x1, x2, x3 = (
+            (p1 >> _32) ^ x1 ^ np.uint64(k0),
+            p1 & _LOW32,
+            (p0 >> _32) ^ x3 ^ np.uint64(k1),
+            p0 & _LOW32,
+        )
+        k0, k1 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFF, (k1 + _PHILOX_W[1]) & 0xFFFFFFFF
+    return x0, x1, x2, x3
+
+
+def _normals(seed: int, stream: int, shape: tuple[int, int]) -> np.ndarray:
+    """The standard normals z[i, j] of one stream over i < shape[0] and
+    j < shape[1], as the module docstring defines them."""
+    folded, seed = 0, int(seed)
+    while seed:
+        folded ^= seed & 0xFFFFFFFFFFFFFFFF
+        seed >>= 64
+    x = _philox4x32(
+        np.arange(shape[0], dtype=np.uint64)[:, None],
+        np.arange(shape[1], dtype=np.uint64)[None, :],
+        np.uint64(stream),
+        np.uint64(0),
+        folded & 0xFFFFFFFF,
+        folded >> 32,
+    )
+    # 53-bit uniforms in [0, 1): 1 - u1 is exact and never 0
+    u1 = (((x[0] << _32) | x[1]) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    u2 = (((x[2] << _32) | x[3]) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    z = [
+        math.sqrt(-2.0 * math.log(a)) * math.cos(b)
+        for a, b in zip((1.0 - u1).ravel().tolist(), (2.0 * math.pi * u2).ravel().tolist())
+    ]
+    return np.array(z).reshape(u1.shape)
 
 
 def generate_surface(spec: SurfaceSpec, grid: GridSpec | None = None) -> LossSurface:
@@ -185,35 +244,45 @@ def generate_surface(spec: SurfaceSpec, grid: GridSpec | None = None) -> LossSur
 
     Batch-size nodes are rounded to integers (token counts); with
     noise_sigma = 0 and the optimum on-grid the surface argmin is exactly
-    the planted node.
+    the planted node. A grid of more than surface.MAX_GRID_CELLS nodes is a
+    GridShapeError and a bs node that rounds to 0 an ArgumentError, both
+    raised before any array is built; a train loss that is not finite and
+    positive is a DomainError naming the first such node in (lr, bs) order.
     """
     grid = grid if grid is not None else GridSpec.default()
+    _check_cells(len(grid.lr_values), len(grid.bs_values))
+    bs_tokens = [int(round(bs)) for bs in grid.bs_values]
+    if 0 in bs_tokens:
+        bs = grid.bs_values[bs_tokens.index(0)]
+        raise ArgumentError(f"bs node {bs!r} rounds to 0 tokens")
     log_opt_lr = math.log(spec.opt_lr)
     log_opt_bs = math.log(spec.opt_bs)
-    points = []
-    for i, lr in enumerate(grid.lr_values):
-        for j, bs in enumerate(grid.bs_values):
-            bs_tokens = int(round(bs))
-            dx = math.log(lr) - log_opt_lr
-            dy = math.log(bs_tokens) - log_opt_bs
-            q = (
-                spec.curvature_lr * dx * dx
-                + spec.curvature_bs * dy * dy
-                + 2.0 * spec.cross_term * dx * dy
-            )
-            loss = spec.base_loss + q
-            if spec.noise_sigma > 0:
-                loss *= _exp(spec.noise_sigma * _point_normal(spec.seed, 0, i, j))
-            if not math.isfinite(loss):
-                raise DomainError(f"synthetic loss at lr={lr:g}, bs={bs_tokens} is {loss}")
-            val = None if spec.val_offset is None else loss + spec.val_offset
-            points.append(SweepPoint(lr, bs_tokens, loss, val))
-    return LossSurface(
-        scale=spec.scale,
-        points=tuple(points),
-        arch_tag="synthetic",
-        recipe_tag="synthetic",
-    )
+    dx = np.array([math.log(lr) - log_opt_lr for lr in grid.lr_values])
+    dy = np.array([math.log(bs) - log_opt_bs for bs in bs_tokens])
+    # overflow gives inf and inf - inf NaN, as Python floats do; both are refused below
+    with np.errstate(all="ignore"):
+        q = (
+            (spec.curvature_lr * dx * dx)[:, None]
+            + (spec.curvature_bs * dy * dy)[None, :]
+            + (2.0 * spec.cross_term * dx)[:, None] * dy[None, :]
+        )
+        loss = spec.base_loss + q
+        if spec.noise_sigma > 0:
+            z = _normals(spec.seed, 0, loss.shape).ravel().tolist()
+            loss *= np.array([_exp(spec.noise_sigma * v) for v in z]).reshape(loss.shape)
+        val = np.full_like(loss, np.nan) if spec.val_offset is None else loss + spec.val_offset
+    good = (loss > 0.0) & (loss < math.inf)
+    if not good.all():
+        i, j = divmod(int(good.argmin()), loss.shape[1])
+        raise DomainError(
+            f"synthetic loss at lr={grid.lr_values[i]:g}, bs={bs_tokens[j]} is {loss.item(i, j)}"
+        )
+    # lr-major: node (i, j) is row i * len(bs_tokens) + j
+    lr_col = np.repeat(np.array(grid.lr_values, dtype=np.float64), loss.shape[1])
+    bs_col = np.tile(np.array(bs_tokens, dtype=np.float64), loss.shape[0])
+    rows = np.column_stack((lr_col, bs_col, loss.ravel(), val.ravel()))
+    missing_val = np.full(loss.size, spec.val_offset is None)
+    return LossSurface._from_rows(spec.scale, rows, missing_val, "synthetic", "synthetic")
 
 
 def generate_observations(spec: ObservationSpec) -> list[OptimumObservation]:
@@ -221,6 +290,9 @@ def generate_observations(spec: ObservationSpec) -> list[OptimumObservation]:
     from .laws import Prediction, snap_to_grid  # cycle-free local import
 
     grid = GridSpec.default()
+    if spec.noise_sigma > 0:
+        shape = (len(spec.n_values), len(spec.d_values))
+        z_lr, z_bs = (_normals(spec.seed, stream, shape).tolist() for stream in (1, 2))
     out = []
     for i, n in enumerate(spec.n_values):
         for j, d in enumerate(spec.d_values):
@@ -229,8 +301,8 @@ def generate_observations(spec: ObservationSpec) -> list[OptimumObservation]:
             )
             log_bs = math.log(spec.d_coef) + spec.gamma * math.log(d)
             if spec.noise_sigma > 0:
-                log_lr += spec.noise_sigma * _point_normal(spec.seed, 1, i, j)
-                log_bs += spec.noise_sigma * _point_normal(spec.seed, 2, i, j)
+                log_lr += spec.noise_sigma * z_lr[i][j]
+                log_bs += spec.noise_sigma * z_bs[i][j]
             opt_lr, opt_bs = _exp(log_lr), _exp(log_bs)
             if not (0 < opt_lr < math.inf and 0 < opt_bs < math.inf):
                 raise DomainError(

@@ -1,23 +1,28 @@
-"""Golden digests of what the surface commands write.
+"""Golden digests of what the surface commands and synth write.
 
 analyze, compare, compare --use-snapped and plot (with the compare rows
 overlaid) run on tests/data/fig3_style.csv and on the 60 x 70 surface the
 dense_grid benchmark sweeps, alone and one after another in one process.
 However a surface is held or read, every byte of their output must stay
-as it is.
+as it is. That dense surface carries the noise of synth's SeedSequence
+generator, rebuilt in test_surface._dense_surface; the bytes synth's own
+generator writes for it, and for noisy observations, are pinned apart.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from conftest import FIG3_PATH
-from hpscale import surface_to_csv
+from conftest import FIG3_PATH, LATTICE_D, LATTICE_N
+from hpscale import generate_surface, surface_to_csv
 from hpscale.laws import LAW_METHODS
 from test_cli_inprocess import main_inprocess
-from test_surface import _dense_surface
+from test_surface import DENSE_GRID, DENSE_SPEC, _dense_surface
 
 DENSE_CSV_SHA256 = "a71159f1f2914fcb9fe6876a85d2cca09341a7f1d69aa2bd9bff2ab4eb507043"
+SYNTH_DENSE_CSV_SHA256 = "44b1faebae0ace2aac2dbc08c2279981930157f6544a75981733c631f9c5b397"
+SYNTH_OBSERVATIONS_SHA256 = "15d380200f224ea60c0b0037ac18f472fdce76a1055771126b5e1f9a488dfeb0"
 
 GOLDEN_SHA256 = {
     "fig3": {
@@ -50,6 +55,21 @@ def dense_csv(tmp_path_factory):
 
 def test_dense_csv_bytes_are_pinned(dense_csv):
     assert _sha256(dense_csv.read_bytes()) == DENSE_CSV_SHA256
+
+
+def test_synth_dense_csv_bytes_are_pinned():
+    text = surface_to_csv(generate_surface(DENSE_SPEC, DENSE_GRID))
+    assert _sha256(text.encode("utf-8")) == SYNTH_DENSE_CSV_SHA256
+
+
+def test_synth_observations_output_is_pinned(tmp_path):
+    spec = tmp_path / "obs.json"
+    spec.write_text(json.dumps({"kind": "observations", "n_values": list(LATTICE_N),
+                                "d_values": list(LATTICE_D), "noise_sigma": 0.05,
+                                "seed": 11}))  # fmt: skip
+    rc, stdout, stderr = main_inprocess("synth", "observations", "--spec", str(spec))
+    assert rc == 0, stderr
+    assert _sha256(stdout) == SYNTH_OBSERVATIONS_SHA256
 
 
 def _surface_command_digests(path, tmp_path) -> dict[str, str]:

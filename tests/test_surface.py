@@ -648,14 +648,29 @@ def test_bulk_parse_matches_row_loop(text):
     assert _load_outcome(_cold_load, text) == expected
 
 
+# the benchmark's 60 x 70 dense grid
+DENSE_GRID = GridSpec(
+    tuple(2.0 ** (-12.0 + 6.0 * k / 59) for k in range(60)),
+    tuple(2.0 ** (14.0 + 8.5 * k / 69) for k in range(70)),
+)
+DENSE_SPEC = SurfaceSpec(opt_lr=2.0**-9, opt_bs=262144.0, noise_sigma=1e-4, val_offset=0.02)
+
+
 def _dense_surface():
-    # the benchmark's 60 x 70 dense grid
-    grid = GridSpec(
-        tuple(2.0 ** (-12.0 + 6.0 * k / 59) for k in range(60)),
-        tuple(2.0 ** (14.0 + 8.5 * k / 69) for k in range(70)),
-    )
-    spec = SurfaceSpec(opt_lr=2.0**-9, opt_bs=262144.0, noise_sigma=1e-4, val_offset=0.02)
-    return generate_surface(spec, grid)
+    """DENSE_SPEC's bowl on DENSE_GRID with the noise synth drew before it
+    used Philox, one SeedSequence((seed, 0, i, j)) per node: the surface
+    the golden digests of the surface commands are pinned on."""
+    spec, points = DENSE_SPEC, []
+    for i, lr in enumerate(DENSE_GRID.lr_values):
+        for j, bs in enumerate(DENSE_GRID.bs_values):
+            bs = int(round(bs))
+            dx, dy = math.log(lr) - math.log(spec.opt_lr), math.log(bs) - math.log(spec.opt_bs)
+            q = (spec.curvature_lr * dx * dx + spec.curvature_bs * dy * dy
+                 + 2.0 * spec.cross_term * dx * dy)
+            rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0, i, j)))
+            loss = (spec.base_loss + q) * math.exp(spec.noise_sigma * float(rng.standard_normal()))
+            points.append(SweepPoint(lr, bs, loss, loss + spec.val_offset))
+    return LossSurface(spec.scale, tuple(points), "synthetic", "synthetic")
 
 
 def test_dense_csv_round_trips_with_python_numbers():

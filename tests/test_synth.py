@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import LATTICE_D, LATTICE_N, LAW_COEFFS, point_at
 from hpscale import (
     ArgumentError,
     DomainError,
+    GridShapeError,
     GridSpec,
     ModelScale,
     ObservationSpec,
@@ -19,6 +21,7 @@ from hpscale import (
     generate_observations,
     generate_surface,
 )
+from hpscale.synth import _normals, _philox4x32
 
 
 def test_surface_spec_validation():
@@ -106,6 +109,83 @@ def test_generators_reject_overflowing_specs():
                            snap=True)  # fmt: skip
     with pytest.raises(DomainError, match="law optimum"):
         generate_observations(spec)
+
+
+@pytest.mark.parametrize("seed,value", [(4, 0.0), (2, math.inf)])
+def test_a_loss_past_the_floats_is_a_domain_error(seed, value):
+    spec = SurfaceSpec(opt_lr=1e-3, opt_bs=262144.0, noise_sigma=1e300, seed=seed)
+    with pytest.raises(DomainError, match=f"at lr=0.001, bs=262144 is {value}$"):
+        generate_surface(spec, GridSpec((1e-3,), (262144.0,)))
+    # every node of the default grid is out of range: the first in (lr, bs) order is named
+    with pytest.raises(DomainError, match=f"at lr=0.000690534, bs=32768 is {value}$"):
+        generate_surface(spec)
+
+
+def test_bs_nodes_must_round_to_distinct_positive_tokens():
+    spec = SurfaceSpec(opt_lr=1e-3, opt_bs=2.0)
+    with pytest.raises(ArgumentError, match="bs node 0.4 rounds to 0 tokens"):
+        generate_surface(spec, GridSpec((1e-3,), (0.4, 1.0)))
+    with pytest.raises(ArgumentError, match="duplicate sweep point at lr=0.001, bs=1"):
+        generate_surface(spec, GridSpec((1e-3,), (1.2, 1.4)))
+
+
+def test_a_grid_past_the_cell_limit_is_refused_before_allocating():
+    grid = GridSpec(tuple(range(1, 2001)), tuple(range(1, 1001)))
+    spec = SurfaceSpec(opt_lr=1.0, opt_bs=2.0, noise_sigma=0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridShapeError, match="2000 x 1000 = 2000000 cells exceeds"):
+            generate_surface(spec, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize(
+    "counter,key,expected",
+    [
+        ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+        ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+        ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+         (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+    ],
+    ids=["zero", "ones", "pi"],
+)
+def test_philox_matches_the_random123_known_answers(counter, key, expected):
+    words = _philox4x32(*(np.uint64(c) for c in counter), *key)
+    assert tuple(int(w) for w in words) == expected
+
+
+def test_noise_statistics_over_a_million_draws():
+    z = _normals(12345, 0, (1000, 1000))
+    n = z.size
+    assert abs(z.mean()) < 5 / math.sqrt(n)
+    assert abs(z.var() - 1.0) < 5 * math.sqrt(2.0 / n)
+    for lag1 in (np.mean(z[1:, :] * z[:-1, :]), np.mean(z[:, 1:] * z[:, :-1])):
+        assert abs(lag1) < 5 / math.sqrt(n)
+
+
+def test_seeds_past_32_and_64_bits():
+    big = _normals(2**64 + 5, 0, (8, 15))
+    assert np.array_equal(big, _normals(2**64 + 5, 0, (8, 15)))
+    spec = SurfaceSpec(opt_lr=2.0**-9, opt_bs=262144.0, noise_sigma=0.1, seed=2**64 + 5)
+    assert generate_surface(spec) == generate_surface(spec)
+    # the key's high word holds bits 32 to 63 of the seed
+    assert not np.array_equal(_normals(7, 0, (8, 15)), _normals(7 + 2**32, 0, (8, 15)))
+
+
+def test_observation_noise_is_streams_1_and_2():
+    sigma, seed = 0.05, 11
+    law = generate_observations(ObservationSpec(n_values=LATTICE_N, d_values=LATTICE_D))
+    noisy = generate_observations(
+        ObservationSpec(n_values=LATTICE_N, d_values=LATTICE_D, noise_sigma=sigma, seed=seed)
+    )
+    shape = (len(LATTICE_N), len(LATTICE_D))
+    z_lr = [math.log(b.opt_lr / a.opt_lr) / sigma for a, b in zip(law, noisy)]
+    z_bs = [math.log(b.opt_bs_tokens / a.opt_bs_tokens) / sigma for a, b in zip(law, noisy)]
+    np.testing.assert_allclose(z_lr, _normals(seed, 1, shape).ravel(), atol=1e-9)
+    np.testing.assert_allclose(z_bs, _normals(seed, 2, shape).ravel(), atol=1e-9)
 
 
 def test_planted_optimum_recovered_exactly():
