@@ -12,11 +12,19 @@ bootstrap_fit resamples whole observations with replacement, refits both
 laws per resample, averages the per-resample (log c, alpha, beta, log d,
 gamma), and reports empirical 2.5/97.5 percentile confidence bands.
 
+Every fit reads one table, _log_table: math.log of (N, D, lr, bs), rows
+sorted by the raw values, so results are bit-identical under input
+reordering. Every fit is one solve, _solve: for a design X with p columns
+and response y it takes R of the QR of [X | y] and solves
+R[:p, :p] b = R[:p, p], never forming the normal equations. The design is
+rank deficient when some |diag R[:p, :p]| <= 1e-10 * max(max |diag|, 1).
+ols, fit_lr_law and fit_bs_law solve one R (two observations give the
+exact line); the bootstrap solves a stack of every resample's R at once.
+
 One generator, seeded with the bootstrap seed, draws the whole index
-matrix (resample_indices), and all resamples are solved in one batch.
-All solves go through a QR decomposition rather than the normal
-equations. Observations are canonically sorted before fitting so results
-are bit-identical under input reordering.
+matrix (resample_indices). The whole sample must pass the learning-rate
+fit first, so a rank-deficient sample raises SingularityError at once;
+a rank-deficient resample is drawn again.
 """
 
 from __future__ import annotations
@@ -138,13 +146,49 @@ class FitResult:
         }
 
 
-# --- core OLS ---------------------------------------------------------------
+# --- the one solve -------------------------------------------------------------
+
+
+def _log_table(obs) -> np.ndarray:
+    """Observations as an (n, 4) table of math.log N, D, lr and bs.
+
+    Rows are sorted by the raw (N, D, lr, bs), so every fit depends only on
+    the observations, not on their order.
+    """
+    rows = sorted((o.n_params, o.d_tokens, o.opt_lr, o.opt_bs_tokens) for o in obs)
+    if not rows:
+        raise ArgumentError("no observations given")
+    return np.array([[math.log(v) for v in row] for row in rows])
+
+
+def _solve(r):
+    """Coefficients and rank verdicts from a stack of R factors of [X | y].
+
+    r has shape (k, m, p + 1) with m >= p. Fit i solves
+    R[:p, :p] b = R[:p, p]; bad[i] is true, and its coefficients NaN, when
+    some |diag R[:p, :p]| <= _RANK_TOL * max(max |diag|, 1).
+    """
+    p = r.shape[-1] - 1
+    diag = np.abs(np.diagonal(r[:, :p, :p], axis1=-2, axis2=-1))
+    bad = diag.min(axis=-1) <= _RANK_TOL * np.maximum(diag.max(axis=-1), 1.0)
+    coeffs = np.full((r.shape[0], p), np.nan)
+    coeffs[~bad] = np.linalg.solve(r[~bad, :p, :p], r[~bad, :p, p:])[..., 0]
+    return coeffs, bad
+
+
+def _least_squares(xy):
+    """One fit of xy's last column on the others: (coefficients, R of xy)."""
+    r = np.linalg.qr(xy, mode="r")
+    coeffs, bad = _solve(r[None])
+    if bad[0]:
+        raise SingularityError("design matrix is rank deficient")
+    return coeffs[0], r
 
 
 def ols(design, response) -> OlsSolution:
     """Least squares of response on a design matrix with intercept column.
 
-    Solves via QR, requires more rows than columns and full column rank.
+    Needs more rows than columns and full column rank.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -154,32 +198,26 @@ def ols(design, response) -> OlsSolution:
     if y.shape != (n,):
         raise ArgumentError(f"response must have shape ({n},), got {y.shape}")
     if n <= p:
-        raise ArgumentError(f"need more observations than coefficients ({n} <= {p})")
+        raise DegenerateDesignError(f"need more observations than coefficients ({n} <= {p})")
 
-    q, r = np.linalg.qr(x)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= _RANK_TOL * max(diag.max(), 1.0):
-        raise SingularityError("design matrix is rank deficient")
-    coeffs = np.linalg.solve(r, q.T @ y)
+    coeffs, r = _least_squares(np.column_stack([x, y]))
     resid = y - x @ coeffs
     rss = float(resid @ resid)
 
     df = n - p
-    sigma2 = rss / df
-    r_inv = np.linalg.solve(r, np.eye(p))
-    cov = sigma2 * (r_inv @ r_inv.T)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    r_inv = np.linalg.solve(r[:p, :p], np.eye(p))
+    se = np.sqrt(np.maximum(np.diag(rss / df * (r_inv @ r_inv.T)), 0.0))
 
-    tss = float(np.sum((y - y.mean()) ** 2))
+    # a constant y has TSS 0, though its float mean can miss it by an ulp
+    tss = float(np.sum((y - y.mean()) ** 2)) if np.ptp(y) > 0 else 0.0
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
-    adj = 1.0 - (1.0 - r2) * (n - 1) / df if df > 0 else float("nan")
     return OlsSolution(
-        coefficients=tuple(coeffs),
-        residuals=tuple(resid),
+        coefficients=tuple(coeffs.tolist()),
+        residuals=tuple(resid.tolist()),
         rss=rss,
-        standard_errors=tuple(se),
+        standard_errors=tuple(se.tolist()),
         r_squared=r2,
-        adjusted_r_squared=adj,
+        adjusted_r_squared=1.0 - (1.0 - r2) * (n - 1) / df,
         n_obs=n,
         n_coeffs=p,
     )
@@ -188,41 +226,28 @@ def ols(design, response) -> OlsSolution:
 # --- law fits ---------------------------------------------------------------
 
 
-def _sorted_obs(obs) -> list[OptimumObservation]:
-    items = list(obs)
-    if not items:
-        raise ArgumentError("no observations given")
-    items.sort(key=lambda o: (o.n_params, o.d_tokens, o.opt_lr, o.opt_bs_tokens))
-    return items
-
-
-def _log_columns(items):
-    log_n = np.array([math.log(o.n_params) for o in items])
-    log_d = np.array([math.log(o.d_tokens) for o in items])
-    log_lr = np.array([math.log(o.opt_lr) for o in items])
-    log_bs = np.array([math.log(o.opt_bs_tokens) for o in items])
-    return log_n, log_d, log_lr, log_bs
-
-
-def _check_lr_span(items) -> None:
-    if len(items) < 4:
+def _lr_design(table):
+    """[1, log N, log D | log lr] for the learning-rate law, after its span checks."""
+    if len(table) < 4:
         raise DegenerateDesignError(
-            f"learning-rate law needs >= 4 observations, got {len(items)}"
+            f"learning-rate law needs >= 4 observations, got {len(table)}"
         )
-    if len({o.n_params for o in items}) < 2 or len({o.d_tokens for o in items}) < 2:
+    if (np.ptp(table[:, :2], axis=0) == 0).any():
         raise DegenerateDesignError(
             "learning-rate law needs >= 2 distinct N and >= 2 distinct D"
         )
+    return np.column_stack([np.ones(len(table)), table[:, :3]])
+
+
+def _bs_design(table):
+    """[1, log D | log bs] for the batch-size law."""
+    return np.column_stack([np.ones(len(table)), table[:, 1::2]])
 
 
 def fit_lr_law(obs) -> LrLawFit:
     """Point estimate of (log c, alpha, beta) from observed optima."""
-    items = _sorted_obs(obs)
-    _check_lr_span(items)
-    log_n, log_d, log_lr, _ = _log_columns(items)
-    design = np.column_stack([np.ones(len(items)), log_n, log_d])
-    sol = ols(design, log_lr)
-    return LrLawFit(*sol.coefficients)
+    coeffs, _ = _least_squares(_lr_design(_log_table(obs)))
+    return LrLawFit(*coeffs.tolist())
 
 
 def fit_bs_law(obs) -> BsLawFit:
@@ -231,16 +256,11 @@ def fit_bs_law(obs) -> BsLawFit:
     Two observations with distinct D give the exact line through both
     points; more observations are fitted by least squares.
     """
-    items = _sorted_obs(obs)
-    if len({o.d_tokens for o in items}) < 2:
+    table = _log_table(obs)
+    if np.ptp(table[:, 1]) == 0:
         raise DegenerateDesignError("batch-size law needs >= 2 distinct D")
-    _, log_d, _, log_bs = _log_columns(items)
-    if len(items) == 2:
-        gamma = (log_bs[1] - log_bs[0]) / (log_d[1] - log_d[0])
-        return BsLawFit(log_d=float(log_bs[0] - gamma * log_d[0]), gamma=float(gamma))
-    design = np.column_stack([np.ones(len(items)), log_d])
-    sol = ols(design, log_bs)
-    return BsLawFit(*sol.coefficients)
+    coeffs, _ = _least_squares(_bs_design(table))
+    return BsLawFit(*coeffs.tolist())
 
 
 # --- bootstrap ---------------------------------------------------------------
@@ -272,41 +292,18 @@ def resample_indices(n: int, resamples: int, seed: int, degenerate):
     return idx, redrawn
 
 
-def _batched_fits(lr_table, bs_table, index_matrix):
-    """Solve both laws for every resample at once via stacked QR.
-
-    lr_table has the columns (1, log N, log D, log lr) and bs_table
-    (1, log D, log bs). Only R of each resample's QR is formed: its
-    leading block is the design's R and its last column is Q^T y.
-
-    Returns (params, bad) where params is (resamples, 5) holding
-    (log_c, alpha, beta, log_d, gamma) and bad flags rank-deficient
-    learning-rate designs.
-    """
-    # np.take gathers the rows about 10x faster than lr_table[index_matrix]
-    r3 = np.linalg.qr(np.take(lr_table, index_matrix, axis=0), mode="r")  # (resamples, 4, 4)
-    diag3 = np.abs(np.diagonal(r3[:, :3, :3], axis1=-2, axis2=-1))
-    bad = diag3.min(axis=-1) <= _RANK_TOL * np.maximum(diag3.max(axis=-1), 1.0)
-
-    params = np.full((index_matrix.shape[0], 5), np.nan)
-    good = ~bad
-    if good.any():
-        params[good, :3] = np.linalg.solve(r3[good, :3, :3], r3[good, :3, 3:])[..., 0]
-        r2 = np.linalg.qr(np.take(bs_table, index_matrix[good], axis=0), mode="r")
-        params[good, 3:] = np.linalg.solve(r2[:, :2, :2], r2[:, :2, 2:])[..., 0]
-    return params, bad
-
-
 def bootstrap_fit(obs, resamples: int = 1000, seed: int = 0) -> FitResult:
     """Bootstrap both laws over `resamples` draws with replacement.
 
     resample_indices draws every resample's indices from one generator
     seeded with `seed`, so the result is a pure function of the sorted
-    observations, resamples and seed. Degenerate resamples (design rank
-    below 3, which covers the all-same-N and all-same-D cases) are redrawn
-    from that generator, up to 10 times, keeping the resample count
-    intact; FitResult.redraws counts them. resamples must be an integer
-    (not a bool) in 1..MAX_RESAMPLES, checked before anything is allocated.
+    observations, resamples and seed. The whole sample must pass the
+    learning-rate fit first, as no resample has a higher rank. Degenerate
+    resamples (design rank below 3, which covers the all-same-N and
+    all-same-D cases) are redrawn from that generator, up to 10 times,
+    keeping the resample count intact; FitResult.redraws counts them.
+    resamples must be an integer (not a bool) in 1..MAX_RESAMPLES, checked
+    before anything is allocated.
     """
     if (
         isinstance(resamples, bool)
@@ -318,21 +315,24 @@ def bootstrap_fit(obs, resamples: int = 1000, seed: int = 0) -> FitResult:
             f"got {resamples!r:.40}"
         )
     check_seed(seed)
-    items = _sorted_obs(obs)
-    _check_lr_span(items)
-    log_n, log_d, log_lr, log_bs = _log_columns(items)
-    ones = np.ones(len(items))
-    lr_table = np.column_stack([ones, log_n, log_d, log_lr])
-    bs_table = np.column_stack([ones, log_d, log_bs])
+    table = _log_table(obs)
+    lr_xy, bs_xy = _lr_design(table), _bs_design(table)
+    _least_squares(lr_xy)
 
     params = np.full((resamples, 5), np.nan)
 
     def degenerate(rows, idx):
-        got, bad = _batched_fits(lr_table, bs_table, idx)
-        params[rows[~bad]] = got[~bad]
+        # Stacked QR of every resample at once; a rank-deficient learning-
+        # rate design is redrawn, so only full-rank ones reach the bs solve.
+        # np.take gathers the rows about 10x faster than lr_xy[idx].
+        lr, bad = _solve(np.linalg.qr(np.take(lr_xy, idx, axis=0), mode="r"))
+        good = ~bad
+        params[rows[good], :3] = lr[good]
+        r_bs = np.linalg.qr(np.take(bs_xy, idx[good], axis=0), mode="r")
+        params[rows[good], 3:] = _solve(r_bs)[0]
         return bad
 
-    _, redrawn = resample_indices(len(items), resamples, seed, degenerate)
+    _, redrawn = resample_indices(len(table), resamples, seed, degenerate)
 
     means = params.mean(axis=0)
     lo, hi = np.percentile(params, [2.5, 97.5], axis=0)

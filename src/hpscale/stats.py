@@ -6,6 +6,15 @@ log batch size on subsets of {logN, logD}, plus hierarchical nested
 F-tests comparing the N-only and D-only formulations against the Full
 model.
 
+Every F statistic is one nested test (_f_test); a regression's own F
+tests it against the intercept-only model. A model fits exactly when its
+R-squared rounds to 1 (R-squared is 1 for a constant response). An exact
+full model gives F = inf and p = 0, or F = 0 and p = 1 when the
+restricted model is exact too, so exactly law-consistent data never
+turns rounding noise into significance. Otherwise F is the usual ratio of
+the RSS drop per dropped predictor to the full model's residual variance,
+clamped at 0 against rounding.
+
 The Student-t and F reference distributions are evaluated through a
 regularized incomplete beta function implemented here (continued
 fraction, modified Lentz), so no statistical library is needed at
@@ -20,8 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateDesignError, DomainError
-from .fitting import OlsSolution, _log_columns, _sorted_obs, ols
+from .errors import ArgumentError, DomainError
+from .fitting import _log_table, ols
 
 PREDICTOR_NAMES = ("logN", "logD")
 
@@ -202,11 +211,24 @@ class FormulationComparison:
         raise ArgumentError(f"no formulation named {name!r}")
 
 
+def _f_test(restricted, full) -> tuple[float, float]:
+    """F statistic and p-value of `full` against a `restricted` model it
+    nests, each with rss, r_squared and df_resid (exact-fit rule above)."""
+    q = restricted.df_resid - full.df_resid
+    if full.r_squared >= 1.0:
+        f_stat = 0.0 if restricted.r_squared >= 1.0 else math.inf
+    else:
+        f_stat = ((restricted.rss - full.rss) / q) / (full.rss / full.df_resid)
+        f_stat = max(f_stat, 0.0)  # guard fp noise when RSS values are equal
+    return f_stat, f_sf(f_stat, q, full.df_resid)
+
+
 def regress(predictors, obs) -> RegressionReport:
     """Regress log opt_bs on the chosen predictors plus an intercept.
 
     predictors is a subset of {"logN", "logD"}; diagnostics use Student-t
-    with n - p - 1 degrees of freedom for p predictors.
+    with n - p - 1 degrees of freedom for p predictors. The regression's F
+    tests it against the intercept-only model.
     """
     preds = tuple(predictors)
     if not preds:
@@ -218,24 +240,16 @@ def regress(predictors, obs) -> RegressionReport:
         raise ArgumentError(
             f"unknown predictors {sorted(unknown)}; expected from {PREDICTOR_NAMES}"
         )
-    items = _sorted_obs(obs)
-    log_n, log_d, _, log_bs = _log_columns(items)
-    columns = {"logN": log_n, "logD": log_d}
-    n, p = len(items), len(preds)
-    if n <= p + 1:
-        raise DegenerateDesignError(
-            f"need n > p + 1 observations for {p} predictors, got n={n}"
-        )
-    design = np.column_stack([np.ones(n)] + [columns[name] for name in preds])
-    sol = ols(design, log_bs)
-    return _report_from_solution(sol, ("intercept",) + preds)
-
-
-def _report_from_solution(sol: OlsSolution, names: tuple[str, ...]) -> RegressionReport:
+    table = _log_table(obs)  # columns logN, logD, log lr, log bs
+    design = np.column_stack(
+        [np.ones(len(table))] + [table[:, PREDICTOR_NAMES.index(name)] for name in preds]
+    )
+    y = table[:, 3]
+    sol = ols(design, y)
     df = sol.df_resid
     t_crit = student_t_critical(0.05, df)
     rows = []
-    for name, coef, se in zip(names, sol.coefficients, sol.standard_errors):
+    for name, coef, se in zip(("intercept",) + preds, sol.coefficients, sol.standard_errors):
         if se > 0:
             t = coef / se
         else:
@@ -250,18 +264,14 @@ def _report_from_solution(sol: OlsSolution, names: tuple[str, ...]) -> Regressio
                 ci95=(coef - t_crit * se, coef + t_crit * se),
             )
         )
-    p = sol.n_coeffs - 1
-    if sol.r_squared < 1.0:
-        f_stat = (sol.r_squared / p) / ((1.0 - sol.r_squared) / df)
-    else:
-        f_stat = math.inf
+    f_stat, f_pvalue = _f_test(ols(design[:, :1], y), sol)
     return RegressionReport(
         predictors=tuple(rows),
         n_obs=sol.n_obs,
         r_squared=sol.r_squared,
         adjusted_r_squared=sol.adjusted_r_squared,
         f_statistic=f_stat,
-        f_pvalue=f_sf(f_stat, p, df),
+        f_pvalue=f_pvalue,
         rss=sol.rss,
         df_resid=df,
     )
@@ -276,22 +286,9 @@ def nested_f_test(
     """F-test of a restricted model against a full model it nests in."""
     if restricted.n_obs != full.n_obs:
         raise ArgumentError("models must be fitted on the same observations")
-    q = restricted.df_resid - full.df_resid
-    if q <= 0:
-        raise ArgumentError(
-            "nested test needs the restricted model to drop >= 1 predictor"
-        )
-    if full.rss > 0:
-        f_stat = ((restricted.rss - full.rss) / q) / (full.rss / full.df_resid)
-        f_stat = max(f_stat, 0.0)  # guard fp noise when RSS values are equal
-    else:  # the full model fits exactly; as in a regression's own F
-        f_stat = math.inf if restricted.rss > 0 else 0.0
-    return NestedTest(
-        restricted=restricted_name,
-        full=full_name,
-        f_statistic=f_stat,
-        p_value=f_sf(f_stat, q, full.df_resid),
-    )
+    if restricted.df_resid <= full.df_resid:
+        raise ArgumentError("nested test needs the restricted model to drop >= 1 predictor")
+    return NestedTest(restricted_name, full_name, *_f_test(restricted, full))
 
 
 def compare_formulations(obs) -> FormulationComparison:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -23,7 +24,12 @@ from hpscale import (
     observations_to_csv,
     ols,
 )
-from hpscale.fitting import MAX_RESAMPLES, _sorted_obs, resample_indices
+from hpscale.fitting import MAX_RESAMPLES, _solve, resample_indices
+
+
+def canonical(obs):
+    """The observations in the fitter's row order: sorted by (N, D, lr, bs)."""
+    return sorted(obs, key=dataclasses.astuple)
 
 
 def lattice_obs(noise_sigma=0.0, seed=0, **kwargs):
@@ -92,6 +98,46 @@ def test_ols_standard_errors_match_closed_form():
     sigma2 = float(resid @ resid) / 4
     sxx = float(((x - x.mean()) ** 2).sum())
     assert sol.standard_errors[1] == pytest.approx(math.sqrt(sigma2 / sxx), rel=1e-10)
+
+
+def test_ols_too_few_rows_is_a_degenerate_design():
+    with pytest.raises(DegenerateDesignError, match=r"\(3 <= 3\)"):
+        ols(np.ones((3, 3)), np.ones(3))
+
+
+def _random_designs(rng, k, n, p):
+    x = np.concatenate([np.ones((k, n, 1)), rng.normal(size=(k, n, p - 1))], axis=-1)
+    return x, rng.normal(size=(k, n))
+
+
+def _r_of(x, y):
+    return np.linalg.qr(np.concatenate([x, y[..., None]], axis=-1), mode="r")
+
+
+def test_solve_matches_lstsq_on_random_designs():
+    rng = np.random.default_rng(2024)
+    for n, p in ((4, 3), (7, 3), (30, 3), (2, 2), (9, 2), (12, 5)):
+        x, y = _random_designs(rng, 40, n, p)
+        coeffs, bad = _solve(_r_of(x, y))
+        assert coeffs.shape == (40, p) and not bad.any()
+        for xi, yi, b in zip(x, y, coeffs):
+            ref = np.linalg.lstsq(xi, yi, rcond=None)[0]
+            assert b == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+
+def test_solve_flags_rank_deficient_designs():
+    rng = np.random.default_rng(7)
+    x, y = _random_designs(rng, 12, 6, 3)
+    x[::3, :, 2] = 2.0 * x[::3, :, 1]  # every third design has a repeated column
+    coeffs, bad = _solve(_r_of(x, y))
+    assert bad.tolist() == [k % 3 == 0 for k in range(12)]
+    assert np.isnan(coeffs[bad]).all() and np.isfinite(coeffs[~bad]).all()
+    for xi, yi, b in zip(x[~bad], y[~bad], coeffs[~bad]):
+        assert b == pytest.approx(np.linalg.lstsq(xi, yi, rcond=None)[0], rel=1e-9, abs=1e-9)
+    # a batch in which every design is rank deficient solves nothing
+    x[:, :, 2] = x[:, :, 0]
+    coeffs, bad = _solve(_r_of(x, y))
+    assert bad.all() and np.isnan(coeffs).all()
 
 
 # --- law fits -----------------------------------------------------------------
@@ -273,7 +319,7 @@ def test_bootstrap_matches_per_resample_ols_fits():
     resamples, seed = 16, 13
     result = bootstrap_fit(obs, resamples, seed=seed)
 
-    items = _sorted_obs(obs)
+    items = canonical(obs)
     indices, _ = resample_indices(len(items), resamples, seed, _no_redraws)
     for i, idx in enumerate(indices):
         resample = [items[j] for j in idx]
@@ -282,6 +328,13 @@ def test_bootstrap_matches_per_resample_ols_fits():
         assert result.samples["alpha"][i] == pytest.approx(lr_fit.alpha, abs=1e-10)
         assert result.samples["beta"][i] == pytest.approx(lr_fit.beta, abs=1e-10)
         assert result.samples["gamma"][i] == pytest.approx(bs_fit.gamma, abs=1e-10)
+        # and against a solver that shares no code with the fitter
+        logs = np.log([[o.n_params, o.d_tokens, o.opt_lr, o.opt_bs_tokens] for o in resample])
+        ones = np.ones(len(resample))
+        lr_ref = np.linalg.lstsq(np.column_stack([ones, logs[:, :2]]), logs[:, 2], rcond=None)[0]
+        bs_ref = np.linalg.lstsq(np.column_stack([ones, logs[:, 1]]), logs[:, 3], rcond=None)[0]
+        got = [result.samples[k][i] for k in ("log_c", "alpha", "beta", "log_d", "gamma")]
+        assert got == pytest.approx([*lr_ref, *bs_ref], abs=1e-9)
 
 
 def test_bootstrap_redraws_degenerate_resamples():
@@ -292,7 +345,7 @@ def test_bootstrap_redraws_degenerate_resamples():
     obs.append(OptimumObservation(1e9, 1e10, 4e-4, 3e5))
     resamples, seed = 40, 3
     result = bootstrap_fit(obs, resamples, seed=seed)
-    items = _sorted_obs(obs)
+    items = canonical(obs)
 
     def single_fit_fails(rows, idx):
         bad = []
@@ -364,8 +417,53 @@ def test_bootstrap_persistent_degeneracy_fails():
         OptimumObservation(1e9, 1e10, 2e-3, 2e5),
         OptimumObservation(1e9, 1e10, 2e-3, 2e5 + 1),
     ]
-    with pytest.raises(BootstrapFailureError):
+    with pytest.raises(SingularityError):
         bootstrap_fit(obs, 20, seed=0)
+
+
+def test_collinear_sample_fails_fast_with_its_cause(monkeypatch):
+    # D = 20 N: full span, but log D is log N plus a constant
+    obs = [OptimumObservation(n, 20 * n, 1e-3 * (1 + k), 1e5 * (1 + k))
+           for k, n in enumerate((1e8, 3e8, 1e9, 3e9, 1e10))]  # fmt: skip
+    with pytest.raises(SingularityError):
+        fit_lr_law(obs)
+
+    def no_draws(*args):
+        raise AssertionError("a resample was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(SingularityError):
+        bootstrap_fit(obs, 1000, seed=0)
+
+
+def test_bootstrap_redraws_can_run_out_on_a_full_rank_sample():
+    # three non-collinear (N, D) cells, one twice: a resample of four is
+    # rank deficient with probability 5/8, so 11 bad draws in a row
+    # happen to a few of 1000 resamples
+    obs = [OptimumObservation(n, d, lr, 1e5)
+           for n, d, lr in ((1e8, 1e9, 1e-3), (1e8, 1e10, 2e-3), (1e9, 1e9, 3e-3),
+                            (1e8, 1e9, 4e-3))]  # fmt: skip
+    fit_lr_law(obs)  # the sample itself is full rank
+    with pytest.raises(BootstrapFailureError, match=r"stayed degenerate after 10 redraws"):
+        bootstrap_fit(obs, 1000, seed=0)
+
+    def always(rows, idx):
+        return np.ones(len(rows), dtype=bool)
+
+    with pytest.raises(BootstrapFailureError, match=r"^5 resamples .* \(first index 0\)$"):
+        resample_indices(4, 5, 0, always)
+
+
+def test_fit_results_hold_python_floats():
+    obs = lattice_obs(noise_sigma=0.05, seed=2)
+    sol = ols(np.column_stack([np.ones(6), np.arange(6.0)]), np.arange(6.0) ** 2)
+    values = [*sol.coefficients, *sol.residuals, *sol.standard_errors,
+              sol.rss, sol.r_squared, sol.adjusted_r_squared]  # fmt: skip
+    for fit in (fit_lr_law(obs), fit_bs_law(obs), fit_bs_law(obs[:2])):
+        values += dataclasses.astuple(fit)
+        assert "np." not in repr(fit)
+    assert "np." not in repr(sol)
+    assert all(type(v) is float for v in values)
 
 
 def test_bootstrap_validates_arguments():

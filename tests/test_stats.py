@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,14 +6,16 @@ import pytest
 from scipy import special as sp_special
 from scipy import stats as sp_stats
 
-from conftest import independent_n_observations
+from conftest import LATTICE_D, LATTICE_N, independent_n_observations
 from hpscale import (
     ArgumentError,
     DegenerateDesignError,
+    ObservationSpec,
     OptimumObservation,
     RegressionReport,
     compare_formulations,
     f_sf,
+    generate_observations,
     nested_f_test,
     regress,
     regularized_incomplete_beta,
@@ -213,8 +216,8 @@ def test_nested_f_test_rejects_different_samples():
 
 
 def test_nested_f_test_exact_full_fit():
-    def report(rss, df_resid):
-        return RegressionReport(predictors=(), n_obs=10, r_squared=1.0,
+    def report(rss, df_resid):  # TSS 1, so R-squared is 1 - RSS
+        return RegressionReport(predictors=(), n_obs=10, r_squared=1.0 - rss,
                                 adjusted_r_squared=1.0, f_statistic=math.inf,
                                 f_pvalue=0.0, rss=rss, df_resid=df_resid)  # fmt: skip
 
@@ -226,6 +229,84 @@ def test_nested_f_test_exact_full_fit():
     obs = [OptimumObservation(n, d, 1e-3, 1.0) for n in (1e8, 1e9) for d in (1e9, 1e10)]
     for test in compare_formulations(obs).nested_tests:
         assert (test.f_statistic, test.p_value) == (0.0, 1.0)
+
+
+def _exact_lattice(n_values, d_values):
+    return generate_observations(ObservationSpec(n_values=n_values, d_values=d_values))
+
+
+def _nested(comp):
+    return {t.restricted: (t.f_statistic, t.p_value) for t in comp.nested_tests}
+
+
+def _f_statistics(comp):
+    return [f.f_statistic for f in comp.formulations] + [
+        t.f_statistic for t in comp.nested_tests
+    ]
+
+
+@pytest.mark.parametrize(
+    "n_values, d_values",
+    [(LATTICE_N, LATTICE_D), ((1e8, 3e8, 1e9, 3e9, 1e10), (1e10, 3e10, 1e11, 3e11))],
+)
+def test_exact_lattice_needs_log_d_only(n_values, d_values):
+    # D-only and Full both fit exactly (R-squared rounds to 1), N-only does not
+    comp = compare_formulations(_exact_lattice(n_values, d_values))
+    assert _nested(comp) == {"D-only": (0.0, 1.0), "N-only": (math.inf, 0.0)}
+
+
+def test_random_exact_lattices_never_call_log_n_significant():
+    # an exactness rule of RSS == 0 alone divides rounding noise by rounding
+    # noise here, and calls logN significant on about a third of these
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n_values = tuple(np.exp(rng.uniform(math.log(1e8), math.log(1e11), 4)).tolist())
+        d_values = tuple(np.exp(rng.uniform(math.log(1e9), math.log(1e12), 4)).tolist())
+        tests = _nested(compare_formulations(_exact_lattice(n_values, d_values)))
+        assert tests["D-only"][1] >= 0.05, (n_values, d_values)
+        assert tests["N-only"][1] <= 1e-6, (n_values, d_values)
+
+
+def test_constant_batch_sizes_give_a_null_regression_f():
+    # every model fits a constant exactly, even where the float mean of the
+    # log batch sizes misses it by an ulp (86648.66370013822 over 6 rows)
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        bs = float(np.exp(rng.uniform(5.0, 15.0)))
+        n_values = np.exp(rng.uniform(18.0, 24.0, rng.integers(2, 5))).tolist()
+        d_values = np.exp(rng.uniform(20.0, 26.0, rng.integers(2, 5))).tolist()
+        obs = [OptimumObservation(n, d, 1e-3, bs) for n in n_values for d in d_values]
+        if len(obs) < 4:
+            continue
+        comp = compare_formulations(obs)
+        assert (comp.full_report.f_statistic, comp.full_report.f_pvalue) == (0.0, 1.0)
+        assert [f.r_squared for f in comp.formulations] == [1.0] * 3
+        assert _nested(comp) == {"N-only": (0.0, 1.0), "D-only": (0.0, 1.0)}
+        assert _f_statistics(comp) == [0.0] * 5
+
+
+def test_no_f_statistic_is_negative():
+    # on the exact lattice, N-only explains nothing: R-squared may round
+    # below 0, but its F is clamped at 0 like a nested test's
+    comp = compare_formulations(_exact_lattice(LATTICE_N, LATTICE_D))
+    assert comp.formulation("N-only").r_squared <= 0.0
+    assert comp.formulation("N-only").f_statistic == 0.0
+    for seed in range(12):
+        comp = compare_formulations(independent_n_observations(seed, n=24))
+        assert min(_f_statistics(comp)) >= 0.0
+
+
+def test_reports_hold_python_floats():
+    comp = compare_formulations(independent_n_observations(3))
+    report = comp.full_report
+    values = [report.r_squared, report.adjusted_r_squared, report.f_statistic,
+              report.f_pvalue, report.rss]  # fmt: skip
+    for row in report.predictors:
+        values += [row.coefficient, row.standard_error, row.t_value, row.p_value, *row.ci95]
+    for row in comp.formulations + comp.nested_tests:
+        values += [v for v in dataclasses.astuple(row) if not isinstance(v, str)]
+    assert all(type(v) is float for v in values)
+    assert "np." not in repr(comp)
 
 
 def test_rejection_frequencies_over_seeds():
