@@ -188,7 +188,8 @@ def _least_squares(xy):
 def ols(design, response) -> OlsSolution:
     """Least squares of response on a design matrix with intercept column.
 
-    Needs more rows than columns and full column rank.
+    Needs finite numbers, at least one column, more rows than columns and
+    full column rank.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -197,6 +198,10 @@ def ols(design, response) -> OlsSolution:
     n, p = x.shape
     if y.shape != (n,):
         raise ArgumentError(f"response must have shape ({n},), got {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ArgumentError("design and response must be finite")
+    if p == 0:
+        raise DegenerateDesignError("design must have at least one column")
     if n <= p:
         raise DegenerateDesignError(f"need more observations than coefficients ({n} <= {p})")
 

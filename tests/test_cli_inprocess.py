@@ -11,6 +11,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import stat
 import subprocess
 import xml.etree.ElementTree as ET
 
@@ -505,6 +507,77 @@ def test_stats_keys(inputs):
     assert {tuple(sorted(p)) for p in full["predictors"]} == {(
         "ci95", "coefficient", "name", "p_value", "standard_error", "t_value",
     )}  # fmt: skip
+
+
+# --- the one writer: --out and --csv files --------------------------------------
+
+# every command that writes a file, with the flag naming that file last
+WRITERS = {
+    "analyze": ("analyze", "--surface", "{surface}", "--out"),
+    "compare --out": ("compare", "--surface", "{surface}", "--methods", "step", "--out"),
+    "compare --csv": ("compare", "--surface", "{surface}", "--methods", "step",
+                      "--out", os.devnull, "--csv"),  # fmt: skip
+    "plot": ("plot", "--surface", "{surface}", "--out"),
+    "fit": ("fit", "--observations", "{obs}", "--bootstrap", "20", "--out"),
+    "stats": ("stats", "--observations", "{obs}", "--out"),
+    "predict": ("predict", "--method", "step", "--n", "1e9", "--d", "1e10", "--out"),
+    "synth": ("synth", "surface", "--spec", "{surface_spec}", "--out"),
+}
+
+
+def _writer_argv(inputs, writer, target):
+    paths = {"surface": str(FIG3_PATH), "obs": str(inputs["obs"]),
+             "surface_spec": str(inputs["surface_spec"])}  # fmt: skip
+    return [arg.format(**paths) for arg in WRITERS[writer]] + [str(target)]
+
+
+@pytest.mark.parametrize("prior_factor", [3.0, 0.1])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_out_rewrites_an_existing_file_to_the_fresh_bytes(inputs, tmp_path, writer, prior_factor):
+    fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+    assert main_inprocess(*_writer_argv(inputs, writer, fresh)) == (0, b"", "")
+    report = fresh.read_bytes()
+    existing.write_bytes(b"\xff" * max(1, int(prior_factor * len(report))))
+    assert main_inprocess(*_writer_argv(inputs, writer, existing)) == (0, b"", "")
+    assert existing.read_bytes() == report
+
+
+def test_out_keeps_the_inode_and_its_hard_links(tmp_path):
+    out, link = tmp_path / "report.json", tmp_path / "link.json"
+    out.write_bytes(b"{}" * 5000)
+    os.link(out, link)
+    inode = out.stat().st_ino
+    stdout = main_inprocess("analyze", "--surface", str(FIG3_PATH))[1]
+    assert main_inprocess("analyze", "--surface", str(FIG3_PATH), "--out", str(out))[0] == 0
+    assert out.stat().st_ino == inode
+    assert link.read_bytes() == out.read_bytes() == stdout
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+def test_out_creates_a_new_file_with_mode_666_less_umask(tmp_path, umask):
+    out = tmp_path / "new.svg"
+    old = os.umask(umask)
+    try:
+        rc, _, _ = main_inprocess("plot", "--surface", str(FIG3_PATH), "--out", str(out))
+    finally:
+        os.umask(old)
+    assert rc == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_out_to_dev_null_exit_0(inputs, writer):
+    assert main_inprocess(*_writer_argv(inputs, writer, os.devnull)) == (0, b"", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.parametrize("target", ["missing_parent", "directory"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_write_failure_exit_4(inputs, tmp_path, writer, target):
+    path = tmp_path / "missing" / "report" if target == "missing_parent" else tmp_path
+    rc, stdout, stderr = main_inprocess(*_writer_argv(inputs, writer, path))
+    assert (rc, stdout) == (4, b"")
+    assert stderr.startswith("error: ")
 
 
 # --- in-process fuzz of every file input ---------------------------------------

@@ -103,6 +103,25 @@ def test_ols_standard_errors_match_closed_form():
 def test_ols_too_few_rows_is_a_degenerate_design():
     with pytest.raises(DegenerateDesignError, match=r"\(3 <= 3\)"):
         ols(np.ones((3, 3)), np.ones(3))
+    with pytest.raises(DegenerateDesignError, match="at least one column"):
+        ols(np.ones((3, 0)), np.ones(3))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "design, response",
+    [
+        ([[1, NAN], [1, 2], [1, 3]], [1, 2, 3]),
+        ([[1, 1], [1, -INF], [1, 3]], [1, 2, 3]),
+        ([[1, 1], [1, 2], [1, 3]], [1, NAN, 3]),
+        ([[1, 1], [1, 2], [1, 3]], [INF, 2, 3]),
+    ],
+)
+def test_ols_non_finite_input_is_an_argument_error(design, response):
+    with pytest.raises(ArgumentError, match="must be finite"):
+        ols(design, response)
 
 
 def _random_designs(rng, k, n, p):
