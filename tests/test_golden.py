@@ -1,4 +1,4 @@
-"""Golden digests of what the surface commands and synth write.
+"""Golden digests of what every report command and synth write.
 
 analyze, compare, compare --use-snapped and plot (with the compare rows
 overlaid) run on tests/data/fig3_style.csv and on the 60 x 70 surface the
@@ -7,6 +7,8 @@ However a surface is held or read, every byte of their output must stay
 as it is. That dense surface carries the noise of synth's SeedSequence
 generator, rebuilt in test_surface._dense_surface; the bytes synth's own
 generator writes for it, and for noisy observations, are pinned apart.
+fit, stats and predict are pinned on synth's 4 x 4 lattice observations,
+noisy and exact; stats on the exact lattice writes a null F statistic.
 """
 
 import hashlib
@@ -42,6 +44,15 @@ GOLDEN_SHA256 = {
 }
 
 
+OBSERVATION_REPORT_SHA256 = {
+    "fit": "7e930907d6df9e7d0954b474b97ebddfda1a47304af501f2ecdd18c8b86853a9",
+    "fit-exact": "7faa80af3dfbd90543e6007b61de31fd0a48af5971bb3432349ac9c2c07e629d",
+    "stats": "73d1aded84e340ce8c22f7af5f50f046239b093c8dedaed4774a4040311444f0",
+    "stats-exact": "5c3d1f8f435f940962db6eddacdaba33feb4a73ddc052bf2f2fe239f1f017762",
+    "predict-step": "9d2d84f104cdc494065912784d17d75d563d2702f1da63cb556606ff7a229c62",
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -62,14 +73,39 @@ def test_synth_dense_csv_bytes_are_pinned():
     assert _sha256(text.encode("utf-8")) == SYNTH_DENSE_CSV_SHA256
 
 
-def test_synth_observations_output_is_pinned(tmp_path):
+def _lattice_observations(tmp_path, noise_sigma: float) -> bytes:
+    """synth's observations CSV for the 4 x 4 lattice, seed 11."""
     spec = tmp_path / "obs.json"
     spec.write_text(json.dumps({"kind": "observations", "n_values": list(LATTICE_N),
-                                "d_values": list(LATTICE_D), "noise_sigma": 0.05,
+                                "d_values": list(LATTICE_D), "noise_sigma": noise_sigma,
                                 "seed": 11}))  # fmt: skip
     rc, stdout, stderr = main_inprocess("synth", "observations", "--spec", str(spec))
     assert rc == 0, stderr
-    assert _sha256(stdout) == SYNTH_OBSERVATIONS_SHA256
+    return stdout
+
+
+def test_synth_observations_output_is_pinned(tmp_path):
+    assert _sha256(_lattice_observations(tmp_path, 0.05)) == SYNTH_OBSERVATIONS_SHA256
+
+
+def test_observation_command_output_is_pinned(tmp_path):
+    noisy, exact = tmp_path / "noisy.csv", tmp_path / "exact.csv"
+    noisy.write_bytes(_lattice_observations(tmp_path, 0.05))
+    exact.write_bytes(_lattice_observations(tmp_path, 0.0))
+    outputs = {}
+    for key, argv in (
+        ("fit", ["fit", f"--observations={noisy}", "--bootstrap=200", "--seed=0"]),
+        ("fit-exact", ["fit", f"--observations={exact}", "--bootstrap=200", "--seed=0"]),
+        ("stats", ["stats", f"--observations={noisy}"]),
+        ("stats-exact", ["stats", f"--observations={exact}"]),
+        ("predict-step", ["predict", "--method=step", "--n=1e9", "--d=1e11"]),
+    ):
+        rc, stdout, stderr = main_inprocess(*argv)
+        assert rc == 0, stderr
+        if key == "stats-exact":
+            assert json.loads(stdout)["full_model"]["f_statistic"] is None
+        outputs[key] = _sha256(stdout)
+    assert outputs == OBSERVATION_REPORT_SHA256
 
 
 def _surface_command_digests(path, tmp_path) -> dict[str, str]:
