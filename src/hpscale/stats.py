@@ -174,12 +174,6 @@ class RegressionReport:
     rss: float
     df_resid: int
 
-    def predictor(self, name: str) -> PredictorStats:
-        for row in self.predictors:
-            if row.name == name:
-                return row
-        raise ArgumentError(f"no predictor named {name!r} in report")
-
 
 @dataclass(frozen=True)
 class FormulationStats:
@@ -203,12 +197,6 @@ class FormulationComparison:
     formulations: tuple[FormulationStats, ...]
     nested_tests: tuple[NestedTest, ...]
     full_report: RegressionReport
-
-    def formulation(self, name: str) -> FormulationStats:
-        for row in self.formulations:
-            if row.name == name:
-                return row
-        raise ArgumentError(f"no formulation named {name!r}")
 
 
 def _f_test(restricted, full) -> tuple[float, float]:

@@ -580,6 +580,43 @@ def test_write_failure_exit_4(inputs, tmp_path, writer, target):
     assert stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("target", ["missing_parent", "directory"])
+@pytest.mark.parametrize("report", ["absent", "present", "dangling_link", "stdout"])
+def test_write_failure_exit_4_writes_no_report(tmp_path, report, target):
+    # the CSV target cannot be opened: the JSON report is not written either
+    out = tmp_path / "r.json"
+    if report == "present":
+        out.write_bytes(b"an earlier report\n" * 100)
+    elif report == "dangling_link":
+        out.symlink_to(tmp_path / "target.json")
+    before = out.read_bytes() if report == "present" else None
+    csv = tmp_path / "missing" / "x.csv" if target == "missing_parent" else tmp_path
+    argv = ["compare", "--surface", str(FIG3_PATH), "--methods", "step", "--csv", str(csv)]
+    if report != "stdout":
+        argv += ["--out", str(out)]
+    rc, stdout, stderr = main_inprocess(*argv)
+    assert (rc, stdout) == (4, b"")
+    assert stderr.startswith("error: ")
+    assert (out.read_bytes() if out.exists() else None) == before
+    left = ["r.json"] if report in ("present", "dangling_link") else []
+    assert sorted(p.name for p in tmp_path.iterdir()) == left
+
+
+def test_one_open_per_file_target(tmp_path, monkeypatch):
+    calls = []
+    real_open, real_exists = os.open, os.path.exists
+    monkeypatch.setattr(os, "open", lambda *a: calls.append("open") or real_open(*a))
+    monkeypatch.setattr(os.path, "exists", lambda p: calls.append("exists") or real_exists(p))
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    compare = ["compare", "--surface", str(FIG3_PATH), "--methods", "step"]
+    assert main_inprocess(*compare, "--out", str(out))[0] == 0
+    assert calls == ["open"]
+    calls.clear()
+    assert main_inprocess(*compare, "--out", str(out), "--csv", str(csv))[0] == 0
+    assert calls == ["exists", "open", "open"]
+    assert out.read_bytes().startswith(b"{\n") and csv.read_bytes().startswith(b"method,")
+
+
 # --- in-process fuzz of every file input ---------------------------------------
 
 _scalars = (

@@ -3,7 +3,8 @@
 The loaders reach their text only through the errors.py decoders, so no
 module but errors.py calls decode_text or splits a text on "\\n" itself.
 Files are opened in one module, cli.py, and written by one function in
-it, _emit.
+it, _emit. Reports are encoded by one function, cli._encode_json: no
+module calls json.dumps or json.dump.
 """
 
 import ast
@@ -84,3 +85,13 @@ def test_only_errors_splits_text_into_lines():
         )
 
     assert _where(splits_lines) == []
+
+
+def test_no_module_calls_json_dumps():
+    calls = [
+        f"{module}:{node.lineno}"
+        for module, tree in sorted(TREES.items())
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _name(node.func) in ("dumps", "dump")
+    ]
+    assert calls == []

@@ -24,6 +24,12 @@ from hpscale import (
 )
 
 
+def _named(rows, name):
+    """The one row of a report's predictors or formulations called name."""
+    (row,) = [row for row in rows if row.name == name]
+    return row
+
+
 # --- special functions vs scipy oracles ----------------------------------------
 
 
@@ -72,8 +78,8 @@ def test_f_sf_accuracy():
 
 def test_regress_seed3_pattern():
     report = regress(("logN", "logD"), independent_n_observations(3))
-    assert report.predictor("logD").p_value < 0.001
-    assert report.predictor("logN").p_value > 0.05
+    assert _named(report.predictors, "logD").p_value < 0.001
+    assert _named(report.predictors, "logN").p_value > 0.05
     assert report.n_obs == 40
 
 
@@ -84,7 +90,7 @@ def test_regress_matches_scipy_linregress():
     x = np.log([o.d_tokens for o in obs])
     y = np.log([o.opt_bs_tokens for o in obs])
     ref = sp_stats.linregress(x, y)
-    row = report.predictor("logD")
+    row = _named(report.predictors, "logD")
     assert row.coefficient == pytest.approx(ref.slope, rel=1e-10)
     assert row.standard_error == pytest.approx(ref.stderr, rel=1e-10)
     assert row.p_value == pytest.approx(ref.pvalue, rel=1e-8)
@@ -101,8 +107,8 @@ def test_regress_exact_linear_response():
     report = regress(("logN", "logD"), obs)
     assert report.r_squared == pytest.approx(1.0, abs=1e-12)
     assert report.adjusted_r_squared == pytest.approx(1.0, abs=1e-12)
-    assert report.predictor("logN").p_value == pytest.approx(0.0, abs=1e-10)
-    assert report.predictor("logD").p_value == pytest.approx(0.0, abs=1e-10)
+    assert _named(report.predictors, "logN").p_value == pytest.approx(0.0, abs=1e-10)
+    assert _named(report.predictors, "logD").p_value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_regress_orthogonal_predictor_is_null():
@@ -122,7 +128,7 @@ def test_regress_orthogonal_predictor_is_null():
     # direct design-space check mirroring the construction
     x1 = np.array([math.log(o.n_params) for o in obs])
     report = regress(("logN", "logD"), obs)
-    row = report.predictor("logN")
+    row = _named(report.predictors, "logN")
     assert abs(np.corrcoef(x1, log_bs)[0, 1]) < 0.2  # sanity: weak raw correlation
     assert row.coefficient == pytest.approx(0.0, abs=1e-10)
     assert row.t_value == pytest.approx(0.0, abs=1e-8)
@@ -161,22 +167,22 @@ def test_regress_t_and_ci_identities():
 
 def test_compare_formulations_n_independent_pattern():
     comp = compare_formulations(independent_n_observations(3))
-    full = comp.formulation("Full")
-    d_only = comp.formulation("D-only")
-    n_only = comp.formulation("N-only")
+    full = _named(comp.formulations, "Full")
+    d_only = _named(comp.formulations, "D-only")
+    n_only = _named(comp.formulations, "N-only")
     assert abs(d_only.adjusted_r_squared - full.adjusted_r_squared) < 0.01
     assert n_only.adjusted_r_squared < 0.05
     assert full.delta_adj_r2_vs_full == 0.0
-    assert comp.full_report.predictor("logN").p_value > 0.05
+    assert _named(comp.full_report.predictors, "logN").p_value > 0.05
 
 
 def test_nested_f_equals_t_squared_for_one_dropped_predictor():
     comp = compare_formulations(independent_n_observations(3))
-    t = comp.full_report.predictor("logN").t_value
+    t = _named(comp.full_report.predictors, "logN").t_value
     d_vs_full = next(t_ for t_ in comp.nested_tests if t_.restricted == "D-only")
     assert d_vs_full.f_statistic == pytest.approx(t * t, rel=1e-9)
     assert d_vs_full.p_value == pytest.approx(
-        comp.full_report.predictor("logN").p_value, rel=1e-9
+        _named(comp.full_report.predictors, "logN").p_value, rel=1e-9
     )
     assert d_vs_full.p_value > 0.05  # irrelevant extra predictor
 
@@ -184,9 +190,9 @@ def test_nested_f_equals_t_squared_for_one_dropped_predictor():
 def test_nested_rss_and_f_invariants():
     for seed in range(12):
         comp = compare_formulations(independent_n_observations(seed, n=24))
-        full = comp.formulation("Full")
+        full = _named(comp.formulations, "Full")
         for name in ("N-only", "D-only"):
-            restricted = comp.formulation(name)
+            restricted = _named(comp.formulations, name)
             assert restricted.r_squared <= full.r_squared + 1e-12
         for test in comp.nested_tests:
             assert test.f_statistic >= 0.0
@@ -195,8 +201,8 @@ def test_nested_rss_and_f_invariants():
 
 def test_noise_predictor_raises_raw_r2_but_can_lower_adjusted():
     comp = compare_formulations(independent_n_observations(3))
-    full = comp.formulation("Full")
-    d_only = comp.formulation("D-only")
+    full = _named(comp.formulations, "Full")
+    d_only = _named(comp.formulations, "D-only")
     assert full.r_squared >= d_only.r_squared - 1e-12
     assert full.adjusted_r_squared < d_only.adjusted_r_squared  # t^2 < 1 here
 
@@ -289,8 +295,8 @@ def test_no_f_statistic_is_negative():
     # on the exact lattice, N-only explains nothing: R-squared may round
     # below 0, but its F is clamped at 0 like a nested test's
     comp = compare_formulations(_exact_lattice(LATTICE_N, LATTICE_D))
-    assert comp.formulation("N-only").r_squared <= 0.0
-    assert comp.formulation("N-only").f_statistic == 0.0
+    assert _named(comp.formulations, "N-only").r_squared <= 0.0
+    assert _named(comp.formulations, "N-only").f_statistic == 0.0
     for seed in range(12):
         comp = compare_formulations(independent_n_observations(seed, n=24))
         assert min(_f_statistics(comp)) >= 0.0
@@ -314,7 +320,7 @@ def test_rejection_frequencies_over_seeds():
     n_reject_d = n_keep_n = 0
     for seed in range(50):
         report = regress(("logN", "logD"), independent_n_observations(seed))
-        n_reject_d += report.predictor("logD").p_value < 0.001
-        n_keep_n += report.predictor("logN").p_value > 0.05
+        n_reject_d += _named(report.predictors, "logD").p_value < 0.001
+        n_keep_n += _named(report.predictors, "logN").p_value > 0.05
     assert n_reject_d == 50
     assert n_keep_n >= 45
