@@ -1,8 +1,10 @@
 """Golden digests of what every report command and synth write.
 
 analyze, compare, compare --use-snapped and plot (with the compare rows
-overlaid) run on tests/data/fig3_style.csv and on the 60 x 70 surface the
-dense_grid benchmark sweeps, alone and one after another in one process.
+overlaid at the predicted points, at the snapped points, and on the val
+metric at seven levels) run on tests/data/fig3_style.csv and on the
+60 x 70 surface the dense_grid benchmark sweeps, alone and one after
+another in one process.
 However a surface is held or read, every byte of their output must stay
 as it is. That dense surface carries the noise of synth's SeedSequence
 generator, rebuilt in test_surface._dense_surface; the bytes synth's own
@@ -33,6 +35,8 @@ GOLDEN_SHA256 = {
         "compare": "9700117226dc6bacce6f92dd8027164bdabc37648dbf8f003d9a1ad4615edc3f",
         "compare-snapped": "93e3590154d1b68f7f0810c9c42912bb580efaf1769f621a62decb033bfbf7ff",
         "plot": "d882891098afa9210e4375a4fa882a50ed88055df8cf66726a4fb1059d819c81",
+        "plot-snapped": "e34ead44078cd3e56fc9b79a5318ac44b74baf6b9e83264825879308be8b1a49",
+        "plot-val": "a6d52f589f30b9aca3d40078af9c0f603c198054dad2c39e6f8700839f353c70",
     },
     "dense": {
         "analyze": "f3225fe8452c1049381bd961979c92f31205fb8526368828ef2b3b2e82eef568",
@@ -40,6 +44,8 @@ GOLDEN_SHA256 = {
         "compare": "c98d62c449e027cc1c272f77f2297883f56a90831038669b173096648d954b9b",
         "compare-snapped": "13682e1c0e500b3a3956aec4dd5ef97d003e7db550f2bc9967d28d21a51fb471",
         "plot": "9164bbae9df01be2e8a00b642c2f154d5893e74f691327d5ffe295f9f7cf1d1f",
+        "plot-snapped": "05d55d84ad906609e437c36c3ccd0aeb9d4c9216cb9802f558651426e15f4278",
+        "plot-val": "996cfe1fea3f012c2384950eba88561ee1a8d6c19cfb1046aacbdf8edf9d70a6",
     },
 }
 
@@ -121,6 +127,9 @@ def _surface_command_digests(path, tmp_path) -> dict[str, str]:
         ("compare", compare),
         ("compare-snapped", [*compare, "--use-snapped"]),
         ("plot", ["plot", f"--surface={path}", f"--overlay={rows}"]),
+        ("plot-snapped", ["plot", f"--surface={path}", f"--overlay={rows}", "--use-snapped"]),
+        ("plot-val", ["plot", f"--surface={path}", f"--overlay={rows}", "--metric=val",
+                      "--levels=0.5,1,2.5,5,10,20,40"]),
     ):
         rc, stdout, stderr = main_inprocess(*argv)
         assert rc == 0, stderr
