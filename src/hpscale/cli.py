@@ -58,6 +58,7 @@ import hashlib
 import math
 import os
 import re
+import stat
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -133,9 +134,11 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
     write, so a target that cannot be opened (a missing directory, a
     directory) fails the command with nothing on stdout, an existing file
     left byte for byte as it was, and a file this call created removed.
-    A write that fails after the opens can still leave a file written.
-    With one file target there is one os.open and nothing else. OSErrors
-    here are genuine write failures (exit 4).
+    Two file targets that are one regular file (a repeated path, a symlink,
+    a hard link) are an ArgumentError (exit 2), with the same cleanup. A
+    write that fails after the opens can still leave a file written. With
+    one file target there is one os.open and nothing else. OSErrors here
+    are genuine write failures (exit 4).
     """
     # an encode error leaves every file untouched
     files = [(path, memoryview(text.encode("utf-8"))) for text, path in outputs
@@ -148,7 +151,11 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
             fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
             if new:
                 created.append(path)
-    except OSError:
+        stats = [os.fstat(fd) for fd in fds] if len(fds) > 1 else []
+        ids = [(st.st_dev, st.st_ino) for st in stats if stat.S_ISREG(st.st_mode)]
+        if len(set(ids)) < len(ids):
+            raise ArgumentError(f"outputs {' and '.join(p for p, _ in files)} are the same file")
+    except (OSError, ArgumentError):
         for fd in fds:
             os.close(fd)
         for path in created:
@@ -341,7 +348,6 @@ def compare_rows(
     if not methods:
         raise ArgumentError("method list must not be empty")
     check_number(budget_factor, "--budget-factor", "positive")
-    grid = GridSpec(surf.lr_values(), surf.bs_values())
     rows = []
     for method in methods:
         if method not in LAW_METHODS:
@@ -370,7 +376,7 @@ def compare_rows(
             rows.append(row)
             continue
         row["predicted"] = {"lr": pred.lr, "bs": pred.bs_tokens}
-        snapped = snap_to_grid(pred, grid)
+        snapped = snap_to_grid(pred, surf.grid)
         row["snapped"] = {"lr": snapped.lr, "bs": snapped.bs_tokens}
         if pred.lr is None or pred.bs_tokens is None:
             row["status"] = "unsupported"
@@ -446,30 +452,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-# a character XML 1.0 forbids: a C0 control but \t\n\r, a surrogate, U+FFFE or U+FFFF
-_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
-
-
-def _check_overlay_row(row, index: int) -> None:
-    """An overlay row is an object. Its method, the SVG label, if given is a
-    str of characters XML 1.0 allows; its predicted and snapped are objects
-    or null, holding lr and bs that are positive finite numbers or null."""
-    if not isinstance(row, dict):
-        raise ArgumentError(f"overlay row {index} must be a JSON object")
-    label = row.get("method", "")
-    if not isinstance(label, str) or _NOT_XML_CHAR.search(label):
-        raise ArgumentError(f"overlay row {index}: method must be XML text, got {label!r:.40}")
-    for group in ("predicted", "snapped"):
-        block = row.get(group)
-        if block is None:
-            continue
-        if not isinstance(block, dict):
-            raise ArgumentError(f"overlay row {index}: {group} must be an object or null")
-        for key in ("lr", "bs"):
-            if block.get(key) is not None:
-                check_number(block[key], f"overlay row {index}: {group}.{key}", "positive")
-
-
 def cmd_plot(args) -> int:
     raw = _read_input(args.surface)
     surf = load_surface(raw)
@@ -480,14 +462,11 @@ def cmd_plot(args) -> int:
     )
     overlays = None
     if args.overlay:
-        overlay_doc = decode_json(_read_input(args.overlay), "overlay")
-        if isinstance(overlay_doc, dict):
-            overlay_doc = overlay_doc.get("rows", overlay_doc)
-        if not isinstance(overlay_doc, list):
+        overlays = decode_json(_read_input(args.overlay), "overlay")
+        if isinstance(overlays, dict):
+            overlays = overlays.get("rows", overlays)
+        if not isinstance(overlays, list):
             raise ArgumentError("overlay JSON must hold a list of compare rows")
-        for i, row in enumerate(overlay_doc):
-            _check_overlay_row(row, i)
-        overlays = overlay_doc
     svg = render_surface_svg(
         surf,
         metric=args.metric,

@@ -16,6 +16,7 @@ so predictions stay finite out to D ~ 1e13 and beyond.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
@@ -113,11 +114,20 @@ class GridSpec:
 
     The default grid is the paper's sweep design: learning rates 2**e for
     e = -10.5, -10.0, ..., -7.0 and batch sizes from 32,768 growing by
-    sqrt(2) up to 4,194,304. A surface's own axes form a grid too.
+    sqrt(2) up to 4,194,304. A surface's own axes form a grid too
+    (LossSurface.grid, its bs values ints).
+
+    log_lr and log_bs hold math.log of each node, taken once here for
+    every reader of a grid's logs. The nearest node to a value is the first at the
+    least float distance |log value - log node|: ties and equal logs go to
+    the smaller node, and a value past either end to that end (or to a
+    smaller node at the same rounded distance).
     """
 
     lr_values: tuple[float, ...]
     bs_values: tuple[float, ...]
+    log_lr: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    log_bs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, values in (("lr_values", self.lr_values), ("bs_values", self.bs_values)):
@@ -127,6 +137,8 @@ class GridSpec:
                 check_number(v, name, "positive")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ArgumentError(f"{name} must be strictly increasing")
+        object.__setattr__(self, "log_lr", tuple(map(math.log, self.lr_values)))
+        object.__setattr__(self, "log_bs", tuple(map(math.log, self.bs_values)))
 
     @classmethod
     def default(cls) -> "GridSpec":
@@ -379,25 +391,27 @@ def _require_loss(aux: AuxInputs, method: str) -> float:
     return aux.expected_loss
 
 
-def _snap_value(value: float, grid: tuple[float, ...]) -> float:
-    log_v = math.log(value)
-    best = grid[0]
-    best_dist = abs(log_v - math.log(grid[0]))
-    for g in grid[1:]:
-        dist = abs(log_v - math.log(g))
-        if dist < best_dist:  # ties keep the earlier (smaller) value
-            best, best_dist = g, dist
-    return best
+def _nearest(values: tuple, logs: tuple[float, ...], q: float):
+    """The node of values (whose logs are logs) nearest log value q, by the
+    rule GridSpec states: the first node at the least float distance."""
+    i = bisect.bisect_left(logs, q)
+    if i == len(logs) or (i > 0 and q - logs[i - 1] <= logs[i] - q):
+        i -= 1  # the nearest lies below q; an earlier node may round to its distance
+        while i > 0 and q - logs[i - 1] == q - logs[i]:
+            i -= 1
+    return values[i]
 
 
 def snap_to_grid(p: Prediction, grid: GridSpec) -> Prediction:
-    """Map lr and bs to the nearest grid values in log space.
+    """Map lr and bs to the nearest grid nodes in log space (see GridSpec).
 
     Ties break toward the smaller value (undershooting the learning rate
     is the safer direction); values beyond the grid clamp to its
     endpoints. Snapping an already snapped prediction is a no-op.
     """
-    lr = _snap_value(p.lr, grid.lr_values) if p.lr is not None else None
-    bs = _snap_value(p.bs_tokens, grid.bs_values) if p.bs_tokens is not None else None
+    lr, bs = p.lr, p.bs_tokens
+    if lr is not None:
+        lr = _nearest(grid.lr_values, grid.log_lr, math.log(lr))
+    if bs is not None:
+        bs = _nearest(grid.bs_values, grid.log_bs, math.log(bs))
     return Prediction(lr=lr, bs_tokens=bs, method=p.method, snapped=True)
-

@@ -10,14 +10,14 @@ argmin consistency.
 Representation. A surface is validated once, when it is built, into a
 dense grid held as numpy arrays: the input rows as one (n, 4) float64
 array of lr, bs, train and val in input order (NaN for a missing val),
-the sorted distinct learning rates and batch sizes (the axes), and a
-train table and a val table indexed [lr index, bs index]. A cell that
-no row fills holds NaN in both tables; that is the fill mask, and no
-loss can be NaN. bs is compared as float64 everywhere, as a CSV's bs
-column always was: two integer batch sizes that differ only beyond
-2**53 fill one cell. The optimum of each metric is found on first use
-and cached. Every analytic reads the arrays in whole-array expressions
-and none rescans the points.
+the sorted distinct learning rates and batch sizes (the axes, a
+laws.GridSpec: LossSurface.grid), and a train table and a val table
+indexed [lr index, bs index]. A cell that no row fills holds NaN in both
+tables; that is the fill mask, and no loss can be NaN. bs is compared as
+float64 everywhere, as a CSV's bs column always was: two integer batch
+sizes that differ only beyond 2**53 fill one cell. The optimum of each
+metric is found on first use and cached. Every analytic reads the arrays
+in whole-array expressions and none rescans the points.
 
 The sweep-row rule has one home, _check_rows, which _Grid runs on its
 rows: every value finite and positive except a val the input marks
@@ -30,8 +30,10 @@ its tables are allocated. The invariants:
 
 - every value that leaves the module is a Python float or int, never a
   numpy scalar (taken with ndarray.item or .tolist());
-- the axes' logs are math.log of the Python axis values, not np.log,
-  which can differ by one ulp and so move an interpolated value;
+- the axes are one GridSpec, whose log_lr and log_bs (math.log of the
+  Python axis values, not np.log, which can differ by one ulp and so move
+  an interpolated value) are the only logs of them; an out-of-hull
+  query's nearest corner is the GridSpec nearest node, as snap_to_grid's;
 - ties for the optimum break to the smaller lr, then the smaller bs;
 - a grid with unfilled cells is a valid surface: find_optimum and
   plateau work on it, and only the operations that need every cell
@@ -48,12 +50,12 @@ a row loop over the same lines; one _Grid of the rows read checks them.
 
 Surfaces are immutable after construction, and every analytic here is a
 pure function of its inputs. load_surface keeps one memo entry: the
-UTF-8 bytes of the last text it parsed successfully, with that text's
-grid, scale and tags. Given the same text again, as str, bytes or a
-stream, it returns a new surface over the same grid, so consecutive
-commands on one file parse it once. The entry is dropped before any
-other text is parsed, and a failed parse is never kept; the entry holds
-no caller's surface or points.
+bytes of the last bytes input it parsed successfully, with their grid,
+scale and tags. Given the same bytes again, as bytes or a binary stream,
+it returns a new surface over the same grid, so consecutive commands on
+one file parse it once. A str is parsed every time and never kept. The
+entry is dropped before any other input is parsed, and a failed parse is
+never kept; the entry holds no caller's surface or points.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ import numpy as np
 
 from .errors import ArgumentError, GridShapeError, OutOfHullError, ParseError
 from .errors import check_number, decode_csv
-from .laws import ModelScale
+from .laws import GridSpec, ModelScale, _nearest
 
 METRICS = ("train", "val")
 
@@ -116,15 +118,16 @@ class _Grid:
     """Input rows, and the dense lr x bs tables built from them.
 
     rows is an (n, 4) float64 array of lr, bs, train and val in input
-    order; missing_val marks the rows that have no val, whose val is NaN.
-    Raises _BadRow if the rows break the sweep-row rule.
+    order, at least one; missing_val marks the rows that have no val,
+    whose val is NaN. axes is the GridSpec of the distinct lr and bs, bs
+    as ints. Raises _BadRow if the rows break the sweep-row rule.
     """
 
     def __init__(self, rows: np.ndarray, missing_val: np.ndarray):
         self.rows = rows
-        self.lr_axis, li = np.unique(rows[:, 0], return_inverse=True)
-        self.bs_axis, bi = np.unique(rows[:, 1], return_inverse=True)
-        shape = (self.lr_axis.size, self.bs_axis.size)
+        lr_axis, li = np.unique(rows[:, 0], return_inverse=True)
+        bs_axis, bi = np.unique(rows[:, 1], return_inverse=True)
+        shape = (lr_axis.size, bs_axis.size)
         _check_cells(*shape)
         cells = li * shape[1] + bi
         _check_rows(rows, missing_val, cells, shape[0] * shape[1])
@@ -133,15 +136,12 @@ class _Grid:
         val = np.full_like(train, np.nan)
         val[cells] = rows[:, 3]
         self.train, self.val = train.reshape(shape), val.reshape(shape)
-        self.lr_values = tuple(self.lr_axis.tolist())
-        self.bs_values = tuple(map(int, self.bs_axis.tolist()))
-        self.log_lrs = [math.log(v) for v in self.lr_values]
-        self.log_bss = [math.log(v) for v in self.bs_values]
+        self.axes = GridSpec(tuple(lr_axis.tolist()), tuple(map(int, bs_axis.tolist())))
         self.complete = len(rows) == train.size
         self.full_val = not missing_val.any()
         self._optima: dict[str, OptimumReport] = {}
         # load_surface's memo hands one grid to many surfaces
-        for array in (rows, self.lr_axis, self.bs_axis, self.train, self.val):
+        for array in (rows, self.train, self.val):
             array.flags.writeable = False
 
     def table(self, metric: str) -> np.ndarray:
@@ -154,9 +154,8 @@ class _Grid:
             table = self.table(metric)
             k = int(np.where(np.isnan(table), inf, table).argmin())
             i, j = divmod(k, table.shape[1])
-            opt = OptimumReport(
-                hp=(self.lr_values[i], self.bs_values[j]), loss=table.item(k), metric=metric
-            )
+            lrs, bss = self.axes.lr_values, self.axes.bs_values
+            opt = OptimumReport(hp=(lrs[i], bss[j]), loss=table.item(k), metric=metric)
             self._optima[metric] = opt
         return opt
 
@@ -269,7 +268,9 @@ class LossSurface:
     @classmethod
     def _from_grid(cls, scale, grid: _Grid, arch_tag: str, recipe_tag: str):
         surface = cls.__new__(cls)
-        surface.__dict__.update(scale=scale, arch_tag=arch_tag, recipe_tag=recipe_tag, _grid=grid)
+        surface.__dict__.update(
+            scale=scale, arch_tag=arch_tag, recipe_tag=recipe_tag, grid=grid.axes, _grid=grid
+        )
         return surface
 
     def __setattr__(self, name, value):
@@ -299,15 +300,9 @@ class LossSurface:
         g = self._grid
         return (
             f"LossSurface(scale={self.scale!r}, points=<{len(g.rows)} on a "
-            f"{len(g.lr_values)}x{len(g.bs_values)} grid>, "
+            f"{g.train.shape[0]}x{g.train.shape[1]} grid>, "
             f"arch_tag={self.arch_tag!r}, recipe_tag={self.recipe_tag!r})"
         )
-
-    def lr_values(self) -> tuple[float, ...]:
-        return self._grid.lr_values
-
-    def bs_values(self) -> tuple[int, ...]:
-        return self._grid.bs_values
 
     def has_full_val(self) -> bool:
         return self._grid.full_val
@@ -317,7 +312,7 @@ class LossSurface:
         array; requires a complete grid."""
         g = self._grid
         if not g.complete:
-            n_lr, n_bs = len(g.lr_values), len(g.bs_values)
+            n_lr, n_bs = g.train.shape
             raise GridShapeError(
                 f"surface has {len(g.rows)} points but the lr x bs grid "
                 f"needs {n_lr} x {n_bs} = {n_lr * n_bs}"
@@ -365,8 +360,8 @@ _SCALE_META = (*_REQUIRED_META, "n_active")
 _HEADER_BASE = ["lr", "bs_tokens", "train_smooth_loss"]
 
 
-# (UTF-8 bytes of the text, scale, grid, arch_tag, recipe_tag) of the last
-# successful load_surface, or None. Replaced whole, never mutated, so a
+# (input bytes, scale, grid, arch_tag, recipe_tag) of the last successful
+# load_surface of bytes, or None. Replaced whole, never mutated, so a
 # reader that takes it into a local sees one consistent entry.
 _last_load: tuple | None = None
 
@@ -385,18 +380,19 @@ def load_surface(source) -> LossSurface:
     breaks the sweep-row rule is named from the one grid of the rows read,
     ahead of the line the row loop stopped at.
 
-    The UTF-8 bytes, grid, scale and tags of the last successful parse
-    are kept. When the input's UTF-8 bytes equal the kept ones, that is,
-    when its text equals the kept text, the result is a new, equal surface
-    over the kept grid, and nothing is parsed or decoded. Any other input
-    drops the entry, is parsed, and is kept only if the parse succeeds.
+    The bytes, grid, scale and tags of the last successful parse of bytes
+    (given as bytes or read from a binary stream) are kept. When the
+    input is bytes equal to the kept ones, the result is a new, equal
+    surface over the kept grid, and nothing is parsed or decoded. Any
+    other input, a str among them, drops the entry and is parsed; it is
+    kept only if it is bytes and the parse succeeds.
     """
     global _last_load
     raw = source.read() if hasattr(source, "read") else source
-    key = _utf8_key(raw)
+    key = raw if isinstance(raw, bytes) else None
     last = _last_load
     if last is not None and last[0] == key:
-        # keep the bytes just given, which a bytes caller holds anyway, not a copy
+        # keep the bytes just given, which the caller holds anyway
         _last_load = (key, *last[1:])
         return LossSurface._from_grid(*last[1:])
     # hold neither the old text nor its grid while the new text is parsed
@@ -405,18 +401,6 @@ def load_surface(source) -> LossSurface:
     if key is not None:
         _last_load = (key, surface.scale, surface._grid, surface.arch_tag, surface.recipe_tag)
     return surface
-
-
-def _utf8_key(raw) -> bytes | None:
-    """raw's text as UTF-8 bytes, the form the memo keeps and compares.
-    None for a str with a lone surrogate, which UTF-8 cannot encode, and
-    for input that is neither str nor bytes."""
-    if isinstance(raw, str):
-        try:
-            return raw.encode("utf-8")
-        except UnicodeEncodeError:
-            return None
-    return raw if isinstance(raw, bytes) else None
 
 
 def _parse_surface(raw) -> LossSurface:
@@ -436,7 +420,8 @@ def _parse_surface(raw) -> LossSurface:
     width = len(header)
     table, missing_val, unread = _bulk_table(csv.rows, width) or _row_table(csv.rows, width)
     try:
-        grid = _Grid(table, missing_val)
+        if len(table):  # else no line was read, and the first is the unread one
+            grid = _Grid(table, missing_val)
         if unread is not None:  # raised after the grid: an earlier row-rule break wins
             raise unread
     except _BadRow as bad:
@@ -519,8 +504,8 @@ def surface_to_csv(surface: LossSurface) -> str:
     ii, jj = np.nonzero(filled)
     # each axis value is formatted once, then looked up per row
     cells = [
-        map(list(map(repr, g.lr_values)).__getitem__, ii.tolist()),
-        map(list(map(str, g.bs_values)).__getitem__, jj.tolist()),
+        map(list(map(repr, surface.grid.lr_values)).__getitem__, ii.tolist()),
+        map(list(map(str, surface.grid.bs_values)).__getitem__, jj.tolist()),
         map(repr, g.train[filled].tolist()),
     ]
     if g.full_val:
@@ -557,26 +542,21 @@ def interpolate_loss(
     check_number(lr, "query lr", "positive")
     check_number(bs_tokens, "query bs", "positive")
     table = surface._losses(metric)
-    g = surface._grid
-    log_lrs, log_bss = g.log_lrs, g.log_bss
+    grid = surface.grid
+    log_lr, log_bs = grid.log_lr, grid.log_bs
     qx, qy = math.log(lr), math.log(bs_tokens)
 
-    if not (log_lrs[0] <= qx <= log_lrs[-1]) or not (log_bss[0] <= qy <= log_bss[-1]):
-        ci = min(range(len(log_lrs)), key=lambda k: abs(log_lrs[k] - qx))
-        cj = min(range(len(log_bss)), key=lambda k: abs(log_bss[k] - qy))
-        corner_lr, corner_bs = g.lr_values[ci], g.bs_values[cj]
+    if not (log_lr[0] <= qx <= log_lr[-1]) or not (log_bs[0] <= qy <= log_bs[-1]):
+        corner_lr = _nearest(grid.lr_values, log_lr, qx)
+        corner_bs = _nearest(grid.bs_values, log_bs, qy)
         raise OutOfHullError(
             f"query (lr={lr:.6e}, bs={bs_tokens:.6e}) lies outside the grid hull; "
             f"nearest corner is (lr={corner_lr:.6e}, bs={corner_bs:.6e})",
             nearest_corner=(corner_lr, float(corner_bs)),
         )
 
-    i = _cell_index(log_lrs, qx)
-    j = _cell_index(log_bss, qy)
-    t = _cell_frac(log_lrs, i, qx)
-    u = _cell_frac(log_bss, j, qy)
-    i1 = i + 1 if len(log_lrs) > 1 else i
-    j1 = j + 1 if len(log_bss) > 1 else j
+    i, i1, t = _cell(log_lr, qx)
+    j, j1, u = _cell(log_bs, qy)
     v00, v01 = table.item(i, j), table.item(i, j1)
     v10, v11 = table.item(i1, j), table.item(i1, j1)
     return (
@@ -587,17 +567,13 @@ def interpolate_loss(
     )
 
 
-def _cell_index(coords: list[float], q: float) -> int:
-    if len(coords) == 1:
-        return 0
-    i = bisect.bisect_right(coords, q) - 1
-    return max(0, min(i, len(coords) - 2))
-
-
-def _cell_frac(coords: list[float], i: int, q: float) -> float:
-    if len(coords) == 1:
-        return 0.0
-    return (q - coords[i]) / (coords[i + 1] - coords[i])
+def _cell(logs: tuple[float, ...], q: float) -> tuple[int, int, float]:
+    """Nodes i and i1 of the cell of logs that holds q (past an end, the
+    end cell) and q's fraction t from i to i1; one node is a cell, t = 0."""
+    if len(logs) == 1:
+        return 0, 0, 0.0
+    i = max(0, min(bisect.bisect_right(logs, q) - 1, len(logs) - 2))
+    return i, i + 1, (q - logs[i]) / (logs[i + 1] - logs[i])
 
 
 def relative_error(
@@ -622,7 +598,7 @@ def plateau(
     g = surface._grid
     with np.errstate(over="ignore"):  # an inf is above any delta: not a member
         ii, jj = np.nonzero((g.table(metric) - opt.loss) / opt.loss <= delta)
-    lrs, bss = g.lr_values, g.bs_values
+    lrs, bss = surface.grid.lr_values, surface.grid.bs_values
     members = frozenset((lrs[i], bss[j]) for i, j in zip(ii.tolist(), jj.tolist()))
     return PlateauRegion(delta=delta, members=members)
 
@@ -642,8 +618,8 @@ def convexity_report(
     violations: list[ConvexityViolation] = []
     unimodal = []
     for axis, fixed, slices in (
-        ("row", [float(bs) for bs in surface.bs_values()], table.T),  # losses along lr
-        ("col", surface.lr_values(), table),  # losses along bs
+        ("row", [float(bs) for bs in surface.grid.bs_values], table.T),  # losses along lr
+        ("col", surface.grid.lr_values, table),  # losses along bs
     ):
         breaks = _unimodality_breaks(slices, epsilon)
         ss, kk = np.nonzero(breaks)

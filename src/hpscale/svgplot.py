@@ -11,10 +11,11 @@ identical bytes.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
-from .errors import check_number
+from .errors import ArgumentError, check_number
 from .surface import LossSurface, find_optimum
 
 WIDTH, HEIGHT = 640, 480
@@ -96,6 +97,30 @@ def _marching_squares(xs, ys, field, level):
     return segments
 
 
+# a character XML 1.0 forbids: a C0 control but \t\n\r, a surrogate, U+FFFE or U+FFFF
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _check_overlay_row(row, index: int) -> None:
+    """The overlay-row rule: a dict whose method (the label), if given, is
+    a str of characters XML 1.0 allows, and whose predicted and snapped are
+    None or dicts of an lr and a bs that are None or positive and finite."""
+    if not isinstance(row, dict):
+        raise ArgumentError(f"overlay row {index} must be a JSON object")
+    label = row.get("method", "")
+    if not isinstance(label, str) or _NOT_XML_CHAR.search(label):
+        raise ArgumentError(f"overlay row {index}: method must be XML text, got {label!r:.40}")
+    for group in ("predicted", "snapped"):
+        block = row.get(group)
+        if block is None:
+            continue
+        if not isinstance(block, dict):
+            raise ArgumentError(f"overlay row {index}: {group} must be an object or null")
+        for key in ("lr", "bs"):
+            if block.get(key) is not None:
+                check_number(block[key], f"overlay row {index}: {group}.{key}", "positive")
+
+
 class _Axes:
     """Maps (log lr, log bs) data coordinates to pixel coordinates."""
 
@@ -133,17 +158,19 @@ def render_surface_svg(
 
     overlays is an iterable of compare rows (dicts with method, predicted,
     snapped, status); rows flagged out_of_hull are clamped to the hull
-    border and drawn with a distinct triangular glyph.
+    border and drawn with a distinct triangular glyph. Every row is checked
+    first; one that breaks _check_overlay_row's rule is an ArgumentError.
     """
+    rows = list(overlays or ())
+    for i, row in enumerate(rows):
+        _check_overlay_row(row, i)
     levels = tuple(check_number(v, "contour level", "positive") for v in levels_permille)
     table = surface._losses(metric)
-    lrs, bss = surface.lr_values(), surface.bs_values()
-    log_lrs = [math.log(v) for v in lrs]
-    log_bss = [math.log(v) for v in bss]
+    grid = surface.grid
     opt = find_optimum(surface, metric)
     with np.errstate(over="ignore"):  # an inf lies above every contour level
         field = (table - opt.loss) / opt.loss * 1000.0
-    ax = _Axes(log_lrs, log_bss)
+    ax = _Axes(grid.log_lr, grid.log_bs)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -162,7 +189,7 @@ def render_surface_svg(
         step = max(1, math.ceil(len(values) / 8))
         return [(values[k], logs[k]) for k in range(0, len(values), step)]
 
-    for value, lx in ticks(lrs, log_lrs):
+    for value, lx in ticks(grid.lr_values, grid.log_lr):
         x = ax.px(lx)
         out.append(
             f'<line x1="{_fmt(x)}" y1="{MARGIN_T + ax.plot_h}" x2="{_fmt(x)}" '
@@ -173,7 +200,7 @@ def render_surface_svg(
             f'text-anchor="middle" font-family="monospace" font-size="9">'
             f"{value:.2e}</text>"
         )
-    for value, ly in ticks(bss, log_bss):
+    for value, ly in ticks(grid.bs_values, grid.log_bs):
         y = ax.py(ly)
         out.append(
             f'<line x1="{MARGIN_L - 5}" y1="{_fmt(y)}" x2="{MARGIN_L}" '
@@ -196,7 +223,7 @@ def render_surface_svg(
     # contours
     for k, level in enumerate(levels):
         color = LEVEL_COLORS[k % len(LEVEL_COLORS)]
-        for (xa, ya), (xb, yb) in _marching_squares(log_lrs, log_bss, field, level):
+        for (xa, ya), (xb, yb) in _marching_squares(grid.log_lr, grid.log_bs, field, level):
             out.append(
                 f'<line x1="{_fmt(ax.px(xa))}" y1="{_fmt(ax.py(ya))}" '
                 f'x2="{_fmt(ax.px(xb))}" y2="{_fmt(ax.py(yb))}" '
@@ -217,7 +244,7 @@ def render_surface_svg(
             f'stroke="red" stroke-width="2"/>'
         )
 
-    for row in overlays or []:
+    for row in rows:
         coords = row.get("snapped") if use_snapped else row.get("predicted")
         status = row.get("status", "")
         if status == "unsupported" or not coords:

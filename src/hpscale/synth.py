@@ -257,7 +257,7 @@ def generate_surface(spec: SurfaceSpec, grid: GridSpec | None = None) -> LossSur
         raise ArgumentError(f"bs node {bs!r} rounds to 0 tokens")
     log_opt_lr = math.log(spec.opt_lr)
     log_opt_bs = math.log(spec.opt_bs)
-    dx = np.array([math.log(lr) - log_opt_lr for lr in grid.lr_values])
+    dx = np.array(grid.log_lr) - log_opt_lr
     dy = np.array([math.log(bs) - log_opt_bs for bs in bs_tokens])
     # overflow gives inf and inf - inf NaN, as Python floats do; both are refused below
     with np.errstate(all="ignore"):

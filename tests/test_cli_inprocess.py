@@ -602,6 +602,35 @@ def test_write_failure_exit_4_writes_no_report(tmp_path, report, target):
     assert sorted(p.name for p in tmp_path.iterdir()) == left
 
 
+@pytest.mark.parametrize(
+    "link,present",
+    [("same_path", False), ("same_path", True), ("symlink", False), ("symlink", True),
+     ("hard_link", True)],
+)  # fmt: skip
+def test_outputs_naming_one_file_exit_2_and_write_nothing(tmp_path, link, present):
+    csv = tmp_path / "f"
+    if present:
+        csv.write_bytes(b"an earlier report\n" * 100)
+    out = csv if link == "same_path" else tmp_path / "link"
+    if link == "symlink":
+        out.symlink_to(csv)
+    elif link == "hard_link":
+        os.link(csv, out)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    rc, stdout, stderr = main_inprocess("compare", "--surface", str(FIG3_PATH), "--methods",
+                                        "step", "--out", str(out), "--csv", str(csv))  # fmt: skip
+    assert (rc, stdout) == (2, b"")
+    assert stderr.startswith("error: ") and "same file" in stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if present:
+        assert csv.read_bytes() == b"an earlier report\n" * 100
+
+
+def test_both_outputs_to_dev_null_exit_0():
+    compare = ["compare", "--surface", str(FIG3_PATH), "--methods", "step"]
+    assert main_inprocess(*compare, "--out", os.devnull, "--csv", os.devnull) == (0, b"", "")
+
+
 def test_one_open_per_file_target(tmp_path, monkeypatch):
     calls = []
     real_open, real_exists = os.open, os.path.exists

@@ -216,7 +216,8 @@ def test_grid_validation(fig3_surface):
     with pytest.raises(ArgumentError, match="increasing"):
         GridSpec((2.0, 1.0), (1.0, 2.0))
     # a surface's own axes are a grid, even rounded ones without a constant ratio
-    grid = GridSpec(fig3_surface.lr_values(), fig3_surface.bs_values())
+    grid = fig3_surface.grid
+    assert grid == GridSpec(grid.lr_values, grid.bs_values)
     assert grid.lr_values[:2] == (0.000488, 0.000690)
     with pytest.raises(ArgumentError, match="non-empty"):
         GridSpec((), (1.0,))

@@ -321,7 +321,7 @@ def test_relative_error_zero_at_optimum():
 def test_relative_error_one_step_offset_matches_oracle():
     surf = _bowl()
     opt = find_optimum(surf)
-    lrs = surf.lr_values()
+    lrs = surf.grid.lr_values
     i = lrs.index(opt.hp[0])
     probe = (lrs[i + 1], float(opt.hp[1]))
     expected = (point_at(surf, probe[0], int(probe[1])).train_smooth_loss
@@ -452,7 +452,7 @@ def test_argmin_consistency_shift_preserves():
 def test_argmin_consistency_displaced_val_min():
     surf = _bowl()
     train_opt = find_optimum(surf).hp
-    lrs = surf.lr_values()
+    lrs = surf.grid.lr_values
     displaced_lr = lrs[lrs.index(train_opt[0]) + 1]
 
     def val(p):
@@ -618,11 +618,11 @@ def _load_outcome(load, text):
         surf = load(text)
     except ParseError as exc:
         return str(exc), exc.line
-    g = surf._grid
-    types = [type(v) for values in (*surf.points, g.lr_values, g.bs_values) for v in values]
+    g, axes = surf._grid, surf.grid
+    types = [type(v) for values in (*surf.points, axes.lr_values, axes.bs_values) for v in values]
     # the tables with None for NaN, so that unfilled cells compare equal
     tables = [np.where(np.isnan(t), None, t).tolist() for t in (g.train, g.val)]
-    return surf, surf.points, tables, g.lr_values, g.bs_values, types
+    return surf, surf.points, tables, axes.lr_values, axes.bs_values, types
 
 
 def _cold_load(source):
@@ -678,8 +678,8 @@ def test_dense_csv_round_trips_with_python_numbers():
     text = surface_to_csv(surf)
     loaded = load_surface(text)
     assert loaded == surf and surface_to_csv(loaded) == text
-    assert {type(v) for v in loaded.lr_values()} == {float}
-    assert {type(v) for v in loaded.bs_values()} == {int}
+    assert {type(v) for v in loaded.grid.lr_values} == {float}
+    assert {type(v) for v in loaded.grid.bs_values} == {int}
     point_types = {tuple(type(v) for v in (p.lr, p.bs_tokens, p.train_smooth_loss,
                                           p.val_loss)) for p in loaded.points}  # fmt: skip
     assert point_types == {(float, int, float, float)}
@@ -742,34 +742,37 @@ def parses(monkeypatch):
     return counts
 
 
-def test_memo_parses_the_same_text_once_in_any_form(parses):
-    forms = [MINI_CSV.encode(), MINI_CSV, io.BytesIO(MINI_CSV.encode()), io.StringIO(MINI_CSV)]
+def test_memo_serves_the_same_bytes_and_parses_every_str(parses):
+    data = MINI_CSV.encode()
+    forms = [data, io.BytesIO(data), MINI_CSV, io.StringIO(MINI_CSV), data]
     first, *rest = [load_surface(source) for source in forms]
-    assert parses == {"bulk": 1, "rows": 0}
+    # a binary stream is served; a str is parsed, drops the entry and is not kept
+    assert parses == {"bulk": 4, "rows": 0}
     assert all(surf == first for surf in rest)
 
 
 def test_memo_keeps_one_entry(parses):
-    a, b, again = (load_surface(text) for text in (MINI_CSV, GOOD_CSV, MINI_CSV))
+    a, b, again = (load_surface(text.encode()) for text in (MINI_CSV, GOOD_CSV, MINI_CSV))
     assert parses == {"bulk": 3, "rows": 0}
     assert a == again != b
 
 
 @pytest.mark.parametrize("bad", sorted(MEMO_BAD))
 def test_memo_bad_after_good_fails_as_a_cold_load(parses, bad):
-    cold = _load_outcome(_cold_load, MEMO_BAD[bad])
+    data = MEMO_BAD[bad].encode()
+    cold = _load_outcome(_cold_load, data)
     assert isinstance(cold[0], str)  # the message; cold[1] is the line
-    good = load_surface(MINI_CSV)
-    assert _load_outcome(load_surface, MEMO_BAD[bad]) == cold
-    assert _load_outcome(load_surface, MEMO_BAD[bad]) == cold  # a failure is never kept
+    good = load_surface(MINI_CSV.encode())
+    assert _load_outcome(load_surface, data) == cold
+    assert _load_outcome(load_surface, data) == cold  # a failure is never kept
     bulk = parses["bulk"]
-    assert load_surface(MINI_CSV) == good
+    assert load_surface(MINI_CSV.encode()) == good
     assert parses["bulk"] == bulk + 1  # the bad text dropped the good one's entry
 
 
 def test_memo_serves_a_row_loop_parse(parses):
-    first = load_surface(PARTIAL_VAL_CSV)
-    served = _load_outcome(load_surface, PARTIAL_VAL_CSV)
+    first = load_surface(PARTIAL_VAL_CSV.encode())
+    served = _load_outcome(load_surface, PARTIAL_VAL_CSV.encode())
     assert parses == {"bulk": 1, "rows": 1}
     assert served == _load_outcome(_row_loop_load, PARTIAL_VAL_CSV)
     assert served[0] == first and [p.val_loss for p in first.points] == [2.1, None]
@@ -798,7 +801,7 @@ def test_each_data_line_is_read_once(parses, text, error, counts):
 
 
 def test_memo_returns_distinct_surfaces_with_their_own_points():
-    a, b = load_surface(MINI_CSV), load_surface(MINI_CSV)
+    a, b = load_surface(MINI_CSV.encode()), load_surface(MINI_CSV.encode())
     assert a == b and a is not b
     points = a.points
     assert "points" not in b.__dict__
@@ -809,18 +812,18 @@ def test_memo_returns_distinct_surfaces_with_their_own_points():
 
 
 def test_memo_keeps_no_callers_surface_alive(parses):
-    surf = load_surface(MINI_CSV)
+    surf = load_surface(MINI_CSV.encode())
     assert surf.points and find_optimum(surf)
     ref = weakref.ref(surf)
     del surf
     gc.collect()
     assert ref() is None
-    assert load_surface(MINI_CSV) == _cold_load(MINI_CSV)
+    assert load_surface(MINI_CSV.encode()) == _cold_load(MINI_CSV.encode())
     assert parses["bulk"] == 2  # the second load was served, the cold one parsed
 
 
 def test_memo_drops_the_old_entry_before_parsing(monkeypatch):
-    old_grid = weakref.ref(load_surface(MINI_CSV)._grid)
+    old_grid = weakref.ref(load_surface(MINI_CSV.encode())._grid)
     seen = []
 
     def bulk_table(*args, _real=surface_module._bulk_table):
@@ -829,7 +832,7 @@ def test_memo_drops_the_old_entry_before_parsing(monkeypatch):
         return _real(*args)
 
     monkeypatch.setattr(surface_module, "_bulk_table", bulk_table)
-    load_surface(GOOD_CSV)
+    load_surface(GOOD_CSV.encode())
     assert seen == [None]
 
 
@@ -842,7 +845,7 @@ def test_memo_is_not_keyed_by_a_buffer(buffer):
             return type(exc)
 
     cold = outcome(_cold_load)
-    load_surface(MINI_CSV)
+    load_surface(MINI_CSV.encode())
     assert outcome(load_surface) == cold
 
 

@@ -7,6 +7,7 @@ arithmetic on the same values, so results must be exactly equal.
 
 import bisect
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -272,7 +273,7 @@ def test_interpolation_matches_point_scan(surf, log2_queries):
 
 @given(surfaces(complete=False))
 def test_incomplete_grids_raise_only_in_grid_operations(surf):
-    n_cells = len(surf.lr_values()) * len(surf.bs_values())
+    n_cells = len(surf.grid.lr_values) * len(surf.grid.bs_values)
     find_optimum(surf)
     plateau(surf)
     if len(surf.points) == n_cells:
@@ -324,8 +325,8 @@ def _assert_python_numbers(surf):
         check((pt.lr, pt.bs_tokens, pt.train_smooth_loss), (float, int, float))
         assert pt.val_loss is None or type(pt.val_loss) is float
 
-    check(surf.lr_values(), [float] * len(surf.lr_values()))
-    check(surf.bs_values(), [int] * len(surf.bs_values()))
+    check(surf.grid.lr_values, [float] * len(surf.grid.lr_values))
+    check(surf.grid.bs_values, [int] * len(surf.grid.bs_values))
     for pt in surf.points:
         check_point(pt)
     for metric in _metrics(surf):
@@ -333,7 +334,7 @@ def _assert_python_numbers(surf):
         check((*opt.hp, opt.loss), (float, int, float))
         for member in plateau(surf, 0.01, metric).members:
             check(member, (float, int))
-        if len(surf.points) < len(surf.lr_values()) * len(surf.bs_values()):
+        if len(surf.points) < len(surf.grid.lr_values) * len(surf.grid.bs_values):
             continue
         rep = convexity_report(surf, 0.0, metric)
         check((rep.row_unimodal_fraction, rep.col_unimodal_fraction), (float, float))
@@ -341,8 +342,8 @@ def _assert_python_numbers(surf):
             check((v.fixed_value, v.index), (float, int))
         pt = surf.points[-1]
         for lr, bs in ((pt.lr, pt.bs_tokens), (pt.lr * 1.1, pt.bs_tokens * 1.1)):
-            if surf.lr_values()[0] <= lr <= surf.lr_values()[-1] and (
-                surf.bs_values()[0] <= bs <= surf.bs_values()[-1]
+            if surf.grid.lr_values[0] <= lr <= surf.grid.lr_values[-1] and (
+                surf.grid.bs_values[0] <= bs <= surf.grid.bs_values[-1]
             ):
                 check((interpolate_loss(surf, lr, bs, metric),), (float,))
                 check((relative_error(surf, (lr, bs), metric),), (float,))
@@ -406,8 +407,31 @@ def test_render_rejects_levels_outside_the_positive_finite_floats(fig3_surface, 
 
 
 def test_render_escapes_overlay_labels(fig3_surface):
-    # a library caller's rows skip the CLI's overlay check
+    # & < > are XML text: escaped, not refused
     label = "a<b & c>d"
     row = {"method": label, "status": "ok", "predicted": {"lr": 1e-3, "bs": 262144}}
     svg = ET.fromstring(render_surface_svg(fig3_surface, overlays=[row]))
     assert [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")][-1] == label
+
+
+_GOOD_ROW = {"method": "step", "status": "ok", "predicted": {"lr": 1e-3, "bs": 262144}}
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        (5, "overlay row 1 must be a JSON object"),
+        ({**_GOOD_ROW, "predicted": {"lr": "1e-3", "bs": 262144}},
+         "overlay row 1: predicted.lr must be a positive finite number"),
+        ({**_GOOD_ROW, "predicted": {"lr": -1.0, "bs": 262144}},
+         "overlay row 1: predicted.lr must be a positive finite number"),
+        ({**_GOOD_ROW, "snapped": [1e-3, 262144]}, "overlay row 1: snapped must be an object"),
+        ({**_GOOD_ROW, "method": "a\x00b"}, "overlay row 1: method must be XML text"),
+    ],
+    ids=["not-a-dict", "str-lr", "negative-lr", "list-snapped", "nul-label"],
+)  # fmt: skip
+def test_render_refuses_a_bad_overlay_row(fig3_surface, row, message):
+    # every row is checked before drawing, whichever point is drawn
+    for use_snapped in (False, True):
+        with pytest.raises(ArgumentError, match="^" + re.escape(message)):
+            render_surface_svg(fig3_surface, overlays=[_GOOD_ROW, row], use_snapped=use_snapped)
