@@ -569,11 +569,18 @@ def interpolate_loss(
 
 def _cell(logs: tuple[float, ...], q: float) -> tuple[int, int, float]:
     """Nodes i and i1 of the cell of logs that holds q (past an end, the
-    end cell) and q's fraction t from i to i1; one node is a cell, t = 0."""
+    end cell) and q's fraction t from i to i1; one node is a cell, t = 0.
+
+    Nodes whose logs are equal are one point: q at their log reads the
+    first of them with t = 0, the tie rule of laws._nearest.
+    """
     if len(logs) == 1:
         return 0, 0, 0.0
     i = max(0, min(bisect.bisect_right(logs, q) - 1, len(logs) - 2))
-    return i, i + 1, (q - logs[i]) / (logs[i + 1] - logs[i])
+    while i > 0 and logs[i - 1] == q:
+        i -= 1
+    width = logs[i + 1] - logs[i]
+    return i, i + 1, (q - logs[i]) / width if width else 0.0
 
 
 def relative_error(

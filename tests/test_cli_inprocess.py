@@ -209,6 +209,22 @@ def test_extreme_losses_analyze_and_plot_without_overflow(tmp_path):
     ET.fromstring(stdout)
 
 
+def test_compare_snapped_to_equal_log_lr_nodes_exit_0(tmp_path):
+    # lr nodes 1e300 and the next float share one log: the step law snaps
+    # to the first, and the loss read there is that node's
+    path = tmp_path / "equal_log.csv"
+    lr2 = math.nextafter(1e300, math.inf)
+    path.write_text("# n_params=1e9\n# d_tokens=1e11\nlr,bs_tokens,train_smooth_loss\n"
+                    f"1e300,131072,2.0\n1e300,262144,2.01\n"
+                    f"{lr2!r},131072,2.1\n{lr2!r},262144,2.11\n")  # fmt: skip
+    rc, stdout, stderr = main_inprocess("compare", "--surface", str(path), "--methods",
+                                        "step", "--use-snapped")  # fmt: skip
+    assert rc == 0, stderr
+    (row,) = strict_json(stdout)["rows"]
+    assert row["snapped"] == {"lr": 1e300, "bs": 262144}
+    assert row["status"] == "ok" and row["loss"] == 2.01
+
+
 def test_surface_past_the_cell_limit_exit_2(tmp_path):
     path = tmp_path / "diagonal.csv"
     path.write_text("# n_params=1e9\n# d_tokens=1e10\nlr,bs_tokens,train_smooth_loss\n"

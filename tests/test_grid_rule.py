@@ -5,7 +5,9 @@ The nearest node was found by a linear scan of log distances, once in
 snap_to_grid per value and once more for the corner an out-of-hull query
 reports; the cell by a separate index and fraction, each with its own
 one-node case. The new code does the same float arithmetic on the same
-logs, so results must be exactly equal.
+logs, so results must be exactly equal, except in a cell of equal logs: there
+the old cell divided by zero, and at the log of several equal-log nodes
+read the last of them; the new one gives t = 0, and reads the first.
 """
 
 import bisect
@@ -55,7 +57,7 @@ def ref_cell(coords, q):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except ZeroDivisionError:  # equal adjacent logs; the old code divided by 0 too
+    except ZeroDivisionError:  # a cell of equal logs
         return ZeroDivisionError
 
 
@@ -159,8 +161,15 @@ def test_nearest_corner_is_the_snapped_prediction(case):
 @given(axis_queries())
 @example(((2.5e-3,), []))
 @example(((1e299, 1e300, _HUGE), []))
+@example(((1e300, _HUGE), []))
 def test_cell_equals_the_index_and_fraction(case):
     values, queries = case
     logs = GridSpec(values, (1.0,)).log_lr
     for q in [*queries, *_fixed_queries(logs)]:
-        assert _outcome(_cell, logs, q) == _outcome(ref_cell, logs, q), q
+        expected = _outcome(ref_cell, logs, q)
+        if logs.count(q) > 1:  # equal-log nodes are one point: the first
+            expected = (logs.index(q), logs.index(q) + 1, 0.0)
+        elif expected is ZeroDivisionError:  # past an end cell of zero width
+            i = 0 if q < logs[0] else len(logs) - 2
+            expected = (i, i + 1, 0.0)
+        assert _cell(logs, q) == expected, q

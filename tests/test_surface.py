@@ -285,6 +285,29 @@ def test_interpolate_log_midpoint_average():
     assert mid == pytest.approx(2.3, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "lrs, first",
+    [
+        ([1e300, math.nextafter(1e300, math.inf)], 0),  # the only cell has zero width
+        ([1e300, math.nextafter(1e300, math.inf), 1e301], 0),
+        ([1e299, 1e300, math.nextafter(1e300, math.inf)], 1),  # the end cell
+    ],
+)
+def test_interpolate_equal_log_nodes_read_the_first(lrs, first):
+    # two lr nodes one ulp apart have one log: at either node, the loss is
+    # the first node's, the node laws._nearest snaps both to
+    assert math.log(lrs[first]) == math.log(lrs[first + 1])
+    bss = [32768, 65536]
+    losses = {(lr, bs): 2.0 + k / 10 + m / 100
+              for k, lr in enumerate(lrs) for m, bs in enumerate(bss)}  # fmt: skip
+    surf = _points_grid(lrs, bss, lambda lr, bs: losses[(lr, bs)])
+    for lr in lrs[first:first + 2]:
+        for bs in bss:
+            assert interpolate_loss(surf, lr, bs) == losses[(lrs[first], bs)]
+        mid = interpolate_loss(surf, lr, math.sqrt(32768 * 65536))
+        assert mid == pytest.approx(losses[(lrs[first], 32768)] + 0.005, rel=1e-12)
+
+
 def test_interpolate_out_of_hull_carries_corner():
     surf = _bowl()
     with pytest.raises(OutOfHullError) as err:
