@@ -15,11 +15,28 @@ gamma), and reports empirical 2.5/97.5 percentile confidence bands.
 Every fit reads one table, _log_table: math.log of (N, D, lr, bs), rows
 sorted by the raw values, so results are bit-identical under input
 reordering. Every fit is one solve, _solve: for a design X with p columns
-and response y it takes R of the QR of [X | y] and solves
-R[:p, :p] b = R[:p, p], never forming the normal equations. The design is
-rank deficient when some |diag R[:p, :p]| <= 1e-10 * max(max |diag|, 1).
-ols, fit_lr_law and fit_bs_law solve one R (two observations give the
-exact line); the bootstrap solves a stack of every resample's R at once.
+and response y it takes an upper-triangular R of [X | y] and solves
+R[:p, :p] b = R[:p, p] by back-substitution. The design is rank deficient
+when some |diag R[:p, :p]| <= 1e-10 * max(max |diag|, 1). ols, fit_lr_law
+and fit_bs_law take R from a QR of [X | y] (two observations give the
+exact line).
+
+The bootstrap takes each resample's R from its Gram matrix instead: the
+draw counts times the outer products z_i z_i^T of z_i = [1, log N - mean,
+log D - mean, log lr - mean, log bs - mean], centred on the whole
+sample's means. Up to row signs, the Cholesky factor of a Gram matrix of
+[X | y] is the R of its QR, and only its first p rows are formed, so the
+y pivot, zero for an exactly law-consistent resample, is never taken.
+Centring is safe: subtracting a multiple of the intercept column from
+column j changes only row 0 of R, so every |diag R| is the one a QR of
+the raw design gives and the rank rule reads the same pivots, while the
+Gram matrix avoids the large, nearly equal entries of raw logs. The
+intercept is shifted back from the means after the solve. Normal
+equations square the condition number, so a resample goes through a
+stacked QR of its raw design after all when some pivot keeps at most
+1e-2 of its column's norm sqrt(G_jj), or its smallest pivot is within
+1e4 of the rank bound; there the QR's rank verdict is the one used, and
+elsewhere the two verdicts agree.
 
 One generator, seeded with the bootstrap seed, draws the whole index
 matrix (resample_indices). The whole sample must pass the learning-rate
@@ -50,6 +67,15 @@ from .errors import (
 MAX_RESAMPLES = 100_000
 _MAX_REDRAWS = 10
 _RANK_TOL = 1e-10
+# A Gram pivot is trusted when it keeps more than _GRAM_SHARE of its
+# column's norm and lies more than _GRAM_MARGIN times above the rank bound.
+_GRAM_SHARE = 1e-2
+_GRAM_MARGIN = 1e4
+# (row, column) of the bootstrap Gram entries that _gram_r reads: the
+# upper triangle of columns 0-3 less the log lr pivot (3, 3), and (0, 4)
+# and (2, 4) for the batch-size law
+_GRAM_ENTRIES = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3),
+                 (0, 4), (2, 4))  # fmt: skip
 
 
 @dataclass(frozen=True)
@@ -161,19 +187,58 @@ def _log_table(obs) -> np.ndarray:
     return np.array([[math.log(v) for v in row] for row in rows])
 
 
+def _rank_bound(diag):
+    """The rank rule's bound on |diag R| for each row of a stack of diagonals."""
+    return _RANK_TOL * np.maximum(diag.max(axis=-1), 1.0)
+
+
 def _solve(r):
     """Coefficients and rank verdicts from a stack of R factors of [X | y].
 
-    r has shape (k, m, p + 1) with m >= p. Fit i solves
-    R[:p, :p] b = R[:p, p]; bad[i] is true, and its coefficients NaN, when
-    some |diag R[:p, :p]| <= _RANK_TOL * max(max |diag|, 1).
+    r has shape (k, m, p + 1) with m >= p and is upper triangular in its
+    first p rows. Fit i solves R[:p, :p] b = R[:p, p] by back-substitution;
+    bad[i] is true, and its coefficients NaN, when some |diag R[:p, :p]| is
+    at most _rank_bound of that diagonal.
     """
     p = r.shape[-1] - 1
     diag = np.abs(np.diagonal(r[:, :p, :p], axis1=-2, axis2=-1))
-    bad = diag.min(axis=-1) <= _RANK_TOL * np.maximum(diag.max(axis=-1), 1.0)
+    bad = diag.min(axis=-1) <= _rank_bound(diag)
+    u = r[~bad, :p]
+    b = u[:, :, p].copy()
+    for j in range(p - 1, -1, -1):
+        b[:, j] /= u[:, j, j]
+        b[:, :j] -= b[:, j, None] * u[:, :j, j]
     coeffs = np.full((r.shape[0], p), np.nan)
-    coeffs[~bad] = np.linalg.solve(r[~bad, :p, :p], r[~bad, :p, p:])[..., 0]
+    coeffs[~bad] = b
     return coeffs, bad
+
+
+def _gram_r(gram):
+    """R of [X | y], up to row signs, from a stack of its Gram matrices.
+
+    gram has shape (p + 1, p + 1, k), fit k last; only its upper
+    triangle, less the y pivot gram[p, p], is read. Returns the first p rows
+    of each Cholesky factor as a (k, p, p + 1) stack, built column by
+    column (a pivot that rounds below zero is zero, and its row stays
+    zero), and a mask of the fits whose pivots are not trusted: some pivot
+    is at most _GRAM_SHARE of its column's norm sqrt(gram[j, j]), or the
+    smallest is within _GRAM_MARGIN of the rank bound. Those fits must go
+    through a QR.
+    """
+    q, _, k = gram.shape
+    p = q - 1
+    r = np.zeros((p, q, k))
+    for j in range(p):
+        above = r[:j, j]
+        pivot = np.sqrt(np.maximum(gram[j, j] - (above * above).sum(axis=0), 0.0))
+        rest = gram[j, j + 1 :] - (above[:, None] * r[:j, j + 1 :]).sum(axis=0)
+        r[j, j] = pivot
+        np.divide(rest, pivot, out=r[j, j + 1 :], where=pivot > 0)
+    pivots = r[range(p), range(p)].T
+    norms = np.sqrt(gram[range(p), range(p)].T)
+    untrusted = (pivots <= _GRAM_SHARE * norms).any(axis=1)
+    untrusted |= pivots.min(axis=1) <= _GRAM_MARGIN * _rank_bound(pivots)
+    return r.transpose(2, 0, 1), untrusted
 
 
 def _least_squares(xy):
@@ -309,6 +374,14 @@ def bootstrap_fit(obs, resamples: int = 1000, seed: int = 0) -> FitResult:
     keeping the resample count intact; FitResult.redraws counts them.
     resamples must be an integer (not a bool) in 1..MAX_RESAMPLES, checked
     before anything is allocated.
+
+    Each resample is fitted from its count-weighted Gram matrix of the
+    centred columns (see the module docstring): one bincount, one einsum
+    and the column-by-column Cholesky of _gram_r for every resample at
+    once, then _solve. Only the resamples whose pivots _gram_r does not
+    trust are fitted by a stacked QR of their gathered rows, so the rank
+    verdicts, the redraws and the index matrix are those a QR of every
+    resample gives.
     """
     if (
         isinstance(resamples, bool)
@@ -324,20 +397,44 @@ def bootstrap_fit(obs, resamples: int = 1000, seed: int = 0) -> FitResult:
     lr_xy, bs_xy = _lr_design(table), _bs_design(table)
     _least_squares(lr_xy)
 
+    # z = [1, log N, log D, log lr, log bs], centred on the sample means;
+    # the lr law reads columns 0-3 of its Gram matrix, the bs law 0, 2, 4,
+    # and only the entries _gram_r reads are summed
+    n = len(table)
+    centre = table.mean(axis=0)
+    z = np.column_stack([np.ones(n), table - centre])
+    ii, jj = np.array(_GRAM_ENTRIES).T
+    outer = (z[:, ii] * z[:, jj]).T.copy()
+    bs_cols = np.array([0, 2, 4])
     params = np.full((resamples, 5), np.nan)
 
     def degenerate(rows, idx):
-        # Stacked QR of every resample at once; a rank-deficient learning-
-        # rate design is redrawn, so only full-rank ones reach the bs solve.
-        # np.take gathers the rows about 10x faster than lr_xy[idx].
-        lr, bad = _solve(np.linalg.qr(np.take(lr_xy, idx, axis=0), mode="r"))
+        # Count-weighted Gram matrices of every resample at once. einsum
+        # sums each row in one order whatever the number of rows, so a
+        # resample's fit does not depend on how many are drawn (a BLAS
+        # matmul does not promise that).
+        k = len(rows)
+        counts = np.bincount((idx + n * np.arange(k)[:, None]).ravel(), minlength=k * n)
+        gram = np.zeros((5, 5, k))
+        gram[ii, jj] = np.einsum("ji,ki->jk", outer, counts.reshape(k, n).astype(float))
+        lr_r, lr_qr = _gram_r(gram[:4, :4])
+        bs_r, bs_qr = _gram_r(gram[bs_cols[:, None], bs_cols])
+        lr, bad = _solve(lr_r)
+        bs = _solve(bs_r)[0]
+        lr[:, 0] += centre[2] - lr[:, 1] * centre[0] - lr[:, 2] * centre[1]
+        bs[:, 0] += centre[3] - bs[:, 1] * centre[1]
+        qr = lr_qr | bs_qr
+        if qr.any():
+            # Stacked QR of the raw designs; np.take gathers the rows about
+            # 10x faster than lr_xy[idx].
+            lr[qr], bad[qr] = _solve(np.linalg.qr(np.take(lr_xy, idx[qr], axis=0), mode="r"))
+            bs[qr] = _solve(np.linalg.qr(np.take(bs_xy, idx[qr], axis=0), mode="r"))[0]
         good = ~bad
         params[rows[good], :3] = lr[good]
-        r_bs = np.linalg.qr(np.take(bs_xy, idx[good], axis=0), mode="r")
-        params[rows[good], 3:] = _solve(r_bs)[0]
+        params[rows[good], 3:] = bs[good]
         return bad
 
-    _, redrawn = resample_indices(len(table), resamples, seed, degenerate)
+    _, redrawn = resample_indices(n, resamples, seed, degenerate)
 
     means = params.mean(axis=0)
     lo, hi = np.percentile(params, [2.5, 97.5], axis=0)

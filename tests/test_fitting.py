@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from hpscale import (
     observations_to_csv,
     ols,
 )
-from hpscale.fitting import MAX_RESAMPLES, _solve, resample_indices
+from hpscale import fitting
+from hpscale.fitting import MAX_RESAMPLES, _gram_r, _solve, resample_indices
 
 
 def canonical(obs):
@@ -356,12 +358,16 @@ def test_bootstrap_matches_per_resample_ols_fits():
         assert got == pytest.approx([*lr_ref, *bs_ref], abs=1e-9)
 
 
-def test_bootstrap_redraws_degenerate_resamples():
-    # four observations share N: a resample is degenerate when it misses
-    # the fifth, or holds only one of the four D values (rank 2)
+def four_plus_one_obs():
+    """Four observations that share N, and a fifth: a resample is degenerate
+    when it misses the fifth, or holds only one of the four D values (rank 2)."""
     obs = [OptimumObservation(1e8, d, 1e-3 * (1 + k / 7), 1e5 * (1 + k / 5))
            for k, d in enumerate((1e9, 3e9, 1e10, 3e10))]  # fmt: skip
-    obs.append(OptimumObservation(1e9, 1e10, 4e-4, 3e5))
+    return [*obs, OptimumObservation(1e9, 1e10, 4e-4, 3e5)]
+
+
+def test_bootstrap_redraws_degenerate_resamples():
+    obs = four_plus_one_obs()
     resamples, seed = 40, 3
     result = bootstrap_fit(obs, resamples, seed=seed)
     items = canonical(obs)
@@ -471,6 +477,127 @@ def test_bootstrap_redraws_can_run_out_on_a_full_rank_sample():
 
     with pytest.raises(BootstrapFailureError, match=r"^5 resamples .* \(first index 0\)$"):
         resample_indices(4, 5, 0, always)
+
+
+# --- the Gram-matrix bootstrap ----------------------------------------------------
+
+COEFF_NAMES = ("log_c", "alpha", "beta", "log_d", "gamma")
+
+
+def _exact_logs(items):
+    """math.log of each observation's (N, D, lr, bs), as the fitter takes them."""
+    return np.array([[math.log(v) for v in dataclasses.astuple(o)] for o in items])
+
+
+def _lstsq_fits(logs, indices):
+    """Each resample's (log c, alpha, beta, log d, gamma) by np.linalg.lstsq."""
+    fits = []
+    for idx in indices:
+        rows = logs[idx]
+        ones = np.ones(len(idx))
+        lr = np.linalg.lstsq(np.column_stack([ones, rows[:, :2]]), rows[:, 2], rcond=None)[0]
+        bs = np.linalg.lstsq(np.column_stack([ones, rows[:, 1]]), rows[:, 3], rcond=None)[0]
+        fits.append([*lr, *bs])
+    return np.array(fits)
+
+
+def _samples(result):
+    return np.column_stack([result.samples[name] for name in COEFF_NAMES])
+
+
+def test_gram_r_is_the_qr_r_of_the_weighted_design():
+    # the Cholesky rows of a count-weighted Gram matrix of centred columns
+    # are, up to row signs, R of a QR of the repeated raw rows but for
+    # row 0, which centring changes; the pivots are the same
+    rng = np.random.default_rng(31)
+    n, k = 9, 50
+    xy = np.column_stack([np.ones(n), rng.normal(size=(n, 3)) * [1, 3, 5] + [20, -7, 2]])
+    z = np.column_stack([np.ones(n), xy[:, 1:] - xy[:, 1:].mean(axis=0)])
+    counts = np.array([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(k)])
+    gram = np.einsum("ki,ij,il->jlk", counts.astype(float), z, z)
+    r, untrusted = _gram_r(gram)
+    assert r.shape == (k, 3, 4) and not untrusted.any()
+    for ri, ci in zip(r, counts):
+        qr_r = np.linalg.qr(np.repeat(xy, ci, axis=0), mode="r")[:3]
+        signs = np.sign(np.diag(qr_r))[:, None]
+        assert np.diag(ri) == pytest.approx(np.abs(np.diag(qr_r)), rel=1e-12)
+        assert ri[1:] == pytest.approx(signs[1:] * qr_r[1:], rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("jitter", [1e-1, 1e-2, 1e-3, 1e-4])
+def test_bootstrap_matches_lstsq_on_near_collinear_designs(jitter):
+    # log D = log N + log 100 + N(0, jitter^2): the D column nearly repeats
+    # N, so normal equations would lose about twice the digits a QR does
+    rng = np.random.default_rng(5)
+    log_n = rng.uniform(math.log(6e7), math.log(2e9), 20)
+    log_d = log_n + math.log(100) + jitter * rng.standard_normal(20)
+    log_lr = math.log(1.79) - 0.713 * log_n + 0.307 * log_d + jitter * rng.standard_normal(20)
+    log_bs = math.log(0.58) + 0.571 * log_d + 0.05 * rng.standard_normal(20)
+    obs = [OptimumObservation(*map(math.exp, row))
+           for row in zip(log_n, log_d, log_lr, log_bs)]  # fmt: skip
+    result = bootstrap_fit(obs, 200, seed=3)
+    assert result.redraws == 0
+    items = canonical(obs)
+    indices, _ = resample_indices(len(items), 200, 3, _no_redraws)
+    assert np.abs(_samples(result) - _lstsq_fits(_exact_logs(items), indices)).max() <= 1e-9
+
+
+def _qr_rule(items):
+    """The per-resample QR rank rule: a resample is degenerate when some
+    |diag R| of its raw [1, log N, log D | log lr] is <= 1e-10 * max(max |diag|, 1)."""
+    logs = _exact_logs(items)
+    xy = np.column_stack([np.ones(len(items)), logs[:, :3]])
+
+    def degenerate(rows, idx):
+        bad = []
+        for row in idx:
+            diag = np.abs(np.diag(np.linalg.qr(xy[row], mode="r"))[:3])
+            bad.append(diag.min() <= 1e-10 * max(diag.max(), 1.0))
+        return np.array(bad)
+
+    return degenerate
+
+
+@pytest.mark.parametrize("case", ["four-plus-one", "exact-2x2"])
+def test_bootstrap_mixed_batches_redraw_as_the_qr_rule_does(case, monkeypatch):
+    # singular resamples sit beside full-rank ones in every batch: their
+    # Gram matrices are exactly singular, and none may raise, warn, or
+    # get a verdict other than the QR rule's
+    if case == "four-plus-one":
+        obs = four_plus_one_obs()
+    else:
+        obs = generate_observations(ObservationSpec(n_values=(1e8, 1e9), d_values=(1e9, 1e10)))
+    items = canonical(obs)
+    drawn = []
+
+    def recording(*args):
+        drawn.append(resample_indices(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(fitting, "resample_indices", recording)
+    resamples, seed = 200, 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = bootstrap_fit(obs, resamples, seed=seed)
+    ref_indices, ref_redrawn = resample_indices(len(items), resamples, seed, _qr_rule(items))
+    ((indices, redrawn),) = drawn
+    assert 0 < result.redraws == ref_redrawn.size < resamples
+    assert np.array_equal(redrawn, ref_redrawn) and np.array_equal(indices, ref_indices)
+    assert np.abs(_samples(result) - _lstsq_fits(_exact_logs(items), indices)).max() <= 1e-9
+
+
+def test_bootstrap_runs_no_qr_per_resample_on_a_well_conditioned_lattice(monkeypatch):
+    # the one QR is the whole-sample check; no resample falls back to one
+    calls = []
+    qr = np.linalg.qr
+
+    def counting_qr(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    bootstrap_fit(lattice_obs(noise_sigma=0.05, seed=6), 1000, seed=0)
+    assert calls == [(16, 4)]
 
 
 def test_fit_results_hold_python_floats():
