@@ -51,10 +51,10 @@ GOLDEN_SHA256 = {
 
 
 OBSERVATION_REPORT_SHA256 = {
-    "fit": "7e930907d6df9e7d0954b474b97ebddfda1a47304af501f2ecdd18c8b86853a9",
-    "fit-exact": "7faa80af3dfbd90543e6007b61de31fd0a48af5971bb3432349ac9c2c07e629d",
-    "stats": "73d1aded84e340ce8c22f7af5f50f046239b093c8dedaed4774a4040311444f0",
-    "stats-exact": "5c3d1f8f435f940962db6eddacdaba33feb4a73ddc052bf2f2fe239f1f017762",
+    "fit": "cf93a4ba1559cad311c351d4b171f2d83b8c6db8801772ccf612a517ba784a11",
+    "fit-exact": "ce3a52a9e78227c0255d2a0dac58a9c22fea4cc809d92abb490610c70cb5e628",
+    "stats": "f4af5c2be3b0ac554fc8457aac973c7c682824297b34c36238056fe98a90bcf5",
+    "stats-exact": "0d1e931d6e10a52ab4930d64ff88aabb562b569271ab8065182aed170cedf773",
     "predict-step": "9d2d84f104cdc494065912784d17d75d563d2702f1da63cb556606ff7a229c62",
 }
 
