@@ -223,6 +223,8 @@ def _comma_floats(text: str, what: str) -> list[float]:
     except ValueError as exc:
         # float() quotes the bad cell: keep 75 characters of its message
         raise ArgumentError(f"bad {what} {text!r:.40}: {exc!s:.75}") from exc
+    if not values:
+        raise ArgumentError(f"{what} must list at least one number, got {text!r:.40}")
     return [check_number(v, what) for v in values]
 
 
@@ -236,7 +238,7 @@ def _load_laws(args) -> tuple:
 
 def _build_aux(args, laws_aux: AuxInputs) -> AuxInputs:
     meituan = laws_aux.meituan_params
-    if getattr(args, "meituan_params", None):
+    if getattr(args, "meituan_params", None) is not None:
         meituan = tuple(_comma_floats(args.meituan_params, "--meituan-params"))
     return AuxInputs(expected_loss=getattr(args, "loss", None), meituan_params=meituan)
 
@@ -457,7 +459,7 @@ def cmd_plot(args) -> int:
     surf = load_surface(raw)
     levels = (
         _comma_floats(args.levels, "--levels")
-        if args.levels
+        if args.levels is not None
         else DEFAULT_LEVELS_PERMILLE
     )
     overlays = None

@@ -5,7 +5,8 @@ subclasses) exit 2, DomainError exits 3, write failures exit 4.
 
 Outside bytes become checked values here and nowhere else: decode_text
 turns bytes into text, decode_json parses a JSON document, decode_csv
-splits a CSV text into its metadata, header and data lines, check_number
+splits a CSV text into its metadata, header and data lines, decode_table
+checks a CSV header and reads the data cells as numbers, check_number
 accepts a number and check_seed a random seed. Each turns every
 malformed input into an ArgumentError, so one rule covers every spec,
 law-override, overlay and CSV input and none ends in a traceback. The
@@ -24,6 +25,8 @@ import json
 import math
 import numbers
 from typing import NamedTuple
+
+import numpy as np
 
 
 class HpscaleError(Exception):
@@ -141,6 +144,81 @@ def decode_csv(raw) -> CsvLines:
             rows.append(line)
             row_lines.append(number)
     return CsvLines(meta, header, header_line, rows, row_lines)
+
+
+class CsvTable(NamedTuple):
+    """The metadata and data cells of a CSV text, as decode_table reads them."""
+
+    meta: dict[str, str]  # as decode_csv gives it
+    values: np.ndarray  # float64, (rows read, columns of the longest header)
+    missing: np.ndarray  # its shape: True where an optional cell is blank or absent
+    row_lines: list[int]  # the number of every data line, read or not
+    fault: tuple[int, str] | None  # (row, message) of the first unread line
+
+    def error(self, row: int, message: str) -> ParseError:
+        """A ParseError that names data row `row`'s line."""
+        return ParseError(message, line=self.row_lines[row])
+
+
+def decode_table(raw, headers: tuple[tuple[str, ...], ...]) -> CsvTable:
+    """The table of the CSV text in raw (see decode_csv), whose header is
+    one of headers, each a prefix of the longest. A column that not every
+    header has is optional: its blank or absent cells are NaN and missing.
+    np.loadtxt reads the data lines, or, if it refuses them, the row loop."""
+    columns, required = max(headers, key=len), min(map(len, headers))
+    csv = decode_csv(raw)
+    if csv.header is None:
+        raise ParseError("no header found (empty file?)")
+    header = tuple(c.strip() for c in csv.header.split(","))
+    if header not in headers:
+        expected = ",".join(columns[:required]) + "".join(f"[,{c}]" for c in columns[required:])
+        raise ParseError(
+            f"bad header {csv.header!r:.40}; expected {expected!r}", line=csv.header_line
+        )
+    if not csv.rows:
+        raise ParseError("no data rows found")
+    width = len(header)
+    values, missing, fault = _bulk_table(csv.rows, width) or _row_table(csv.rows, width, required)
+    if width < len(columns):  # the columns the header lacks
+        pad = (len(values), len(columns) - width)
+        values = np.hstack((values, np.full(pad, np.nan)))
+        missing = np.hstack((missing, np.ones(pad, dtype=bool)))
+    return CsvTable(csv.meta, values, missing, csv.row_lines, fault)
+
+
+def _bulk_table(lines: list[str], width: int) -> tuple | None:
+    """_row_table's triple for data lines numpy reads all of in one call;
+    None when numpy refuses them."""
+    try:
+        # comments=None: a '#' inside a row fails here as it does in the row loop
+        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(lines), width):
+        return None
+    return table, np.zeros(table.shape, dtype=bool), None
+
+
+def _row_table(lines: list[str], width: int, required: int) -> tuple:
+    """The row loop: the values and missing of the lines float() reads, up
+    to the first it cannot, and that one's (row, message), or None. A blank
+    cell past the first `required` is missing; float() also reads
+    underscores and non-ASCII digits. Cells are stripped first, as float()
+    keeps the separators U+001C to U+001F that strip() removes."""
+    rows, fault = [], None
+    for k, line in enumerate(lines):
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != width:
+            fault = (k, f"expected {width} columns, found {len(cells)}")
+            break
+        try:
+            rows.append([float(c) if c or j < required else None for j, c in enumerate(cells)])
+        except ValueError as exc:  # float() quotes the whole cell: keep 40 chars
+            fault = (k, f"non-numeric value: {exc!s:.75}")
+            break
+    missing = np.array([[v is None for v in row] for row in rows], dtype=bool)
+    values = np.array(rows, dtype=np.float64)  # a None is NaN
+    return values.reshape(-1, width), missing.reshape(-1, width), fault
 
 
 def check_number(value, where: str, sign: str = "") -> float:

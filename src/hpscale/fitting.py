@@ -57,11 +57,10 @@ from .errors import (
     BootstrapFailureError,
     DegenerateDesignError,
     DomainError,
-    ParseError,
     SingularityError,
     check_number,
     check_seed,
-    decode_csv,
+    decode_table,
 )
 
 MAX_RESAMPLES = 100_000
@@ -467,38 +466,24 @@ def bootstrap_fit(obs, resamples: int = 1000, seed: int = 0) -> FitResult:
 
 # --- observation CSV ----------------------------------------------------------
 
-_OBS_HEADER = ["n_params", "d_tokens", "opt_lr", "opt_bs_tokens"]
+_OBS_HEADER = ("n_params", "d_tokens", "opt_lr", "opt_bs_tokens")
 
 
 def load_observations(source) -> list[OptimumObservation]:
     """Parse observations from CSV text, bytes, or a readable stream.
 
-    Lines split and number as errors.decode_csv says, with no CSV quoting;
-    '#' metadata is ignored. Errors name the line.
+    errors.decode_table reads the table; '#' metadata is ignored. Errors name
+    the first row read that is not an OptimumObservation, else the first unread line.
     """
-    csv = decode_csv(source)
-    if csv.header is None:
-        raise ParseError("empty observations file")
-    header = [c.strip() for c in csv.header.split(",")]
-    if header != _OBS_HEADER:
-        raise ParseError(
-            f"bad header {header!r:.40}; expected {_OBS_HEADER}", line=csv.header_line
-        )
+    table = decode_table(source, (_OBS_HEADER,))
     out = []
-    for lineno, line in zip(csv.row_lines, csv.rows):
-        row = [c.strip() for c in line.split(",")]
-        if len(row) != 4:
-            raise ParseError(f"expected 4 columns, found {len(row)}", line=lineno)
-        try:
-            values = [float(c) for c in row]
-        except ValueError as exc:  # float() quotes the whole cell: keep 40 chars
-            raise ParseError(f"non-numeric value: {exc!s:.75}", line=lineno) from exc
+    for row, values in enumerate(table.values.tolist()):
         try:
             out.append(OptimumObservation(*values))
         except ArgumentError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-    if not out:
-        raise ParseError("no observation rows found")
+            raise table.error(row, str(exc)) from exc
+    if table.fault is not None:
+        raise table.error(*table.fault)
     return out
 
 

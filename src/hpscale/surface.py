@@ -24,8 +24,8 @@ rows: every value finite and positive except a val the input marks
 missing, every bs integral, no cell filled twice, and the first row in
 input order that breaks it is the one named. LossSurface(scale, points),
 synth's row arrays (both through LossSurface._from_rows) and load_surface,
-however it reads the data lines, all build a _Grid, so all apply the same
-rule. A _Grid of more than MAX_GRID_CELLS lr x bs cells is refused before
+of the rows errors.decode_table reads, all build a _Grid, so all apply the
+same rule. A _Grid of more than MAX_GRID_CELLS lr x bs cells is refused before
 its tables are allocated. The invariants:
 
 - every value that leaves the module is a Python float or int, never a
@@ -43,10 +43,6 @@ its tables are allocated. The invariants:
   grid's rows on first read, whether the surface was constructed or
   loaded; surfaces compare and hash by scale, the bytes of the rows and
   tags.
-
-load_surface splits its text into lines once, with errors.decode_csv,
-and reads the data lines in one numpy call, or, if numpy refuses them, in
-a row loop over the same lines; one _Grid of the rows read checks them.
 
 Surfaces are immutable after construction, and every analytic here is a
 pure function of its inputs. load_surface keeps one memo entry: the
@@ -71,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ArgumentError, GridShapeError, OutOfHullError, ParseError
-from .errors import check_number, decode_csv
+from .errors import check_number, decode_table
 from .laws import GridSpec, ModelScale, _nearest
 
 METRICS = ("train", "val")
@@ -106,8 +102,7 @@ class OptimumReport:
 
 
 class _BadRow(Exception):
-    """Row `row` of a grid's input breaks the sweep-row rule, or the row
-    loop cannot read that data line; the message says how."""
+    """Row `row` of a grid's input breaks the sweep-row rule, as the message says."""
 
     def __init__(self, row: int, message: str):
         super().__init__(message)
@@ -357,7 +352,8 @@ class ConsistencyReport:
 
 _REQUIRED_META = ("n_params", "d_tokens")
 _SCALE_META = (*_REQUIRED_META, "n_active")
-_HEADER_BASE = ["lr", "bs_tokens", "train_smooth_loss"]
+_HEADER_BASE = ("lr", "bs_tokens", "train_smooth_loss")
+_HEADERS = (_HEADER_BASE, (*_HEADER_BASE, "val_loss"))
 
 
 # (input bytes, scale, grid, arch_tag, recipe_tag) of the last successful
@@ -370,15 +366,11 @@ def load_surface(source) -> LossSurface:
     """Parse a surface from CSV text, bytes, or a readable stream.
 
     Comment lines starting with '#' carry key=value metadata; n_params and
-    d_tokens are required. The header is lr,bs_tokens,train_smooth_loss
-    with an optional trailing val_loss column. Errors name the first bad
-    line in file order.
-
-    The text is split into lines once (errors.decode_csv). np.loadtxt
-    reads the data lines; only if it refuses them does the row loop read
-    the same lines with float(), up to the first it cannot read. A row that
-    breaks the sweep-row rule is named from the one grid of the rows read,
-    ahead of the line the row loop stopped at.
+    d_tokens are required. errors.decode_table reads the table, whose header
+    is lr,bs_tokens,train_smooth_loss with an optional trailing val_loss
+    column; a blank val cell is a missing val. Errors name the first bad
+    line in file order, a row that breaks the sweep-row rule ahead of the
+    first line decode_table could not read.
 
     The bytes, grid, scale and tags of the last successful parse of bytes
     (given as bytes or read from a binary stream) are kept. When the
@@ -405,28 +397,15 @@ def load_surface(source) -> LossSurface:
 
 def _parse_surface(raw) -> LossSurface:
     """load_surface of raw text or bytes, without the memo."""
-    csv = decode_csv(raw)
-    if csv.header is None:
-        raise ParseError("no header found (empty file?)")
-    header = [c.strip() for c in csv.header.split(",")]
-    if header not in (_HEADER_BASE, [*_HEADER_BASE, "val_loss"]):
-        raise ParseError(
-            f"bad header {csv.header!r:.40}; expected "
-            "'lr,bs_tokens,train_smooth_loss[,val_loss]'",
-            line=csv.header_line,
-        )
-    if not csv.rows:
-        raise ParseError("no data rows found")
-    width = len(header)
-    table, missing_val, unread = _bulk_table(csv.rows, width) or _row_table(csv.rows, width)
+    table = decode_table(raw, _HEADERS)
     try:
-        if len(table):  # else no line was read, and the first is the unread one
-            grid = _Grid(table, missing_val)
-        if unread is not None:  # raised after the grid: an earlier row-rule break wins
-            raise unread
+        if len(table.values):  # else no line was read, and the first is the fault
+            grid = _Grid(table.values, table.missing[:, 3])
     except _BadRow as bad:
-        raise ParseError(str(bad), line=csv.row_lines[bad.row]) from None
-    meta = csv.meta
+        raise table.error(bad.row, str(bad)) from None
+    if table.fault is not None:  # raised after the grid: an earlier row-rule break wins
+        raise table.error(*table.fault)
+    meta = table.meta
     missing = [k for k in _REQUIRED_META if k not in meta]
     if missing:
         raise ParseError(f"missing required metadata {missing}")
@@ -439,51 +418,6 @@ def _parse_surface(raw) -> LossSurface:
     return LossSurface._from_grid(
         scale, grid, meta.get("arch_tag", ""), meta.get("recipe_tag", "")
     )
-
-
-def _bulk_table(lines: list[str], width: int) -> tuple | None:
-    """The rows and missing_val a _Grid takes, and no fault (the triple
-    _row_table returns), of data lines numpy reads all of in one call;
-    None when numpy refuses them and the row loop must read them."""
-    try:
-        # comments=None: a '#' inside a row fails here as it does in the row loop
-        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except ValueError:
-        return None
-    if table.shape != (len(lines), width):
-        return None
-    if width == 3:
-        table = np.column_stack((table, np.full(len(lines), np.nan)))
-    return table, np.full(len(lines), width == 3), None
-
-
-def _row_table(
-    lines: list[str], width: int
-) -> tuple[np.ndarray, np.ndarray, _BadRow | None]:
-    """The row loop: the rows and missing_val a _Grid takes of the data
-    lines float() reads, in order up to the first it cannot, and that
-    line's fault (a wrong width or a non-numeric cell), or None.
-
-    float() reads cells numpy does not: a blank val cell, which is missing,
-    underscores and non-ASCII digits. Cells are stripped first, as float()
-    keeps the separators U+001C to U+001F that strip() removes.
-    """
-    values: list[tuple] = []  # lr, bs, train and val of each row
-    unread = None
-    for k, line in enumerate(lines):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != width:
-            unread = _BadRow(k, f"expected {width} columns, found {len(cells)}")
-            break
-        try:
-            lr, bs, train = float(cells[0]), float(cells[1]), float(cells[2])
-            val = float(cells[3]) if width == 4 and cells[3] else None
-        except ValueError as exc:  # float() quotes the whole cell: keep 40 chars
-            unread = _BadRow(k, f"non-numeric value: {exc!s:.75}")
-            break
-        values.append((lr, bs, train, val))
-    rows = np.array(values, dtype=np.float64).reshape(-1, 4)
-    return rows, np.array([v[3] is None for v in values], dtype=bool), unread
 
 
 def surface_to_csv(surface: LossSurface) -> str:
@@ -499,7 +433,7 @@ def surface_to_csv(surface: LossSurface) -> str:
     if surface.recipe_tag:
         lines.append(f"# recipe_tag={surface.recipe_tag}")
     g = surface._grid
-    lines.append(",".join(_HEADER_BASE + (["val_loss"] if g.full_val else [])))
+    lines.append(",".join(_HEADERS[g.full_val]))
     filled = ~np.isnan(g.train)
     ii, jj = np.nonzero(filled)
     # each axis value is formatted once, then looked up per row

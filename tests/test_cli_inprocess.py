@@ -269,6 +269,25 @@ def test_plot_non_finite_levels_exit_2(levels):
     assert rc == 2 and stdout == b"" and stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plot", "--surface", str(FIG3_PATH), "--levels", ","),
+        ("plot", "--surface", str(FIG3_PATH), "--levels", " , ,"),
+        ("plot", "--surface", str(FIG3_PATH), "--levels", ""),
+        ("predict", "--n", "1e9", "--d", "1e10", "--method", "meituan", "--loss", "2.0",
+         "--meituan-params", ","),
+        ("predict", "--n", "1e9", "--d", "1e10", "--method", "step", "--meituan-params", ""),
+    ],
+    ids=["levels", "levels-blank", "levels-empty", "meituan-params", "meituan-params-empty"],
+)  # fmt: skip
+def test_comma_list_with_no_number_exit_2(tmp_path, argv):
+    out = tmp_path / "out"
+    rc, stdout, stderr = main_inprocess(*argv, "--out", str(out))
+    assert rc == 2 and stdout == b"" and not out.exists()
+    assert stderr.startswith(f"error: {argv[-2]} must list at least one number, got ")
+
+
 # a document of each JSON option with %s where a number goes
 _NUMBER_SLOTS = {
     "--laws": b'{"step": {"c": %s}}',

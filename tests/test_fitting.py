@@ -2,13 +2,14 @@ import dataclasses
 import math
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import LATTICE_D, LATTICE_N, LAW_COEFFS
+from conftest import LATTICE_D, LATTICE_N, LAW_COEFFS, fuzz_examples
 from hpscale import (
     ArgumentError,
     BootstrapFailureError,
@@ -25,7 +26,7 @@ from hpscale import (
     observations_to_csv,
     ols,
 )
-from hpscale import fitting
+from hpscale import errors, fitting
 from hpscale.fitting import MAX_RESAMPLES, _gram_r, _solve, resample_indices
 
 
@@ -667,3 +668,67 @@ def test_observations_csv_errors():
         load_observations(header + "\n,,,\n")
     with pytest.raises(ParseError, match="line 2: opt_bs_tokens must be a positive finite"):
         load_observations(header + "1,2,3," + "9" * 131_073 + "\n")
+    # a row read that is not an observation is named ahead of a later unreadable line
+    with pytest.raises(ParseError, match="line 2: opt_lr must be a positive finite"):
+        load_observations(header + "1,2,-3,4\n1,2,x,4\n")
+
+
+_PAD = st.sampled_from(["", "", "", " ", "\t", "\x1c", "\x1f", " \x1f\t"])
+_HOSTILE = st.sampled_from([
+    "", " ", "1_000", "\u0663", "\u0661e-3", "nan", "inf", "Infinity", "-Infinity",
+    "0", "-1", "1e400", "1e-400", "2#5", "0x10", "abc", "9" * 400,
+])  # fmt: skip
+_SPELLINGS = (repr, "{:e}".format, "{:.3g}".format, "{:.17E}".format)
+
+
+@st.composite
+def _observation_csv(draw):
+    """Observation CSV text, valid or with up to two faults, mixing in what
+    np.loadtxt and the row loop might treat differently: padding, CRLF,
+    comments between and inside rows, underscores, non-ASCII digits,
+    non-finite and non-positive values, blank cells and rows of the wrong
+    width."""
+    value = st.tuples(st.sampled_from(_SPELLINGS), st.floats(1e-6, 1e13)).map(
+        lambda pair: pair[0](pair[1])
+    )
+    rows = draw(st.lists(st.lists(value, min_size=4, max_size=4), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        cells = draw(st.sampled_from(rows))
+        fault = draw(st.integers(0, 7))
+        if fault < 5:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_HOSTILE)
+        elif fault == 5:
+            cells.append("2.5")
+        elif fault == 6:
+            cells.pop()
+        else:
+            cells[-1] += " # note"
+    lines = ["# seed=3"] if draw(st.booleans()) else []
+    lines.append(",".join(draw(_PAD) + h + draw(_PAD) for h in fitting._OBS_HEADER))
+    for cells in rows:
+        lines.append(",".join(draw(_PAD) + c + draw(_PAD) for c in cells))
+        if not draw(st.integers(0, 4)):
+            lines.append(draw(st.sampled_from(["# note", "#k=v", "#"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+def _observations_outcome(text):
+    try:
+        obs = load_observations(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return obs, [type(v) for o in obs for v in dataclasses.astuple(o)]
+
+
+_HEADER = ",".join(fitting._OBS_HEADER) + "\n"
+
+
+@settings(max_examples=fuzz_examples(300))
+@given(text=_observation_csv())
+@example(text=_HEADER + "1e9,1e10,1e-3,262144\n")
+@example(text=_HEADER + "1e9,1e10,-1e-3,262144\n1e9,1e10,1e-3,x\n")
+@example(text=_HEADER + "1e9,1e10,1e-3,262144 # note\n")
+def test_observation_bulk_read_matches_row_loop(text):
+    with mock.patch.object(errors, "_bulk_table", return_value=None):
+        expected = _observations_outcome(text)
+    assert _observations_outcome(text) == expected

@@ -2,6 +2,8 @@
 
 The loaders reach their text only through the errors.py decoders, so no
 module but errors.py calls decode_text or splits a text on "\\n" itself.
+CSV data cells become numbers in one place, errors.decode_table: no module
+but errors.py calls np.loadtxt or decode_csv.
 Files are opened in one module, cli.py, and written by one function in
 it, _emit. Reports are encoded by one function, cli._encode_json: no
 module calls json.dumps or json.dump.
@@ -30,6 +32,10 @@ def _name(func):
 
 def test_only_errors_decodes_text():
     assert _where(lambda call: _name(call.func) == "decode_text") == []
+
+
+def test_only_errors_reads_csv_tables():
+    assert _where(lambda call: _name(call.func) in ("loadtxt", "decode_csv")) == []
 
 
 def _calls_by_function(tree):

@@ -1,6 +1,7 @@
 """The input boundary: the one number rule (errors.check_number, and every
-field that uses it), the decoding of outside bytes (errors.decode_text) and
-the one CSV line rule (errors.decode_csv)."""
+field that uses it), the decoding of outside bytes (errors.decode_text),
+the one CSV line rule (errors.decode_csv) and the one table reader
+(errors.decode_table) that both CSV loaders share."""
 
 import io
 import math
@@ -210,3 +211,61 @@ def test_both_loaders_number_lines_alike(bad, line):
             load(layout.format(header=header, row=row))
         got.append(err.value.line)
     assert got == [line, line]
+
+
+# each loader's header, a valid data row, and the header its errors expect;
+# the metadata lines are the surface's and observations ignore them
+_TABLES = {
+    "surface": (load_surface, "lr,bs_tokens,train_smooth_loss", "1e-3,65536,2.0",
+                "'lr,bs_tokens,train_smooth_loss[,val_loss]'"),
+    "observations": (load_observations, _OBS_HEADER, "1e9,1e10,1e-3,262144",
+                     f"'{_OBS_HEADER}'"),
+}  # fmt: skip
+_TABLE_META = "# n_params=1e9\n# d_tokens=1e10\n"
+
+
+def _first_cell(row, cell):
+    return ",".join([cell, *row.split(",")[1:]])
+
+
+@pytest.mark.parametrize(
+    "build,message,line",
+    [
+        (lambda header, row: "", "no header found (empty file?)", None),
+        (lambda header, row: "# a=1\r\n#\n\n", "no header found (empty file?)", None),
+        (lambda header, row: f"{_TABLE_META}x, y\n{row}\n",
+         "line 3: bad header 'x, y'; expected {expected}", 3),
+        (lambda header, row: f"{_TABLE_META}{header}\n# {row}\n", "no data rows found", None),
+        (lambda header, row: f"{_TABLE_META}{header}\n{row}\n{row},7\n",
+         "line 5: expected {width} columns, found {wider}", 5),
+        (lambda header, row: f"{_TABLE_META}{header}\n{row}\n{_first_cell(row, ' 2x ')}\n",
+         "line 5: non-numeric value: could not convert string to float: '2x'", 5),
+        (lambda header, row: f"{_TABLE_META}{header}\n\n{_first_cell(row, '  ')}\n",
+         "line 5: non-numeric value: could not convert string to float: ''", 5),
+    ],
+    ids=["empty", "comments-only", "bad-header", "no-rows", "wide-row", "non-numeric",
+         "blank-required"],
+)  # fmt: skip
+@pytest.mark.parametrize("kind", sorted(_TABLES))
+def test_both_loaders_share_each_table_fault(kind, build, message, line):
+    load, header, row, expected = _TABLES[kind]
+    width = header.count(",") + 1
+    with pytest.raises(ParseError) as err:
+        load(build(header, row))
+    assert str(err.value) == message.format(expected=expected, width=width, wider=width + 1)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "odd,plain",
+    [("1_000", "1000"), ("\u0663", "3"), ("\x1f 2.5\t", "2.5"), (" 1E+1 ", "10")],
+    ids=["underscore", "arabic-indic-digit", "padded", "exponent"],
+)
+@pytest.mark.parametrize("kind", sorted(_TABLES))
+def test_both_loaders_accept_the_same_odd_cells(kind, odd, plain):
+    load, header, row, _ = _TABLES[kind]
+    # the odd cell goes last, the train loss or the batch size, a positive float
+    cells = row.split(",")
+    got, want = (load(f"{_TABLE_META}{header}\n{','.join([*cells[:-1], cell])}\n")
+                 for cell in (odd, plain))  # fmt: skip
+    assert got == want

@@ -31,6 +31,7 @@ from hpscale import (
     relative_error,
     surface_to_csv,
 )
+from hpscale import errors as errors_module
 from hpscale import surface as surface_module
 from conftest import fuzz_examples, point_at
 
@@ -657,7 +658,7 @@ def _cold_load(source):
 def _row_loop_load(source):
     """A cold load_surface whose bulk parse refuses every text, so that the
     row loop reads all of it."""
-    with mock.patch.object(surface_module, "_bulk_table", return_value=None):
+    with mock.patch.object(errors_module, "_bulk_table", return_value=None):
         return _cold_load(source)
 
 
@@ -714,7 +715,7 @@ def test_valid_csv_never_reaches_the_row_loop(monkeypatch, surface):
     def refuse(*_args):
         raise AssertionError("row loop ran on a valid file")
 
-    monkeypatch.setattr(surface_module, "_row_table", refuse)
+    monkeypatch.setattr(errors_module, "_row_table", refuse)
     assert load_surface(surface_to_csv(surface)) == surface
 
 
@@ -757,11 +758,11 @@ def parses(monkeypatch):
     counts = {"bulk": 0, "rows": 0}
     for key, name in (("bulk", "_bulk_table"), ("rows", "_row_table")):
 
-        def counted(*args, _real=getattr(surface_module, name), _key=key):
+        def counted(*args, _real=getattr(errors_module, name), _key=key):
             counts[_key] += 1
             return _real(*args)
 
-        monkeypatch.setattr(surface_module, name, counted)
+        monkeypatch.setattr(errors_module, name, counted)
     return counts
 
 
@@ -849,12 +850,12 @@ def test_memo_drops_the_old_entry_before_parsing(monkeypatch):
     old_grid = weakref.ref(load_surface(MINI_CSV.encode())._grid)
     seen = []
 
-    def bulk_table(*args, _real=surface_module._bulk_table):
+    def bulk_table(*args, _real=errors_module._bulk_table):
         gc.collect()
         seen.append(old_grid())
         return _real(*args)
 
-    monkeypatch.setattr(surface_module, "_bulk_table", bulk_table)
+    monkeypatch.setattr(errors_module, "_bulk_table", bulk_table)
     load_surface(GOOD_CSV.encode())
     assert seen == [None]
 
