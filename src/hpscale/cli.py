@@ -74,6 +74,7 @@ from .errors import (
 from .fitting import MAX_RESAMPLES, bootstrap_fit, load_observations, observations_to_csv
 from .laws import (
     AuxInputs,
+    DEFAULT_LAWS,
     GridSpec,
     LAW_METHODS,
     ModelScale,
@@ -134,11 +135,12 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
     write, so a target that cannot be opened (a missing directory, a
     directory) fails the command with nothing on stdout, an existing file
     left byte for byte as it was, and a file this call created removed.
-    Two file targets that are one regular file (a repeated path, a symlink,
-    a hard link) are an ArgumentError (exit 2), with the same cleanup. A
-    write that fails after the opens can still leave a file written. With
-    one file target there is one os.open and nothing else. OSErrors here
-    are genuine write failures (exit 4).
+    Two targets that are one regular file (a repeated path, a symlink, a
+    hard link, or stdout redirected onto a file target) are an
+    ArgumentError (exit 2), with the same cleanup. A write that fails after
+    the opens can still leave a file written. With one file target and no
+    stdout output there is one os.open and nothing else. OSErrors here are
+    genuine write failures (exit 4).
     """
     # an encode error leaves every file untouched
     files = [(path, memoryview(text.encode("utf-8"))) for text, path in outputs
@@ -151,10 +153,17 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
             fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
             if new:
                 created.append(path)
-        stats = [os.fstat(fd) for fd in fds] if len(fds) > 1 else []
+        names, checked = [p for p, _ in files], list(fds)
+        if fds and len(files) < len(outputs):  # stdout is written too
+            try:
+                checked.append(sys.stdout.fileno())
+                names.append("stdout")
+            except (AttributeError, ValueError, OSError):  # no file behind it (a StringIO)
+                pass
+        stats = [os.fstat(fd) for fd in checked] if len(checked) > 1 else []
         ids = [(st.st_dev, st.st_ino) for st in stats if stat.S_ISREG(st.st_mode)]
         if len(set(ids)) < len(ids):
-            raise ArgumentError(f"outputs {' and '.join(p for p, _ in files)} are the same file")
+            raise ArgumentError(f"outputs {' and '.join(names)} are the same file")
     except (OSError, ArgumentError):
         for fd in fds:
             os.close(fd)
@@ -231,16 +240,14 @@ def _comma_floats(text: str, what: str) -> list[float]:
 def _load_laws(args) -> tuple:
     if args.laws:
         return load_law_overrides(_read_input(args.laws))
-    from .laws import DEFAULT_LAWS
-
     return DEFAULT_LAWS, AuxInputs()
 
 
 def _build_aux(args, laws_aux: AuxInputs) -> AuxInputs:
     meituan = laws_aux.meituan_params
-    if getattr(args, "meituan_params", None) is not None:
+    if args.meituan_params is not None:
         meituan = tuple(_comma_floats(args.meituan_params, "--meituan-params"))
-    return AuxInputs(expected_loss=getattr(args, "loss", None), meituan_params=meituan)
+    return AuxInputs(expected_loss=args.loss, meituan_params=meituan)
 
 
 # --- subcommands --------------------------------------------------------------

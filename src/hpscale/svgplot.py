@@ -6,6 +6,17 @@ edge interpolation), the tie-broken optimum, and optional overlay markers
 for law predictions. The output is plain SVG 1.1 text with fixed float
 formatting and no timestamps or generated ids, so identical inputs yield
 identical bytes.
+
+Marching squares: corner k of cell (i, j) is node (i, j), (i+1, j),
+(i+1, j+1) or (i, j+1), and corner k sets bit k of the cell's case when
+its value lies strictly above the level. Edge e joins corners e and
+(e+1) % 4, and its crossing is at t = (level - va) / (vb - va) from
+corner e. A saddle (case 5 or 10) whose centre, the mean of its four
+corners, lies strictly above the level has segments that cut off its two
+below corners, so its above corners join through the centre; otherwise
+the segments cut off its above corners. A relative error that
+overflows to inf lies above every level; an edge from an infinite corner
+takes t = 1, the limit, so its crossing sits at the finite corner.
 """
 
 from __future__ import annotations
@@ -29,21 +40,14 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-_EDGES = {"a": (0, 1), "b": (1, 2), "c": (2, 3), "d": (3, 0)}
-_CASE_EDGES = {
-    1: ("d", "a"),
-    2: ("a", "b"),
-    3: ("d", "b"),
-    4: ("b", "c"),
-    6: ("a", "c"),
-    7: ("d", "c"),
-    8: ("c", "d"),
-    9: ("a", "c"),
-    11: ("b", "c"),
-    12: ("b", "d"),
-    13: ("a", "b"),
-    14: ("a", "d"),
-}
+# Each cell case's contour segments, as (edge, edge) pairs; a saddle whose
+# centre lies above the level is keyed case + 16.
+_SEGMENTS = {
+    1: ((3, 0),), 2: ((0, 1),), 3: ((3, 1),), 4: ((1, 2),), 5: ((3, 0), (1, 2)),
+    6: ((0, 2),), 7: ((3, 2),), 8: ((2, 3),), 9: ((0, 2),), 10: ((0, 3), (1, 2)),
+    11: ((1, 2),), 12: ((1, 3),), 13: ((0, 1),), 14: ((0, 3),),
+    21: ((3, 2), (0, 1)), 26: ((0, 1), (2, 3)),
+}  # fmt: skip
 
 
 def _marching_squares(xs, ys, field, level):
@@ -69,31 +73,16 @@ def _marching_squares(xs, ys, field, level):
             (xs[i + 1], ys[j + 1], values[i + 1][j + 1]),
             (xs[i], ys[j + 1], values[i][j + 1]),
         )
-
-        def cross(a: int, b: int):
-            xa, ya, va = corners[a]
-            xb, yb, vb = corners[b]
-            t = (level - va) / (vb - va)
-            return (xa + t * (xb - xa), ya + t * (yb - ya))
-
-        def seg(e1: str, e2: str):
-            segments.append((cross(*_EDGES[e1]), cross(*_EDGES[e2])))
-
-        if case in (5, 10):  # saddle: split on the cell-center value
-            center = sum(v for _, _, v in corners) / 4.0
-            above_center = center > level
-            if case == 5:
-                if above_center:
-                    seg("d", "c"), seg("a", "b")
-                else:
-                    seg("d", "a"), seg("b", "c")
-            else:
-                if above_center:
-                    seg("a", "b"), seg("c", "d")
-                else:
-                    seg("a", "d"), seg("b", "c")
-            continue
-        seg(*_CASE_EDGES[case])
+        if case in (5, 10) and sum(v for _, _, v in corners) / 4.0 > level:
+            case += 16
+        for edges in _SEGMENTS[case]:
+            ends = []
+            for e in edges:
+                xa, ya, va = corners[e]
+                xb, yb, vb = corners[(e + 1) % 4]
+                t = 1.0 if math.isinf(va) else (level - va) / (vb - va)
+                ends.append((xa + t * (xb - xa), ya + t * (yb - ya)))
+            segments.append(tuple(ends))
     return segments
 
 

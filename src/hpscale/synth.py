@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError, check_number, check_seed, decode_json
 from .fitting import OptimumObservation
-from .laws import GridSpec, ModelScale
+from .laws import GridSpec, ModelScale, Prediction, snap_to_grid
 from .surface import LossSurface, _check_cells
 
 
@@ -287,8 +287,6 @@ def generate_surface(spec: SurfaceSpec, grid: GridSpec | None = None) -> LossSur
 
 def generate_observations(spec: ObservationSpec) -> list[OptimumObservation]:
     """Emit one observation per lattice point, optionally grid-snapped."""
-    from .laws import Prediction, snap_to_grid  # cycle-free local import
-
     grid = GridSpec.default()
     if spec.noise_sigma > 0:
         shape = (len(spec.n_values), len(spec.d_values))

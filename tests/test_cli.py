@@ -453,6 +453,35 @@ def test_plot_custom_levels(bowl_csv):
     assert "5 permille" not in text
 
 
+def test_plot_coordinates_finite_where_relative_error_overflows(tmp_path):
+    # (1e306 - 1) / 1 * 1000 is inf at three of the four nodes
+    path = tmp_path / "overflow.csv"
+    path.write_text(
+        "# n_params=1e9\n# d_tokens=1e11\nlr,bs_tokens,train_smooth_loss,val_loss\n"
+        "0.001,32768,1.0,\n0.001,65536,1e306,\n0.002,32768,1e306,\n0.002,65536,1e306,\n"
+    )
+    root = _svg_root(run("plot", "--surface", str(path)).stdout)
+    lines = list(root.iter("{http://www.w3.org/2000/svg}line"))
+    assert len(lines) == 4 + 4 + 2  # ticks, one segment per level, the marker
+    for line in lines:
+        for key in ("x1", "y1", "x2", "y2"):
+            assert math.isfinite(float(line.attrib[key]))
+
+
+def test_compare_csv_onto_stdout_file_exit_2(tmp_path):
+    # the JSON report goes to stdout, which is the --csv file itself
+    csv = tmp_path / "f.csv"
+    with open(csv, "wb") as fh:
+        proc = subprocess.run(
+            CLI + ["compare", "--surface", str(FIG3_PATH), "--methods", "step",
+                   "--csv", str(csv)],
+            stdout=fh, stderr=subprocess.PIPE, env=CLI_ENV,
+        )  # fmt: skip
+    assert proc.returncode == 2
+    assert b"same file" in proc.stderr
+    assert csv.read_bytes() == b""
+
+
 def test_plot_write_failure_exit_4(bowl_csv):
     run("plot", "--surface", str(bowl_csv),
         "--out", "/no_such_dir_hpscale/plot.svg", expect=4)

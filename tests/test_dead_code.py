@@ -1,9 +1,10 @@
-"""No private name in src/hpscale goes unused.
+"""No private name in src/hpscale goes unused, and no function imports.
 
 Each private module-level function, class or constant, and each private
 method, must be named somewhere else in the package: read as a name or an
 attribute, or imported. Its own definition does not count, and neither
-does a mention in a comment or a docstring.
+does a mention in a comment or a docstring. Every import is at the top of
+its module, none inside a function.
 """
 
 import ast
@@ -53,3 +54,15 @@ USED = {name for tree in TREES.values() for name in _uses(tree)}
 def test_every_private_name_is_used(module):
     unused = [name for name in _definitions(TREES[module]) if _private(name) and name not in USED]
     assert unused == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_function_imports(module):
+    local = [
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(TREES[module])
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert local == []

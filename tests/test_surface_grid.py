@@ -146,7 +146,8 @@ def ref_marching_squares(xs, ys, field, level):
             def cross(a, b):
                 xa, ya, va = corners[a]
                 xb, yb, vb = corners[b]
-                t = (level - va) / (vb - va)
+                # an edge from an infinite corner crosses at its finite corner
+                t = 1.0 if math.isinf(va) else (level - va) / (vb - va)
                 return (xa + t * (xb - xa), ya + t * (yb - ya))
 
             edges = {"a": (0, 1), "b": (1, 2), "c": (2, 3), "d": (3, 0)}
@@ -360,7 +361,7 @@ def test_no_numpy_scalar_leaves_the_surface(surf):
 
 # --- marching squares -----------------------------------------------------------
 
-FIELD_LEVELS = (0.0, 1.0, 2.5, 2.5, 4.0, 7.0)
+FIELD_LEVELS = (0.0, 1.0, 2.5, 2.5, 4.0, 7.0, math.inf)
 
 
 @given(
@@ -398,6 +399,17 @@ def test_marching_squares_saddles(field):
     want = ref_marching_squares(xs, ys, field, 2.5)
     assert got == want
     assert len(want) >= 2
+
+
+@pytest.mark.parametrize("case", range(16))
+@pytest.mark.parametrize("high,low", [(10.0, 2.0), (3.0, 0.0)])  # saddle centre above, below
+def test_marching_squares_every_case(case, high, low):
+    # corner k of the one cell sets bit k of its case
+    corners = [high if case >> k & 1 else low for k in range(4)]
+    field = [[corners[0], corners[3]], [corners[1], corners[2]]]
+    got = _marching_squares([0.0, 1.0], [0.0, 2.0], np.array(field), 2.5)
+    assert got == ref_marching_squares([0.0, 1.0], [0.0, 2.0], field, 2.5)
+    assert len(got) == (0 if case in (0, 15) else 2 if case in (5, 10) else 1)
 
 
 @pytest.mark.parametrize("level", [math.nan, math.inf, 0.0, -1.0])
