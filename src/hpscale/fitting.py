@@ -14,29 +14,22 @@ gamma), and reports empirical 2.5/97.5 percentile confidence bands.
 
 Every fit reads one table, _log_table: math.log of (N, D, lr, bs), rows
 sorted by the raw values, so results are bit-identical under input
-reordering. Every fit is one solve, _solve: for a design X with p columns
-and response y it takes an upper-triangular R of [X | y] and solves
+reordering. Every fit is one factorization and one solve. _qr_r takes a
+Householder QR of [X | y] in elementwise numpy, for a whole stack of
+matrices at once; every sum runs along one matrix's own column, so each
+R depends only on that matrix's entries, not on the stack around it nor
+on which LAPACK or BLAS kernel the host would pick. _solve then solves
 R[:p, :p] b = R[:p, p] by back-substitution. The design is rank deficient
-when some |diag R[:p, :p]| <= 1e-10 * max(max |diag|, 1). ols, fit_lr_law
-and fit_bs_law take R from a QR of [X | y] (two observations give the
-exact line).
+when some |diag R[:p, :p]| <= 1e-10 * max(max |diag|, 1). Two
+observations give the exact batch-size line.
 
-The bootstrap takes each resample's R from its Gram matrix instead: the
-draw counts times the outer products z_i z_i^T of z_i = [1, log N - mean,
-log D - mean, log lr - mean, log bs - mean], centred on the whole
-sample's means. Up to row signs, the Cholesky factor of a Gram matrix of
-[X | y] is the R of its QR, and only its first p rows are formed, so the
-y pivot, zero for an exactly law-consistent resample, is never taken.
-Centring is safe: subtracting a multiple of the intercept column from
-column j changes only row 0 of R, so every |diag R| is the one a QR of
-the raw design gives and the rank rule reads the same pivots, while the
-Gram matrix avoids the large, nearly equal entries of raw logs. The
-intercept is shifted back from the means after the solve. Normal
-equations square the condition number, so a resample goes through a
-stacked QR of its raw design after all when some pivot keeps at most
-1e-2 of its column's norm sqrt(G_jj), or its smallest pivot is within
-1e4 of the rank bound; there the QR's rank verdict is the one used, and
-elsewhere the two verdicts agree.
+The bootstrap takes one QR per resample, of its rows of [1, log D, log N
+| log lr, log bs]. A reflection changes only the columns right of its
+own, and rows below those it has fixed, so the first two reflections
+leave in columns 1, log D and log bs the R of the batch-size law's
+[1, log D | log bs], and all three leave in the first four columns the R
+of the learning-rate law with log N and log D swapped; its coefficients
+are put back in (log c, alpha, beta) order.
 
 One generator, seeded with the bootstrap seed, draws the whole index
 matrix (resample_indices). The whole sample must pass the learning-rate
@@ -66,15 +59,6 @@ from .errors import (
 MAX_RESAMPLES = 100_000
 _MAX_REDRAWS = 10
 _RANK_TOL = 1e-10
-# A Gram pivot is trusted when it keeps more than _GRAM_SHARE of its
-# column's norm and lies more than _GRAM_MARGIN times above the rank bound.
-_GRAM_SHARE = 1e-2
-_GRAM_MARGIN = 1e4
-# (row, column) of the bootstrap Gram entries that _gram_r reads: the
-# upper triangle of columns 0-3 less the log lr pivot (3, 3), and (0, 4)
-# and (2, 4) for the batch-size law
-_GRAM_ENTRIES = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3),
-                 (0, 4), (2, 4))  # fmt: skip
 
 
 @dataclass(frozen=True)
@@ -212,41 +196,37 @@ def _solve(r):
     return coeffs, bad
 
 
-def _gram_r(gram):
-    """R of [X | y], up to row signs, from a stack of its Gram matrices.
+def _qr_r(a, p):
+    """First p rows of R from a Householder QR of every matrix in a stack.
 
-    gram has shape (p + 1, p + 1, k), fit k last; only its upper
-    triangle, less the y pivot gram[p, p], is read. Returns the first p rows
-    of each Cholesky factor as a (k, p, p + 1) stack, built column by
-    column (a pivot that rounds below zero is zero, and its row stays
-    zero), and a mask of the fits whose pivots are not trusted: some pivot
-    is at most _GRAM_SHARE of its column's norm sqrt(gram[j, j]), or the
-    smallest is within _GRAM_MARGIN of the rank bound. Those fits must go
-    through a QR.
+    a[c, k, i] holds row i of column c of matrix k, so each column is
+    contiguous; its first p columns are reflected in place. Returns a
+    (k, p, q) stack of rows, upper triangular in its first p columns. A
+    column that is zero on and below the diagonal is left as it is.
     """
-    q, _, k = gram.shape
-    p = q - 1
-    r = np.zeros((p, q, k))
     for j in range(p):
-        above = r[:j, j]
-        pivot = np.sqrt(np.maximum(gram[j, j] - (above * above).sum(axis=0), 0.0))
-        rest = gram[j, j + 1 :] - (above[:, None] * r[:j, j + 1 :]).sum(axis=0)
-        r[j, j] = pivot
-        np.divide(rest, pivot, out=r[j, j + 1 :], where=pivot > 0)
-    pivots = r[range(p), range(p)].T
-    norms = np.sqrt(gram[range(p), range(p)].T)
-    untrusted = (pivots <= _GRAM_SHARE * norms).any(axis=1)
-    untrusted |= pivots.min(axis=1) <= _GRAM_MARGIN * _rank_bound(pivots)
-    return r.transpose(2, 0, 1), untrusted
+        x = a[j, :, j:]
+        norm = np.sqrt(np.einsum("ki,ki->k", x, x))
+        # v = x - alpha e_0 with alpha = -sign(x_0) |x|; 2 / (v.v) is tau
+        alpha = -np.copysign(norm, x[:, 0])
+        scale = norm * (norm + np.abs(x[:, 0]))
+        tau = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
+        x[:, 0] -= alpha
+        rest = a[j + 1 :, :, j:]
+        rest -= (tau * np.einsum("ki,cki->ck", x, rest))[:, :, None] * x
+        x[:, 0] = alpha
+        x[:, 1:] = 0.0
+    return a[:, :, :p].transpose(1, 2, 0)
 
 
-def _least_squares(xy):
-    """One fit of xy's last column on the others: (coefficients, R of xy)."""
-    r = np.linalg.qr(xy, mode="r")
-    coeffs, bad = _solve(r[None])
+def _least_squares(cols):
+    """One fit of the last of cols, a (q, n) stack of columns, on the
+    others: (coefficients, R of the fit)."""
+    r = _qr_r(cols[:, None].copy(), len(cols) - 1)
+    coeffs, bad = _solve(r)
     if bad[0]:
         raise SingularityError("design matrix is rank deficient")
-    return coeffs[0], r
+    return coeffs[0], r[0]
 
 
 def ols(design, response) -> OlsSolution:
@@ -269,13 +249,15 @@ def ols(design, response) -> OlsSolution:
     if n <= p:
         raise DegenerateDesignError(f"need more observations than coefficients ({n} <= {p})")
 
-    coeffs, r = _least_squares(np.column_stack([x, y]))
-    resid = y - x @ coeffs
-    rss = float(resid @ resid)
+    coeffs, r = _least_squares(np.vstack([x.T, y]))
+    resid = y - (x * coeffs).sum(axis=1)
+    rss = float((resid * resid).sum())
 
     df = n - p
-    r_inv = np.linalg.solve(r[:p, :p], np.eye(p))
-    se = np.sqrt(np.maximum(np.diag(rss / df * (r_inv @ r_inv.T)), 0.0))
+    # row i of r_inv solves R b = e_i: it is column i of R^-1
+    systems = np.concatenate([np.broadcast_to(r[:, :p], (p, p, p)), np.eye(p)[..., None]], axis=2)
+    r_inv = _solve(systems)[0]
+    se = np.sqrt(rss / df * (r_inv * r_inv).sum(axis=0))
 
     # a constant y has TSS 0, though its float mean can miss it by an ulp
     tss = float(np.sum((y - y.mean()) ** 2)) if np.ptp(y) > 0 else 0.0
@@ -296,7 +278,7 @@ def ols(design, response) -> OlsSolution:
 
 
 def _lr_design(table):
-    """[1, log N, log D | log lr] for the learning-rate law, after its span checks."""
+    """Columns [1, log N, log D | log lr] of the learning-rate law, after its span checks."""
     if len(table) < 4:
         raise DegenerateDesignError(
             f"learning-rate law needs >= 4 observations, got {len(table)}"
@@ -305,12 +287,12 @@ def _lr_design(table):
         raise DegenerateDesignError(
             "learning-rate law needs >= 2 distinct N and >= 2 distinct D"
         )
-    return np.column_stack([np.ones(len(table)), table[:, :3]])
+    return np.vstack([np.ones(len(table)), table[:, :3].T])
 
 
 def _bs_design(table):
-    """[1, log D | log bs] for the batch-size law."""
-    return np.column_stack([np.ones(len(table)), table[:, 1::2]])
+    """Columns [1, log D | log bs] of the batch-size law."""
+    return np.vstack([np.ones(len(table)), table[:, 1::2].T])
 
 
 def fit_lr_law(obs) -> LrLawFit:
@@ -374,13 +356,10 @@ def bootstrap_fit(obs, resamples: int = 1000, seed: int = 0) -> FitResult:
     resamples must be an integer (not a bool) in 1..MAX_RESAMPLES, checked
     before anything is allocated.
 
-    Each resample is fitted from its count-weighted Gram matrix of the
-    centred columns (see the module docstring): one bincount, one einsum
-    and the column-by-column Cholesky of _gram_r for every resample at
-    once, then _solve. Only the resamples whose pivots _gram_r does not
-    trust are fitted by a stacked QR of their gathered rows, so the rank
-    verdicts, the redraws and the index matrix are those a QR of every
-    resample gives.
+    Each resample is fitted by one _qr_r of its rows of [1, log D, log N |
+    log lr, log bs] (see the module docstring), every resample at once,
+    then _solve for each law. A CI end or mean of log c or log d whose exp
+    overflows a float raises DomainError naming that quantity.
     """
     if (
         isinstance(resamples, bool)
@@ -393,63 +372,34 @@ def bootstrap_fit(obs, resamples: int = 1000, seed: int = 0) -> FitResult:
         )
     check_seed(seed)
     table = _log_table(obs)
-    lr_xy, bs_xy = _lr_design(table), _bs_design(table)
-    _least_squares(lr_xy)
+    _least_squares(_lr_design(table))
 
-    # z = [1, log N, log D, log lr, log bs], centred on the sample means;
-    # the lr law reads columns 0-3 of its Gram matrix, the bs law 0, 2, 4,
-    # and only the entries _gram_r reads are summed
-    n = len(table)
-    centre = table.mean(axis=0)
-    z = np.column_stack([np.ones(n), table - centre])
-    ii, jj = np.array(_GRAM_ENTRIES).T
-    outer = (z[:, ii] * z[:, jj]).T.copy()
-    bs_cols = np.array([0, 2, 4])
+    cols = np.vstack([np.ones(len(table)), table[:, [1, 0, 2, 3]].T])
     params = np.full((resamples, 5), np.nan)
 
     def degenerate(rows, idx):
-        # Count-weighted Gram matrices of every resample at once. einsum
-        # sums each row in one order whatever the number of rows, so a
-        # resample's fit does not depend on how many are drawn (a BLAS
-        # matmul does not promise that).
-        k = len(rows)
-        counts = np.bincount((idx + n * np.arange(k)[:, None]).ravel(), minlength=k * n)
-        gram = np.zeros((5, 5, k))
-        gram[ii, jj] = np.einsum("ji,ki->jk", outer, counts.reshape(k, n).astype(float))
-        lr_r, lr_qr = _gram_r(gram[:4, :4])
-        bs_r, bs_qr = _gram_r(gram[bs_cols[:, None], bs_cols])
-        lr, bad = _solve(lr_r)
-        bs = _solve(bs_r)[0]
-        lr[:, 0] += centre[2] - lr[:, 1] * centre[0] - lr[:, 2] * centre[1]
-        bs[:, 0] += centre[3] - bs[:, 1] * centre[1]
-        qr = lr_qr | bs_qr
-        if qr.any():
-            # Stacked QR of the raw designs; np.take gathers the rows about
-            # 10x faster than lr_xy[idx].
-            lr[qr], bad[qr] = _solve(np.linalg.qr(np.take(lr_xy, idx[qr], axis=0), mode="r"))
-            bs[qr] = _solve(np.linalg.qr(np.take(bs_xy, idx[qr], axis=0), mode="r"))[0]
+        r = _qr_r(np.take(cols, idx, axis=1), 3)
+        lr, bad = _solve(r[:, :, :4])
+        bs = _solve(r[:, :2, [0, 1, 4]])[0]
         good = ~bad
-        params[rows[good], :3] = lr[good]
+        params[rows[good], :3] = lr[good][:, [0, 2, 1]]
         params[rows[good], 3:] = bs[good]
         return bad
 
-    _, redrawn = resample_indices(n, resamples, seed, degenerate)
+    _, redrawn = resample_indices(len(table), resamples, seed, degenerate)
 
     means = params.mean(axis=0)
     lo, hi = np.percentile(params, [2.5, 97.5], axis=0)
     names = ("log_c", "alpha", "beta", "log_d", "gamma")
+    c, d = _exp(means[0], "fitted c"), _exp(means[3], "fitted d")
     ci = {}
-    try:
-        for k, name in enumerate(names):
-            if name in ("log_c", "log_d"):
-                ci[name.removeprefix("log_")] = (math.exp(lo[k]), math.exp(hi[k]))
-            else:
-                ci[name] = (float(lo[k]), float(hi[k]))
-        c, d = math.exp(means[0]), math.exp(means[3])
-    except OverflowError:  # steep data can fit log c or log d past ~709
-        raise DomainError(
-            f"fitted c or d overflows a float (log c {means[0]:.6g}, log d {means[3]:.6g})"
-        ) from None
+    for k, name in enumerate(names):
+        if name in ("log_c", "log_d"):
+            coeff = name.removeprefix("log_")
+            ci[coeff] = (_exp(lo[k], f"lower CI end of {coeff}"),
+                         _exp(hi[k], f"upper CI end of {coeff}"))  # fmt: skip
+        else:
+            ci[name] = (float(lo[k]), float(hi[k]))
     return FitResult(
         c=c,
         alpha=float(means[1]),
@@ -462,6 +412,14 @@ def bootstrap_fit(obs, resamples: int = 1000, seed: int = 0) -> FitResult:
         redraws=int(redrawn.size),
         samples={name: params[:, k].copy() for k, name in enumerate(names)},
     )
+
+
+def _exp(log_value, what):
+    """math.exp of a fitted log c or log d, or a DomainError naming what overflowed."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:  # steep data can fit log c or log d past ~709
+        raise DomainError(f"{what} overflows a float (its log is {log_value:.6g})") from None
 
 
 # --- observation CSV ----------------------------------------------------------

@@ -401,6 +401,19 @@ def test_fit_overflowing_coefficient_exit_3(tmp_path):
     assert rc == 3 and stdout == b"" and "fitted c" in stderr and "overflows" in stderr
 
 
+def test_fit_overflowing_ci_end_is_named(tmp_path):
+    # the mean log c and log d have finite exps; with log D near 691 a
+    # small swing in a resample's gamma moves its log d by hundreds, past
+    # 709 at the upper 97.5% end
+    rows = [f"{1e8 * (1 + k)!r},{1e300 * (1 + k % 3)!r},1e-300,{1e300 * (1 + k % 2)!r}"
+            for k in range(6)]  # fmt: skip
+    path = tmp_path / "wide.csv"
+    path.write_text("n_params,d_tokens,opt_lr,opt_bs_tokens\n" + "\n".join(rows) + "\n")
+    rc, stdout, stderr = main_inprocess("fit", "--observations", str(path), "--bootstrap", "50")
+    assert rc == 3 and stdout == b""
+    assert stderr.startswith("error: upper CI end of d overflows a float (its log is ")
+
+
 @pytest.mark.parametrize("command", ["fit", "stats"])
 def test_oversized_observation_field_exit_2(tmp_path, command):
     path = tmp_path / "obs.csv"

@@ -27,7 +27,7 @@ from hpscale import (
     ols,
 )
 from hpscale import errors, fitting
-from hpscale.fitting import MAX_RESAMPLES, _gram_r, _solve, resample_indices
+from hpscale.fitting import MAX_RESAMPLES, _qr_r, _solve, resample_indices
 
 
 def canonical(obs):
@@ -160,6 +160,54 @@ def test_solve_flags_rank_deficient_designs():
     x[:, :, 2] = x[:, :, 0]
     coeffs, bad = _solve(_r_of(x, y))
     assert bad.all() and np.isnan(coeffs).all()
+
+
+def _columns(x, y):
+    """[x | y] of a (k, n, p) design stack in _qr_r's layout: a[column, matrix, row]."""
+    return np.concatenate([x, y[..., None]], axis=-1).transpose(2, 0, 1).copy()
+
+
+@pytest.mark.parametrize("jitter", [None, 1e-4, 1e-8])
+def test_qr_r_matches_lapack_up_to_row_signs(jitter):
+    # np.linalg.qr is the reference here only; the fitter calls no LAPACK.
+    # With a jitter the last design column nearly repeats column 1.
+    rng = np.random.default_rng(11)
+    for n, p in ((4, 3), (9, 3), (30, 3), (2, 2), (12, 5)):
+        x, y = _random_designs(rng, 25, n, p)
+        if jitter is not None:
+            x[:, :, -1] = x[:, :, 1] + jitter * rng.standard_normal((25, n))
+        r = _qr_r(_columns(x, y), p)
+        ref = _r_of(x, y)[:, :p]
+        assert r.shape == ref.shape == (25, p, p + 1)
+        diag, ref_diag = (np.diagonal(m, axis1=1, axis2=2) for m in (r, ref))
+        # rounding of order 1e-16 * |A| moves the rows after a pivot of
+        # size s by about 1e-16 * |A|^2 / s, so the bound grows with that
+        scale = np.abs(ref).max(axis=(1, 2))[:, None]
+        tol = 1e-14 * scale * scale / np.abs(ref_diag).min(axis=1, keepdims=True)
+        assert (np.abs(np.abs(diag) - np.abs(ref_diag)) <= tol).all()
+        signs = (np.sign(diag) * np.sign(ref_diag))[..., None]
+        assert (np.abs(r - signs * ref) <= tol[..., None]).all()
+
+
+def test_qr_r_leaves_a_zero_column_unreflected():
+    rng = np.random.default_rng(4)
+    x, y = _random_designs(rng, 6, 8, 3)
+    x[:, :, 2] = 0.0
+    r = _qr_r(_columns(x, y), 3)
+    assert (r[:, 2, :3] == 0.0).all() and np.isfinite(r).all()
+    coeffs, bad = _solve(r)
+    assert bad.all() and np.isnan(coeffs).all()
+
+
+def test_qr_r_of_a_matrix_does_not_depend_on_its_stack():
+    rng = np.random.default_rng(3)
+    for n in (4, 9, 30, 33):
+        x, y = _random_designs(rng, 50, n, 3)
+        stack = _columns(x, y)
+        whole = _qr_r(stack.copy(), 3)
+        for k in (0, 17, 49):
+            assert np.array_equal(_qr_r(stack[:, k : k + 1].copy(), 3), whole[k : k + 1])
+        assert np.array_equal(_qr_r(stack[:, 10:13].copy(), 3), whole[10:13])
 
 
 # --- law fits -----------------------------------------------------------------
@@ -480,7 +528,7 @@ def test_bootstrap_redraws_can_run_out_on_a_full_rank_sample():
         resample_indices(4, 5, 0, always)
 
 
-# --- the Gram-matrix bootstrap ----------------------------------------------------
+# --- the bootstrap QR ------------------------------------------------------------
 
 COEFF_NAMES = ("log_c", "alpha", "beta", "log_d", "gamma")
 
@@ -504,25 +552,6 @@ def _lstsq_fits(logs, indices):
 
 def _samples(result):
     return np.column_stack([result.samples[name] for name in COEFF_NAMES])
-
-
-def test_gram_r_is_the_qr_r_of_the_weighted_design():
-    # the Cholesky rows of a count-weighted Gram matrix of centred columns
-    # are, up to row signs, R of a QR of the repeated raw rows but for
-    # row 0, which centring changes; the pivots are the same
-    rng = np.random.default_rng(31)
-    n, k = 9, 50
-    xy = np.column_stack([np.ones(n), rng.normal(size=(n, 3)) * [1, 3, 5] + [20, -7, 2]])
-    z = np.column_stack([np.ones(n), xy[:, 1:] - xy[:, 1:].mean(axis=0)])
-    counts = np.array([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(k)])
-    gram = np.einsum("ki,ij,il->jlk", counts.astype(float), z, z)
-    r, untrusted = _gram_r(gram)
-    assert r.shape == (k, 3, 4) and not untrusted.any()
-    for ri, ci in zip(r, counts):
-        qr_r = np.linalg.qr(np.repeat(xy, ci, axis=0), mode="r")[:3]
-        signs = np.sign(np.diag(qr_r))[:, None]
-        assert np.diag(ri) == pytest.approx(np.abs(np.diag(qr_r)), rel=1e-12)
-        assert ri[1:] == pytest.approx(signs[1:] * qr_r[1:], rel=1e-10, abs=1e-10)
 
 
 @pytest.mark.parametrize("jitter", [1e-1, 1e-2, 1e-3, 1e-4])
@@ -585,20 +614,6 @@ def test_bootstrap_mixed_batches_redraw_as_the_qr_rule_does(case, monkeypatch):
     assert 0 < result.redraws == ref_redrawn.size < resamples
     assert np.array_equal(redrawn, ref_redrawn) and np.array_equal(indices, ref_indices)
     assert np.abs(_samples(result) - _lstsq_fits(_exact_logs(items), indices)).max() <= 1e-9
-
-
-def test_bootstrap_runs_no_qr_per_resample_on_a_well_conditioned_lattice(monkeypatch):
-    # the one QR is the whole-sample check; no resample falls back to one
-    calls = []
-    qr = np.linalg.qr
-
-    def counting_qr(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return qr(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
-    bootstrap_fit(lattice_obs(noise_sigma=0.05, seed=6), 1000, seed=0)
-    assert calls == [(16, 4)]
 
 
 def test_fit_results_hold_python_floats():

@@ -11,16 +11,23 @@ generator, rebuilt in test_surface._dense_surface; the bytes synth's own
 generator writes for it, and for noisy observations, are pinned apart.
 fit, stats and predict are pinned on synth's 4 x 4 lattice observations,
 noisy and exact; stats on the exact lattice writes a null F statistic.
+The fit and stats bytes must also be the same under every OpenBLAS
+kernel, as no BLAS or LAPACK routine takes part in a fit.
 """
 
 import hashlib
 import json
+import re
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from conftest import FIG3_PATH, LATTICE_D, LATTICE_N
 from hpscale import generate_surface, surface_to_csv
 from hpscale.laws import LAW_METHODS
+from test_cli import CLI_ENV
 from test_cli_inprocess import main_inprocess
 from test_surface import DENSE_GRID, DENSE_SPEC, _dense_surface
 
@@ -94,24 +101,77 @@ def test_synth_observations_output_is_pinned(tmp_path):
     assert _sha256(_lattice_observations(tmp_path, 0.05)) == SYNTH_OBSERVATIONS_SHA256
 
 
-def test_observation_command_output_is_pinned(tmp_path):
+def _observation_commands(tmp_path) -> list[tuple[str, list[str]]]:
+    """(key, argv) of each observation report command, on the noisy and
+    exact lattice observations written under tmp_path."""
     noisy, exact = tmp_path / "noisy.csv", tmp_path / "exact.csv"
     noisy.write_bytes(_lattice_observations(tmp_path, 0.05))
     exact.write_bytes(_lattice_observations(tmp_path, 0.0))
-    outputs = {}
-    for key, argv in (
+    return [
         ("fit", ["fit", f"--observations={noisy}", "--bootstrap=200", "--seed=0"]),
         ("fit-exact", ["fit", f"--observations={exact}", "--bootstrap=200", "--seed=0"]),
         ("stats", ["stats", f"--observations={noisy}"]),
         ("stats-exact", ["stats", f"--observations={exact}"]),
         ("predict-step", ["predict", "--method=step", "--n=1e9", "--d=1e11"]),
-    ):
+    ]
+
+
+def test_observation_command_output_is_pinned(tmp_path):
+    outputs = {}
+    for key, argv in _observation_commands(tmp_path):
         rc, stdout, stderr = main_inprocess(*argv)
         assert rc == 0, stderr
         if key == "stats-exact":
             assert json.loads(stdout)["full_model"]["f_statistic"] is None
         outputs[key] = _sha256(stdout)
     assert outputs == OBSERVATION_REPORT_SHA256
+
+
+# Run in a child process: the sha256 of what each (key, argv) in the JSON
+# list argv[1] writes to stdout, as one JSON object.
+_DIGEST_CHILD = """\
+import contextlib, hashlib, io, json, sys
+from hpscale import cli
+digests = {}
+for key, argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, key
+    digests[key] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def _blas_name() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # numpy before 1.26 only prints its build config
+        return "an unreported BLAS"
+
+
+def test_observation_reports_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernels for the CPU it runs on, and
+    # OPENBLAS_CORETYPE overrides that pick; it is set in the children only
+    blas = _blas_name()
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy is built on {blas}, not OpenBLAS: OPENBLAS_CORETYPE picks nothing")
+    commands = json.dumps([c for c in _observation_commands(tmp_path) if c[0] != "predict-step"])
+    base = {k: v for k, v in CLI_ENV.items() if not k.startswith("OPENBLAS_")}
+    digests, cores = {}, []
+    for kernel in (None, "Haswell", "Nehalem", "Prescott"):
+        env = {**base, "OPENBLAS_VERBOSE": "2"}
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        proc = subprocess.run([sys.executable, "-c", _DIGEST_CHILD, commands],
+                              capture_output=True, env=env)  # fmt: skip
+        assert proc.returncode == 0, proc.stderr.decode()
+        digests[kernel] = json.loads(proc.stdout)
+        cores += re.findall(r"^Core: (\S+)", proc.stderr.decode(), flags=re.MULTILINE)
+    if not cores:
+        pytest.skip("OpenBLAS reported no core, so it ignores OPENBLAS_CORETYPE")
+    assert len(digests[None]) == 4
+    for kernel in ("Haswell", "Nehalem", "Prescott"):
+        assert digests[kernel] == digests[None], kernel
 
 
 def _surface_command_digests(path, tmp_path) -> dict[str, str]:
