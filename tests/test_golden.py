@@ -58,10 +58,10 @@ GOLDEN_SHA256 = {
 
 
 OBSERVATION_REPORT_SHA256 = {
-    "fit": "cf93a4ba1559cad311c351d4b171f2d83b8c6db8801772ccf612a517ba784a11",
-    "fit-exact": "ce3a52a9e78227c0255d2a0dac58a9c22fea4cc809d92abb490610c70cb5e628",
-    "stats": "f4af5c2be3b0ac554fc8457aac973c7c682824297b34c36238056fe98a90bcf5",
-    "stats-exact": "0d1e931d6e10a52ab4930d64ff88aabb562b569271ab8065182aed170cedf773",
+    "fit": "4eec0d6251eeba34e4b79f87f4f968214c43eb6ac5e8cb9e1fc9abb1ab166719",
+    "fit-exact": "fb5c3240a21d2d027afc25c1aa9371b23f6254dd4e909f9b469f236b8b928ba7",
+    "stats": "6b54a67952061b66234195f65597b81420d2222964426c97f5c1b72cd75fe2ad",
+    "stats-exact": "9e20f7808c88099b3ca1d2cd7f7e473e63910003a4a81c2574377bfd211a56e7",
     "predict-step": "9d2d84f104cdc494065912784d17d75d563d2702f1da63cb556606ff7a229c62",
 }
 
