@@ -45,8 +45,11 @@ report, and a crash can lose it.
 main() may be called many times in one process (the benchmark, notebooks,
 driver scripts): the argument parser is built once and shared, and each
 call parses into a fresh namespace, so no flag or default carries over
-from one command to the next. Consecutive commands on the same surface
-bytes parse them once (see load_surface).
+from one command to the next. An argv that starts with a command name is
+scanned once, by that command's parser; only an argv that names no
+command (-h, --version, a leading --, an unknown command, an empty argv)
+goes through the top-level parser (see _parse). Consecutive commands on
+the same surface bytes parse them once (see load_surface).
 """
 
 from __future__ import annotations
@@ -85,13 +88,13 @@ from .laws import (
 )
 from .stats import compare_formulations
 from .surface import (
+    _relative,
     argmin_consistency,
     convexity_report,
     find_optimum,
     interpolate_loss,
     load_surface,
     plateau,
-    relative_error,
     surface_to_csv,
 )
 from .svgplot import DEFAULT_LEVELS_PERMILLE, render_surface_svg
@@ -353,7 +356,8 @@ def compare_rows(
     use_snapped: bool = False,
 ) -> list[dict]:
     """One CompareRow dict per method, snapped to the surface's own grid;
-    relative error only when status ok."""
+    relative error only when status ok. Each scored point is interpolated
+    once, and its relative error taken from that loss."""
     if not methods:
         raise ArgumentError("method list must not be empty")
     check_number(budget_factor, "--budget-factor", "positive")
@@ -395,13 +399,14 @@ def compare_rows(
         point = snapped if use_snapped else pred
         try:
             loss = interpolate_loss(surf, point.lr, point.bs_tokens, metric)
-            rel = relative_error(surf, (point.lr, point.bs_tokens), metric)
         except OutOfHullError as exc:
             row["status"] = "out_of_hull"
             row["note"] = str(exc)
             rows.append(row)
             continue
         row["loss"] = loss
+        # relative_error's value, from the one interpolation
+        rel = _relative(loss, find_optimum(surf, metric).loss)
         row["relative_error_permille"] = rel * 1000.0
         row["status"] = "ok"
         rows.append(row)
@@ -505,7 +510,6 @@ class _Parser(argparse.ArgumentParser):
         super().error(_QUOTED.sub(lambda m: m[0][:40], message))
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The hpscale argument parser, built once per process and shared.
 
@@ -513,6 +517,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_argument, set_defaults or attribute writes); parse_args returns a
     fresh namespace on each call and is safe to call repeatedly.
     """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """build_parser's parser, and its subcommand parsers by command name."""
     parser = _Parser(
         prog="hpscale",
         description="Hyperparameter scaling-law toolkit for LLM pre-training.",
@@ -589,12 +599,36 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(func=cmd_plot)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The namespace build_parser().parse_args(argv) returns, with the same
+    usage errors and exits, from one scan of argv.
+
+    The top-level parser only hands the argv after a command name to that
+    command's parser, which scans it again. So an argv whose first item is
+    a command name goes straight to the command's parser; arguments it
+    leaves over are reported through the top-level parser's error, as
+    parse_args reports them. Any other argv (-h, --version, a leading --,
+    an unknown command, an empty argv) goes through the top-level parser.
+    """
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(_UNRECOGNIZED + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one hpscale command line (sys.argv[1:] when argv is None) and
+    return its exit code; a usage error exits 2 through SystemExit."""
+    args = _parse(argv)
     try:
         return args.func(args)
     except DomainError as exc:

@@ -522,8 +522,14 @@ def relative_error(
 ) -> float:
     """(interpolated loss - optimum loss) / optimum loss; zero at the optimum."""
     opt = find_optimum(surface, metric)
-    value = interpolate_loss(surface, hp[0], hp[1], metric)
-    rel = (value - opt.loss) / opt.loss
+    return _relative(interpolate_loss(surface, hp[0], hp[1], metric), opt.loss)
+
+
+def _relative(value: float, best: float) -> float:
+    """relative_error of an interpolated loss `value` on a surface whose
+    optimum loss is `best`: (value - best) / best, with an undershoot of
+    at most _UNDERSHOOT_TOL read as 0."""
+    rel = (value - best) / best
     if -_UNDERSHOOT_TOL <= rel < 0.0:
         return 0.0
     return rel

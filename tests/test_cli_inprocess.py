@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIG3_PATH, LATTICE_D, LATTICE_N, fuzz_examples
-from hpscale import cli, load_surface
+from hpscale import cli, interpolate_loss, load_surface
+from hpscale import surface as surface_module
 from hpscale.laws import LAW_METHODS
 from test_cli import CLI, CLI_ENV, run
 
@@ -38,15 +39,21 @@ def strict_json(stdout: bytes):
     return json.loads(stdout, parse_constant=reject)
 
 
-def main_inprocess(*argv):
-    """(exit code, stdout bytes, stderr text) of cli.main; SystemExit counts."""
+def captured(fn, *args):
+    """(value or SystemExit code, stdout text, stderr text) of fn(*args)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            rc = cli.main(list(argv))
+            value = fn(*args)
         except SystemExit as exc:  # argparse errors, --help, --version
-            rc = exc.code
-    return rc, out.getvalue().encode("utf-8"), err.getvalue()
+            value = exc.code
+    return value, out.getvalue(), err.getvalue()
+
+
+def main_inprocess(*argv):
+    """(exit code, stdout bytes, stderr text) of cli.main; SystemExit counts."""
+    rc, out, err = captured(cli.main, list(argv))
+    return rc, out.encode("utf-8"), err
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +128,54 @@ def test_parsed_flags_do_not_leak_between_calls():
     assert parser.parse_args(["fit", "--seed", "9"]).seed == 9
     assert parser.parse_args(["fit"]).seed == 0
     assert plain is not parser.parse_args(["compare", "--surface", "s", "--methods", "step"])
+
+
+def test_main_dispatches_as_the_top_level_parser_parses(inputs, monkeypatch):
+    surf = str(FIG3_PATH)
+    argvs = _commands(inputs) + [
+        ("analyze", "--surf", surf),  # an abbreviation
+        ("analyze", "--surface", surf, "--bogus"),
+        ("analyze", "--surface", surf, "extra"),
+        ("analyze", "--surface", surf, "x" * 100_000),
+        ("analyze", "--surface", surf, "--version"),  # a top-level option after a command
+        ("analyze", "--surface", surf, "--", "extra"),
+        ("analyze", "-h"),
+        ("--version",),
+        ("--", "analyze", "--surface", surf),
+        ("nosuch",),
+        (),
+    ]
+    parser = cli.build_parser()
+    for argv in argvs:
+        # the same namespace, or the same exit and usage text
+        assert captured(cli._parse, list(argv)) == captured(parser.parse_args, list(argv)), argv
+    dispatched = [main_inprocess(*argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse", parser.parse_args)
+    assert dispatched == [main_inprocess(*argv) for argv in argvs]
+    # main() with no argv reads sys.argv
+    argv = ("analyze", "--surface", surf, "extra")
+    proc = subprocess.run(CLI + list(argv), capture_output=True, env=CLI_ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == main_inprocess(*argv)
+    assert proc.returncode == 2 and "unrecognized arguments: extra" in proc.stderr.decode()
+
+
+@pytest.mark.parametrize("use_snapped", [False, True])
+def test_compare_interpolates_each_scored_law_once(use_snapped, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return interpolate_loss(*args)
+
+    # cli calls it by its own name, relative_error by surface's
+    monkeypatch.setattr(cli, "interpolate_loss", counted)
+    monkeypatch.setattr(surface_module, "interpolate_loss", counted)
+    argv = ["compare", "--surface", str(FIG3_PATH), "--methods", ",".join(LAW_METHODS),
+            "--loss", "2.0", "--meituan-params", "0.01,2.0,1e9,0.5"]  # fmt: skip
+    rc, stdout, _ = main_inprocess(*argv, *(["--use-snapped"] if use_snapped else []))
+    statuses = [row["status"] for row in strict_json(stdout)["rows"]]
+    assert rc == 0 and "ok" in statuses
+    assert len(calls) == sum(status in ("ok", "out_of_hull") for status in statuses)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,9 @@ arithmetic on the same values, so results must be exactly equal.
 import bisect
 import math
 import re
+import sys
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from hpscale import (
     relative_error,
     surface_to_csv,
 )
+from hpscale import svgplot
 from hpscale.svgplot import _marching_squares, render_surface_svg
 
 # --- point-scan references ----------------------------------------------------
@@ -364,21 +367,50 @@ def test_no_numpy_scalar_leaves_the_surface(surf):
 FIELD_LEVELS = (0.0, 1.0, 2.5, 2.5, 4.0, 7.0, math.inf)
 
 
-@given(
-    st.integers(1, 6),
-    st.integers(1, 6),
-    st.data(),
-    st.sampled_from((1.0, 2.5, 5.0)),
-)
-def test_marching_squares_matches_cell_loop(n_x, n_y, data, level):
+def contours(xs, ys, field, levels):
+    """_marching_squares of every level at once, as one list per level of
+    ((xa, ya), (xb, yb)) tuples, the form of ref_marching_squares."""
+    level_of, segments = _marching_squares(xs, ys, np.array(field, dtype=float), levels)
+    assert level_of.tolist() == sorted(level_of.tolist())
+    ends = np.searchsorted(level_of, np.arange(len(levels) + 1)).tolist()
+    pairs = [tuple(map(tuple, segment)) for segment in segments.tolist()]
+    return [pairs[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def draw_field(data, n_x, n_y):
+    return [[data.draw(st.sampled_from(FIELD_LEVELS)) for _ in range(n_y)] for _ in range(n_x)]
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_marching_squares_matches_cell_loop(n_x, n_y, data):
     xs = [0.5 * k for k in range(n_x)]
     ys = [0.3 * k - 1.0 for k in range(n_y)]
-    field = [
-        [data.draw(st.sampled_from(FIELD_LEVELS)) for _ in range(n_y)]
-        for _ in range(n_x)
-    ]
-    got = _marching_squares(xs, ys, np.array(field, dtype=float).reshape(n_x, n_y), level)
-    assert got == ref_marching_squares(xs, ys, field, level)
+    field = draw_field(data, n_x, n_y)
+    levels = (1.0, 2.5, 5.0)
+    got = contours(xs, ys, field, levels)
+    assert got == [ref_marching_squares(xs, ys, field, level) for level in levels]
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.data(),
+    st.lists(st.sampled_from((0.5, 1.0, 2.5, 4.0, 5.0)), min_size=1, max_size=6),
+)
+def test_marching_squares_joins_the_levels_in_order(n_x, n_y, data, levels):
+    # repeated levels, infinite corners, and 1 x n and n x 1 fields
+    xs = [0.5 * k for k in range(n_x)]
+    ys = [0.3 * k - 1.0 for k in range(n_y)]
+    field = draw_field(data, n_x, n_y)
+    refs = [ref_marching_squares(xs, ys, field, level) for level in levels]
+    want_level = [k for k, ref in enumerate(refs) for _ in ref]
+    want = [segment for ref in refs for segment in ref]
+    array = np.array(field, dtype=float).reshape(n_x, n_y)
+    for cells in (svgplot.MAX_GRID_CELLS, n_x * n_y):  # one group; one level a group
+        with mock.patch.object(svgplot, "MAX_GRID_CELLS", cells):
+            level_of, segments = _marching_squares(xs, ys, array, levels)
+        assert level_of.tolist() == want_level
+        assert [tuple(map(tuple, segment)) for segment in segments.tolist()] == want
 
 
 @pytest.mark.parametrize(
@@ -390,15 +422,16 @@ def test_marching_squares_matches_cell_loop(n_x, n_y, data, level):
         [[0.0, 5.0], [6.0, 0.0]],  # case 10, centre above
         [[0.0, 3.0], [3.0, 0.0]],  # case 10, centre below
         [[3.0, 2.0, 3.0], [2.0, 3.0, 2.0], [3.0, 2.0, 3.0]],  # saddles in a row
+        [[1e308, 0.0], [0.0, 1e308]],  # case 5, the centre's sum overflows to inf
     ],
 )
 def test_marching_squares_saddles(field):
     xs = [float(k) for k in range(len(field))]
     ys = [2.0 * k for k in range(len(field[0]))]
-    got = _marching_squares(xs, ys, np.array(field), 2.5)
-    want = ref_marching_squares(xs, ys, field, 2.5)
-    assert got == want
-    assert len(want) >= 2
+    levels = (2.5, 1.0, 2.5, 4.5)
+    got = contours(xs, ys, field, levels)
+    assert got == [ref_marching_squares(xs, ys, field, level) for level in levels]
+    assert len(got[0]) >= 2
 
 
 @pytest.mark.parametrize("case", range(16))
@@ -407,9 +440,10 @@ def test_marching_squares_every_case(case, high, low):
     # corner k of the one cell sets bit k of its case
     corners = [high if case >> k & 1 else low for k in range(4)]
     field = [[corners[0], corners[3]], [corners[1], corners[2]]]
-    got = _marching_squares([0.0, 1.0], [0.0, 2.0], np.array(field), 2.5)
-    assert got == ref_marching_squares([0.0, 1.0], [0.0, 2.0], field, 2.5)
-    assert len(got) == (0 if case in (0, 15) else 2 if case in (5, 10) else 1)
+    levels = (2.5, 1.0)
+    got = contours([0.0, 1.0], [0.0, 2.0], field, levels)
+    assert got == [ref_marching_squares([0.0, 1.0], [0.0, 2.0], field, level) for level in levels]
+    assert len(got[0]) == (0 if case in (0, 15) else 2 if case in (5, 10) else 1)
 
 
 @pytest.mark.parametrize("level", [math.nan, math.inf, 0.0, -1.0])
@@ -447,3 +481,12 @@ def test_render_refuses_a_bad_overlay_row(fig3_surface, row, message):
     for use_snapped in (False, True):
         with pytest.raises(ArgumentError, match="^" + re.escape(message)):
             render_surface_svg(fig3_surface, overlays=[_GOOD_ROW, row], use_snapped=use_snapped)
+
+
+def test_not_xml_char_matches_the_complement_of_xml_chars():
+    # XML 1.0's Char production, complemented: the reference
+    reference = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+    every_code_point = "".join(map(chr, range(sys.maxunicode + 1)))
+    found = svgplot._NOT_XML_CHAR.findall(every_code_point)
+    assert found == reference.findall(every_code_point)
+    assert len(found) == 2079
