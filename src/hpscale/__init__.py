@@ -45,13 +45,10 @@ from .laws import (
     step_law,
 )
 from .stats import (
-    FormulationComparison,
-    NestedTest,
     PredictorStats,
     RegressionReport,
     compare_formulations,
     f_sf,
-    nested_f_test,
     regress,
     regularized_incomplete_beta,
     student_t_critical,
@@ -65,7 +62,9 @@ from .surface import (
     OptimumReport,
     PlateauRegion,
     SweepPoint,
+    analyze_report,
     argmin_consistency,
+    compare_rows,
     convexity_report,
     find_optimum,
     interpolate_loss,

@@ -9,6 +9,13 @@ its arguments and inputs; --seed exists on fit (bootstrap draws) and
 synth (spec seed override) only, the two commands that draw random
 numbers.
 
+This module keeps argv parsing, file bytes, the encoder and exit codes;
+each report body is built where its numbers are computed. analyze, compare
+and stats take theirs from surface.analyze_report, surface.compare_rows
+and stats.compare_formulations, fit from FitResult.to_json_dict, and each
+adds only its meta (version and input digest). predict's four fields are
+the one body assembled here.
+
 Reports are strict JSON written by one encoder, _encode_json. Its bytes
 equal json.dumps(doc, indent=2, sort_keys=True), except that a
 non-finite float, such as an infinite --delta or the F statistic of an
@@ -66,17 +73,17 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .errors import (
-    ArgumentError,
-    DomainError,
-    HpscaleError,
-    OutOfHullError,
-    check_number,
-    decode_json,
+from .errors import ArgumentError, DomainError, HpscaleError, check_number, decode_json
+from .fitting import (
+    DEFAULT_RESAMPLES,
+    MAX_RESAMPLES,
+    bootstrap_fit,
+    load_observations,
+    observations_to_csv,
 )
-from .fitting import MAX_RESAMPLES, bootstrap_fit, load_observations, observations_to_csv
 from .laws import (
     AuxInputs,
+    DEFAULT_FLOPS_FACTOR,
     DEFAULT_LAWS,
     GridSpec,
     LAW_METHODS,
@@ -88,13 +95,12 @@ from .laws import (
 )
 from .stats import compare_formulations
 from .surface import (
-    _relative,
-    argmin_consistency,
-    convexity_report,
-    find_optimum,
-    interpolate_loss,
+    DEFAULT_DELTA,
+    DEFAULT_EPSILON,
+    METRICS,
+    analyze_report,
+    compare_rows,
     load_surface,
-    plateau,
     surface_to_csv,
 )
 from .svgplot import DEFAULT_LEVELS_PERMILLE, render_surface_svg
@@ -286,131 +292,18 @@ def cmd_fit(args) -> int:
 
 def cmd_stats(args) -> int:
     raw = _read_input(args.observations)
-    obs = load_observations(raw)
-    comparison = compare_formulations(obs)
-    report = comparison.full_report
-    doc = {
-        "meta": _meta(raw),
-        "formulations": [dataclasses.asdict(f) for f in comparison.formulations],
-        "nested_tests": [dataclasses.asdict(t) for t in comparison.nested_tests],
-        # full_model renames n_obs to n and leaves out rss and df_resid
-        "full_model": {
-            "n": report.n_obs,
-            "r_squared": report.r_squared,
-            "adjusted_r_squared": report.adjusted_r_squared,
-            "f_statistic": report.f_statistic,
-            "f_pvalue": report.f_pvalue,
-            "predictors": [dataclasses.asdict(row) for row in report.predictors],
-        },
-    }
+    doc = compare_formulations(load_observations(raw))
+    doc["meta"] = _meta(raw)
     _emit((_encode_json(doc) + "\n", args.out))
     return 0
 
 
 def cmd_analyze(args) -> int:
     raw = _read_input(args.surface)
-    surf = load_surface(raw)
-    opt = find_optimum(surf, args.metric)
-    region = plateau(surf, args.delta, args.metric)
-    convex = convexity_report(surf, args.epsilon, args.metric)
-    doc = {
-        "meta": _meta(raw),
-        "optimum": {
-            "lr": opt.hp[0],
-            "bs": opt.hp[1],
-            "loss": opt.loss,
-            "metric": opt.metric,
-        },
-        "plateau": {
-            "delta": region.delta,
-            "members": sorted([lr, bs] for lr, bs in region.members),
-        },
-        "convexity": {
-            "row_unimodal_fraction": convex.row_unimodal_fraction,
-            "col_unimodal_fraction": convex.col_unimodal_fraction,
-            "epsilon": convex.tolerance,
-            "violations": sorted(
-                [v.axis, v.fixed_value, v.index] for v in convex.violations
-            ),
-        },
-        "argmin_consistency": None,
-    }
-    if surf.has_full_val():
-        rep = argmin_consistency(surf)
-        doc["argmin_consistency"] = {
-            "consistent": rep.consistent,
-            "train_opt": list(rep.train_opt.hp),
-            "val_opt": list(rep.val_opt.hp),
-        }
+    doc = analyze_report(load_surface(raw), args.metric, args.delta, args.epsilon)
+    doc["meta"] = _meta(raw)
     _emit((_encode_json(doc) + "\n", args.out))
     return 0
-
-
-def compare_rows(
-    surf,
-    methods,
-    laws,
-    aux,
-    metric: str = "train",
-    budget_factor: float = 6.0,
-    use_snapped: bool = False,
-) -> list[dict]:
-    """One CompareRow dict per method, snapped to the surface's own grid;
-    relative error only when status ok. Each scored point is interpolated
-    once, and its relative error taken from that loss."""
-    if not methods:
-        raise ArgumentError("method list must not be empty")
-    check_number(budget_factor, "--budget-factor", "positive")
-    rows = []
-    for method in methods:
-        if method not in LAW_METHODS:
-            raise ArgumentError(
-                f"unknown method {method!r:.40}; expected one of {LAW_METHODS}"
-            )
-        row = {
-            "method": method,
-            "predicted": None,
-            "snapped": None,
-            "loss": None,
-            "relative_error_permille": None,
-            "status": None,
-            "note": None,
-        }
-        try:
-            budget = (
-                compute_budget(surf.scale, budget_factor)
-                if method == "deepseek"
-                else None
-            )
-            pred = baseline_predict(method, surf.scale, budget=budget, aux=aux, laws=laws)
-        except (ArgumentError, DomainError) as exc:
-            row["status"] = "unsupported"
-            row["note"] = str(exc)
-            rows.append(row)
-            continue
-        row["predicted"] = {"lr": pred.lr, "bs": pred.bs_tokens}
-        snapped = snap_to_grid(pred, surf.grid)
-        row["snapped"] = {"lr": snapped.lr, "bs": snapped.bs_tokens}
-        if pred.lr is None or pred.bs_tokens is None:
-            row["status"] = "unsupported"
-            row["note"] = f"{method} does not predict both lr and bs"
-            rows.append(row)
-            continue
-        point = snapped if use_snapped else pred
-        try:
-            loss = interpolate_loss(surf, point.lr, point.bs_tokens, metric)
-        except OutOfHullError as exc:
-            row["status"] = "out_of_hull"
-            row["note"] = str(exc)
-            rows.append(row)
-            continue
-        row["loss"] = loss
-        # relative_error's value, from the one interpolation
-        rel = _relative(loss, find_optimum(surf, metric).loss)
-        row["relative_error_permille"] = rel * 1000.0
-        row["status"] = "ok"
-        rows.append(row)
-    return rows
 
 
 def cmd_compare(args) -> int:
@@ -538,7 +431,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--n", type=float, required=True, help="non-vocabulary parameters")
     p.add_argument("--d", type=float, required=True, help="dataset size in tokens")
     p.add_argument("--loss", type=float, help="expected loss for loss-based rules")
-    p.add_argument("--budget-factor", type=float, default=6.0)
+    p.add_argument("--budget-factor", type=float, default=DEFAULT_FLOPS_FACTOR)
     p.add_argument("--n-active", type=float, help="activated parameters (MoE)")
     p.add_argument("--use-active", action="store_true")
     p.add_argument("--meituan-params", help="lambda,alpha,lambda_b,alpha_b")
@@ -550,8 +443,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p = sub.add_parser("fit", help="bootstrap-fit both laws from observations CSV")
     p.add_argument("--observations", default="-", help="CSV path or - for stdin")
     p.add_argument(
-        "--bootstrap", type=int, default=1000,
-        help=f"number of resamples, 1 to {MAX_RESAMPLES:,} (default: 1000)",
+        "--bootstrap", type=int, default=DEFAULT_RESAMPLES,
+        help=f"number of resamples, 1 to {MAX_RESAMPLES:,} (default: {DEFAULT_RESAMPLES})",
     )
     p.add_argument("--seed", type=int, default=0, help="bootstrap seed")
     add_out(p)
@@ -564,18 +457,18 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p = sub.add_parser("analyze", help="optimum, plateau, convexity of a surface")
     p.add_argument("--surface", required=True, help="surface CSV path or -")
-    p.add_argument("--metric", default="train", choices=("train", "val"))
-    p.add_argument("--delta", type=float, default=0.0025)
-    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--metric", default="train", choices=METRICS)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     add_out(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare", help="score law predictions against a surface")
     p.add_argument("--surface", required=True, help="surface CSV path or -")
     p.add_argument("--methods", required=True, help="comma-separated law ids")
-    p.add_argument("--metric", default="train", choices=("train", "val"))
+    p.add_argument("--metric", default="train", choices=METRICS)
     p.add_argument("--loss", type=float, help="expected loss for loss-based rules")
-    p.add_argument("--budget-factor", type=float, default=6.0)
+    p.add_argument("--budget-factor", type=float, default=DEFAULT_FLOPS_FACTOR)
     p.add_argument("--meituan-params", help="lambda,alpha,lambda_b,alpha_b")
     p.add_argument("--use-snapped", action="store_true", help="score snapped points")
     p.add_argument("--csv", help="also write rows as CSV to this path")
@@ -592,7 +485,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p = sub.add_parser("plot", help="SVG contour plot of a surface")
     p.add_argument("--surface", required=True, help="surface CSV path or -")
-    p.add_argument("--metric", default="train", choices=("train", "val"))
+    p.add_argument("--metric", default="train", choices=METRICS)
     p.add_argument("--levels", help="comma-separated per-mille contour levels")
     p.add_argument("--overlay", help="compare JSON whose rows to overlay")
     p.add_argument("--use-snapped", action="store_true")

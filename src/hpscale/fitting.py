@@ -56,6 +56,7 @@ from .errors import (
     decode_table,
 )
 
+DEFAULT_RESAMPLES = 1000
 MAX_RESAMPLES = 100_000
 _MAX_REDRAWS = 10
 _RANK_TOL = 1e-10
@@ -221,8 +222,17 @@ def _qr_r(a, p):
 
 def _least_squares(cols):
     """One fit of the last of cols, a (q, n) stack of columns, on the
-    others: (coefficients, R of the fit)."""
-    r = _qr_r(cols[:, None].copy(), len(cols) - 1)
+    others: (coefficients, R of the fit).
+
+    Each column is scaled by a power of two to a largest |entry| in
+    [0.5, 1) before the QR, and R's columns are scaled back after it.
+    Householder QR commutes exactly with such a scaling, so R has the bits
+    of an unscaled QR wherever that one neither overflows nor underflows,
+    and no sum of squares overflows for columns past 1e154.
+    """
+    exponents = np.frexp(np.abs(cols).max(axis=1))[1]
+    r = _qr_r(np.ldexp(cols, -exponents[:, None])[:, None].copy(), len(cols) - 1)
+    r = np.ldexp(r, exponents)
     coeffs, bad = _solve(r)
     if bad[0]:
         raise SingularityError("design matrix is rank deficient")
@@ -343,7 +353,7 @@ def resample_indices(n: int, resamples: int, seed: int, degenerate):
     return idx, redrawn
 
 
-def bootstrap_fit(obs, resamples: int = 1000, seed: int = 0) -> FitResult:
+def bootstrap_fit(obs, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> FitResult:
     """Bootstrap both laws over `resamples` draws with replacement.
 
     resample_indices draws every resample's indices from one generator

@@ -25,6 +25,9 @@ from .errors import ArgumentError, DomainError, check_number, decode_json
 
 LAW_METHODS = ("step", "openai", "microsoft", "deepseek", "porian", "minicpm", "meituan")
 
+# FLOPs per parameter per token in compute_budget's C = factor * N * D
+DEFAULT_FLOPS_FACTOR = 6.0
+
 
 @dataclass(frozen=True)
 class ModelScale:
@@ -305,7 +308,7 @@ def step_law(scale: ModelScale, params: StepParams | None = None) -> Prediction:
 
 
 def compute_budget(
-    scale: ModelScale, flops_factor: float = 6.0, use_active: bool = False
+    scale: ModelScale, flops_factor: float = DEFAULT_FLOPS_FACTOR, use_active: bool = False
 ) -> ComputeBudget:
     """FLOPs budget C = flops_factor * N * D.
 

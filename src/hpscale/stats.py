@@ -4,7 +4,8 @@ Provides full OLS diagnostics (standard errors, t-values, two-sided
 p-values, 95% confidence intervals, adjusted R-squared) for regressions of
 log batch size on subsets of {logN, logD}, plus hierarchical nested
 F-tests comparing the N-only and D-only formulations against the Full
-model.
+model. compare_formulations builds the body of the `stats` report as a
+dict of plain values; the command adds only its meta.
 
 Every F statistic is one nested test (_f_test); a regression's own F
 tests it against the intercept-only model. A model fits exactly when its
@@ -24,7 +25,7 @@ runtime; absolute accuracy is well inside 1e-10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -175,30 +176,6 @@ class RegressionReport:
     df_resid: int
 
 
-@dataclass(frozen=True)
-class FormulationStats:
-    name: str
-    r_squared: float
-    adjusted_r_squared: float
-    delta_adj_r2_vs_full: float
-    f_statistic: float
-
-
-@dataclass(frozen=True)
-class NestedTest:
-    restricted: str
-    full: str
-    f_statistic: float
-    p_value: float
-
-
-@dataclass(frozen=True)
-class FormulationComparison:
-    formulations: tuple[FormulationStats, ...]
-    nested_tests: tuple[NestedTest, ...]
-    full_report: RegressionReport
-
-
 def _f_test(restricted, full) -> tuple[float, float]:
     """F statistic and p-value of `full` against a `restricted` model it
     nests, each with rss, r_squared and df_resid (exact-fit rule above)."""
@@ -265,45 +242,39 @@ def regress(predictors, obs) -> RegressionReport:
     )
 
 
-def nested_f_test(
-    restricted: RegressionReport,
-    full: RegressionReport,
-    restricted_name: str = "restricted",
-    full_name: str = "full",
-) -> NestedTest:
-    """F-test of a restricted model against a full model it nests in."""
-    if restricted.n_obs != full.n_obs:
-        raise ArgumentError("models must be fitted on the same observations")
-    if restricted.df_resid <= full.df_resid:
-        raise ArgumentError("nested test needs the restricted model to drop >= 1 predictor")
-    return NestedTest(restricted_name, full_name, *_f_test(restricted, full))
-
-
-def compare_formulations(obs) -> FormulationComparison:
-    """Fit N-only, D-only, and Full formulations and test them against Full."""
+def compare_formulations(obs) -> dict:
+    """The body of the `stats` report: the N-only, D-only and Full
+    formulations, the nested F-test of N-only and of D-only against Full,
+    and the Full model's own diagnostics."""
     full = regress(("logN", "logD"), obs)
     n_only = regress(("logN",), obs)
     d_only = regress(("logD",), obs)
-
-    def stats_for(name: str, report: RegressionReport) -> FormulationStats:
-        return FormulationStats(
-            name=name,
-            r_squared=report.r_squared,
-            adjusted_r_squared=report.adjusted_r_squared,
-            delta_adj_r2_vs_full=report.adjusted_r_squared - full.adjusted_r_squared,
-            f_statistic=report.f_statistic,
+    restricted = (("N-only", n_only), ("D-only", d_only))
+    formulations = [
+        {
+            "name": name,
+            "r_squared": report.r_squared,
+            "adjusted_r_squared": report.adjusted_r_squared,
+            "delta_adj_r2_vs_full": report.adjusted_r_squared - full.adjusted_r_squared,
+            "f_statistic": report.f_statistic,
+        }
+        for name, report in (*restricted, ("Full", full))
+    ]
+    nested_tests = []
+    for name, report in restricted:
+        f_stat, p_value = _f_test(report, full)
+        nested_tests.append(
+            {"restricted": name, "full": "Full", "f_statistic": f_stat, "p_value": p_value}
         )
-
-    nested = tuple(
-        nested_f_test(report, full, restricted_name=name, full_name="Full")
-        for name, report in (("N-only", n_only), ("D-only", d_only))
-    )
-    return FormulationComparison(
-        formulations=(
-            stats_for("N-only", n_only),
-            stats_for("D-only", d_only),
-            stats_for("Full", full),
-        ),
-        nested_tests=nested,
-        full_report=full,
-    )
+    return {
+        "formulations": formulations,
+        "nested_tests": nested_tests,
+        "full_model": {
+            "n": full.n_obs,
+            "r_squared": full.r_squared,
+            "adjusted_r_squared": full.adjusted_r_squared,
+            "f_statistic": full.f_statistic,
+            "f_pvalue": full.f_pvalue,
+            "predictors": [asdict(row) for row in full.predictors],
+        },
+    }

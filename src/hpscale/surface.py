@@ -5,7 +5,10 @@ validation loss) for every (learning rate, batch size) point of one sweep.
 Analytics cover global-optimum extraction, bilinear interpolation in
 log-log coordinates, relative-error scoring of off-grid predictions,
 plateau extraction, per-slice unimodality diagnostics, and train/val
-argmin consistency.
+argmin consistency. The report bodies of the surface commands are built
+here as dicts of plain values: analyze_report for `analyze`, and
+compare_rows, which scores each law's prediction, for `compare`. The
+command adds only its meta.
 
 Representation. A surface is validated once, when it is built, into a
 dense grid held as numpy arrays: the input rows as one (n, 4) float64
@@ -66,11 +69,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArgumentError, GridShapeError, OutOfHullError, ParseError
+from .errors import ArgumentError, DomainError, GridShapeError, OutOfHullError, ParseError
 from .errors import check_number, decode_table
-from .laws import GridSpec, ModelScale, _nearest
+from .laws import DEFAULT_FLOPS_FACTOR, LAW_METHODS, GridSpec, ModelScale, _nearest
+from .laws import baseline_predict, compute_budget, snap_to_grid
 
 METRICS = ("train", "val")
+
+# plateau's relative loss threshold (0.25%) and convexity_report's slack
+DEFAULT_DELTA = 0.0025
+DEFAULT_EPSILON = 1e-3
 
 # The most lr x bs cells a surface may span: its tables take 16 bytes a cell
 MAX_GRID_CELLS = 1_000_000
@@ -536,7 +544,7 @@ def _relative(value: float, best: float) -> float:
 
 
 def plateau(
-    surface: LossSurface, delta: float = 0.0025, metric: str = "train"
+    surface: LossSurface, delta: float = DEFAULT_DELTA, metric: str = "train"
 ) -> PlateauRegion:
     """Points with (loss - min) / min <= delta; delta defaults to 0.25%."""
     if not (delta >= 0):  # not check_number: inf is a valid tolerance
@@ -551,7 +559,7 @@ def plateau(
 
 
 def convexity_report(
-    surface: LossSurface, epsilon: float = 1e-3, metric: str = "train"
+    surface: LossSurface, epsilon: float = DEFAULT_EPSILON, metric: str = "train"
 ) -> ConvexityReport:
     """Fraction of unimodal fixed-bs rows and fixed-lr columns.
 
@@ -603,3 +611,111 @@ def argmin_consistency(surface: LossSurface) -> ConsistencyReport:
         train_opt=train_opt,
         val_opt=val_opt,
     )
+
+
+# --- reports ----------------------------------------------------------------
+
+
+def analyze_report(
+    surface: LossSurface,
+    metric: str = "train",
+    delta: float = DEFAULT_DELTA,
+    epsilon: float = DEFAULT_EPSILON,
+) -> dict:
+    """The body of the `analyze` report: the optimum, the plateau within
+    delta, the unimodality of the slices with slack epsilon, and, when
+    every point has a val loss, train/val argmin consistency (else None).
+    """
+    opt = find_optimum(surface, metric)
+    region = plateau(surface, delta, metric)
+    convex = convexity_report(surface, epsilon, metric)
+    consistency = None
+    if surface.has_full_val():
+        rep = argmin_consistency(surface)
+        consistency = {
+            "consistent": rep.consistent,
+            "train_opt": list(rep.train_opt.hp),
+            "val_opt": list(rep.val_opt.hp),
+        }
+    return {
+        "optimum": {"lr": opt.hp[0], "bs": opt.hp[1], "loss": opt.loss, "metric": opt.metric},
+        "plateau": {
+            "delta": region.delta,
+            "members": sorted([lr, bs] for lr, bs in region.members),
+        },
+        "convexity": {
+            "row_unimodal_fraction": convex.row_unimodal_fraction,
+            "col_unimodal_fraction": convex.col_unimodal_fraction,
+            "epsilon": convex.tolerance,
+            "violations": sorted([v.axis, v.fixed_value, v.index] for v in convex.violations),
+        },
+        "argmin_consistency": consistency,
+    }
+
+
+def compare_rows(
+    surf: LossSurface,
+    methods,
+    laws,
+    aux,
+    metric: str = "train",
+    budget_factor: float = DEFAULT_FLOPS_FACTOR,
+    use_snapped: bool = False,
+) -> list[dict]:
+    """The rows of the `compare` report: one dict per method, its
+    prediction snapped to the surface's own grid; relative error only when
+    status is ok. Each scored point is interpolated once, and its relative
+    error taken from that loss."""
+    if not methods:
+        raise ArgumentError("method list must not be empty")
+    check_number(budget_factor, "--budget-factor", "positive")
+    rows = []
+    for method in methods:
+        if method not in LAW_METHODS:
+            raise ArgumentError(
+                f"unknown method {method!r:.40}; expected one of {LAW_METHODS}"
+            )
+        row = {
+            "method": method,
+            "predicted": None,
+            "snapped": None,
+            "loss": None,
+            "relative_error_permille": None,
+            "status": None,
+            "note": None,
+        }
+        try:
+            budget = (
+                compute_budget(surf.scale, budget_factor)
+                if method == "deepseek"
+                else None
+            )
+            pred = baseline_predict(method, surf.scale, budget=budget, aux=aux, laws=laws)
+        except (ArgumentError, DomainError) as exc:
+            row["status"] = "unsupported"
+            row["note"] = str(exc)
+            rows.append(row)
+            continue
+        row["predicted"] = {"lr": pred.lr, "bs": pred.bs_tokens}
+        snapped = snap_to_grid(pred, surf.grid)
+        row["snapped"] = {"lr": snapped.lr, "bs": snapped.bs_tokens}
+        if pred.lr is None or pred.bs_tokens is None:
+            row["status"] = "unsupported"
+            row["note"] = f"{method} does not predict both lr and bs"
+            rows.append(row)
+            continue
+        point = snapped if use_snapped else pred
+        try:
+            loss = interpolate_loss(surf, point.lr, point.bs_tokens, metric)
+        except OutOfHullError as exc:
+            row["status"] = "out_of_hull"
+            row["note"] = str(exc)
+            rows.append(row)
+            continue
+        row["loss"] = loss
+        # relative_error's value, from the one interpolation
+        rel = _relative(loss, find_optimum(surf, metric).loss)
+        row["relative_error_permille"] = rel * 1000.0
+        row["status"] = "ok"
+        rows.append(row)
+    return rows

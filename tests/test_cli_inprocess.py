@@ -8,6 +8,7 @@ through it: whatever the bytes or the number, a command ends in exit 0,
 """
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -21,9 +22,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIG3_PATH, LATTICE_D, LATTICE_N, fuzz_examples
-from hpscale import cli, interpolate_loss, load_surface
+from hpscale import (
+    analyze_report,
+    bootstrap_fit,
+    cli,
+    compare_rows,
+    compute_budget,
+    convexity_report,
+    interpolate_loss,
+    load_surface,
+    plateau,
+)
 from hpscale import surface as surface_module
-from hpscale.laws import LAW_METHODS
+from hpscale.fitting import DEFAULT_RESAMPLES
+from hpscale.laws import DEFAULT_FLOPS_FACTOR, LAW_METHODS
+from hpscale.surface import DEFAULT_DELTA, DEFAULT_EPSILON, METRICS
 from test_cli import CLI, CLI_ENV, run
 
 
@@ -159,6 +172,33 @@ def test_main_dispatches_as_the_top_level_parser_parses(inputs, monkeypatch):
     assert proc.returncode == 2 and "unrecognized arguments: extra" in proc.stderr.decode()
 
 
+def test_parsed_defaults_are_the_library_defaults():
+    parse = cli.build_parser().parse_args
+    analyze = parse(["analyze", "--surface", "x"])
+    assert (analyze.delta, analyze.epsilon) == (DEFAULT_DELTA, DEFAULT_EPSILON)
+    compare = parse(["compare", "--surface", "x", "--methods", "step"])
+    predict = parse(["predict", "--method", "step", "--n", "1", "--d", "1"])
+    assert compare.budget_factor == predict.budget_factor == DEFAULT_FLOPS_FACTOR
+    assert parse(["fit"]).bootstrap == DEFAULT_RESAMPLES
+    fit_help = " ".join(cli._parsers()[1]["fit"].format_help().split())
+    assert f"(default: {DEFAULT_RESAMPLES})" in fit_help
+    for argv in (["analyze", "--surface", "x"], ["plot", "--surface", "x"],
+                 ["compare", "--surface", "x", "--methods", "step"]):  # fmt: skip
+        rc, _, stderr = main_inprocess(*argv, "--metric", "bogus")
+        assert rc == 2 and f"choose from {', '.join(map(repr, METRICS))}" in stderr
+    # the library functions default to the same constants
+    for function, parameter, value in (
+        (plateau, "delta", DEFAULT_DELTA),
+        (convexity_report, "epsilon", DEFAULT_EPSILON),
+        (analyze_report, "delta", DEFAULT_DELTA),
+        (analyze_report, "epsilon", DEFAULT_EPSILON),
+        (compute_budget, "flops_factor", DEFAULT_FLOPS_FACTOR),
+        (compare_rows, "budget_factor", DEFAULT_FLOPS_FACTOR),
+        (bootstrap_fit, "resamples", DEFAULT_RESAMPLES),
+    ):
+        assert inspect.signature(function).parameters[parameter].default == value, function
+
+
 @pytest.mark.parametrize("use_snapped", [False, True])
 def test_compare_interpolates_each_scored_law_once(use_snapped, monkeypatch):
     calls = []
@@ -167,8 +207,7 @@ def test_compare_interpolates_each_scored_law_once(use_snapped, monkeypatch):
         calls.append(args)
         return interpolate_loss(*args)
 
-    # cli calls it by its own name, relative_error by surface's
-    monkeypatch.setattr(cli, "interpolate_loss", counted)
+    # compare_rows and relative_error both call it by surface's name
     monkeypatch.setattr(surface_module, "interpolate_loss", counted)
     argv = ["compare", "--surface", str(FIG3_PATH), "--methods", ",".join(LAW_METHODS),
             "--loss", "2.0", "--meituan-params", "0.01,2.0,1e9,0.5"]  # fmt: skip

@@ -4,7 +4,8 @@ Each private module-level function, class or constant, and each private
 method, must be named somewhere else in the package: read as a name or an
 attribute, or imported. Its own definition does not count, and neither
 does a mention in a comment or a docstring. Every import is at the top of
-its module, none inside a function.
+its module, none inside a function. cli imports no private name from
+another hpscale module: what a command needs of the library is public.
 """
 
 import ast
@@ -66,3 +67,14 @@ def test_no_function_imports(module):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert local == []
+
+
+def test_cli_imports_no_private_name():
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(TREES["cli.py"])
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("hpscale"))
+        for alias in node.names
+        if _private(alias.name)
+    ]
+    assert private == []

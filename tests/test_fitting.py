@@ -79,6 +79,18 @@ def test_ols_residuals_orthogonal_to_design():
         assert abs(col @ resid) / denom <= 1e-8
 
 
+@pytest.mark.parametrize("b", [1e160, 1e200])
+def test_ols_design_past_the_square_root_of_the_largest_float(b):
+    # every column above ~1e154, so an unscaled sum of squares overflows;
+    # any warning fails the test
+    design = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.5], [1.0, 4.0]])
+    y = [1.0, 2.0, 3.0, 4.0]
+    base = ols(design, y)
+    big = ols(design * b, y)
+    assert np.array(big.coefficients) * b == pytest.approx(base.coefficients, rel=0, abs=2e-15)
+    assert big.rss == pytest.approx(base.rss, rel=1e-13)
+
+
 def test_ols_duplicate_column_is_singular():
     x = np.arange(5.0)
     design = np.column_stack([np.ones(5), x, x])

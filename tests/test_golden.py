@@ -12,7 +12,9 @@ generator writes for it, and for noisy observations, are pinned apart.
 fit, stats and predict are pinned on synth's 4 x 4 lattice observations,
 noisy and exact; stats on the exact lattice writes a null F statistic.
 The fit and stats bytes must also be the same under every OpenBLAS
-kernel, as no BLAS or LAPACK routine takes part in a fit.
+kernel, as no BLAS or LAPACK routine takes part in a fit. The analyze,
+compare and stats bodies that the library builds, with the command's
+meta added, must encode to the bytes the command writes.
 """
 
 import hashlib
@@ -25,8 +27,18 @@ import numpy as np
 import pytest
 
 from conftest import FIG3_PATH, LATTICE_D, LATTICE_N
-from hpscale import generate_surface, surface_to_csv
-from hpscale.laws import LAW_METHODS
+from hpscale import (
+    AuxInputs,
+    analyze_report,
+    cli,
+    compare_formulations,
+    compare_rows,
+    generate_surface,
+    load_observations,
+    load_surface,
+    surface_to_csv,
+)
+from hpscale.laws import DEFAULT_LAWS, LAW_METHODS
 from test_cli import CLI_ENV
 from test_cli_inprocess import main_inprocess
 from test_surface import DENSE_GRID, DENSE_SPEC, _dense_surface
@@ -174,13 +186,12 @@ def test_observation_reports_do_not_depend_on_the_blas_kernel(tmp_path):
         assert digests[kernel] == digests[None], kernel
 
 
-def _surface_command_digests(path, tmp_path) -> dict[str, str]:
-    """sha256 of what each surface command writes for the surface at path."""
+def _surface_commands(path, rows) -> list[tuple[str, list[str]]]:
+    """(key, argv) of each surface command on the surface at path; the
+    plots overlay the compare rows written to rows."""
     compare = ["compare", f"--surface={path}", "--methods", ",".join(LAW_METHODS),
                "--loss=2.5", "--meituan-params=0.006,1.0,1e8,0.2"]  # fmt: skip
-    rows = tmp_path / "rows.json"
-    outputs = {}
-    for key, argv in (
+    return [
         ("analyze", ["analyze", f"--surface={path}"]),
         ("analyze-val", ["analyze", f"--surface={path}", "--metric=val", "--delta=0.02",
                          "--epsilon=0"]),
@@ -190,7 +201,14 @@ def _surface_command_digests(path, tmp_path) -> dict[str, str]:
         ("plot-snapped", ["plot", f"--surface={path}", f"--overlay={rows}", "--use-snapped"]),
         ("plot-val", ["plot", f"--surface={path}", f"--overlay={rows}", "--metric=val",
                       "--levels=0.5,1,2.5,5,10,20,40"]),
-    ):
+    ]
+
+
+def _surface_command_digests(path, tmp_path) -> dict[str, str]:
+    """sha256 of what each surface command writes for the surface at path."""
+    rows = tmp_path / "rows.json"
+    outputs = {}
+    for key, argv in _surface_commands(path, rows):
         rc, stdout, stderr = main_inprocess(*argv)
         assert rc == 0, stderr
         if key == "compare":
@@ -210,3 +228,39 @@ def test_surface_command_output_is_pinned_across_a_sequence(dense_csv, tmp_path)
     for name in ("fig3", "dense", "fig3"):
         path = FIG3_PATH if name == "fig3" else dense_csv
         assert _surface_command_digests(path, tmp_path) == GOLDEN_SHA256[name], name
+
+
+def _written(body: dict, raw: bytes) -> bytes:
+    """What a command writes for a report body built from the input raw."""
+    return (cli._encode_json({**body, "meta": cli._meta(raw)}) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("name", ["fig3", "dense"])
+def test_surface_report_bodies_are_the_command_output(dense_csv, tmp_path, name):
+    path = FIG3_PATH if name == "fig3" else dense_csv
+    raw = path.read_bytes()
+    surf = load_surface(raw)
+    aux = AuxInputs(expected_loss=2.5, meituan_params=(0.006, 1.0, 1e8, 0.2))  # compare's flags
+    bodies = {
+        "analyze": analyze_report(surf),
+        "analyze-val": analyze_report(surf, "val", 0.02, 0.0),
+        "compare": {"rows": compare_rows(surf, LAW_METHODS, DEFAULT_LAWS, aux)},
+        "compare-snapped": {
+            "rows": compare_rows(surf, LAW_METHODS, DEFAULT_LAWS, aux, use_snapped=True)
+        },
+    }
+    for key, argv in _surface_commands(path, tmp_path / "rows.json"):
+        if key in bodies:
+            rc, stdout, stderr = main_inprocess(*argv)
+            assert (rc, stderr) == (0, "")
+            assert _written(bodies[key], raw) == stdout, key
+
+
+@pytest.mark.parametrize("noise_sigma", [0.05, 0.0], ids=["noisy", "exact"])
+def test_stats_report_body_is_the_command_output(tmp_path, noise_sigma):
+    raw = _lattice_observations(tmp_path, noise_sigma)
+    path = tmp_path / "obs.csv"
+    path.write_bytes(raw)
+    rc, stdout, stderr = main_inprocess("stats", f"--observations={path}")
+    assert (rc, stderr) == (0, "")
+    assert _written(compare_formulations(load_observations(raw)), raw) == stdout

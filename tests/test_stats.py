@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -16,17 +15,24 @@ from hpscale import (
     compare_formulations,
     f_sf,
     generate_observations,
-    nested_f_test,
     regress,
     regularized_incomplete_beta,
     student_t_critical,
     student_t_two_sided_p,
 )
+from hpscale.stats import _f_test
 
 
 def _named(rows, name):
-    """The one row of a report's predictors or formulations called name."""
+    """The one row of a regression's predictors called name."""
     (row,) = [row for row in rows if row.name == name]
+    return row
+
+
+def _entry(rows, name):
+    """The one row called name of a compare_formulations list: a formulation,
+    or a full-model predictor."""
+    (row,) = [row for row in rows if row["name"] == name]
     return row
 
 
@@ -165,76 +171,87 @@ def test_regress_t_and_ci_identities():
 # --- formulation comparison -----------------------------------------------------
 
 
+def _predictor(comp, name):
+    return _entry(comp["full_model"]["predictors"], name)
+
+
 def test_compare_formulations_n_independent_pattern():
     comp = compare_formulations(independent_n_observations(3))
-    full = _named(comp.formulations, "Full")
-    d_only = _named(comp.formulations, "D-only")
-    n_only = _named(comp.formulations, "N-only")
-    assert abs(d_only.adjusted_r_squared - full.adjusted_r_squared) < 0.01
-    assert n_only.adjusted_r_squared < 0.05
-    assert full.delta_adj_r2_vs_full == 0.0
-    assert _named(comp.full_report.predictors, "logN").p_value > 0.05
+    full = _entry(comp["formulations"], "Full")
+    d_only = _entry(comp["formulations"], "D-only")
+    n_only = _entry(comp["formulations"], "N-only")
+    assert abs(d_only["adjusted_r_squared"] - full["adjusted_r_squared"]) < 0.01
+    assert n_only["adjusted_r_squared"] < 0.05
+    assert full["delta_adj_r2_vs_full"] == 0.0
+    assert _predictor(comp, "logN")["p_value"] > 0.05
+
+
+def test_compare_formulations_full_model_is_the_full_regression():
+    obs = independent_n_observations(3)
+    full = regress(("logN", "logD"), obs)
+    comp = compare_formulations(obs)
+    assert list(comp) == ["formulations", "nested_tests", "full_model"]
+    assert [f["name"] for f in comp["formulations"]] == ["N-only", "D-only", "Full"]
+    assert [(t["restricted"], t["full"]) for t in comp["nested_tests"]] == [
+        ("N-only", "Full"), ("D-only", "Full")
+    ]  # fmt: skip
+    # n_obs is written as n, and rss and df_resid are left out
+    assert comp["full_model"] == {
+        "n": full.n_obs,
+        "r_squared": full.r_squared,
+        "adjusted_r_squared": full.adjusted_r_squared,
+        "f_statistic": full.f_statistic,
+        "f_pvalue": full.f_pvalue,
+        "predictors": [
+            {"name": row.name, "coefficient": row.coefficient,
+             "standard_error": row.standard_error, "t_value": row.t_value,
+             "p_value": row.p_value, "ci95": row.ci95}
+            for row in full.predictors
+        ],  # fmt: skip
+    }
 
 
 def test_nested_f_equals_t_squared_for_one_dropped_predictor():
     comp = compare_formulations(independent_n_observations(3))
-    t = _named(comp.full_report.predictors, "logN").t_value
-    d_vs_full = next(t_ for t_ in comp.nested_tests if t_.restricted == "D-only")
-    assert d_vs_full.f_statistic == pytest.approx(t * t, rel=1e-9)
-    assert d_vs_full.p_value == pytest.approx(
-        _named(comp.full_report.predictors, "logN").p_value, rel=1e-9
-    )
-    assert d_vs_full.p_value > 0.05  # irrelevant extra predictor
+    t = _predictor(comp, "logN")["t_value"]
+    (d_vs_full,) = [t_ for t_ in comp["nested_tests"] if t_["restricted"] == "D-only"]
+    assert d_vs_full["f_statistic"] == pytest.approx(t * t, rel=1e-9)
+    assert d_vs_full["p_value"] == pytest.approx(_predictor(comp, "logN")["p_value"], rel=1e-9)
+    assert d_vs_full["p_value"] > 0.05  # irrelevant extra predictor
 
 
 def test_nested_rss_and_f_invariants():
     for seed in range(12):
         comp = compare_formulations(independent_n_observations(seed, n=24))
-        full = _named(comp.formulations, "Full")
+        full = _entry(comp["formulations"], "Full")
         for name in ("N-only", "D-only"):
-            restricted = _named(comp.formulations, name)
-            assert restricted.r_squared <= full.r_squared + 1e-12
-        for test in comp.nested_tests:
-            assert test.f_statistic >= 0.0
-            assert 0.0 <= test.p_value <= 1.0
+            restricted = _entry(comp["formulations"], name)
+            assert restricted["r_squared"] <= full["r_squared"] + 1e-12
+        for test in comp["nested_tests"]:
+            assert test["f_statistic"] >= 0.0
+            assert 0.0 <= test["p_value"] <= 1.0
 
 
 def test_noise_predictor_raises_raw_r2_but_can_lower_adjusted():
     comp = compare_formulations(independent_n_observations(3))
-    full = _named(comp.formulations, "Full")
-    d_only = _named(comp.formulations, "D-only")
-    assert full.r_squared >= d_only.r_squared - 1e-12
-    assert full.adjusted_r_squared < d_only.adjusted_r_squared  # t^2 < 1 here
+    full = _entry(comp["formulations"], "Full")
+    d_only = _entry(comp["formulations"], "D-only")
+    assert full["r_squared"] >= d_only["r_squared"] - 1e-12
+    assert full["adjusted_r_squared"] < d_only["adjusted_r_squared"]  # t^2 < 1 here
 
 
-def test_nested_f_test_rejects_equal_models():
-    obs = independent_n_observations(4)
-    full = regress(("logN", "logD"), obs)
-    with pytest.raises(ArgumentError, match="drop"):
-        nested_f_test(full, full)
-
-
-def test_nested_f_test_rejects_different_samples():
-    full = regress(("logN", "logD"), independent_n_observations(4))
-    other = regress(("logD",), independent_n_observations(4, n=30))
-    with pytest.raises(ArgumentError, match="same observations"):
-        nested_f_test(other, full)
-
-
-def test_nested_f_test_exact_full_fit():
+def test_f_test_exact_full_fit():
     def report(rss, df_resid):  # TSS 1, so R-squared is 1 - RSS
         return RegressionReport(predictors=(), n_obs=10, r_squared=1.0 - rss,
                                 adjusted_r_squared=1.0, f_statistic=math.inf,
                                 f_pvalue=0.0, rss=rss, df_resid=df_resid)  # fmt: skip
 
-    test = nested_f_test(report(0.5, 8), report(0.0, 7))
-    assert (test.f_statistic, test.p_value) == (math.inf, 0.0)
-    test = nested_f_test(report(0.0, 8), report(0.0, 7))
-    assert (test.f_statistic, test.p_value) == (0.0, 1.0)
+    assert _f_test(report(0.5, 8), report(0.0, 7)) == (math.inf, 0.0)
+    assert _f_test(report(0.0, 8), report(0.0, 7)) == (0.0, 1.0)
     # constant batch sizes: every formulation fits exactly
     obs = [OptimumObservation(n, d, 1e-3, 1.0) for n in (1e8, 1e9) for d in (1e9, 1e10)]
-    for test in compare_formulations(obs).nested_tests:
-        assert (test.f_statistic, test.p_value) == (0.0, 1.0)
+    for test in compare_formulations(obs)["nested_tests"]:
+        assert (test["f_statistic"], test["p_value"]) == (0.0, 1.0)
 
 
 def _exact_lattice(n_values, d_values):
@@ -242,13 +259,11 @@ def _exact_lattice(n_values, d_values):
 
 
 def _nested(comp):
-    return {t.restricted: (t.f_statistic, t.p_value) for t in comp.nested_tests}
+    return {t["restricted"]: (t["f_statistic"], t["p_value"]) for t in comp["nested_tests"]}
 
 
 def _f_statistics(comp):
-    return [f.f_statistic for f in comp.formulations] + [
-        t.f_statistic for t in comp.nested_tests
-    ]
+    return [row["f_statistic"] for row in comp["formulations"] + comp["nested_tests"]]
 
 
 @pytest.mark.parametrize(
@@ -285,8 +300,9 @@ def test_constant_batch_sizes_give_a_null_regression_f():
         if len(obs) < 4:
             continue
         comp = compare_formulations(obs)
-        assert (comp.full_report.f_statistic, comp.full_report.f_pvalue) == (0.0, 1.0)
-        assert [f.r_squared for f in comp.formulations] == [1.0] * 3
+        full = comp["full_model"]
+        assert (full["f_statistic"], full["f_pvalue"]) == (0.0, 1.0)
+        assert [f["r_squared"] for f in comp["formulations"]] == [1.0] * 3
         assert _nested(comp) == {"N-only": (0.0, 1.0), "D-only": (0.0, 1.0)}
         assert _f_statistics(comp) == [0.0] * 5
 
@@ -295,24 +311,34 @@ def test_no_f_statistic_is_negative():
     # on the exact lattice, N-only explains nothing: R-squared may round
     # below 0, but its F is clamped at 0 like a nested test's
     comp = compare_formulations(_exact_lattice(LATTICE_N, LATTICE_D))
-    assert _named(comp.formulations, "N-only").r_squared <= 0.0
-    assert _named(comp.formulations, "N-only").f_statistic == 0.0
+    assert _entry(comp["formulations"], "N-only")["r_squared"] <= 0.0
+    assert _entry(comp["formulations"], "N-only")["f_statistic"] == 0.0
     for seed in range(12):
         comp = compare_formulations(independent_n_observations(seed, n=24))
         assert min(_f_statistics(comp)) >= 0.0
 
 
+def _leaves(value):
+    """Every value in a report body that is not a dict, list or tuple."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
 def test_reports_hold_python_floats():
     comp = compare_formulations(independent_n_observations(3))
-    report = comp.full_report
+    values = _leaves(comp)
+    assert {type(v) for v in values} == {str, int, float}
+    assert [v for v in values if type(v) is int] == [comp["full_model"]["n"]]
+    report = regress(("logN", "logD"), independent_n_observations(3))
     values = [report.r_squared, report.adjusted_r_squared, report.f_statistic,
               report.f_pvalue, report.rss]  # fmt: skip
     for row in report.predictors:
         values += [row.coefficient, row.standard_error, row.t_value, row.p_value, *row.ci95]
-    for row in comp.formulations + comp.nested_tests:
-        values += [v for v in dataclasses.astuple(row) if not isinstance(v, str)]
     assert all(type(v) is float for v in values)
-    assert "np." not in repr(comp)
+    assert "np." not in repr(comp) + repr(report)
 
 
 def test_rejection_frequencies_over_seeds():
