@@ -6,6 +6,8 @@ bands, and analyzes loss surfaces for convexity, plateaus, and relative
 error.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ArgumentError,
     BootstrapFailureError,
@@ -45,8 +47,6 @@ from .laws import (
     step_law,
 )
 from .stats import (
-    PredictorStats,
-    RegressionReport,
     compare_formulations,
     f_sf,
     regress,
@@ -55,12 +55,8 @@ from .stats import (
     student_t_two_sided_p,
 )
 from .surface import (
-    ConsistencyReport,
-    ConvexityReport,
-    ConvexityViolation,
     LossSurface,
     OptimumReport,
-    PlateauRegion,
     SweepPoint,
     analyze_report,
     argmin_consistency,
@@ -83,4 +79,9 @@ from .synth import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules those imports bind
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

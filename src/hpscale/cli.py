@@ -307,6 +307,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    check_number(args.budget_factor, "--budget-factor", "positive")
     raw = _read_input(args.surface)
     surf = load_surface(raw)
     laws, laws_aux = _load_laws(args)

@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all hpscale modules, and the input boundary.
 
 The CLI maps these onto process exit codes: ArgumentError (and its
-subclasses) exit 2, DomainError exits 3, write failures exit 4.
+subclasses) exit 2, DomainError exits 3, write failures exit 4. The
+surface and stats analytics each return their report section as a dict
+of plain values or raise one of these errors: the CLI encodes the one
+and maps the other onto an exit code.
 
 Outside bytes become checked values here and nowhere else: decode_text
 turns bytes into text, decode_json parses a JSON document, decode_csv

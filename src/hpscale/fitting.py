@@ -187,14 +187,20 @@ def _solve(r):
     p = r.shape[-1] - 1
     diag = np.abs(np.diagonal(r[:, :p, :p], axis1=-2, axis2=-1))
     bad = diag.min(axis=-1) <= _rank_bound(diag)
-    u = r[~bad, :p]
+    coeffs = np.full((r.shape[0], p), np.nan)
+    coeffs[~bad] = _back_substitute(r[~bad, :p])
+    return coeffs, bad
+
+
+def _back_substitute(u):
+    """b with U[:, :p] b = U[:, p] for each (p, p + 1) U of a stack, upper
+    triangular in its first p columns, without the rank rule."""
+    p = u.shape[-1] - 1
     b = u[:, :, p].copy()
     for j in range(p - 1, -1, -1):
         b[:, j] /= u[:, j, j]
         b[:, :j] -= b[:, j, None] * u[:, :j, j]
-    coeffs = np.full((r.shape[0], p), np.nan)
-    coeffs[~bad] = b
-    return coeffs, bad
+    return b
 
 
 def _qr_r(a, p):
@@ -222,21 +228,20 @@ def _qr_r(a, p):
 
 def _least_squares(cols):
     """One fit of the last of cols, a (q, n) stack of columns, on the
-    others: (coefficients, R of the fit).
+    others: (coefficients, R of the scaled columns, the column exponents).
 
-    Each column is scaled by a power of two to a largest |entry| in
-    [0.5, 1) before the QR, and R's columns are scaled back after it.
-    Householder QR commutes exactly with such a scaling, so R has the bits
-    of an unscaled QR wherever that one neither overflows nor underflows,
-    and no sum of squares overflows for columns past 1e154.
+    Column c is scaled by 2**-exponents[c] to a largest |entry| in
+    [0.5, 1) before the QR, and R's columns are scaled back for the solve.
+    Householder QR commutes exactly with such a scaling, so the solve sees
+    the bits of an unscaled QR wherever that one neither overflows nor
+    underflows, and no sum of squares overflows for columns past 1e154.
     """
     exponents = np.frexp(np.abs(cols).max(axis=1))[1]
-    r = _qr_r(np.ldexp(cols, -exponents[:, None])[:, None].copy(), len(cols) - 1)
-    r = np.ldexp(r, exponents)
-    coeffs, bad = _solve(r)
+    scaled = _qr_r(np.ldexp(cols, -exponents[:, None])[:, None].copy(), len(cols) - 1)
+    coeffs, bad = _solve(np.ldexp(scaled, exponents))
     if bad[0]:
         raise SingularityError("design matrix is rank deficient")
-    return coeffs[0], r[0]
+    return coeffs[0], scaled[0], exponents
 
 
 def ols(design, response) -> OlsSolution:
@@ -259,15 +264,17 @@ def ols(design, response) -> OlsSolution:
     if n <= p:
         raise DegenerateDesignError(f"need more observations than coefficients ({n} <= {p})")
 
-    coeffs, r = _least_squares(np.vstack([x.T, y]))
+    coeffs, r, exponents = _least_squares(np.vstack([x.T, y]))
     resid = y - (x * coeffs).sum(axis=1)
     rss = float((resid * resid).sum())
 
     df = n - p
-    # row i of r_inv solves R b = e_i: it is column i of R^-1
+    # row i of r_inv solves R b = e_i for the scaled R, which passed the rank
+    # rule unscaled: it is column i of that R's inverse, whose row k is
+    # 2**exponents[k] times row k of R^-1
     systems = np.concatenate([np.broadcast_to(r[:, :p], (p, p, p)), np.eye(p)[..., None]], axis=2)
-    r_inv = _solve(systems)[0]
-    se = np.sqrt(rss / df * (r_inv * r_inv).sum(axis=0))
+    r_inv = _back_substitute(systems)
+    se = np.ldexp(np.sqrt(rss / df * (r_inv * r_inv).sum(axis=0)), -exponents[:p])
 
     # a constant y has TSS 0, though its float mean can miss it by an ulp
     tss = float(np.sum((y - y.mean()) ** 2)) if np.ptp(y) > 0 else 0.0
@@ -307,7 +314,7 @@ def _bs_design(table):
 
 def fit_lr_law(obs) -> LrLawFit:
     """Point estimate of (log c, alpha, beta) from observed optima."""
-    coeffs, _ = _least_squares(_lr_design(_log_table(obs)))
+    coeffs = _least_squares(_lr_design(_log_table(obs)))[0]
     return LrLawFit(*coeffs.tolist())
 
 
@@ -320,7 +327,7 @@ def fit_bs_law(obs) -> BsLawFit:
     table = _log_table(obs)
     if np.ptp(table[:, 1]) == 0:
         raise DegenerateDesignError("batch-size law needs >= 2 distinct D")
-    coeffs, _ = _least_squares(_bs_design(table))
+    coeffs = _least_squares(_bs_design(table))[0]
     return BsLawFit(*coeffs.tolist())
 
 

@@ -4,8 +4,10 @@ Provides full OLS diagnostics (standard errors, t-values, two-sided
 p-values, 95% confidence intervals, adjusted R-squared) for regressions of
 log batch size on subsets of {logN, logD}, plus hierarchical nested
 F-tests comparing the N-only and D-only formulations against the Full
-model. compare_formulations builds the body of the `stats` report as a
-dict of plain values; the command adds only its meta.
+model. Each analytic returns its report section as a dict of plain
+values: regress the `full_model` section (for logN and logD), and
+compare_formulations the body of the `stats` report, which takes regress's
+section as its full_model unchanged; the command adds only its meta.
 
 Every F statistic is one nested test (_f_test); a regression's own F
 tests it against the intercept-only model. A model fits exactly when its
@@ -25,7 +27,6 @@ runtime; absolute accuracy is well inside 1e-10.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -152,30 +153,6 @@ def f_sf(f: float, df1: float, df2: float) -> float:
 # --- regression reports -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PredictorStats:
-    name: str
-    coefficient: float
-    standard_error: float
-    t_value: float
-    p_value: float
-    ci95: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class RegressionReport:
-    """OLS diagnostics for log opt_bs regressed on a predictor subset."""
-
-    predictors: tuple[PredictorStats, ...]
-    n_obs: int
-    r_squared: float
-    adjusted_r_squared: float
-    f_statistic: float
-    f_pvalue: float
-    rss: float
-    df_resid: int
-
-
 def _f_test(restricted, full) -> tuple[float, float]:
     """F statistic and p-value of `full` against a `restricted` model it
     nests, each with rss, r_squared and df_resid (exact-fit rule above)."""
@@ -188,13 +165,20 @@ def _f_test(restricted, full) -> tuple[float, float]:
     return f_stat, f_sf(f_stat, q, full.df_resid)
 
 
-def regress(predictors, obs) -> RegressionReport:
-    """Regress log opt_bs on the chosen predictors plus an intercept.
+def regress(predictors, obs) -> dict:
+    """Regress log opt_bs on the chosen predictors plus an intercept: the
+    `full_model` section of the stats report for ("logN", "logD").
 
     predictors is a subset of {"logN", "logD"}; diagnostics use Student-t
     with n - p - 1 degrees of freedom for p predictors. The regression's F
     tests it against the intercept-only model.
     """
+    return _regress(predictors, obs)[0]
+
+
+def _regress(predictors, obs):
+    """regress's section and the OlsSolution it was built from, whose rss
+    and df_resid the nested F-tests read."""
     preds = tuple(predictors)
     if not preds:
         raise ArgumentError("at least one predictor is required")
@@ -220,61 +204,46 @@ def regress(predictors, obs) -> RegressionReport:
         else:
             t = 0.0 if coef == 0 else math.copysign(math.inf, coef)
         rows.append(
-            PredictorStats(
-                name=name,
-                coefficient=coef,
-                standard_error=se,
-                t_value=t,
-                p_value=student_t_two_sided_p(t, df),
-                ci95=(coef - t_crit * se, coef + t_crit * se),
-            )
+            {
+                "name": name,
+                "coefficient": coef,
+                "standard_error": se,
+                "t_value": t,
+                "p_value": student_t_two_sided_p(t, df),
+                "ci95": [coef - t_crit * se, coef + t_crit * se],
+            }
         )
     f_stat, f_pvalue = _f_test(ols(design[:, :1], y), sol)
-    return RegressionReport(
-        predictors=tuple(rows),
-        n_obs=sol.n_obs,
-        r_squared=sol.r_squared,
-        adjusted_r_squared=sol.adjusted_r_squared,
-        f_statistic=f_stat,
-        f_pvalue=f_pvalue,
-        rss=sol.rss,
-        df_resid=df,
-    )
+    return {
+        "n": sol.n_obs,
+        "r_squared": sol.r_squared,
+        "adjusted_r_squared": sol.adjusted_r_squared,
+        "f_statistic": f_stat,
+        "f_pvalue": f_pvalue,
+        "predictors": rows,
+    }, sol
 
 
 def compare_formulations(obs) -> dict:
     """The body of the `stats` report: the N-only, D-only and Full
     formulations, the nested F-test of N-only and of D-only against Full,
-    and the Full model's own diagnostics."""
-    full = regress(("logN", "logD"), obs)
-    n_only = regress(("logN",), obs)
-    d_only = regress(("logD",), obs)
-    restricted = (("N-only", n_only), ("D-only", d_only))
+    and the Full model's own diagnostics, regress's section."""
+    full, full_sol = _regress(("logN", "logD"), obs)
+    restricted = (("N-only", _regress(("logN",), obs)), ("D-only", _regress(("logD",), obs)))
     formulations = [
         {
             "name": name,
-            "r_squared": report.r_squared,
-            "adjusted_r_squared": report.adjusted_r_squared,
-            "delta_adj_r2_vs_full": report.adjusted_r_squared - full.adjusted_r_squared,
-            "f_statistic": report.f_statistic,
+            "r_squared": report["r_squared"],
+            "adjusted_r_squared": report["adjusted_r_squared"],
+            "delta_adj_r2_vs_full": report["adjusted_r_squared"] - full["adjusted_r_squared"],
+            "f_statistic": report["f_statistic"],
         }
-        for name, report in (*restricted, ("Full", full))
+        for name, (report, _) in (*restricted, ("Full", (full, full_sol)))
     ]
     nested_tests = []
-    for name, report in restricted:
-        f_stat, p_value = _f_test(report, full)
+    for name, (_, sol) in restricted:
+        f_stat, p_value = _f_test(sol, full_sol)
         nested_tests.append(
             {"restricted": name, "full": "Full", "f_statistic": f_stat, "p_value": p_value}
         )
-    return {
-        "formulations": formulations,
-        "nested_tests": nested_tests,
-        "full_model": {
-            "n": full.n_obs,
-            "r_squared": full.r_squared,
-            "adjusted_r_squared": full.adjusted_r_squared,
-            "f_statistic": full.f_statistic,
-            "f_pvalue": full.f_pvalue,
-            "predictors": [asdict(row) for row in full.predictors],
-        },
-    }
+    return {"formulations": formulations, "nested_tests": nested_tests, "full_model": full}

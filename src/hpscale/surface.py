@@ -5,10 +5,12 @@ validation loss) for every (learning rate, batch size) point of one sweep.
 Analytics cover global-optimum extraction, bilinear interpolation in
 log-log coordinates, relative-error scoring of off-grid predictions,
 plateau extraction, per-slice unimodality diagnostics, and train/val
-argmin consistency. The report bodies of the surface commands are built
-here as dicts of plain values: analyze_report for `analyze`, and
-compare_rows, which scores each law's prediction, for `compare`. The
-command adds only its meta.
+argmin consistency. Each analytic returns its own section of the
+`analyze` report as a dict of plain values (plateau, convexity_report,
+argmin_consistency); find_optimum returns an OptimumReport, which the
+grid caches. analyze_report puts the sections and the optimum together,
+and compare_rows, which scores each law's prediction, builds the rows of
+`compare`. The command adds only its meta.
 
 Representation. A surface is validated once, when it is built, into a
 dense grid held as numpy arrays: the input rows as one (n, 4) float64
@@ -62,7 +64,7 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 from typing import NamedTuple
@@ -324,38 +326,6 @@ class LossSurface:
         return g.table(metric)
 
 
-@dataclass(frozen=True)
-class PlateauRegion:
-    """Points whose loss sits within a relative threshold of the minimum."""
-
-    delta: float
-    members: frozenset[tuple[float, int]]
-
-
-@dataclass(frozen=True)
-class ConvexityViolation:
-    """Unimodality breach in one slice: axis is 'row' (fixed bs) or 'col'."""
-
-    axis: str
-    fixed_value: float
-    index: int
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    row_unimodal_fraction: float
-    col_unimodal_fraction: float
-    tolerance: float
-    violations: tuple[ConvexityViolation, ...] = field(default_factory=tuple)
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    consistent: bool
-    train_opt: OptimumReport
-    val_opt: OptimumReport
-
-
 # --- CSV ingestion ----------------------------------------------------------
 
 _REQUIRED_META = ("n_params", "d_tokens")
@@ -543,25 +513,29 @@ def _relative(value: float, best: float) -> float:
     return rel
 
 
-def plateau(
-    surface: LossSurface, delta: float = DEFAULT_DELTA, metric: str = "train"
-) -> PlateauRegion:
-    """Points with (loss - min) / min <= delta; delta defaults to 0.25%."""
+def plateau(surface: LossSurface, delta: float = DEFAULT_DELTA, metric: str = "train") -> dict:
+    """The `plateau` section of the analyze report: delta, and as members
+    the [lr, bs] of every point with (loss - min) / min <= delta, in (lr,
+    bs) order; delta defaults to 0.25%."""
     if not (delta >= 0):  # not check_number: inf is a valid tolerance
         raise ArgumentError(f"delta must be >= 0, got {delta}")
     opt = find_optimum(surface, metric)
     g = surface._grid
     with np.errstate(over="ignore"):  # an inf is above any delta: not a member
         ii, jj = np.nonzero((g.table(metric) - opt.loss) / opt.loss <= delta)
+    # np.nonzero walks the sorted axes in (lr, bs) order
     lrs, bss = surface.grid.lr_values, surface.grid.bs_values
-    members = frozenset((lrs[i], bss[j]) for i, j in zip(ii.tolist(), jj.tolist()))
-    return PlateauRegion(delta=delta, members=members)
+    members = [[lrs[i], bss[j]] for i, j in zip(ii.tolist(), jj.tolist())]
+    return {"delta": delta, "members": members}
 
 
 def convexity_report(
     surface: LossSurface, epsilon: float = DEFAULT_EPSILON, metric: str = "train"
-) -> ConvexityReport:
-    """Fraction of unimodal fixed-bs rows and fixed-lr columns.
+) -> dict:
+    """The `convexity` section of the analyze report: the fractions of
+    unimodal fixed-bs rows and fixed-lr columns, epsilon, and the sorted
+    [axis, fixed value, index] of every breach, axis "row" (fixed bs) or
+    "col" (fixed lr).
 
     A slice is unimodal when losses are non-increasing up to the minimum
     index and non-decreasing afterwards, with each comparison slackened by
@@ -570,25 +544,20 @@ def convexity_report(
     if not (epsilon >= 0):  # not check_number: inf is a valid tolerance
         raise ArgumentError(f"epsilon must be >= 0, got {epsilon}")
     table = surface._losses(metric)
-    violations: list[ConvexityViolation] = []
-    unimodal = []
+    report = {"epsilon": epsilon}
+    violations = []
+    # "col" sorts before "row", and np.nonzero walks each in (fixed, index) order
     for axis, fixed, slices in (
-        ("row", [float(bs) for bs in surface.grid.bs_values], table.T),  # losses along lr
         ("col", surface.grid.lr_values, table),  # losses along bs
+        ("row", [float(bs) for bs in surface.grid.bs_values], table.T),  # losses along lr
     ):
         breaks = _unimodality_breaks(slices, epsilon)
         ss, kk = np.nonzero(breaks)
-        violations += [
-            ConvexityViolation(axis, fixed[s], k + 1) for s, k in zip(ss.tolist(), kk.tolist())
-        ]
-        unimodal.append((len(fixed) - int(breaks.any(axis=1).sum())) / len(fixed))
-
-    return ConvexityReport(
-        row_unimodal_fraction=unimodal[0],
-        col_unimodal_fraction=unimodal[1],
-        tolerance=epsilon,
-        violations=tuple(violations),
-    )
+        violations += [[axis, fixed[s], k + 1] for s, k in zip(ss.tolist(), kk.tolist())]
+        unimodal = len(fixed) - int(breaks.any(axis=1).sum())
+        report[f"{axis}_unimodal_fraction"] = unimodal / len(fixed)
+    report["violations"] = violations
+    return report
 
 
 def _unimodality_breaks(slices: np.ndarray, epsilon: float) -> np.ndarray:
@@ -600,17 +569,19 @@ def _unimodality_breaks(slices: np.ndarray, epsilon: float) -> np.ndarray:
     return np.where(descending, after > before + epsilon, after < before - epsilon)
 
 
-def argmin_consistency(surface: LossSurface) -> ConsistencyReport:
-    """Whether train and val losses share the same argmin grid point."""
+def argmin_consistency(surface: LossSurface) -> dict:
+    """The `argmin_consistency` section of the analyze report: whether
+    train and val losses share the same argmin grid point, and each
+    argmin as [lr, bs]."""
     if not surface.has_full_val():
         raise ArgumentError("argmin_consistency requires val_loss on every point")
-    train_opt = find_optimum(surface, "train")
-    val_opt = find_optimum(surface, "val")
-    return ConsistencyReport(
-        consistent=train_opt.hp == val_opt.hp,
-        train_opt=train_opt,
-        val_opt=val_opt,
-    )
+    train_opt = find_optimum(surface, "train").hp
+    val_opt = find_optimum(surface, "val").hp
+    return {
+        "consistent": train_opt == val_opt,
+        "train_opt": list(train_opt),
+        "val_opt": list(val_opt),
+    }
 
 
 # --- reports ----------------------------------------------------------------
@@ -627,29 +598,11 @@ def analyze_report(
     every point has a val loss, train/val argmin consistency (else None).
     """
     opt = find_optimum(surface, metric)
-    region = plateau(surface, delta, metric)
-    convex = convexity_report(surface, epsilon, metric)
-    consistency = None
-    if surface.has_full_val():
-        rep = argmin_consistency(surface)
-        consistency = {
-            "consistent": rep.consistent,
-            "train_opt": list(rep.train_opt.hp),
-            "val_opt": list(rep.val_opt.hp),
-        }
     return {
         "optimum": {"lr": opt.hp[0], "bs": opt.hp[1], "loss": opt.loss, "metric": opt.metric},
-        "plateau": {
-            "delta": region.delta,
-            "members": sorted([lr, bs] for lr, bs in region.members),
-        },
-        "convexity": {
-            "row_unimodal_fraction": convex.row_unimodal_fraction,
-            "col_unimodal_fraction": convex.col_unimodal_fraction,
-            "epsilon": convex.tolerance,
-            "violations": sorted([v.axis, v.fixed_value, v.index] for v in convex.violations),
-        },
-        "argmin_consistency": consistency,
+        "plateau": plateau(surface, delta, metric),
+        "convexity": convexity_report(surface, epsilon, metric),
+        "argmin_consistency": argmin_consistency(surface) if surface.has_full_val() else None,
     }
 
 
@@ -668,7 +621,7 @@ def compare_rows(
     error taken from that loss."""
     if not methods:
         raise ArgumentError("method list must not be empty")
-    check_number(budget_factor, "--budget-factor", "positive")
+    check_number(budget_factor, "budget_factor", "positive")
     rows = []
     for method in methods:
         if method not in LAW_METHODS:

@@ -89,6 +89,18 @@ def test_ols_design_past_the_square_root_of_the_largest_float(b):
     big = ols(design * b, y)
     assert np.array(big.coefficients) * b == pytest.approx(base.coefficients, rel=0, abs=2e-15)
     assert big.rss == pytest.approx(base.rss, rel=1e-13)
+    # R^-1 is taken of the scaled R, so no squared entry of it underflows
+    assert np.array(big.standard_errors) * b == pytest.approx(base.standard_errors, rel=1e-14)
+
+
+def test_ols_offset_column_keeps_its_standard_errors():
+    # 1e12 + 10k passes the rank rule; scaled to [0.5, 1), its part beyond
+    # the intercept is about 1e-11, which the rule would refuse
+    k = np.arange(8.0)
+    y = 1.0 + 0.3 * k + np.sin(k)
+    offset = ols(np.column_stack([np.ones(8), 1e12 + 10.0 * k]), y)
+    centred = ols(np.column_stack([np.ones(8), 10.0 * (k - 3.5)]), y)
+    assert offset.standard_errors[1] == pytest.approx(centred.standard_errors[1], rel=1e-5)
 
 
 def test_ols_duplicate_column_is_singular():

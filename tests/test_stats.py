@@ -10,8 +10,8 @@ from hpscale import (
     ArgumentError,
     DegenerateDesignError,
     ObservationSpec,
+    OlsSolution,
     OptimumObservation,
-    RegressionReport,
     compare_formulations,
     f_sf,
     generate_observations,
@@ -20,18 +20,12 @@ from hpscale import (
     student_t_critical,
     student_t_two_sided_p,
 )
-from hpscale.stats import _f_test
-
-
-def _named(rows, name):
-    """The one row of a regression's predictors called name."""
-    (row,) = [row for row in rows if row.name == name]
-    return row
+from hpscale.stats import _f_test, _regress
 
 
 def _entry(rows, name):
-    """The one row called name of a compare_formulations list: a formulation,
-    or a full-model predictor."""
+    """The one row called name of a report list: a formulation, or a
+    regression's predictor."""
     (row,) = [row for row in rows if row["name"] == name]
     return row
 
@@ -84,9 +78,9 @@ def test_f_sf_accuracy():
 
 def test_regress_seed3_pattern():
     report = regress(("logN", "logD"), independent_n_observations(3))
-    assert _named(report.predictors, "logD").p_value < 0.001
-    assert _named(report.predictors, "logN").p_value > 0.05
-    assert report.n_obs == 40
+    assert _entry(report["predictors"], "logD")["p_value"] < 0.001
+    assert _entry(report["predictors"], "logN")["p_value"] > 0.05
+    assert report["n"] == 40
 
 
 def test_regress_matches_scipy_linregress():
@@ -96,11 +90,11 @@ def test_regress_matches_scipy_linregress():
     x = np.log([o.d_tokens for o in obs])
     y = np.log([o.opt_bs_tokens for o in obs])
     ref = sp_stats.linregress(x, y)
-    row = _named(report.predictors, "logD")
-    assert row.coefficient == pytest.approx(ref.slope, rel=1e-10)
-    assert row.standard_error == pytest.approx(ref.stderr, rel=1e-10)
-    assert row.p_value == pytest.approx(ref.pvalue, rel=1e-8)
-    assert report.r_squared == pytest.approx(ref.rvalue**2, rel=1e-10)
+    row = _entry(report["predictors"], "logD")
+    assert row["coefficient"] == pytest.approx(ref.slope, rel=1e-10)
+    assert row["standard_error"] == pytest.approx(ref.stderr, rel=1e-10)
+    assert row["p_value"] == pytest.approx(ref.pvalue, rel=1e-8)
+    assert report["r_squared"] == pytest.approx(ref.rvalue**2, rel=1e-10)
 
 
 def test_regress_exact_linear_response():
@@ -111,10 +105,10 @@ def test_regress_exact_linear_response():
         bs = math.exp(0.1 + 0.2 * math.log(n) + 0.58 * math.log(d))
         obs.append(OptimumObservation(n, d, 1e-3, bs))
     report = regress(("logN", "logD"), obs)
-    assert report.r_squared == pytest.approx(1.0, abs=1e-12)
-    assert report.adjusted_r_squared == pytest.approx(1.0, abs=1e-12)
-    assert _named(report.predictors, "logN").p_value == pytest.approx(0.0, abs=1e-10)
-    assert _named(report.predictors, "logD").p_value == pytest.approx(0.0, abs=1e-10)
+    assert report["r_squared"] == pytest.approx(1.0, abs=1e-12)
+    assert report["adjusted_r_squared"] == pytest.approx(1.0, abs=1e-12)
+    assert _entry(report["predictors"], "logN")["p_value"] == pytest.approx(0.0, abs=1e-10)
+    assert _entry(report["predictors"], "logD")["p_value"] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_regress_orthogonal_predictor_is_null():
@@ -134,11 +128,11 @@ def test_regress_orthogonal_predictor_is_null():
     # direct design-space check mirroring the construction
     x1 = np.array([math.log(o.n_params) for o in obs])
     report = regress(("logN", "logD"), obs)
-    row = _named(report.predictors, "logN")
+    row = _entry(report["predictors"], "logN")
     assert abs(np.corrcoef(x1, log_bs)[0, 1]) < 0.2  # sanity: weak raw correlation
-    assert row.coefficient == pytest.approx(0.0, abs=1e-10)
-    assert row.t_value == pytest.approx(0.0, abs=1e-8)
-    assert row.p_value == pytest.approx(1.0, abs=1e-7)
+    assert row["coefficient"] == pytest.approx(0.0, abs=1e-10)
+    assert row["t_value"] == pytest.approx(0.0, abs=1e-8)
+    assert row["p_value"] == pytest.approx(1.0, abs=1e-7)
 
 
 def test_regress_argument_errors():
@@ -155,17 +149,14 @@ def test_regress_argument_errors():
 
 def test_regress_t_and_ci_identities():
     report = regress(("logN", "logD"), independent_n_observations(21))
-    t_crit = student_t_critical(0.05, report.df_resid)
-    for row in report.predictors:
-        if row.standard_error > 0:
-            assert row.t_value == pytest.approx(
-                row.coefficient / row.standard_error, rel=1e-12
-            )
-        lo, hi = row.ci95
-        assert (row.coefficient - lo) == pytest.approx(hi - row.coefficient, rel=1e-9)
-        assert (hi - row.coefficient) == pytest.approx(
-            t_crit * row.standard_error, rel=1e-9
-        )
+    t_crit = student_t_critical(0.05, report["n"] - 3)  # three coefficients
+    for row in report["predictors"]:
+        coef, se = row["coefficient"], row["standard_error"]
+        if se > 0:
+            assert row["t_value"] == pytest.approx(coef / se, rel=1e-12)
+        lo, hi = row["ci95"]
+        assert (coef - lo) == pytest.approx(hi - coef, rel=1e-9)
+        assert (hi - coef) == pytest.approx(t_crit * se, rel=1e-9)
 
 
 # --- formulation comparison -----------------------------------------------------
@@ -195,20 +186,13 @@ def test_compare_formulations_full_model_is_the_full_regression():
     assert [(t["restricted"], t["full"]) for t in comp["nested_tests"]] == [
         ("N-only", "Full"), ("D-only", "Full")
     ]  # fmt: skip
-    # n_obs is written as n, and rss and df_resid are left out
-    assert comp["full_model"] == {
-        "n": full.n_obs,
-        "r_squared": full.r_squared,
-        "adjusted_r_squared": full.adjusted_r_squared,
-        "f_statistic": full.f_statistic,
-        "f_pvalue": full.f_pvalue,
-        "predictors": [
-            {"name": row.name, "coefficient": row.coefficient,
-             "standard_error": row.standard_error, "t_value": row.t_value,
-             "p_value": row.p_value, "ci95": row.ci95}
-            for row in full.predictors
-        ],  # fmt: skip
-    }
+    # the solution's rss and df_resid are left out
+    assert comp["full_model"] == full
+    assert set(full) == {"n", "r_squared", "adjusted_r_squared", "f_statistic", "f_pvalue",
+                         "predictors"}  # fmt: skip
+    assert [list(row) for row in full["predictors"]] == [
+        ["name", "coefficient", "standard_error", "t_value", "p_value", "ci95"]
+    ] * 3
 
 
 def test_nested_f_equals_t_squared_for_one_dropped_predictor():
@@ -241,13 +225,13 @@ def test_noise_predictor_raises_raw_r2_but_can_lower_adjusted():
 
 
 def test_f_test_exact_full_fit():
-    def report(rss, df_resid):  # TSS 1, so R-squared is 1 - RSS
-        return RegressionReport(predictors=(), n_obs=10, r_squared=1.0 - rss,
-                                adjusted_r_squared=1.0, f_statistic=math.inf,
-                                f_pvalue=0.0, rss=rss, df_resid=df_resid)  # fmt: skip
+    def solution(rss, df_resid):  # TSS 1, so R-squared is 1 - RSS
+        return OlsSolution(coefficients=(), residuals=(), rss=rss, standard_errors=(),
+                           r_squared=1.0 - rss, adjusted_r_squared=1.0, n_obs=10,
+                           n_coeffs=10 - df_resid)  # fmt: skip
 
-    assert _f_test(report(0.5, 8), report(0.0, 7)) == (math.inf, 0.0)
-    assert _f_test(report(0.0, 8), report(0.0, 7)) == (0.0, 1.0)
+    assert _f_test(solution(0.5, 8), solution(0.0, 7)) == (math.inf, 0.0)
+    assert _f_test(solution(0.0, 8), solution(0.0, 7)) == (0.0, 1.0)
     # constant batch sizes: every formulation fits exactly
     obs = [OptimumObservation(n, d, 1e-3, 1.0) for n in (1e8, 1e9) for d in (1e9, 1e10)]
     for test in compare_formulations(obs)["nested_tests"]:
@@ -332,12 +316,11 @@ def test_reports_hold_python_floats():
     values = _leaves(comp)
     assert {type(v) for v in values} == {str, int, float}
     assert [v for v in values if type(v) is int] == [comp["full_model"]["n"]]
-    report = regress(("logN", "logD"), independent_n_observations(3))
-    values = [report.r_squared, report.adjusted_r_squared, report.f_statistic,
-              report.f_pvalue, report.rss]  # fmt: skip
-    for row in report.predictors:
-        values += [row.coefficient, row.standard_error, row.t_value, row.p_value, *row.ci95]
-    assert all(type(v) is float for v in values)
+    report, sol = _regress(("logN", "logD"), independent_n_observations(3))
+    values = _leaves(report)
+    assert {type(v) for v in values} == {str, int, float}
+    assert [v for v in values if type(v) is int] == [report["n"]]
+    assert type(sol.rss) is float
     assert "np." not in repr(comp) + repr(report)
 
 
@@ -346,7 +329,7 @@ def test_rejection_frequencies_over_seeds():
     n_reject_d = n_keep_n = 0
     for seed in range(50):
         report = regress(("logN", "logD"), independent_n_observations(seed))
-        n_reject_d += _named(report.predictors, "logD").p_value < 0.001
-        n_keep_n += _named(report.predictors, "logN").p_value > 0.05
+        n_reject_d += _entry(report["predictors"], "logD")["p_value"] < 0.001
+        n_keep_n += _entry(report["predictors"], "logN")["p_value"] > 0.05
     assert n_reject_d == 50
     assert n_keep_n >= 45

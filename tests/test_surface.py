@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hpscale import (
     ArgumentError,
+    AuxInputs,
     GridShapeError,
     GridSpec,
     LossSurface,
@@ -22,6 +23,7 @@ from hpscale import (
     SurfaceSpec,
     SweepPoint,
     argmin_consistency,
+    compare_rows,
     convexity_report,
     find_optimum,
     generate_surface,
@@ -33,6 +35,7 @@ from hpscale import (
 )
 from hpscale import errors as errors_module
 from hpscale import surface as surface_module
+from hpscale.laws import DEFAULT_LAWS
 from conftest import fuzz_examples, point_at
 
 MINI_CSV = """\
@@ -361,38 +364,50 @@ def test_relative_error_out_of_hull():
         relative_error(surf, (1.0, 262144))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_compare_rows_names_its_own_budget_factor(value):
+    # the library names its parameter; only the CLI names --budget-factor
+    with pytest.raises(ArgumentError) as err:
+        compare_rows(_bowl(), ["step"], DEFAULT_LAWS, AuxInputs(), budget_factor=value)
+    assert str(err.value) == f"budget_factor must be a positive finite number, got {value!r}"
+
+
 # --- plateau -----------------------------------------------------------------
+
+
+def _members(surf, delta):
+    """plateau's members as a set of (lr, bs)."""
+    return {tuple(member) for member in plateau(surf, delta)["members"]}
 
 
 def test_plateau_zero_delta_is_optimum():
     surf = _bowl()
     region = plateau(surf, 0.0)
-    assert region.members == {(2.0**-9, 262144)}
+    assert region == {"delta": 0.0, "members": [[2.0**-9, 262144]]}
 
 
 def test_plateau_infinite_delta_is_everything():
     surf = _bowl(noise_sigma=0.2, seed=2)
-    region = plateau(surf, math.inf)
-    assert region.members == {(p.lr, p.bs_tokens) for p in surf.points}
+    assert _members(surf, math.inf) == {(p.lr, p.bs_tokens) for p in surf.points}
 
 
 def test_plateau_matches_threshold_scan():
     surf = _bowl(curvature_lr=0.7, curvature_bs=0.4, seed=4)
     opt = find_optimum(surf)
-    region = plateau(surf, 0.005)
+    members = _members(surf, 0.005)
     oracle = {
         (p.lr, p.bs_tokens)
         for p in surf.points
         if (p.train_smooth_loss - opt.loss) / opt.loss <= 0.005
     }
-    assert region.members == oracle
-    assert opt.hp in region.members
+    assert members == oracle
+    assert opt.hp in members
 
 
 def test_plateau_monotone_in_delta():
     surf = _bowl(noise_sigma=0.1, seed=6)
     deltas = [0.0, 1e-4, 1e-3, 0.0025, 0.01, 0.1, math.inf]
-    regions = [plateau(surf, d).members for d in deltas]
+    regions = [_members(surf, d) for d in deltas]
     for smaller, larger in zip(regions, regions[1:]):
         assert smaller <= larger
 
@@ -411,17 +426,17 @@ def test_convexity_monotone_slice_is_unimodal():
         lambda lr, bs: 2.0 + math.log(lr / 1e-3) + 0.1 * math.log(bs / 32768),
     )
     report = convexity_report(surf)
-    assert report.row_unimodal_fraction == 1.0
-    assert report.col_unimodal_fraction == 1.0
-    assert report.violations == ()
+    assert report["row_unimodal_fraction"] == 1.0
+    assert report["col_unimodal_fraction"] == 1.0
+    assert report["violations"] == []
 
 
 def test_convexity_noiseless_quadratic_is_unimodal():
     for cross in (0.0, 0.4, -0.4):
         surf = _bowl(curvature_lr=1.0, curvature_bs=0.5, cross_term=cross)
         report = convexity_report(surf)
-        assert report.row_unimodal_fraction == 1.0
-        assert report.col_unimodal_fraction == 1.0
+        assert report["row_unimodal_fraction"] == 1.0
+        assert report["col_unimodal_fraction"] == 1.0
 
 
 def test_convexity_detects_planted_dip():
@@ -430,10 +445,10 @@ def test_convexity_detects_planted_dip():
     base[lrs[4]] = base[lrs[3]] - 0.01  # secondary dip of depth 0.01
     surf = _points_grid(lrs, [32768], lambda lr, bs: base[lr])
     report = convexity_report(surf, epsilon=1e-3)
-    assert report.row_unimodal_fraction == 0.0
-    assert any(v.axis == "row" and v.fixed_value == 32768 for v in report.violations)
+    assert report["row_unimodal_fraction"] == 0.0
+    assert any(axis == "row" and fixed == 32768 for axis, fixed, _ in report["violations"])
     # with slack larger than the dip the slice passes again
-    assert convexity_report(surf, epsilon=0.02).row_unimodal_fraction == 1.0
+    assert convexity_report(surf, epsilon=0.02)["row_unimodal_fraction"] == 1.0
 
 
 def test_convexity_requires_complete_grid():
@@ -455,9 +470,9 @@ def test_convexity_epsilon_validation():
 
 def test_argmin_consistency_fig3(fig3_surface):
     report = argmin_consistency(fig3_surface)
-    assert report.consistent
-    assert report.train_opt.hp == (0.001950, 393216)
-    assert report.val_opt.hp == (0.001950, 393216)
+    assert report["consistent"] is True
+    assert report["train_opt"] == [0.001950, 393216]
+    assert report["val_opt"] == [0.001950, 393216]
 
 
 def test_argmin_consistency_shift_preserves():
@@ -470,7 +485,7 @@ def test_argmin_consistency_shift_preserves():
             for p in surf.points
         ),
     )
-    assert argmin_consistency(shifted).consistent
+    assert argmin_consistency(shifted)["consistent"] is True
 
 
 def test_argmin_consistency_displaced_val_min():
@@ -493,8 +508,8 @@ def test_argmin_consistency_displaced_val_min():
         ),
     )
     report = argmin_consistency(moved)
-    assert not report.consistent
-    assert report.val_opt.hp == (displaced_lr, train_opt[1])
+    assert report["consistent"] is False
+    assert report["val_opt"] == [displaced_lr, train_opt[1]]
 
 
 def test_argmin_consistency_requires_val():

@@ -237,9 +237,10 @@ def test_optimum_and_plateau_match_point_scan(surf):
         opt = find_optimum(surf, metric)
         assert (opt.hp, opt.loss) == ref_find_optimum(surf.points, metric)
         for delta in (0.0, 0.0005, 0.0025, 0.01, math.inf):
-            assert plateau(surf, delta, metric).members == ref_plateau(
-                surf.points, delta, metric
-            )
+            assert plateau(surf, delta, metric) == {
+                "delta": delta,
+                "members": sorted([lr, bs] for lr, bs in ref_plateau(surf.points, delta, metric)),
+            }
 
 
 @given(surfaces(), st.sampled_from((0.0, 5e-4, 1e-3, 0.02)))
@@ -248,13 +249,22 @@ def test_convexity_matches_point_scan(surf, epsilon):
         got = outcome(convexity_report, surf, epsilon, metric)
         want = outcome(ref_convexity, surf.points, epsilon, metric)
         if want[0] == "ok":
-            rep = got[1]
-            got = ("ok", (
-                rep.row_unimodal_fraction,
-                rep.col_unimodal_fraction,
-                [(v.axis, v.fixed_value, v.index) for v in rep.violations],
-            ))  # fmt: skip
+            row_fraction, col_fraction, violations = want[1]
+            want = ("ok", {
+                "row_unimodal_fraction": row_fraction,
+                "col_unimodal_fraction": col_fraction,
+                "epsilon": epsilon,
+                "violations": sorted(list(v) for v in violations),
+            })  # fmt: skip
         assert got == want
+
+
+@given(surfaces(complete=True), st.sampled_from((0.0, 0.02, math.inf)))
+def test_plateau_members_and_violations_come_sorted(surf, tolerance):
+    for metric in _metrics(surf):
+        members = plateau(surf, tolerance, metric)["members"]
+        violations = convexity_report(surf, tolerance, metric)["violations"]
+        assert members == sorted(members) and violations == sorted(violations)
 
 
 @given(
@@ -336,14 +346,19 @@ def _assert_python_numbers(surf):
     for metric in _metrics(surf):
         opt = find_optimum(surf, metric)
         check((*opt.hp, opt.loss), (float, int, float))
-        for member in plateau(surf, 0.01, metric).members:
+        region = plateau(surf, 0.01, metric)
+        check((region["delta"],), (float,))
+        for member in region["members"]:
             check(member, (float, int))
         if len(surf.points) < len(surf.grid.lr_values) * len(surf.grid.bs_values):
             continue
         rep = convexity_report(surf, 0.0, metric)
-        check((rep.row_unimodal_fraction, rep.col_unimodal_fraction), (float, float))
-        for v in rep.violations:
-            check((v.fixed_value, v.index), (float, int))
+        check(
+            (rep["row_unimodal_fraction"], rep["col_unimodal_fraction"], rep["epsilon"]),
+            (float, float, float),
+        )
+        for v in rep["violations"]:
+            check(v, (str, float, int))
         pt = surf.points[-1]
         for lr, bs in ((pt.lr, pt.bs_tokens), (pt.lr * 1.1, pt.bs_tokens * 1.1)):
             if surf.grid.lr_values[0] <= lr <= surf.grid.lr_values[-1] and (
@@ -352,7 +367,9 @@ def _assert_python_numbers(surf):
                 check((interpolate_loss(surf, lr, bs, metric),), (float,))
                 check((relative_error(surf, (lr, bs), metric),), (float,))
     if surf.has_full_val():
-        assert type(argmin_consistency(surf).consistent) is bool
+        consistency = argmin_consistency(surf)
+        assert type(consistency["consistent"]) is bool
+        check(consistency["train_opt"] + consistency["val_opt"], (float, int, float, int))
 
 
 @given(surfaces())

@@ -210,8 +210,8 @@ def test_cross_term_keeps_slices_unimodal_and_optimum_planted():
     surf = generate_surface(spec)
     assert find_optimum(surf).hp == (2.0**-9, 262144)
     report = convexity_report(surf)
-    assert report.row_unimodal_fraction == 1.0
-    assert report.col_unimodal_fraction == 1.0
+    assert report["row_unimodal_fraction"] == 1.0
+    assert report["col_unimodal_fraction"] == 1.0
 
 
 def test_surface_determinism_and_noise_effect():
