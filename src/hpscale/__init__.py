@@ -34,9 +34,7 @@ from .fitting import (
 )
 from .laws import (
     AuxInputs,
-    ComputeBudget,
     GridSpec,
-    LawLibrary,
     ModelScale,
     Prediction,
     baseline_predict,

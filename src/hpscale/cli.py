@@ -87,6 +87,7 @@ from .laws import (
     DEFAULT_LAWS,
     GridSpec,
     LAW_METHODS,
+    LawTable,
     ModelScale,
     baseline_predict,
     compute_budget,
@@ -246,7 +247,7 @@ def _comma_floats(text: str, what: str) -> list[float]:
     return [check_number(v, what) for v in values]
 
 
-def _load_laws(args) -> tuple:
+def _load_laws(args) -> tuple[LawTable, AuxInputs]:
     if args.laws:
         return load_law_overrides(_read_input(args.laws))
     return DEFAULT_LAWS, AuxInputs()

@@ -10,6 +10,9 @@ together with six published baseline rules (openai, microsoft, deepseek,
 porian, minicpm, meituan), compute-budget derivation, and snapping of
 predictions onto a sweep grid.
 
+The published coefficients live in one read-only table, DEFAULT_LAWS;
+meituan has none, and takes its four coefficients from AuxInputs.
+
 All evaluation happens in log space (exp of a linear combination of logs)
 so predictions stay finite out to D ~ 1e13 and beyond.
 """
@@ -18,7 +21,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ArgumentError, DomainError, check_number, decode_json
@@ -27,6 +31,9 @@ LAW_METHODS = ("step", "openai", "microsoft", "deepseek", "porian", "minicpm", "
 
 # FLOPs per parameter per token in compute_budget's C = factor * N * D
 DEFAULT_FLOPS_FACTOR = 6.0
+
+# law name -> coefficient name -> value, the shape of DEFAULT_LAWS
+LawTable = Mapping[str, Mapping[str, float]]
 
 
 @dataclass(frozen=True)
@@ -49,16 +56,6 @@ class ModelScale:
             check_number(self.n_active, "n_active", "positive")
             if self.n_active > self.n_params:
                 raise ArgumentError(f"n_active must lie in (0, n_params], got {self.n_active}")
-
-
-@dataclass(frozen=True)
-class ComputeBudget:
-    """Total training compute in FLOPs."""
-
-    flops: float
-
-    def __post_init__(self):
-        check_number(self.flops, "flops", "positive")
 
 
 @dataclass(frozen=True)
@@ -158,122 +155,81 @@ _DEFAULT_GRID = GridSpec(
 # --- law parameterizations -------------------------------------------------
 #
 # Every rule is a power law (or log-linear rule) evaluated in log space.
-# The dataclasses below hold the published coefficients; each one can be
-# overridden through the JSON documents accepted by load_law_overrides.
+# DEFAULT_LAWS holds the published coefficients: law name -> coefficient
+# name -> value, read-only at both levels. law_overrides_from_dict returns
+# a read-only copy with some values replaced; the defaults never change.
 
 
-@dataclass(frozen=True)
-class StepParams:
-    c: float = 1.79
-    alpha: float = -0.713
-    beta: float = 0.307
-    d: float = 0.58
-    gamma: float = 0.571
+def _table(laws: LawTable) -> LawTable:
+    return MappingProxyType({name: MappingProxyType(p) for name, p in laws.items()})
 
 
-@dataclass(frozen=True)
-class OpenaiParams:
+DEFAULT_LAWS = _table({
+    "step": {"c": 1.79, "alpha": -0.713, "beta": 0.307, "d": 0.58, "gamma": 0.571},
     # lr = intercept - slope * ln(N); bs = bs_coef * L**bs_exp
-    intercept: float = 3.239e-3
-    slope: float = 1.395e-4
-    bs_coef: float = 2e18
-    bs_exp: float = -4.76190
-
-
-@dataclass(frozen=True)
-class MicrosoftParams:
+    "openai": {"intercept": 3.239e-3, "slope": 1.395e-4, "bs_coef": 2e18, "bs_exp": -4.76190},
     # Leading coefficient is configurable: the published magnitude gives
     # lr ~ 3e-11 at (1e9, 1e11) and may be a transcription artifact.
-    coef: float = 1.3192e-5
-    n_exp: float = -0.23
-    d_exp: float = -0.32
-
-
-@dataclass(frozen=True)
-class DeepseekParams:
-    lr_coef: float = 0.3188
-    lr_exp: float = -0.1250
-    bs_coef: float = 0.2920
-    bs_exp: float = 0.3271
-
-
-@dataclass(frozen=True)
-class PorianParams:
-    lr_coef: float = 3.7
-    lr_exp: float = -0.36
-    bs_coef: float = 0.7576
-    bs_exp: float = 0.703
-
-
-@dataclass(frozen=True)
-class MinicpmParams:
-    bs_coef: float = 2e18
-    bs_exp: float = -6.24
-
-
-@dataclass(frozen=True)
-class LawLibrary:
-    """Coefficient set for every law, with override support."""
-
-    step: StepParams = field(default_factory=StepParams)
-    openai: OpenaiParams = field(default_factory=OpenaiParams)
-    microsoft: MicrosoftParams = field(default_factory=MicrosoftParams)
-    deepseek: DeepseekParams = field(default_factory=DeepseekParams)
-    porian: PorianParams = field(default_factory=PorianParams)
-    minicpm: MinicpmParams = field(default_factory=MinicpmParams)
-
-
-DEFAULT_LAWS = LawLibrary()
+    "microsoft": {"coef": 1.3192e-5, "n_exp": -0.23, "d_exp": -0.32},
+    "deepseek": {"lr_coef": 0.3188, "lr_exp": -0.1250, "bs_coef": 0.2920, "bs_exp": 0.3271},
+    "porian": {"lr_coef": 3.7, "lr_exp": -0.36, "bs_coef": 0.7576, "bs_exp": 0.703},
+    "minicpm": {"bs_coef": 2e18, "bs_exp": -6.24},
+})  # fmt: skip
 
 # Coefficients that must be positive: power-law leading coefficients go
 # through log(), and openai's slope divides its non-positive-lr threshold.
 _POSITIVE_FIELDS = {"c", "d", "slope", "bs_coef", "coef", "lr_coef"}
 
+# meituan's coefficients travel in AuxInputs.meituan_params, in this order
+_MEITUAN_KEYS = ("lambda", "alpha", "lambda_b", "alpha_b")
 
-def law_overrides_from_dict(doc: Mapping) -> tuple[LawLibrary, AuxInputs]:
-    """Build a LawLibrary (and meituan aux, if present) from a JSON document.
+
+def law_overrides_from_dict(doc: Mapping) -> tuple[LawTable, AuxInputs]:
+    """Build a law table (and meituan aux, if present) from a JSON document.
 
     Accepts either the nested form {"step": {"c": ..., ...}, "microsoft":
     {...}, "meituan": {...}} or a flat fit-result document carrying
     c/alpha/beta/d/gamma at top level, which is treated as a step-law
-    override so fitted laws can be fed straight back into prediction.
-    Every value must be a finite number, and leading coefficients positive.
+    override so fitted laws can be fed straight back into prediction. A
+    flat document's other keys (ci, meta, seed, ...) are ignored, but one
+    that also names a law is refused: that law's override would be lost.
+    Each law, meituan too, accepts only its own coefficient names. Every
+    value must be a finite number, and leading coefficients positive. The
+    table returned is a read-only copy; DEFAULT_LAWS never changes.
     """
     if not isinstance(doc, Mapping):
         raise ArgumentError("law overrides must be a JSON object")
-    if {"c", "alpha", "beta", "d", "gamma"} <= set(doc.keys()):
-        doc = {"step": {k: doc[k] for k in ("c", "alpha", "beta", "d", "gamma")}}
+    step_keys = DEFAULT_LAWS["step"].keys()
+    if step_keys <= doc.keys():
+        named = [name for name in doc if name in LAW_METHODS]
+        if named:
+            raise ArgumentError(f"flat fit document also overrides law {named[0]!r:.40}")
+        doc = {"step": {k: doc[k] for k in step_keys}}
 
-    laws = LawLibrary()
-    law_names = {f.name for f in fields(LawLibrary)}
+    laws = {name: dict(p) for name, p in DEFAULT_LAWS.items()}
     meituan: tuple[float, float, float, float] | None = None
     for name, params in doc.items():
-        if name != "meituan" and name not in law_names:
+        if name != "meituan" and name not in laws:
             raise ArgumentError(f"unknown law {name!r:.40} in overrides")
         if not isinstance(params, Mapping):
             raise ArgumentError(f"overrides for law {name!r} must be a JSON object")
         if name == "meituan":
-            keys = ("lambda", "alpha", "lambda_b", "alpha_b")
-            if any(k not in params for k in keys):
-                raise ArgumentError(
-                    "meituan overrides need lambda, alpha, lambda_b, alpha_b"
-                )
-            meituan = tuple(check_number(params[k], f"meituan.{k}", "positive") for k in keys)
-            continue
-        current = getattr(laws, name)
-        unknown = set(params) - {f.name for f in fields(current)}
+            if any(k not in params for k in _MEITUAN_KEYS):
+                raise ArgumentError("meituan overrides need lambda, alpha, lambda_b, alpha_b")
+            meituan = tuple(
+                check_number(params[k], f"meituan.{k}", "positive") for k in _MEITUAN_KEYS
+            )
+        unknown = set(params) - set(_MEITUAN_KEYS if name == "meituan" else laws[name])
         if unknown:
             raise ArgumentError(f"unknown keys {sorted(unknown)!r:.40} for law {name!r}")
-        updated = replace(current, **{
-            k: check_number(v, f"{name}.{k}", "positive" if k in _POSITIVE_FIELDS else "")
-            for k, v in params.items()
-        })  # fmt: skip
-        laws = replace(laws, **{name: updated})
-    aux = AuxInputs(meituan_params=meituan)
-    return laws, aux
+        if name != "meituan":
+            for k, v in params.items():
+                sign = "positive" if k in _POSITIVE_FIELDS else ""
+                laws[name][k] = check_number(v, f"{name}.{k}", sign)
+    return _table(laws), AuxInputs(meituan_params=meituan)
 
 
-def load_law_overrides(raw) -> tuple[LawLibrary, AuxInputs]:
+def load_law_overrides(raw) -> tuple[LawTable, AuxInputs]:
     """Parse law-override JSON bytes; see law_overrides_from_dict."""
     return law_overrides_from_dict(decode_json(raw, "law overrides"))
 
@@ -295,21 +251,21 @@ def _powerlaw(coef: float, *terms: tuple[float, float]) -> float:
     return value
 
 
-def step_law(scale: ModelScale, params: StepParams | None = None) -> Prediction:
+def step_law(scale: ModelScale, params: Mapping[str, float] | None = None) -> Prediction:
     """Evaluate the step law at (n_params, d_tokens).
 
     Uses the total non-vocabulary parameter count even for MoE models;
     batch size depends on d_tokens alone.
     """
-    p = params if params is not None else DEFAULT_LAWS.step
-    lr = _powerlaw(p.c, (scale.n_params, p.alpha), (scale.d_tokens, p.beta))
-    bs = _powerlaw(p.d, (scale.d_tokens, p.gamma))
+    p = params if params is not None else DEFAULT_LAWS["step"]
+    lr = _powerlaw(p["c"], (scale.n_params, p["alpha"]), (scale.d_tokens, p["beta"]))
+    bs = _powerlaw(p["d"], (scale.d_tokens, p["gamma"]))
     return Prediction(lr=lr, bs_tokens=bs, method="step")
 
 
 def compute_budget(
     scale: ModelScale, flops_factor: float = DEFAULT_FLOPS_FACTOR, use_active: bool = False
-) -> ComputeBudget:
+) -> float:
     """FLOPs budget C = flops_factor * N * D.
 
     N is n_params, or n_active when use_active is set. The factor defaults
@@ -325,57 +281,60 @@ def compute_budget(
     flops = flops_factor * n_eff * scale.d_tokens
     if flops == math.inf:  # valid factors can still overflow a float
         raise DomainError(f"compute budget {flops_factor} * N * D overflows a float")
-    return ComputeBudget(flops=flops)
+    return check_number(flops, "flops", "positive")
 
 
 def baseline_predict(
     method: str,
     scale: ModelScale,
-    budget: ComputeBudget | None = None,
+    budget: float | None = None,
     aux: AuxInputs | None = None,
-    laws: LawLibrary | None = None,
+    laws: LawTable | None = None,
 ) -> Prediction:
     """Evaluate one of the published baseline rules.
 
-    deepseek needs a compute budget; the openai/minicpm/meituan batch-size
-    rules need aux.expected_loss; meituan additionally needs its
-    coefficient quadruple.
+    deepseek needs a compute budget (FLOPs, as compute_budget returns
+    them); the openai/minicpm/meituan batch-size rules need
+    aux.expected_loss; meituan additionally needs its coefficient
+    quadruple. laws is a table shaped like DEFAULT_LAWS.
     """
+    if budget is not None:
+        budget = check_number(budget, "flops", "positive")
     aux = aux if aux is not None else AuxInputs()
     lib = laws if laws is not None else DEFAULT_LAWS
 
     if method == "step":
-        return step_law(scale, lib.step)
+        return step_law(scale, lib["step"])
     if method == "openai":
-        p = lib.openai
-        lr = p.intercept - p.slope * math.log(scale.n_params)
+        p = lib["openai"]
+        lr = p["intercept"] - p["slope"] * math.log(scale.n_params)
         if lr <= 0:
-            threshold = math.exp(p.intercept / p.slope)
+            threshold = math.exp(p["intercept"] / p["slope"])
             raise DomainError(
                 f"openai learning rate is non-positive for n_params >= "
                 f"{threshold:.6e} (got {scale.n_params:.6e})"
             )
-        bs = _powerlaw(p.bs_coef, (_require_loss(aux, method), p.bs_exp))
+        bs = _powerlaw(p["bs_coef"], (_require_loss(aux, method), p["bs_exp"]))
         return Prediction(lr=lr, bs_tokens=bs, method=method)
     if method == "microsoft":
-        p = lib.microsoft
-        lr = _powerlaw(p.coef, (scale.n_params, p.n_exp), (scale.d_tokens, p.d_exp))
+        p = lib["microsoft"]
+        lr = _powerlaw(p["coef"], (scale.n_params, p["n_exp"]), (scale.d_tokens, p["d_exp"]))
         return Prediction(lr=lr, bs_tokens=None, method=method)
     if method == "deepseek":
         if budget is None:
             raise ArgumentError("deepseek law requires a compute budget")
-        p = lib.deepseek
-        lr = _powerlaw(p.lr_coef, (budget.flops, p.lr_exp))
-        bs = _powerlaw(p.bs_coef, (budget.flops, p.bs_exp))
+        p = lib["deepseek"]
+        lr = _powerlaw(p["lr_coef"], (budget, p["lr_exp"]))
+        bs = _powerlaw(p["bs_coef"], (budget, p["bs_exp"]))
         return Prediction(lr=lr, bs_tokens=bs, method=method)
     if method == "porian":
-        p = lib.porian
-        lr = _powerlaw(p.lr_coef, (scale.n_params, p.lr_exp))
-        bs = _powerlaw(p.bs_coef, (scale.n_params, p.bs_exp))
+        p = lib["porian"]
+        lr = _powerlaw(p["lr_coef"], (scale.n_params, p["lr_exp"]))
+        bs = _powerlaw(p["bs_coef"], (scale.n_params, p["bs_exp"]))
         return Prediction(lr=lr, bs_tokens=bs, method=method)
     if method == "minicpm":
-        p = lib.minicpm
-        bs = _powerlaw(p.bs_coef, (_require_loss(aux, method), p.bs_exp))
+        p = lib["minicpm"]
+        bs = _powerlaw(p["bs_coef"], (_require_loss(aux, method), p["bs_exp"]))
         return Prediction(lr=None, bs_tokens=bs, method=method)
     if method == "meituan":
         if aux.meituan_params is None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError, check_number, check_seed, decode_json
 from .fitting import OptimumObservation
-from .laws import GridSpec, ModelScale, Prediction, snap_to_grid
+from .laws import DEFAULT_LAWS, GridSpec, ModelScale, Prediction, snap_to_grid
 from .surface import LossSurface, _check_cells
 
 
@@ -102,14 +102,14 @@ class ObservationSpec:
 
     opt_lr = c * N**alpha * D**beta * exp(sigma * z1) and
     opt_bs = d_coef * D**gamma * exp(sigma * z2); snap maps both onto the
-    default sweep grid.
+    default sweep grid. The law defaults to the published step law.
     """
 
-    c: float = 1.79
-    alpha: float = -0.713
-    beta: float = 0.307
-    d_coef: float = 0.58
-    gamma: float = 0.571
+    c: float = DEFAULT_LAWS["step"]["c"]
+    alpha: float = DEFAULT_LAWS["step"]["alpha"]
+    beta: float = DEFAULT_LAWS["step"]["beta"]
+    d_coef: float = DEFAULT_LAWS["step"]["d"]
+    gamma: float = DEFAULT_LAWS["step"]["gamma"]
     n_values: tuple[float, ...] = ()
     d_values: tuple[float, ...] = ()
     noise_sigma: float = 0.0

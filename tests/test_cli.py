@@ -11,7 +11,6 @@ import pytest
 import hpscale
 from conftest import FIG3_PATH, LATTICE_D, LATTICE_N, point_at
 from hpscale import (
-    ComputeBudget,
     ModelScale,
     SurfaceSpec,
     baseline_predict,
@@ -96,9 +95,7 @@ def test_predict_microsoft_bs_null():
 
 def test_predict_deepseek_default_budget():
     doc = run_json("predict", "--method", "deepseek", "--n", "1e9", "--d", "1e10")
-    expected = baseline_predict(
-        "deepseek", ModelScale(1e9, 1e10), budget=ComputeBudget(6e19)
-    )
+    expected = baseline_predict("deepseek", ModelScale(1e9, 1e10), budget=6e19)
     assert doc["lr"] == pytest.approx(expected.lr, rel=1e-12)
     assert doc["bs"] == pytest.approx(expected.bs_tokens, rel=1e-12)
 
@@ -168,6 +165,30 @@ def test_predict_bad_law_overrides_exit_2(tmp_path, method, doc):
     )  # fmt: skip
     assert b"Traceback" not in proc.stderr
     assert proc.stderr.startswith(b"error:")
+
+
+@pytest.mark.parametrize(
+    "method,doc,message",
+    [
+        ("meituan",
+         {"meituan": {"lambda": 0.01, "alpha": 2, "lambda_b": 1e5, "alpha_b": 0.5, "lamda": 7}},
+         "unknown keys ['lamda'] for law 'meituan'"),
+        ("microsoft",
+         {"c": 1.79, "alpha": -0.713, "beta": 0.307, "d": 0.58, "gamma": 0.571,
+          "microsoft": {"coef": 1e-3}},
+         "law 'microsoft'"),
+    ],
+    ids=["meituan_unknown_key", "flat_fit_document_names_a_law"],
+)
+def test_predict_law_overrides_that_would_be_dropped_exit_2(tmp_path, method, doc, message):
+    laws = tmp_path / "laws.json"
+    laws.write_text(json.dumps(doc))
+    proc = run(
+        "predict", "--method", method, "--n", "1e9", "--d", "1e10", "--loss", "2.5",
+        "--laws", str(laws), expect=2,
+    )  # fmt: skip
+    assert proc.stderr.startswith(b"error:")
+    assert message in proc.stderr.decode()
 
 
 def test_predict_law_override_overflow_exit_3(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hpscale import (
     ArgumentError,
     AuxInputs,
-    ComputeBudget,
     DomainError,
     GridSpec,
     ModelScale,
@@ -20,6 +19,7 @@ from hpscale import (
     snap_to_grid,
     step_law,
 )
+from hpscale.laws import _POSITIVE_FIELDS, DEFAULT_LAWS, LAW_METHODS
 
 # Expected values frozen from 50-digit evaluation of the closed forms.
 STEP_CASES = [
@@ -91,9 +91,7 @@ def test_porian_frozen_point():
 
 
 def test_deepseek_frozen_point():
-    pred = baseline_predict(
-        "deepseek", ModelScale(1e9, 1e10), budget=ComputeBudget(1e20)
-    )
+    pred = baseline_predict("deepseek", ModelScale(1e9, 1e10), budget=1e20)
     assert pred.lr == pytest.approx(1.0081341180616793e-3, rel=1e-12)
     assert pred.bs_tokens == pytest.approx(1017144.9599051544, rel=1e-12)
 
@@ -174,13 +172,13 @@ def test_unknown_method_quotes_a_short_excerpt():
 
 
 def test_compute_budget_default_factor():
-    assert compute_budget(ModelScale(1e9, 1e10)).flops == pytest.approx(6e19)
+    assert compute_budget(ModelScale(1e9, 1e10)) == pytest.approx(6e19)
 
 
 def test_compute_budget_active_params():
     scale = ModelScale(6.51e9, 1e10, n_active=7.26e8)
     budget = compute_budget(scale, use_active=True)
-    assert budget.flops == pytest.approx(4.356e19, rel=1e-12)
+    assert budget == pytest.approx(4.356e19, rel=1e-12)
     pred = baseline_predict("deepseek", scale, budget=budget)
     assert pred.lr == pytest.approx(1.118490574969613e-3, rel=1e-12)
 
@@ -357,19 +355,19 @@ def test_law_overrides_nested():
             "meituan": {"lambda": 0.01, "alpha": 2.0, "lambda_b": 1e5, "alpha_b": 0.5},
         }
     )
-    assert laws.step.c == 2.0
-    assert laws.microsoft.coef == 1.0e-3
-    assert laws.microsoft.n_exp == -0.23  # untouched default
+    assert laws["step"]["c"] == 2.0
+    assert laws["microsoft"]["coef"] == 1.0e-3
+    assert laws["microsoft"]["n_exp"] == -0.23  # untouched default
     assert aux.meituan_params == (0.01, 2.0, 1e5, 0.5)
-    pred = step_law(ModelScale(1.0, 1.0), laws.step)
+    pred = step_law(ModelScale(1.0, 1.0), laws["step"])
     assert pred.lr == pytest.approx(2.0, rel=1e-14)
 
 
 def test_law_overrides_flat_fit_document():
     doc = {"c": 1.5, "alpha": -0.7, "beta": 0.3, "d": 0.6, "gamma": 0.55, "seed": 1}
     laws, _ = load_law_overrides(json.dumps(doc).encode("utf-8"))
-    assert laws.step.c == 1.5
-    assert laws.step.gamma == 0.55
+    assert laws["step"]["c"] == 1.5
+    assert laws["step"]["gamma"] == 0.55
 
 
 def test_law_overrides_errors():
@@ -386,14 +384,72 @@ def test_law_overrides_errors():
     for bad in ("abc", None, [1.0], {"x": 1}, math.nan, math.inf, "inf", 10**400, "2", True):
         with pytest.raises(ArgumentError, match="finite number"):
             law_overrides_from_dict({"step": {"beta": bad}})
-    for law, key in (("step", "c"), ("step", "d"), ("openai", "slope"),
-                     ("microsoft", "coef"), ("porian", "bs_coef")):
-        for bad in (0, -1.5):
-            with pytest.raises(ArgumentError, match="positive"):
-                law_overrides_from_dict({law: {key: bad}})
-    # exponents and the openai intercept may be zero or negative
-    laws, _ = law_overrides_from_dict({"step": {"alpha": 0}, "openai": {"intercept": -1}})
-    assert laws.step.alpha == 0.0 and laws.openai.intercept == -1.0
+
+
+# --- the coefficient table ------------------------------------------------------
+
+_TABLE_KEYS = [(law, key) for law, params in DEFAULT_LAWS.items() for key in params]
+_PUBLISHED = {law: dict(params) for law, params in DEFAULT_LAWS.items()}
+_AT = ModelScale(1e9, 1e10)
+
+
+def _predict(law, laws=None):
+    aux = AuxInputs(expected_loss=2.5)
+    pred = baseline_predict(law, _AT, compute_budget(_AT), aux, laws)
+    return pred.lr, pred.bs_tokens
+
+
+def test_table_holds_every_law_but_meituan():
+    # meituan has no published defaults: its coefficients come in AuxInputs
+    assert tuple(DEFAULT_LAWS) == LAW_METHODS[:-1]
+    assert dict(DEFAULT_LAWS["step"]) == {
+        "c": 1.79, "alpha": -0.713, "beta": 0.307, "d": 0.58, "gamma": 0.571
+    }  # fmt: skip
+
+
+@pytest.mark.parametrize("law,key", _TABLE_KEYS)
+def test_override_sign_rule_for_every_table_key(law, key):
+    for value in (0, -1.5):
+        if key in _POSITIVE_FIELDS:
+            with pytest.raises(ArgumentError, match=f"^{law}.{key} must be a positive finite"):
+                law_overrides_from_dict({law: {key: value}})
+        else:  # exponents and the openai intercept may be zero or negative
+            laws, _ = law_overrides_from_dict({law: {key: value}})
+            assert laws[law][key] == value
+
+
+@pytest.mark.parametrize("law,key", _TABLE_KEYS)
+def test_every_table_key_is_read(law, key):
+    laws, _ = law_overrides_from_dict({law: {key: DEFAULT_LAWS[law][key] * 1.01}})
+    assert _predict(law, laws) != _predict(law)
+    assert {name: dict(params) for name, params in DEFAULT_LAWS.items()} == _PUBLISHED
+
+
+def test_law_tables_are_read_only():
+    laws, _ = law_overrides_from_dict({"step": {"c": 2.0}})
+    for table in (DEFAULT_LAWS, laws):
+        with pytest.raises(TypeError):
+            table["step"] = {"c": 3.0}
+        with pytest.raises(TypeError):
+            table["step"]["c"] = 3.0
+    assert laws["step"]["c"] == 2.0
+    assert DEFAULT_LAWS["step"]["c"] == 1.79
+
+
+def test_meituan_override_rejects_unknown_keys():
+    doc = {"meituan": {"lambda": 0.01, "alpha": 2, "lambda_b": 1e5, "alpha_b": 0.5, "lamda": 7}}
+    with pytest.raises(ArgumentError, match=r"^unknown keys \['lamda'\] for law 'meituan'$"):
+        law_overrides_from_dict(doc)
+
+
+def test_flat_fit_document_naming_a_law_is_refused():
+    flat = {"c": 1.79, "alpha": -0.713, "beta": 0.307, "d": 0.58, "gamma": 0.571}
+    for law in LAW_METHODS:
+        with pytest.raises(ArgumentError, match=f"law '{law}'"):
+            law_overrides_from_dict({**flat, law: {}})
+    # the other keys of a fit result are not laws, and stay ignored
+    laws, _ = law_overrides_from_dict({**flat, "ci": {}, "meta": {}, "seed": 1, "redraws": 0})
+    assert dict(laws["step"]) == flat
 
 
 @pytest.mark.parametrize("alpha", [1e5, -1e5])

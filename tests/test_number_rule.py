@@ -17,13 +17,13 @@ from hpscale import (
     load_observations,
     load_surface,
     AuxInputs,
-    ComputeBudget,
     GridSpec,
     ModelScale,
     ObservationSpec,
     OptimumObservation,
     Prediction,
     SurfaceSpec,
+    baseline_predict,
     compute_budget,
     generate_surface,
     interpolate_loss,
@@ -86,7 +86,8 @@ _FIELDS = [
     ("ModelScale", "n_params", "positive", lambda v: ModelScale(v, 1e10)),
     ("ModelScale", "d_tokens", "positive", lambda v: ModelScale(1e9, v)),
     ("ModelScale", "n_active", "positive", lambda v: ModelScale(1e9, 1e10, n_active=v)),
-    ("ComputeBudget", "flops", "positive", lambda v: ComputeBudget(v)),
+    ("baseline_predict", "flops", "positive",
+     lambda v: baseline_predict("deepseek", ModelScale(1e9, 1e10), budget=v)),
     ("compute_budget", "flops_factor", "positive",
      lambda v: compute_budget(ModelScale(1e9, 1e10), v)),
     ("AuxInputs", "expected_loss", "positive", lambda v: AuxInputs(expected_loss=v)),

@@ -16,7 +16,7 @@ EXPORTS = {
     "bootstrap_fit", "fit_bs_law", "fit_lr_law", "load_observations",
     "observations_to_csv", "ols",
     # laws
-    "AuxInputs", "ComputeBudget", "GridSpec", "LawLibrary", "ModelScale", "Prediction",
+    "AuxInputs", "GridSpec", "ModelScale", "Prediction",
     "baseline_predict", "compute_budget", "law_overrides_from_dict", "load_law_overrides",
     "snap_to_grid", "step_law",
     # stats
