@@ -20,10 +20,7 @@ from .errors import (
     SingularityError,
 )
 from .fitting import (
-    BsLawFit,
     FitResult,
-    LrLawFit,
-    OlsSolution,
     OptimumObservation,
     bootstrap_fit,
     fit_bs_law,

@@ -11,6 +11,9 @@ forms
 bootstrap_fit resamples whole observations with replacement, refits both
 laws per resample, averages the per-resample (log c, alpha, beta, log d,
 gamma), and reports empirical 2.5/97.5 percentile confidence bands.
+fit_lr_law and fit_bs_law return one point fit as a dict under the same
+names (log_c, alpha, beta; log_d, gamma), and ols returns its solution
+and goodness-of-fit numbers as a dict.
 
 Every fit reads one table, _log_table: math.log of (N, D, lr, bs), rows
 sorted by the raw values, so results are bit-identical under input
@@ -32,9 +35,11 @@ of the learning-rate law with log N and log D swapped; its coefficients
 are put back in (log c, alpha, beta) order.
 
 One generator, seeded with the bootstrap seed, draws the whole index
-matrix (resample_indices). The whole sample must pass the learning-rate
-fit first, so a rank-deficient sample raises SingularityError at once;
-a rank-deficient resample is drawn again.
+matrix (resample_indices), of at most MAX_BOOTSTRAP_CELLS resamples x
+observations; a larger bootstrap is refused before anything is drawn.
+The whole sample must pass the learning-rate fit first, so a
+rank-deficient sample raises SingularityError at once; a rank-deficient
+resample is drawn again.
 """
 
 from __future__ import annotations
@@ -58,6 +63,11 @@ from .errors import (
 
 DEFAULT_RESAMPLES = 1000
 MAX_RESAMPLES = 100_000
+# resamples x observations: the bootstrap peaks at 80-90 bytes per cell, so
+# this bounds it near 350 MB and admits MAX_RESAMPLES of the paper's 30
+MAX_BOOTSTRAP_CELLS = 4_000_000
+_LR_NAMES = ("log_c", "alpha", "beta")
+_BS_NAMES = ("log_d", "gamma")
 _MAX_REDRAWS = 10
 _RANK_TOL = 1e-10
 
@@ -79,45 +89,6 @@ class OptimumObservation:
     def __post_init__(self):
         for name in ("n_params", "d_tokens", "opt_lr", "opt_bs_tokens"):
             check_number(getattr(self, name), name, "positive")
-
-
-@dataclass(frozen=True)
-class OlsSolution:
-    """Least-squares solution with the usual goodness-of-fit numbers."""
-
-    coefficients: tuple[float, ...]
-    residuals: tuple[float, ...]
-    rss: float
-    standard_errors: tuple[float, ...]
-    r_squared: float
-    adjusted_r_squared: float
-    n_obs: int
-    n_coeffs: int
-
-    @property
-    def df_resid(self) -> int:
-        return self.n_obs - self.n_coeffs
-
-
-@dataclass(frozen=True)
-class LrLawFit:
-    log_c: float
-    alpha: float
-    beta: float
-
-    @property
-    def c(self) -> float:
-        return math.exp(self.log_c)
-
-
-@dataclass(frozen=True)
-class BsLawFit:
-    log_d: float
-    gamma: float
-
-    @property
-    def d(self) -> float:
-        return math.exp(self.log_d)
 
 
 @dataclass(frozen=True)
@@ -244,11 +215,13 @@ def _least_squares(cols):
     return coeffs[0], scaled[0], exponents
 
 
-def ols(design, response) -> OlsSolution:
+def ols(design, response) -> dict:
     """Least squares of response on a design matrix with intercept column.
 
-    Needs finite numbers, at least one column, more rows than columns and
-    full column rank.
+    Returns a dict of coefficients, residuals, rss, standard_errors,
+    r_squared, adjusted_r_squared, n_obs and df_resid (n_obs minus the
+    number of columns). Needs finite numbers, at least one column, more
+    rows than columns and full column rank.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -279,16 +252,16 @@ def ols(design, response) -> OlsSolution:
     # a constant y has TSS 0, though its float mean can miss it by an ulp
     tss = float(np.sum((y - y.mean()) ** 2)) if np.ptp(y) > 0 else 0.0
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
-    return OlsSolution(
-        coefficients=tuple(coeffs.tolist()),
-        residuals=tuple(resid.tolist()),
-        rss=rss,
-        standard_errors=tuple(se.tolist()),
-        r_squared=r2,
-        adjusted_r_squared=1.0 - (1.0 - r2) * (n - 1) / df,
-        n_obs=n,
-        n_coeffs=p,
-    )
+    return {
+        "coefficients": tuple(coeffs.tolist()),
+        "residuals": tuple(resid.tolist()),
+        "rss": rss,
+        "standard_errors": tuple(se.tolist()),
+        "r_squared": r2,
+        "adjusted_r_squared": 1.0 - (1.0 - r2) * (n - 1) / df,
+        "n_obs": n,
+        "df_resid": df,
+    }
 
 
 # --- law fits ---------------------------------------------------------------
@@ -312,14 +285,14 @@ def _bs_design(table):
     return np.vstack([np.ones(len(table)), table[:, 1::2].T])
 
 
-def fit_lr_law(obs) -> LrLawFit:
-    """Point estimate of (log c, alpha, beta) from observed optima."""
+def fit_lr_law(obs) -> dict:
+    """Point estimate {"log_c", "alpha", "beta"} from observed optima."""
     coeffs = _least_squares(_lr_design(_log_table(obs)))[0]
-    return LrLawFit(*coeffs.tolist())
+    return dict(zip(_LR_NAMES, coeffs.tolist()))
 
 
-def fit_bs_law(obs) -> BsLawFit:
-    """Point estimate of (log d, gamma) from observed optima.
+def fit_bs_law(obs) -> dict:
+    """Point estimate {"log_d", "gamma"} from observed optima.
 
     Two observations with distinct D give the exact line through both
     points; more observations are fitted by least squares.
@@ -328,7 +301,7 @@ def fit_bs_law(obs) -> BsLawFit:
     if np.ptp(table[:, 1]) == 0:
         raise DegenerateDesignError("batch-size law needs >= 2 distinct D")
     coeffs = _least_squares(_bs_design(table))[0]
-    return BsLawFit(*coeffs.tolist())
+    return dict(zip(_BS_NAMES, coeffs.tolist()))
 
 
 # --- bootstrap ---------------------------------------------------------------
@@ -370,8 +343,9 @@ def bootstrap_fit(obs, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Fit
     resamples (design rank below 3, which covers the all-same-N and
     all-same-D cases) are redrawn from that generator, up to 10 times,
     keeping the resample count intact; FitResult.redraws counts them.
-    resamples must be an integer (not a bool) in 1..MAX_RESAMPLES, checked
-    before anything is allocated.
+    resamples must be an integer (not a bool) in 1..MAX_RESAMPLES, and
+    resamples x observations at most MAX_BOOTSTRAP_CELLS, both checked
+    before any resample is drawn.
 
     Each resample is fitted by one _qr_r of its rows of [1, log D, log N |
     log lr, log bs] (see the module docstring), every resample at once,
@@ -389,6 +363,12 @@ def bootstrap_fit(obs, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Fit
         )
     check_seed(seed)
     table = _log_table(obs)
+    cells = resamples * len(table)
+    if cells > MAX_BOOTSTRAP_CELLS:
+        raise ArgumentError(
+            f"{resamples:,} resamples x {len(table):,} observations = {cells:,} "
+            f"cells exceeds the bootstrap limit of {MAX_BOOTSTRAP_CELLS:,}"
+        )
     _least_squares(_lr_design(table))
 
     cols = np.vstack([np.ones(len(table)), table[:, [1, 0, 2, 3]].T])
@@ -407,7 +387,7 @@ def bootstrap_fit(obs, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Fit
 
     means = params.mean(axis=0)
     lo, hi = np.percentile(params, [2.5, 97.5], axis=0)
-    names = ("log_c", "alpha", "beta", "log_d", "gamma")
+    names = _LR_NAMES + _BS_NAMES
     c, d = _exp(means[0], "fitted c"), _exp(means[3], "fitted d")
     ci = {}
     for k, name in enumerate(names):

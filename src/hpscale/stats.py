@@ -9,14 +9,14 @@ values: regress the `full_model` section (for logN and logD), and
 compare_formulations the body of the `stats` report, which takes regress's
 section as its full_model unchanged; the command adds only its meta.
 
-Every F statistic is one nested test (_f_test); a regression's own F
-tests it against the intercept-only model. A model fits exactly when its
-R-squared rounds to 1 (R-squared is 1 for a constant response). An exact
-full model gives F = inf and p = 0, or F = 0 and p = 1 when the
-restricted model is exact too, so exactly law-consistent data never
-turns rounding noise into significance. Otherwise F is the usual ratio of
-the RSS drop per dropped predictor to the full model's residual variance,
-clamped at 0 against rounding.
+Every F statistic is one nested test (_f_test) of two fitting.ols
+dicts; a regression's own F tests it against the intercept-only model. A
+model fits exactly when its R-squared rounds to 1 (R-squared is 1 for a
+constant response). An exact full model gives F = inf and p = 0, or F = 0
+and p = 1 when the restricted model is exact too, so exactly
+law-consistent data never turns rounding noise into significance.
+Otherwise F is the usual ratio of the RSS drop per dropped predictor to
+the full model's residual variance, clamped at 0 against rounding.
 
 The Student-t and F reference distributions are evaluated through a
 regularized incomplete beta function implemented here (continued
@@ -155,14 +155,16 @@ def f_sf(f: float, df1: float, df2: float) -> float:
 
 def _f_test(restricted, full) -> tuple[float, float]:
     """F statistic and p-value of `full` against a `restricted` model it
-    nests, each with rss, r_squared and df_resid (exact-fit rule above)."""
-    q = restricted.df_resid - full.df_resid
-    if full.r_squared >= 1.0:
-        f_stat = 0.0 if restricted.r_squared >= 1.0 else math.inf
+    nests: ols dicts, of which it reads rss, r_squared and df_resid
+    (exact-fit rule above)."""
+    df = full["df_resid"]
+    q = restricted["df_resid"] - df
+    if full["r_squared"] >= 1.0:
+        f_stat = 0.0 if restricted["r_squared"] >= 1.0 else math.inf
     else:
-        f_stat = ((restricted.rss - full.rss) / q) / (full.rss / full.df_resid)
+        f_stat = ((restricted["rss"] - full["rss"]) / q) / (full["rss"] / df)
         f_stat = max(f_stat, 0.0)  # guard fp noise when RSS values are equal
-    return f_stat, f_sf(f_stat, q, full.df_resid)
+    return f_stat, f_sf(f_stat, q, df)
 
 
 def regress(predictors, obs) -> dict:
@@ -177,8 +179,8 @@ def regress(predictors, obs) -> dict:
 
 
 def _regress(predictors, obs):
-    """regress's section and the OlsSolution it was built from, whose rss
-    and df_resid the nested F-tests read."""
+    """regress's section and the ols dict it was built from, whose rss,
+    r_squared and df_resid the nested F-tests read."""
     preds = tuple(predictors)
     if not preds:
         raise ArgumentError("at least one predictor is required")
@@ -195,10 +197,11 @@ def _regress(predictors, obs):
     )
     y = table[:, 3]
     sol = ols(design, y)
-    df = sol.df_resid
+    df = sol["df_resid"]
     t_crit = student_t_critical(0.05, df)
     rows = []
-    for name, coef, se in zip(("intercept",) + preds, sol.coefficients, sol.standard_errors):
+    names = ("intercept",) + preds
+    for name, coef, se in zip(names, sol["coefficients"], sol["standard_errors"]):
         if se > 0:
             t = coef / se
         else:
@@ -215,9 +218,9 @@ def _regress(predictors, obs):
         )
     f_stat, f_pvalue = _f_test(ols(design[:, :1], y), sol)
     return {
-        "n": sol.n_obs,
-        "r_squared": sol.r_squared,
-        "adjusted_r_squared": sol.adjusted_r_squared,
+        "n": sol["n_obs"],
+        "r_squared": sol["r_squared"],
+        "adjusted_r_squared": sol["adjusted_r_squared"],
         "f_statistic": f_stat,
         "f_pvalue": f_pvalue,
         "predictors": rows,

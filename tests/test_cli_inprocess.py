@@ -17,11 +17,18 @@ import stat
 import subprocess
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG3_PATH, LATTICE_D, LATTICE_N, fuzz_examples
+from conftest import (
+    FIG3_PATH,
+    LATTICE_D,
+    LATTICE_N,
+    fuzz_examples,
+    independent_n_observations,
+)
 from hpscale import (
     analyze_report,
     bootstrap_fit,
@@ -31,6 +38,7 @@ from hpscale import (
     convexity_report,
     interpolate_loss,
     load_surface,
+    observations_to_csv,
     plateau,
 )
 from hpscale import surface as surface_module
@@ -622,6 +630,18 @@ def test_fit_resample_cap_is_stated_and_enforced(inputs):
             "fit", f"--observations={inputs['obs']}", f"--bootstrap={count}"
         )
         assert rc == 2 and stdout == b"" and "between 1 and 100,000" in stderr
+
+
+def test_fit_bootstrap_past_the_cell_limit_exit_2(tmp_path, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a resample was drawn")
+
+    path = tmp_path / "wide.csv"
+    path.write_text(observations_to_csv(independent_n_observations(0, n=3000)))
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    rc, stdout, stderr = main_inprocess("fit", f"--observations={path}", "--bootstrap=100000")
+    assert rc == 2 and stdout == b"" and stderr.startswith("error: ")
+    assert "300,000,000 cells exceeds the bootstrap limit" in stderr
 
 
 @pytest.mark.parametrize("flag,value", [("--d", "inf"), ("--n", "nan"), ("--n", "inf")])

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -9,7 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import LATTICE_D, LATTICE_N, LAW_COEFFS, fuzz_examples
+from conftest import (
+    LATTICE_D,
+    LATTICE_N,
+    LAW_COEFFS,
+    fuzz_examples,
+    independent_n_observations,
+)
 from hpscale import (
     ArgumentError,
     BootstrapFailureError,
@@ -27,7 +34,13 @@ from hpscale import (
     ols,
 )
 from hpscale import errors, fitting
-from hpscale.fitting import MAX_RESAMPLES, _qr_r, _solve, resample_indices
+from hpscale.fitting import (
+    MAX_BOOTSTRAP_CELLS,
+    MAX_RESAMPLES,
+    _qr_r,
+    _solve,
+    resample_indices,
+)
 
 
 def canonical(obs):
@@ -50,9 +63,9 @@ def test_ols_exact_fit():
     x = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     design = np.column_stack([np.ones(5), x])
     sol = ols(design, 2.0 + 3.0 * x)
-    assert sol.coefficients == pytest.approx((2.0, 3.0), abs=1e-12)
-    assert sol.rss == pytest.approx(0.0, abs=1e-20)
-    assert sol.r_squared == pytest.approx(1.0)
+    assert sol["coefficients"] == pytest.approx((2.0, 3.0), abs=1e-12)
+    assert sol["rss"] == pytest.approx(0.0, abs=1e-20)
+    assert sol["r_squared"] == pytest.approx(1.0)
 
 
 def test_ols_planted_orthogonal_residuals():
@@ -63,9 +76,9 @@ def test_ols_planted_orthogonal_residuals():
     assert (resid @ x) == pytest.approx(0.0, abs=1e-15)
     design = np.column_stack([np.ones(4), x])
     sol = ols(design, 2.0 + 3.0 * x + resid)
-    assert sol.coefficients == pytest.approx((2.0, 3.0), abs=1e-12)
-    assert np.asarray(sol.residuals) == pytest.approx(resid, abs=1e-12)
-    assert sol.rss == pytest.approx(float(resid @ resid), rel=1e-10)
+    assert sol["coefficients"] == pytest.approx((2.0, 3.0), abs=1e-12)
+    assert np.asarray(sol["residuals"]) == pytest.approx(resid, abs=1e-12)
+    assert sol["rss"] == pytest.approx(float(resid @ resid), rel=1e-10)
 
 
 def test_ols_residuals_orthogonal_to_design():
@@ -73,7 +86,7 @@ def test_ols_residuals_orthogonal_to_design():
     design = np.column_stack([np.ones(30), rng.normal(size=30), rng.normal(size=30)])
     y = rng.normal(size=30)
     sol = ols(design, y)
-    resid = np.asarray(sol.residuals)
+    resid = np.asarray(sol["residuals"])
     for col in design.T:
         denom = np.linalg.norm(col) * max(np.linalg.norm(resid), 1e-30)
         assert abs(col @ resid) / denom <= 1e-8
@@ -87,10 +100,14 @@ def test_ols_design_past_the_square_root_of_the_largest_float(b):
     y = [1.0, 2.0, 3.0, 4.0]
     base = ols(design, y)
     big = ols(design * b, y)
-    assert np.array(big.coefficients) * b == pytest.approx(base.coefficients, rel=0, abs=2e-15)
-    assert big.rss == pytest.approx(base.rss, rel=1e-13)
+    assert np.array(big["coefficients"]) * b == pytest.approx(
+        base["coefficients"], rel=0, abs=2e-15
+    )
+    assert big["rss"] == pytest.approx(base["rss"], rel=1e-13)
     # R^-1 is taken of the scaled R, so no squared entry of it underflows
-    assert np.array(big.standard_errors) * b == pytest.approx(base.standard_errors, rel=1e-14)
+    assert np.array(big["standard_errors"]) * b == pytest.approx(
+        base["standard_errors"], rel=1e-14
+    )
 
 
 def test_ols_offset_column_keeps_its_standard_errors():
@@ -100,7 +117,8 @@ def test_ols_offset_column_keeps_its_standard_errors():
     y = 1.0 + 0.3 * k + np.sin(k)
     offset = ols(np.column_stack([np.ones(8), 1e12 + 10.0 * k]), y)
     centred = ols(np.column_stack([np.ones(8), 10.0 * (k - 3.5)]), y)
-    assert offset.standard_errors[1] == pytest.approx(centred.standard_errors[1], rel=1e-5)
+    se, centred_se = offset["standard_errors"][1], centred["standard_errors"][1]
+    assert se == pytest.approx(centred_se, rel=1e-5)
 
 
 def test_ols_duplicate_column_is_singular():
@@ -121,10 +139,10 @@ def test_ols_standard_errors_match_closed_form():
     y = np.array([0.1, 1.2, 1.9, 3.2, 3.8, 5.1])
     design = np.column_stack([np.ones(6), x])
     sol = ols(design, y)
-    resid = np.asarray(sol.residuals)
+    resid = np.asarray(sol["residuals"])
     sigma2 = float(resid @ resid) / 4
     sxx = float(((x - x.mean()) ** 2).sum())
-    assert sol.standard_errors[1] == pytest.approx(math.sqrt(sigma2 / sxx), rel=1e-10)
+    assert sol["standard_errors"][1] == pytest.approx(math.sqrt(sigma2 / sxx), rel=1e-10)
 
 
 def test_ols_too_few_rows_is_a_degenerate_design():
@@ -239,15 +257,15 @@ def test_qr_r_of_a_matrix_does_not_depend_on_its_stack():
 
 def test_fit_lr_law_noiseless_recovery():
     fit = fit_lr_law(lattice_obs())
-    assert fit.alpha == pytest.approx(LAW_COEFFS["alpha"], abs=1e-9)
-    assert fit.beta == pytest.approx(LAW_COEFFS["beta"], abs=1e-9)
-    assert fit.c == pytest.approx(LAW_COEFFS["c"], rel=1e-9)
+    assert fit["alpha"] == pytest.approx(LAW_COEFFS["alpha"], abs=1e-9)
+    assert fit["beta"] == pytest.approx(LAW_COEFFS["beta"], abs=1e-9)
+    assert math.exp(fit["log_c"]) == pytest.approx(LAW_COEFFS["c"], rel=1e-9)
 
 
 def test_fit_lr_law_with_noise_lands_near_truth():
     fit = fit_lr_law(lattice_obs(noise_sigma=0.05, seed=7))
-    assert fit.alpha == pytest.approx(LAW_COEFFS["alpha"], abs=0.03)
-    assert fit.beta == pytest.approx(LAW_COEFFS["beta"], abs=0.03)
+    assert fit["alpha"] == pytest.approx(LAW_COEFFS["alpha"], abs=0.03)
+    assert fit["beta"] == pytest.approx(LAW_COEFFS["beta"], abs=0.03)
 
 
 def test_fit_lr_law_noise_spread_over_seeds():
@@ -255,8 +273,8 @@ def test_fit_lr_law_noise_spread_over_seeds():
     devs = []
     for seed in range(40):
         fit = fit_lr_law(lattice_obs(noise_sigma=0.05, seed=seed))
-        devs.append(max(abs(fit.alpha - LAW_COEFFS["alpha"]),
-                        abs(fit.beta - LAW_COEFFS["beta"])))
+        devs.append(max(abs(fit["alpha"] - LAW_COEFFS["alpha"]),
+                        abs(fit["beta"] - LAW_COEFFS["beta"])))
     assert sum(d <= 0.03 for d in devs) >= 38
 
 
@@ -282,8 +300,8 @@ def test_fit_lr_law_collinear_rows_are_singular():
 
 def test_fit_bs_law_noiseless_recovery():
     fit = fit_bs_law(lattice_obs())
-    assert fit.gamma == pytest.approx(LAW_COEFFS["gamma"], abs=1e-9)
-    assert fit.d == pytest.approx(LAW_COEFFS["d"], rel=1e-9)
+    assert fit["gamma"] == pytest.approx(LAW_COEFFS["gamma"], abs=1e-9)
+    assert math.exp(fit["log_d"]) == pytest.approx(LAW_COEFFS["d"], rel=1e-9)
 
 
 def test_fit_bs_law_snap_quantized_data():
@@ -294,7 +312,7 @@ def test_fit_bs_law_snap_quantized_data():
         snap=True,
     )
     fit = fit_bs_law(generate_observations(spec))
-    assert fit.gamma == pytest.approx(LAW_COEFFS["gamma"], abs=0.05)
+    assert fit["gamma"] == pytest.approx(LAW_COEFFS["gamma"], abs=0.05)
 
 
 def test_fit_bs_law_two_points_exact_line():
@@ -304,7 +322,7 @@ def test_fit_bs_law_two_points_exact_line():
     ]
     fit = fit_bs_law(obs)
     for o in obs:
-        predicted = fit.log_d + fit.gamma * math.log(o.d_tokens)
+        predicted = fit["log_d"] + fit["gamma"] * math.log(o.d_tokens)
         assert predicted == pytest.approx(math.log(o.opt_bs_tokens), abs=1e-12)
 
 
@@ -319,7 +337,7 @@ def test_fits_invariant_to_observation_order():
     shuffled = obs[:]
     random.Random(99).shuffle(shuffled)
     a, b = fit_lr_law(obs), fit_lr_law(shuffled)
-    assert (a.log_c, a.alpha, a.beta) == (b.log_c, b.alpha, b.beta)  # bit-identical
+    assert a == b  # bit-identical
     fa, fb = bootstrap_fit(obs, 50, seed=5), bootstrap_fit(shuffled, 50, seed=5)
     assert (fa.c, fa.alpha, fa.beta, fa.d, fa.gamma) == (
         fb.c, fb.alpha, fb.beta, fb.d, fb.gamma
@@ -334,12 +352,12 @@ def test_rescaling_d_shifts_only_intercepts():
         for o in obs
     ]
     a, b = fit_lr_law(obs), fit_lr_law(rescaled)
-    assert b.alpha == pytest.approx(a.alpha, abs=1e-10)
-    assert b.beta == pytest.approx(a.beta, abs=1e-10)
-    assert b.log_c == pytest.approx(a.log_c - a.beta * math.log(k), abs=1e-9)
+    assert b["alpha"] == pytest.approx(a["alpha"], abs=1e-10)
+    assert b["beta"] == pytest.approx(a["beta"], abs=1e-10)
+    assert b["log_c"] == pytest.approx(a["log_c"] - a["beta"] * math.log(k), abs=1e-9)
     ba, bb = fit_bs_law(obs), fit_bs_law(rescaled)
-    assert bb.gamma == pytest.approx(ba.gamma, abs=1e-10)
-    assert bb.log_d == pytest.approx(ba.log_d - ba.gamma * math.log(k), abs=1e-9)
+    assert bb["gamma"] == pytest.approx(ba["gamma"], abs=1e-10)
+    assert bb["log_d"] == pytest.approx(ba["log_d"] - ba["gamma"] * math.log(k), abs=1e-9)
 
 
 # --- bootstrap ----------------------------------------------------------------
@@ -349,11 +367,11 @@ def test_bootstrap_noiseless_zero_variance():
     obs = lattice_obs()
     result = bootstrap_fit(obs, 1000, seed=42)
     single_lr, single_bs = fit_lr_law(obs), fit_bs_law(obs)
-    assert result.alpha == pytest.approx(single_lr.alpha, abs=1e-12)
-    assert result.beta == pytest.approx(single_lr.beta, abs=1e-12)
-    assert result.gamma == pytest.approx(single_bs.gamma, abs=1e-12)
-    assert result.c == pytest.approx(single_lr.c, rel=1e-12)
-    assert result.d == pytest.approx(single_bs.d, rel=1e-12)
+    assert result.alpha == pytest.approx(single_lr["alpha"], abs=1e-12)
+    assert result.beta == pytest.approx(single_lr["beta"], abs=1e-12)
+    assert result.gamma == pytest.approx(single_bs["gamma"], abs=1e-12)
+    assert result.c == pytest.approx(math.exp(single_lr["log_c"]), rel=1e-12)
+    assert result.d == pytest.approx(math.exp(single_bs["log_d"]), rel=1e-12)
     for lo, hi in result.ci.values():
         assert hi - lo <= 1e-9
 
@@ -419,9 +437,9 @@ def test_bootstrap_matches_per_resample_ols_fits():
         resample = [items[j] for j in idx]
         lr_fit = fit_lr_law(resample)
         bs_fit = fit_bs_law(resample)
-        assert result.samples["alpha"][i] == pytest.approx(lr_fit.alpha, abs=1e-10)
-        assert result.samples["beta"][i] == pytest.approx(lr_fit.beta, abs=1e-10)
-        assert result.samples["gamma"][i] == pytest.approx(bs_fit.gamma, abs=1e-10)
+        assert result.samples["alpha"][i] == pytest.approx(lr_fit["alpha"], abs=1e-10)
+        assert result.samples["beta"][i] == pytest.approx(lr_fit["beta"], abs=1e-10)
+        assert result.samples["gamma"][i] == pytest.approx(bs_fit["gamma"], abs=1e-10)
         # and against a solver that shares no code with the fitter
         logs = np.log([[o.n_params, o.d_tokens, o.opt_lr, o.opt_bs_tokens] for o in resample])
         ones = np.ones(len(resample))
@@ -462,9 +480,9 @@ def test_bootstrap_redraws_degenerate_resamples():
     for i, idx in enumerate(indices):
         resample = [items[j] for j in idx]
         lr_fit, bs_fit = fit_lr_law(resample), fit_bs_law(resample)
-        assert result.samples["alpha"][i] == pytest.approx(lr_fit.alpha, abs=1e-10)
-        assert result.samples["beta"][i] == pytest.approx(lr_fit.beta, abs=1e-10)
-        assert result.samples["gamma"][i] == pytest.approx(bs_fit.gamma, abs=1e-10)
+        assert result.samples["alpha"][i] == pytest.approx(lr_fit["alpha"], abs=1e-10)
+        assert result.samples["beta"][i] == pytest.approx(lr_fit["beta"], abs=1e-10)
+        assert result.samples["gamma"][i] == pytest.approx(bs_fit["gamma"], abs=1e-10)
 
 
 @given(
@@ -496,6 +514,35 @@ def test_bootstrap_rejects_too_many_resamples_before_drawing(monkeypatch):
     for resamples in (MAX_RESAMPLES + 1, 10**9, 10**30, 0, 10.5, 10.0, True, "10", None):
         with pytest.raises(ArgumentError, match="an integer between 1 and 100,000"):
             bootstrap_fit(obs, resamples, seed=1)
+
+
+def test_bootstrap_past_the_cell_limit_is_refused_before_allocating(monkeypatch):
+    # 100,000 resamples of 3,000 observations would draw a 2.4 GB index matrix
+    def no_draws(*args):
+        raise AssertionError("a resample was drawn")
+
+    obs = independent_n_observations(0, n=3000)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    refused = ("100,000 resamples x 3,000 observations = 300,000,000 cells exceeds the "
+               "bootstrap limit of 4,000,000")  # fmt: skip
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArgumentError, match=refused):
+            bootstrap_fit(obs, MAX_RESAMPLES, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_bootstrap_at_the_cell_limit_is_kept(monkeypatch):
+    # the limit admits MAX_RESAMPLES resamples of the paper's 30 observations
+    assert MAX_RESAMPLES * 30 <= MAX_BOOTSTRAP_CELLS
+    obs = lattice_obs(noise_sigma=0.05, seed=1)
+    monkeypatch.setattr(fitting, "MAX_BOOTSTRAP_CELLS", 3 * len(obs))
+    assert bootstrap_fit(obs, 3, seed=0).resamples == 3
+    with pytest.raises(ArgumentError, match="4 resamples x 16 observations = 64 cells"):
+        bootstrap_fit(obs, 4, seed=0)
 
 
 def test_bootstrap_single_resample_degenerate_ci():
@@ -643,10 +690,16 @@ def test_bootstrap_mixed_batches_redraw_as_the_qr_rule_does(case, monkeypatch):
 def test_fit_results_hold_python_floats():
     obs = lattice_obs(noise_sigma=0.05, seed=2)
     sol = ols(np.column_stack([np.ones(6), np.arange(6.0)]), np.arange(6.0) ** 2)
-    values = [*sol.coefficients, *sol.residuals, *sol.standard_errors,
-              sol.rss, sol.r_squared, sol.adjusted_r_squared]  # fmt: skip
-    for fit in (fit_lr_law(obs), fit_bs_law(obs), fit_bs_law(obs[:2])):
-        values += dataclasses.astuple(fit)
+    assert list(sol) == ["coefficients", "residuals", "rss", "standard_errors", "r_squared",
+                         "adjusted_r_squared", "n_obs", "df_resid"]  # fmt: skip
+    assert [(type(sol[k]), sol[k]) for k in ("n_obs", "df_resid")] == [(int, 6), (int, 4)]
+    values = [*sol["coefficients"], *sol["residuals"], *sol["standard_errors"],
+              sol["rss"], sol["r_squared"], sol["adjusted_r_squared"]]  # fmt: skip
+    fits = (fit_lr_law(obs), fit_bs_law(obs), fit_bs_law(obs[:2]))
+    assert [list(fit) for fit in fits] == [["log_c", "alpha", "beta"], ["log_d", "gamma"],
+                                           ["log_d", "gamma"]]  # fmt: skip
+    for fit in fits:
+        values += fit.values()
         assert "np." not in repr(fit)
     assert "np." not in repr(sol)
     assert all(type(v) is float for v in values)

@@ -12,9 +12,8 @@ EXPORTS = {
     "ArgumentError", "BootstrapFailureError", "DegenerateDesignError", "DomainError",
     "GridShapeError", "HpscaleError", "OutOfHullError", "ParseError", "SingularityError",
     # fitting
-    "BsLawFit", "FitResult", "LrLawFit", "OlsSolution", "OptimumObservation",
-    "bootstrap_fit", "fit_bs_law", "fit_lr_law", "load_observations",
-    "observations_to_csv", "ols",
+    "FitResult", "OptimumObservation", "bootstrap_fit", "fit_bs_law", "fit_lr_law",
+    "load_observations", "observations_to_csv", "ols",
     # laws
     "AuxInputs", "GridSpec", "ModelScale", "Prediction",
     "baseline_predict", "compute_budget", "law_overrides_from_dict", "load_law_overrides",

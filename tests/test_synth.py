@@ -284,11 +284,11 @@ def test_round_trip_fit_recovers_spec_coefficients():
     spec = ObservationSpec(n_values=LATTICE_N, d_values=LATTICE_D)
     obs = generate_observations(spec)
     lr_fit, bs_fit = fit_lr_law(obs), fit_bs_law(obs)
-    assert lr_fit.alpha == pytest.approx(LAW_COEFFS["alpha"], abs=1e-9)
-    assert lr_fit.beta == pytest.approx(LAW_COEFFS["beta"], abs=1e-9)
-    assert lr_fit.c == pytest.approx(LAW_COEFFS["c"], rel=1e-9)
-    assert bs_fit.gamma == pytest.approx(LAW_COEFFS["gamma"], abs=1e-9)
-    assert bs_fit.d == pytest.approx(LAW_COEFFS["d"], rel=1e-9)
+    assert lr_fit["alpha"] == pytest.approx(LAW_COEFFS["alpha"], abs=1e-9)
+    assert lr_fit["beta"] == pytest.approx(LAW_COEFFS["beta"], abs=1e-9)
+    assert math.exp(lr_fit["log_c"]) == pytest.approx(LAW_COEFFS["c"], rel=1e-9)
+    assert bs_fit["gamma"] == pytest.approx(LAW_COEFFS["gamma"], abs=1e-9)
+    assert math.exp(bs_fit["log_d"]) == pytest.approx(LAW_COEFFS["d"], rel=1e-9)
 
 
 def test_round_trip_with_custom_coefficients():
@@ -298,8 +298,8 @@ def test_round_trip_with_custom_coefficients():
     )
     obs = generate_observations(spec)
     lr_fit, bs_fit = fit_lr_law(obs), fit_bs_law(obs)
-    assert lr_fit.alpha == pytest.approx(-0.5, abs=1e-9)
-    assert bs_fit.gamma == pytest.approx(0.4, abs=1e-9)
+    assert lr_fit["alpha"] == pytest.approx(-0.5, abs=1e-9)
+    assert bs_fit["gamma"] == pytest.approx(0.4, abs=1e-9)
 
 
 def test_spec_json_parsing():
