@@ -37,9 +37,13 @@ are put back in (log c, alpha, beta) order.
 One generator, seeded with the bootstrap seed, draws the whole index
 matrix (resample_indices), of at most MAX_BOOTSTRAP_CELLS resamples x
 observations; a larger bootstrap is refused before anything is drawn.
-The whole sample must pass the learning-rate fit first, so a
-rank-deficient sample raises SingularityError at once; a rank-deficient
-resample is drawn again.
+The resamples are gathered, factored and solved in blocks of at most
+_BLOCK_CELLS resamples x observations, so only the index matrix and the
+(resamples, 5) fits grow with the bootstrap; as each R depends only on
+its own matrix, the block size changes no bit. The whole sample must
+pass the learning-rate fit first, so a rank-deficient sample raises
+SingularityError at once; a rank-deficient resample is drawn again. The
+bands are read off one sort of the fits (_bands).
 """
 
 from __future__ import annotations
@@ -63,12 +67,16 @@ from .errors import (
 
 DEFAULT_RESAMPLES = 1000
 MAX_RESAMPLES = 100_000
-# resamples x observations: the bootstrap peaks at 80-90 bytes per cell, so
-# this bounds it near 350 MB and admits MAX_RESAMPLES of the paper's 30
+# resamples x observations: from 300,000 cells up the bootstrap peaks at 8-13
+# bytes per cell, most of them the index matrix's 8, so this bounds it near
+# 40 MB and admits MAX_RESAMPLES of the paper's 30
 MAX_BOOTSTRAP_CELLS = 4_000_000
+# resamples x observations gathered, factored and solved at once
+_BLOCK_CELLS = 8_192
 _LR_NAMES = ("log_c", "alpha", "beta")
 _BS_NAMES = ("log_d", "gamma")
 _MAX_REDRAWS = 10
+_MAGNITUDE_BITS = np.int64(2**63 - 1)
 _RANK_TOL = 1e-10
 
 
@@ -311,20 +319,23 @@ def resample_indices(n: int, resamples: int, seed: int, degenerate):
     """The bootstrap index matrix: row i lists resample i's observations.
 
     One generator, default_rng(seed), draws all (resamples, n) indices at
-    once, and each row is sorted. degenerate(rows, idx) gets row numbers
-    and their index rows and returns a mask of those to draw again; they
-    are redrawn from the same generator, all at once in ascending row
-    order, up to 10 times. Returns the final matrix and the ascending
-    numbers of the redrawn rows.
+    once, and each row is sorted in place. degenerate(rows, idx) gets row
+    numbers and their index rows and returns a mask of those to draw
+    again; they are redrawn from the same generator, all at once in
+    ascending row order, up to 10 times. Returns the final matrix and the
+    ascending numbers of the redrawn rows.
     """
     rng = np.random.default_rng(seed)
-    idx = np.sort(rng.integers(0, n, (resamples, n)), axis=1)
+    idx = rng.integers(0, n, (resamples, n))
+    idx.sort(axis=1)
     pending = redrawn = np.flatnonzero(degenerate(np.arange(resamples), idx))
     for _ in range(_MAX_REDRAWS):
         if pending.size == 0:
             break
-        idx[pending] = np.sort(rng.integers(0, n, (pending.size, n)), axis=1)
-        pending = pending[degenerate(pending, idx[pending])]
+        draw = rng.integers(0, n, (pending.size, n))
+        draw.sort(axis=1)
+        idx[pending] = draw
+        pending = pending[degenerate(pending, draw)]
     if pending.size:
         raise BootstrapFailureError(
             f"{pending.size} resamples stayed degenerate after "
@@ -348,9 +359,11 @@ def bootstrap_fit(obs, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Fit
     before any resample is drawn.
 
     Each resample is fitted by one _qr_r of its rows of [1, log D, log N |
-    log lr, log bs] (see the module docstring), every resample at once,
-    then _solve for each law. A CI end or mean of log c or log d whose exp
-    overflows a float raises DomainError naming that quantity.
+    log lr, log bs] (see the module docstring), then _solve for each law,
+    a block of at most _BLOCK_CELLS resamples x observations at a time.
+    The bands are the 2.5/97.5 percentiles of the fits (_bands). A CI end
+    or mean of log c or log d whose exp overflows a float raises
+    DomainError naming that quantity.
     """
     if (
         isinstance(resamples, bool)
@@ -373,20 +386,26 @@ def bootstrap_fit(obs, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Fit
 
     cols = np.vstack([np.ones(len(table)), table[:, [1, 0, 2, 3]].T])
     params = np.full((resamples, 5), np.nan)
+    step = max(1, _BLOCK_CELLS // len(table))
 
     def degenerate(rows, idx):
-        r = _qr_r(np.take(cols, idx, axis=1), 3)
-        lr, bad = _solve(r[:, :, :4])
-        bs = _solve(r[:, :2, [0, 1, 4]])[0]
-        good = ~bad
-        params[rows[good], :3] = lr[good][:, [0, 2, 1]]
-        params[rows[good], 3:] = bs[good]
+        bad = np.empty(len(rows), dtype=bool)
+        for start in range(0, len(rows), step):
+            block = slice(start, start + step)
+            r = _qr_r(np.take(cols, idx[block], axis=1), 3)
+            lr, bad[block] = _solve(r[:, :, :4])
+            bs = _solve(r[:, :2, [0, 1, 4]])[0]
+            good = ~bad[block]
+            fitted = rows[block][good]
+            params[fitted, :3] = lr[good][:, [0, 2, 1]]
+            params[fitted, 3:] = bs[good]
         return bad
 
-    _, redrawn = resample_indices(len(table), resamples, seed, degenerate)
+    # the index matrix is not kept, so it is freed before the bands are taken
+    redrawn = resample_indices(len(table), resamples, seed, degenerate)[1]
 
     means = params.mean(axis=0)
-    lo, hi = np.percentile(params, [2.5, 97.5], axis=0)
+    lo, hi = _bands(params)
     names = _LR_NAMES + _BS_NAMES
     c, d = _exp(means[0], "fitted c"), _exp(means[3], "fitted d")
     ci = {}
@@ -404,11 +423,43 @@ def bootstrap_fit(obs, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Fit
         d=d,
         gamma=float(means[4]),
         ci=ci,
-        resamples=resamples,
-        seed=seed,
+        resamples=int(resamples),
+        seed=int(seed),
         redraws=int(redrawn.size),
         samples={name: params[:, k].copy() for k, name in enumerate(names)},
     )
+
+
+def _bands(params):
+    """The 2.5 and 97.5 percentiles of each column of params, from one sort.
+
+    These are np.percentile(params, [2.5, 97.5], axis=0) by its default
+    linear method, method 7 of Hyndman & Fan (Am. Stat. 50, 1996): at the
+    virtual index (n - 1) q, between the sorted values a below and b above
+    it and with t its fractional part, a + (b - a) t when t < 0.5, else
+    b - (b - a) (1 - t), as numpy interpolates. A lone value is its own
+    band, read from the upper branch as numpy reads it. params holds no
+    NaN. The values sort as integers in IEEE 754 total order, so -0.0
+    comes before +0.0, which a float sort ties in whatever order its
+    kernel leaves; that sign of a zero band end is the only bit in which
+    the bands can differ from numpy's.
+    """
+    ordered = _total_order(params.view(np.int64))
+    ordered.sort(axis=0)
+    last = len(ordered) - 1
+    at = last * np.array([0.025, 0.975])
+    below = np.floor(at).astype(np.intp)
+    t = (at - below if last else np.ones(2))[:, None]
+    a, b = _total_order(ordered[[below, np.minimum(below + 1, last)]]).view(np.float64)
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
+def _total_order(bits):
+    """The int64 views of float64s, as integers in the floats' IEEE 754
+    total order, or those integers back as views: with each negative's
+    magnitude bits flipped."""
+    return bits ^ (bits >> 63 & _MAGNITUDE_BITS)
 
 
 def _exp(log_value, what):

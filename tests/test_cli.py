@@ -245,6 +245,18 @@ def test_fit_deterministic_and_well_formed(obs_csv, tmp_path):
     assert doc["ci"]["alpha"][0] <= doc["alpha"] <= doc["ci"]["alpha"][1]
 
 
+def test_fit_does_not_import_numpy_ma(obs_csv, tmp_path):
+    # np.percentile imports numpy.ma through np.unique; no command needs it
+    child = (
+        "import sys; from hpscale import cli; "
+        "rc = cli.main(['fit', '--observations', sys.argv[1], '--out', sys.argv[2]]); "
+        "print(rc, 'numpy.ma' in sys.modules)"
+    )
+    argv = [sys.executable, "-c", child, str(obs_csv), str(tmp_path / "fit.json")]
+    proc = subprocess.run(argv, capture_output=True, env=CLI_ENV, text=True)
+    assert proc.stdout == "0 False\n", proc.stderr
+
+
 def test_fit_json_round_trips_as_law_overrides(obs_csv, tmp_path):
     fit_path = tmp_path / "fit.json"
     run("fit", "--observations", str(obs_csv), "--bootstrap", "100",

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import tracemalloc
@@ -33,7 +34,7 @@ from hpscale import (
     observations_to_csv,
     ols,
 )
-from hpscale import errors, fitting
+from hpscale import cli, errors, fitting
 from hpscale.fitting import (
     MAX_BOOTSTRAP_CELLS,
     MAX_RESAMPLES,
@@ -412,13 +413,42 @@ def test_bootstrap_ci_matches_percentiles_of_samples():
     # oracle: direct empirical percentile computation on the stored fits
     result = bootstrap_fit(lattice_obs(noise_sigma=0.05, seed=4), 500, seed=9)
     lo, hi = np.percentile(result.samples["alpha"], [2.5, 97.5])
-    assert result.ci["alpha"] == (pytest.approx(lo), pytest.approx(hi))
+    assert result.ci["alpha"] == (lo, hi)
     lo_c, hi_c = np.percentile(result.samples["log_c"], [2.5, 97.5])
-    assert result.ci["c"] == (
-        pytest.approx(math.exp(lo_c)), pytest.approx(math.exp(hi_c))
-    )
+    assert result.ci["c"] == (math.exp(lo_c), math.exp(hi_c))
     assert result.alpha == pytest.approx(float(result.samples["alpha"].mean()))
     assert result.c == pytest.approx(math.exp(float(result.samples["log_c"].mean())))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 999, 1000, 1001])
+def test_bands_match_numpy_percentiles(n):
+    # columns: distinct values, ties, negatives, tied -0.0 and +0.0 beside
+    # other ties, and a constant -0.0
+    rng = np.random.default_rng(n)
+    normal = rng.standard_normal(n)
+    v = np.column_stack([
+        normal * 1e3,
+        np.round(normal, 1),
+        -np.abs(np.round(normal * 3)),
+        rng.choice([-0.0, 0.0, -1.5, 2.0, 2.0], n),
+        np.full(n, -0.0),
+    ])  # fmt: skip
+    want = np.percentile(v, [2.5, 97.5], axis=0)
+    got = fitting._bands(v)
+    assert np.array_equal(got, want)
+    # bit for bit, but for the sign of a zero where -0.0 ties +0.0
+    columns = [0, 1, 2, 4]
+    assert np.array_equal(got[:, columns].view(np.int64), want[:, columns].view(np.int64))
+
+
+def test_bands_order_signed_zeros_the_same_way_every_time():
+    # -0.0 sorts before +0.0, so no shuffle of a column moves a bit of its bands
+    rng = np.random.default_rng(0)
+    column = np.array([-0.0, 0.0] * 499 + [-1.0, 1.0])
+    bands = {fitting._bands(rng.permutation(column)[:, None]).tobytes() for _ in range(20)}
+    assert len(bands) == 1
+    lo, hi = np.frombuffer(bands.pop())
+    assert (lo, math.copysign(1, lo), hi, math.copysign(1, hi)) == (0.0, -1, 0.0, 1)
 
 
 def _no_redraws(rows, idx):
@@ -502,6 +532,39 @@ def test_bootstrap_rows_do_not_depend_on_resample_count(k, extra, seed):
     first = np.sort(np.random.default_rng(seed).integers(0, n, (k + extra, n)), axis=1)
     indices, redrawn = resample_indices(n, k + extra, seed, _no_redraws)
     assert np.array_equal(indices, first) and redrawn.size == 0
+
+
+@pytest.mark.parametrize("case", ["noisy-lattice", "four-plus-one"])
+def test_bootstrap_block_size_changes_no_bit(case, monkeypatch):
+    # one resample per block, a ragged last block, and one block for all;
+    # four-plus-one redraws, so its redraw batches are cut into blocks too
+    obs = lattice_obs(noise_sigma=0.05, seed=3) if case == "noisy-lattice" else four_plus_one_obs()
+    resamples = 101
+
+    def run():
+        result = bootstrap_fit(obs, resamples, seed=7)
+        return result.to_json_dict(), result.redraws, _samples(result)
+
+    doc, redraws, samples = run()
+    assert (redraws > 0) == (case == "four-plus-one")
+    for cells in (1, 3 * len(obs), resamples * len(obs)):
+        monkeypatch.setattr(fitting, "_BLOCK_CELLS", cells)
+        got_doc, got_redraws, got_samples = run()
+        assert got_doc == doc and got_redraws == redraws
+        assert np.array_equal(got_samples, samples)
+
+
+def test_bootstrap_peak_memory_per_cell():
+    # the index matrix takes 8 bytes a cell; the gather and QR run in blocks
+    obs = independent_n_observations(0, n=30)
+    resamples = 10_000
+    tracemalloc.start()
+    try:
+        bootstrap_fit(obs, resamples, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * resamples * len(obs)
 
 
 def test_bootstrap_rejects_too_many_resamples_before_drawing(monkeypatch):
@@ -702,6 +765,12 @@ def test_fit_results_hold_python_floats():
         values += fit.values()
         assert "np." not in repr(fit)
     assert "np." not in repr(sol)
+    # numpy integers pass the argument checks, but the result holds ints
+    result = bootstrap_fit(obs, np.int64(10), np.int64(3))
+    assert [(type(v), v) for v in (result.resamples, result.seed)] == [(int, 10), (int, 3)]
+    assert json.loads(cli._encode_json(result.to_json_dict()))["seed"] == 3
+    values += [result.c, result.alpha, result.beta, result.d, result.gamma]
+    values += [end for band in result.ci.values() for end in band]
     assert all(type(v) is float for v in values)
 
 
