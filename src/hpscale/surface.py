@@ -8,30 +8,30 @@ plateau extraction, per-slice unimodality diagnostics, and train/val
 argmin consistency. Each analytic returns its own section of the
 `analyze` report as a dict of plain values (plateau, convexity_report,
 argmin_consistency); find_optimum returns an OptimumReport, which the
-grid caches. analyze_report puts the sections and the optimum together,
+surface caches. analyze_report puts the sections and the optimum together,
 and compare_rows, which scores each law's prediction, builds the rows of
 `compare`. The command adds only its meta.
 
 Representation. A surface is validated once, when it is built, into a
-dense grid held as numpy arrays: the input rows as one (n, 4) float64
-array of lr, bs, train and val in input order (NaN for a missing val),
-the sorted distinct learning rates and batch sizes (the axes, a
-laws.GridSpec: LossSurface.grid), and a train table and a val table
-indexed [lr index, bs index]. A cell that no row fills holds NaN in both
-tables; that is the fill mask, and no loss can be NaN. bs is compared as
-float64 everywhere, as a CSV's bs column always was: two integer batch
-sizes that differ only beyond 2**53 fill one cell. The optimum of each
-metric is found on first use and cached. Every analytic reads the arrays
-in whole-array expressions and none rescans the points.
+dense grid held as numpy arrays on the surface itself: the input rows as
+one (n, 4) float64 array of lr, bs, train and val in input order (NaN for
+a missing val), the sorted distinct learning rates and batch sizes (the
+axes, a laws.GridSpec: LossSurface.grid), and a train table and a val
+table indexed [lr index, bs index]. A cell that no row fills holds NaN in
+both tables; that is the fill mask, and no loss can be NaN. bs is
+compared as float64 everywhere, as a CSV's bs column always was: two
+integer batch sizes that differ only beyond 2**53 fill one cell. The
+optimum of each metric is found on first use and cached. Every analytic
+reads the arrays in whole-array expressions and none rescans the points.
 
-The sweep-row rule has one home, _check_rows, which _Grid runs on its
-rows: every value finite and positive except a val the input marks
-missing, every bs integral, no cell filled twice, and the first row in
-input order that breaks it is the one named. LossSurface(scale, points),
-synth's row arrays (both through LossSurface._from_rows) and load_surface,
-of the rows errors.decode_table reads, all build a _Grid, so all apply the
-same rule. A _Grid of more than MAX_GRID_CELLS lr x bs cells is refused before
-its tables are allocated. The invariants:
+The sweep-row rule has one home, _check_rows, which LossSurface._build
+runs on its rows: every value finite and positive except a val the input
+marks missing, every bs integral, no cell filled twice, and the first row
+in input order that breaks it is the one named. LossSurface(scale,
+points), synth's row arrays and load_surface, of the rows
+errors.decode_table reads, all build through _build, so all apply the
+same rule. A surface of more than MAX_GRID_CELLS lr x bs cells is
+refused before its tables are allocated. The invariants:
 
 - every value that leaves the module is a Python float or int, never a
   numpy scalar (taken with ndarray.item or .tolist());
@@ -45,18 +45,17 @@ its tables are allocated. The invariants:
   (interpolate_loss, relative_error, convexity_report and the SVG view)
   raise GridShapeError;
 - `points` lists the rows in input order as SweepPoints, built from the
-  grid's rows on first read, whether the surface was constructed or
-  loaded; surfaces compare and hash by scale, the bytes of the rows and
-  tags.
+  rows anew on each read and never stored; surfaces compare and hash by
+  scale, the bytes of the rows and tags.
 
-Surfaces are immutable after construction, and every analytic here is a
-pure function of its inputs. load_surface keeps one memo entry: the
-bytes of the last bytes input it parsed successfully, with their grid,
-scale and tags. Given the same bytes again, as bytes or a binary stream,
-it returns a new surface over the same grid, so consecutive commands on
-one file parse it once. A str is parsed every time and never kept. The
-entry is dropped before any other input is parsed, and a failed parse is
-never kept; the entry holds no caller's surface or points.
+Surfaces are immutable after construction (their arrays are read-only),
+and every analytic here is a pure function of its inputs. load_surface
+keeps one memo entry: the bytes of the last bytes input it parsed
+successfully, and the surface it made of them. Given the same bytes
+again, as bytes or a binary stream, it returns that same surface, so
+consecutive commands on one file parse it once. A str is parsed every
+time and never kept. The entry is dropped before any other input is
+parsed, and a failed parse is never kept.
 """
 
 from __future__ import annotations
@@ -64,8 +63,6 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
-from dataclasses import dataclass
-from functools import cached_property
 from math import inf
 from typing import NamedTuple
 
@@ -102,8 +99,7 @@ class SweepPoint(NamedTuple):
     val_loss: float | None = None
 
 
-@dataclass(frozen=True)
-class OptimumReport:
+class OptimumReport(NamedTuple):
     """Grid point with the lowest loss under the chosen metric."""
 
     hp: tuple[float, int]
@@ -111,58 +107,13 @@ class OptimumReport:
     metric: str
 
 
-class _BadRow(Exception):
-    """Row `row` of a grid's input breaks the sweep-row rule, as the message says."""
+class _BadRow(ArgumentError):
+    """Row `row` of a surface's input breaks the sweep-row rule, as the
+    message says; load_surface names the row's line instead."""
 
     def __init__(self, row: int, message: str):
         super().__init__(message)
         self.row = row
-
-
-class _Grid:
-    """Input rows, and the dense lr x bs tables built from them.
-
-    rows is an (n, 4) float64 array of lr, bs, train and val in input
-    order, at least one; missing_val marks the rows that have no val,
-    whose val is NaN. axes is the GridSpec of the distinct lr and bs, bs
-    as ints. Raises _BadRow if the rows break the sweep-row rule.
-    """
-
-    def __init__(self, rows: np.ndarray, missing_val: np.ndarray):
-        self.rows = rows
-        lr_axis, li = np.unique(rows[:, 0], return_inverse=True)
-        bs_axis, bi = np.unique(rows[:, 1], return_inverse=True)
-        shape = (lr_axis.size, bs_axis.size)
-        _check_cells(*shape)
-        cells = li * shape[1] + bi
-        _check_rows(rows, missing_val, cells, shape[0] * shape[1])
-        train = np.full(shape[0] * shape[1], np.nan)
-        train[cells] = rows[:, 2]
-        val = np.full_like(train, np.nan)
-        val[cells] = rows[:, 3]
-        self.train, self.val = train.reshape(shape), val.reshape(shape)
-        self.axes = GridSpec(tuple(lr_axis.tolist()), tuple(map(int, bs_axis.tolist())))
-        self.complete = len(rows) == train.size
-        self.full_val = not missing_val.any()
-        self._optima: dict[str, OptimumReport] = {}
-        # load_surface's memo hands one grid to many surfaces
-        for array in (rows, self.train, self.val):
-            array.flags.writeable = False
-
-    def table(self, metric: str) -> np.ndarray:
-        return self.train if metric == "train" else self.val
-
-    def optimum(self, metric: str) -> OptimumReport:
-        """First minimum in (lr, bs) order over the filled cells."""
-        opt = self._optima.get(metric)
-        if opt is None:
-            table = self.table(metric)
-            k = int(np.where(np.isnan(table), inf, table).argmin())
-            i, j = divmod(k, table.shape[1])
-            lrs, bss = self.axes.lr_values, self.axes.bs_values
-            opt = OptimumReport(hp=(lrs[i], bss[j]), loss=table.item(k), metric=metric)
-            self._optima[metric] = opt
-        return opt
 
 
 def _check_cells(n_lr: int, n_bs: int) -> None:
@@ -216,8 +167,8 @@ def _is_number(kind: type) -> bool:
 
 
 def _point_rows(points: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The rows and missing_val a _Grid takes, of SweepPoints whose values
-    are numbers, not bools; a val of None marks it missing."""
+    """The rows and missing_val LossSurface._build takes, of SweepPoints
+    whose values are numbers, not bools; a val of None marks it missing."""
     columns = tuple(zip(*points))
     kinds = {*map(type, columns[0]), *map(type, columns[1]), *map(type, columns[2])}
     if not all(map(_is_number, kinds | (set(map(type, columns[3])) - {type(None)}))):
@@ -257,41 +208,53 @@ class LossSurface:
                     f"{name} must be a str with no line break or surrounding "
                     f"whitespace, got {tag!r:.40}"
                 )
-        built = self._from_rows(scale, *_point_rows(points), arch_tag, recipe_tag)
-        self.__dict__.update(vars(built))
+        self._build(*_point_rows(points), scale=scale, arch_tag=arch_tag, recipe_tag=recipe_tag)
 
-    @classmethod
-    def _from_rows(cls, scale, rows: np.ndarray, missing_val: np.ndarray, arch_tag, recipe_tag):
-        """The surface of a _Grid's rows and missing_val, which it takes
-        over; a row that breaks the sweep-row rule is an ArgumentError."""
-        try:
-            grid = _Grid(rows, missing_val)
-        except _BadRow as bad:
-            raise ArgumentError(str(bad)) from None
-        return cls._from_grid(scale, grid, arch_tag, recipe_tag)
+    def _build(self, rows: np.ndarray, missing_val: np.ndarray, **names) -> LossSurface:
+        """Hold rows, the dense lr x bs tables built from them and names
+        (scale and the tags, unless the caller adds them), and return self.
 
-    @classmethod
-    def _from_grid(cls, scale, grid: _Grid, arch_tag: str, recipe_tag: str):
-        surface = cls.__new__(cls)
-        surface.__dict__.update(
-            scale=scale, arch_tag=arch_tag, recipe_tag=recipe_tag, grid=grid.axes, _grid=grid
+        rows is an (n, 4) float64 array of lr, bs, train and val in input
+        order, at least one, which the surface takes over; missing_val
+        marks the rows that have no val, whose val is NaN. The axes become
+        grid, a GridSpec with bs as ints. Raises _BadRow, an ArgumentError,
+        before anything is held, if the rows break the sweep-row rule.
+        """
+        lr_axis, li = np.unique(rows[:, 0], return_inverse=True)
+        bs_axis, bi = np.unique(rows[:, 1], return_inverse=True)
+        shape = (lr_axis.size, bs_axis.size)
+        _check_cells(*shape)
+        cells = li * shape[1] + bi
+        _check_rows(rows, missing_val, cells, shape[0] * shape[1])
+        train = np.full(shape[0] * shape[1], np.nan)
+        train[cells] = rows[:, 2]
+        val = np.full_like(train, np.nan)
+        val[cells] = rows[:, 3]
+        train, val = train.reshape(shape), val.reshape(shape)
+        # load_surface's memo hands one surface to many callers
+        for array in (rows, train, val):
+            array.flags.writeable = False
+        grid = GridSpec(tuple(lr_axis.tolist()), tuple(map(int, bs_axis.tolist())))
+        full_val = not missing_val.any()
+        self.__dict__.update(
+            names, grid=grid, _rows=rows, _train=train, _val=val, _full_val=full_val, _optima={}
         )
-        return surface
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LossSurface is immutable; cannot set {name!r}")
 
-    @cached_property
+    @property
     def points(self) -> tuple[SweepPoint, ...]:
-        """The rows in input order as SweepPoints, built on first read."""
-        g = self._grid
-        lrs, bss, trains, vals = g.rows.T.tolist()
-        if not g.full_val:  # after the row rule, a NaN val is a missing one
+        """The rows in input order as SweepPoints, built anew on each read;
+        the surface keeps none of them."""
+        lrs, bss, trains, vals = self._rows.T.tolist()
+        if not self._full_val:  # after the row rule, a NaN val is a missing one
             vals = [None if math.isnan(v) else v for v in vals]
         return tuple(map(SweepPoint._make, zip(lrs, map(int, bss), trains, vals)))
 
     def _key(self):
-        return (self.scale, self._grid.rows.tobytes(), self.arch_tag, self.recipe_tag)
+        return (self.scale, self._rows.tobytes(), self.arch_tag, self.recipe_tag)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -302,41 +265,43 @@ class LossSurface:
         return hash(self._key())
 
     def __repr__(self):
-        g = self._grid
+        n_lr, n_bs = self._train.shape
         return (
-            f"LossSurface(scale={self.scale!r}, points=<{len(g.rows)} on a "
-            f"{g.train.shape[0]}x{g.train.shape[1]} grid>, "
-            f"arch_tag={self.arch_tag!r}, recipe_tag={self.recipe_tag!r})"
+            f"LossSurface(scale={self.scale!r}, points=<{len(self._rows)} on a "
+            f"{n_lr}x{n_bs} grid>, arch_tag={self.arch_tag!r}, recipe_tag={self.recipe_tag!r})"
         )
 
     def has_full_val(self) -> bool:
-        return self._grid.full_val
+        return self._full_val
+
+    def _table(self, metric: str) -> np.ndarray:
+        """The metric's [lr index, bs index] table, NaN where no row fills a cell."""
+        return self._val if metric == "val" else self._train
 
     def _losses(self, metric: str) -> np.ndarray:
-        """The metric's [lr index, bs index] table, the grid's own read-only
-        array; requires a complete grid."""
-        g = self._grid
-        if not g.complete:
-            n_lr, n_bs = g.train.shape
+        """The metric's table, the surface's own read-only array; requires
+        a complete grid."""
+        if len(self._rows) < self._train.size:
+            n_lr, n_bs = self._train.shape
             raise GridShapeError(
-                f"surface has {len(g.rows)} points but the lr x bs grid "
+                f"surface has {len(self._rows)} points but the lr x bs grid "
                 f"needs {n_lr} x {n_bs} = {n_lr * n_bs}"
             )
         _check_metric(self, metric)
-        return g.table(metric)
+        return self._table(metric)
 
 
 # --- CSV ingestion ----------------------------------------------------------
 
 _REQUIRED_META = ("n_params", "d_tokens")
 _SCALE_META = (*_REQUIRED_META, "n_active")
-_HEADER_BASE = ("lr", "bs_tokens", "train_smooth_loss")
-_HEADERS = (_HEADER_BASE, (*_HEADER_BASE, "val_loss"))
+# the header without val_loss, and with it
+_HEADERS = (SweepPoint._fields[:3], SweepPoint._fields)
 
 
-# (input bytes, scale, grid, arch_tag, recipe_tag) of the last successful
-# load_surface of bytes, or None. Replaced whole, never mutated, so a
-# reader that takes it into a local sees one consistent entry.
+# (input bytes, surface) of the last successful load_surface of bytes, or
+# None. Replaced whole, never mutated, so a reader that takes it into a
+# local sees one consistent entry.
 _last_load: tuple | None = None
 
 
@@ -348,14 +313,15 @@ def load_surface(source) -> LossSurface:
     is lr,bs_tokens,train_smooth_loss with an optional trailing val_loss
     column; a blank val cell is a missing val. Errors name the first bad
     line in file order, a row that breaks the sweep-row rule ahead of the
-    first line decode_table could not read.
+    first line decode_table could not read, and either ahead of bad
+    metadata.
 
-    The bytes, grid, scale and tags of the last successful parse of bytes
-    (given as bytes or read from a binary stream) are kept. When the
-    input is bytes equal to the kept ones, the result is a new, equal
-    surface over the kept grid, and nothing is parsed or decoded. Any
-    other input, a str among them, drops the entry and is parsed; it is
-    kept only if it is bytes and the parse succeeds.
+    The bytes of the last successful parse of bytes (given as bytes or
+    read from a binary stream) are kept with the surface made of them.
+    When the input is bytes equal to the kept ones, the result is that
+    same immutable surface, and nothing is parsed or decoded. Any other
+    input, a str among them, drops the entry and is parsed; it is kept
+    only if it is bytes and the parse succeeds.
     """
     global _last_load
     raw = source.read() if hasattr(source, "read") else source
@@ -363,25 +329,26 @@ def load_surface(source) -> LossSurface:
     last = _last_load
     if last is not None and last[0] == key:
         # keep the bytes just given, which the caller holds anyway
-        _last_load = (key, *last[1:])
-        return LossSurface._from_grid(*last[1:])
-    # hold neither the old text nor its grid while the new text is parsed
+        _last_load = (key, last[1])
+        return last[1]
+    # hold neither the old text nor its surface while the new text is parsed
     last = _last_load = None
     surface = _parse_surface(raw)
     if key is not None:
-        _last_load = (key, surface.scale, surface._grid, surface.arch_tag, surface.recipe_tag)
+        _last_load = (key, surface)
     return surface
 
 
 def _parse_surface(raw) -> LossSurface:
     """load_surface of raw text or bytes, without the memo."""
     table = decode_table(raw, _HEADERS)
+    surface = LossSurface.__new__(LossSurface)
     try:
         if len(table.values):  # else no line was read, and the first is the fault
-            grid = _Grid(table.values, table.missing[:, 3])
+            surface._build(table.values, table.missing[:, 3])
     except _BadRow as bad:
         raise table.error(bad.row, str(bad)) from None
-    if table.fault is not None:  # raised after the grid: an earlier row-rule break wins
+    if table.fault is not None:  # raised after the rows: an earlier row-rule break wins
         raise table.error(*table.fault)
     meta = table.meta
     missing = [k for k in _REQUIRED_META if k not in meta]
@@ -393,13 +360,20 @@ def _parse_surface(raw) -> LossSurface:
         raise ParseError(f"bad metadata: {exc}") from exc
     except ValueError as exc:  # float() quotes the whole value: keep 40 chars
         raise ParseError(f"bad metadata: {exc!s:.75}") from exc
-    return LossSurface._from_grid(
-        scale, grid, meta.get("arch_tag", ""), meta.get("recipe_tag", "")
+    surface.__dict__.update(
+        scale=scale, arch_tag=meta.get("arch_tag", ""), recipe_tag=meta.get("recipe_tag", "")
     )
+    return surface
 
 
 def surface_to_csv(surface: LossSurface) -> str:
-    """Serialize a surface back to the CSV schema accepted by load_surface."""
+    """Serialize a surface to the CSV schema accepted by load_surface.
+
+    The rows are written in (lr, bs) order, and the val_loss column
+    whenever some row has a val, with a blank cell where one is missing.
+    load_surface of the text is equal to the surface when its rows were
+    given in (lr, bs) order.
+    """
     lines = [
         f"# n_params={surface.scale.n_params!r}",
         f"# d_tokens={surface.scale.d_tokens!r}",
@@ -410,18 +384,19 @@ def surface_to_csv(surface: LossSurface) -> str:
         lines.append(f"# arch_tag={surface.arch_tag}")
     if surface.recipe_tag:
         lines.append(f"# recipe_tag={surface.recipe_tag}")
-    g = surface._grid
-    lines.append(",".join(_HEADERS[g.full_val]))
-    filled = ~np.isnan(g.train)
+    filled = ~np.isnan(surface._train)
     ii, jj = np.nonzero(filled)
+    vals = surface._val[filled].tolist()
+    has_val = not all(map(math.isnan, vals))
+    lines.append(",".join(_HEADERS[has_val]))
     # each axis value is formatted once, then looked up per row
     cells = [
         map(list(map(repr, surface.grid.lr_values)).__getitem__, ii.tolist()),
         map(list(map(str, surface.grid.bs_values)).__getitem__, jj.tolist()),
-        map(repr, g.train[filled].tolist()),
+        map(repr, surface._train[filled].tolist()),
     ]
-    if g.full_val:
-        cells.append(map(repr, g.val[filled].tolist()))
+    if has_val:  # a missing val, NaN in the table, is a blank cell
+        cells.append(["" if math.isnan(v) else repr(v) for v in vals])
     lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
@@ -432,7 +407,14 @@ def surface_to_csv(surface: LossSurface) -> str:
 def find_optimum(surface: LossSurface, metric: str = "train") -> OptimumReport:
     """Grid point with minimal loss; ties break to smaller lr, then bs."""
     _check_metric(surface, metric)
-    return surface._grid.optimum(metric)
+    opt = surface._optima.get(metric)
+    if opt is None:  # the first minimum in (lr, bs) order over the filled cells
+        table = surface._table(metric)
+        k = int(np.where(np.isnan(table), inf, table).argmin())
+        i, j = divmod(k, table.shape[1])
+        hp = (surface.grid.lr_values[i], surface.grid.bs_values[j])
+        opt = surface._optima[metric] = OptimumReport(hp, table.item(k), metric)
+    return opt
 
 
 def _check_metric(surface: LossSurface, metric: str) -> None:
@@ -520,9 +502,8 @@ def plateau(surface: LossSurface, delta: float = DEFAULT_DELTA, metric: str = "t
     if not (delta >= 0):  # not check_number: inf is a valid tolerance
         raise ArgumentError(f"delta must be >= 0, got {delta}")
     opt = find_optimum(surface, metric)
-    g = surface._grid
     with np.errstate(over="ignore"):  # an inf is above any delta: not a member
-        ii, jj = np.nonzero((g.table(metric) - opt.loss) / opt.loss <= delta)
+        ii, jj = np.nonzero((surface._table(metric) - opt.loss) / opt.loss <= delta)
     # np.nonzero walks the sorted axes in (lr, bs) order
     lrs, bss = surface.grid.lr_values, surface.grid.bs_values
     members = [[lrs[i], bss[j]] for i, j in zip(ii.tolist(), jj.tolist())]

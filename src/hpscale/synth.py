@@ -282,7 +282,8 @@ def generate_surface(spec: SurfaceSpec, grid: GridSpec | None = None) -> LossSur
     bs_col = np.tile(np.array(bs_tokens, dtype=np.float64), loss.shape[0])
     rows = np.column_stack((lr_col, bs_col, loss.ravel(), val.ravel()))
     missing_val = np.full(loss.size, spec.val_offset is None)
-    return LossSurface._from_rows(spec.scale, rows, missing_val, "synthetic", "synthetic")
+    names = {"scale": spec.scale, "arch_tag": "synthetic", "recipe_tag": "synthetic"}
+    return LossSurface.__new__(LossSurface)._build(rows, missing_val, **names)
 
 
 def generate_observations(spec: ObservationSpec) -> list[OptimumObservation]:

@@ -6,6 +6,7 @@ attribute, or imported. Its own definition does not count, and neither
 does a mention in a comment or a docstring. Every import is at the top of
 its module, none inside a function. cli imports no private name from
 another hpscale module: what a command needs of the library is public.
+The package's dataclasses are listed, so that a new one is declared.
 """
 
 import ast
@@ -78,3 +79,28 @@ def test_cli_imports_no_private_name():
         if _private(alias.name)
     ]
     assert private == []
+
+
+def _dataclasses(tree):
+    """The names of a module's classes decorated with dataclass, bare or called."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for dec in node.decorator_list:
+                func = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+                    yield node.name
+
+
+def test_every_dataclass_is_declared():
+    # each costs about 1 ms of `import hpscale`, which only cli.import_ms sees
+    found = {f"{m}:{name}" for m, tree in TREES.items() for name in _dataclasses(tree)}
+    assert found == {
+        "fitting.py:FitResult",
+        "fitting.py:OptimumObservation",
+        "laws.py:AuxInputs",
+        "laws.py:GridSpec",
+        "laws.py:ModelScale",
+        "laws.py:Prediction",
+        "synth.py:ObservationSpec",
+        "synth.py:SurfaceSpec",
+    }

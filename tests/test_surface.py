@@ -562,7 +562,8 @@ def test_load_surface_partial_val_column_keeps_values():
     assert not surf.has_full_val()
     with pytest.raises(ArgumentError, match="val"):
         find_optimum(surf, "val")
-    assert "val_loss" not in surface_to_csv(surf)
+    # the val column is written with a blank cell where a val is missing
+    assert load_surface(surface_to_csv(surf)) == surf
 
 
 def test_load_surface_crlf_and_padding():
@@ -657,10 +658,10 @@ def _load_outcome(load, text):
         surf = load(text)
     except ParseError as exc:
         return str(exc), exc.line
-    g, axes = surf._grid, surf.grid
+    axes = surf.grid
     types = [type(v) for values in (*surf.points, axes.lr_values, axes.bs_values) for v in values]
     # the tables with None for NaN, so that unfilled cells compare equal
-    tables = [np.where(np.isnan(t), None, t).tolist() for t in (g.train, g.val)]
+    tables = [np.where(np.isnan(t), None, t).tolist() for t in (surf._train, surf._val)]
     return surf, surf.points, tables, axes.lr_values, axes.bs_values, types
 
 
@@ -839,35 +840,39 @@ def test_each_data_line_is_read_once(parses, text, error, counts):
     assert parses == counts
 
 
-def test_memo_returns_distinct_surfaces_with_their_own_points():
+def test_memo_returns_the_same_surface_and_keeps_no_points():
     a, b = load_surface(MINI_CSV.encode()), load_surface(MINI_CSV.encode())
-    assert a == b and a is not b
-    points = a.points
-    assert "points" not in b.__dict__
-    assert b.points == points and b.points is not points
-    assert a._grid is b._grid  # shared, so no surface may write to it
-    with pytest.raises(ValueError, match="read-only"):
-        a._grid.train[0, 0] = 1.0
+    assert a is b  # shared, so no caller may write to it
+    for table in (a._rows, a._train, a._val):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+    with pytest.raises(AttributeError, match="immutable"):
+        a.scale = None
+    assert a.points == a.points and a.points is not a.points
+    assert "points" not in a.__dict__
 
 
-def test_memo_keeps_no_callers_surface_alive(parses):
+def test_memo_frees_the_old_surface_on_other_bytes(parses):
     surf = load_surface(MINI_CSV.encode())
     assert surf.points and find_optimum(surf)
     ref = weakref.ref(surf)
     del surf
     gc.collect()
+    assert ref() is not None  # the memo keeps it for the next load of the bytes
+    assert load_surface(MINI_CSV.encode()) is ref()
+    load_surface(GOOD_CSV.encode())
+    gc.collect()
     assert ref() is None
-    assert load_surface(MINI_CSV.encode()) == _cold_load(MINI_CSV.encode())
-    assert parses["bulk"] == 2  # the second load was served, the cold one parsed
+    assert parses["bulk"] == 2  # the second load was served, the others parsed
 
 
 def test_memo_drops_the_old_entry_before_parsing(monkeypatch):
-    old_grid = weakref.ref(load_surface(MINI_CSV.encode())._grid)
+    old = weakref.ref(load_surface(MINI_CSV.encode()))
     seen = []
 
     def bulk_table(*args, _real=errors_module._bulk_table):
         gc.collect()
-        seen.append(old_grid())
+        seen.append(old())
         return _real(*args)
 
     monkeypatch.setattr(errors_module, "_bulk_table", bulk_table)
