@@ -34,16 +34,18 @@ leave in columns 1, log D and log bs the R of the batch-size law's
 of the learning-rate law with log N and log D swapped; its coefficients
 are put back in (log c, alpha, beta) order.
 
-One generator, seeded with the bootstrap seed, draws the whole index
-matrix (resample_indices), of at most MAX_BOOTSTRAP_CELLS resamples x
-observations; a larger bootstrap is refused before anything is drawn.
-The resamples are gathered, factored and solved in blocks of at most
-_BLOCK_CELLS resamples x observations, so only the index matrix and the
-(resamples, 5) fits grow with the bootstrap; as each R depends only on
-its own matrix, the block size changes no bit. The whole sample must
-pass the learning-rate fit first, so a rank-deficient sample raises
-SingularityError at once; a rank-deficient resample is drawn again. The
-bands are read off one sort of the fits (_bands).
+Resample i's indices are philox.indices of the bootstrap seed: a pure
+function of (seed, i, attempt), so resample i is the same whatever the
+number of resamples or the block it is drawn in. A bootstrap of more than
+MAX_BOOTSTRAP_CELLS resamples x observations is refused before anything is
+drawn. The resamples are drawn, gathered, factored and solved in blocks of
+at most _BLOCK_CELLS resamples x observations, so only the (resamples, 5)
+fits grow with the bootstrap; as each R depends only on its own matrix,
+the block size changes no bit. The whole sample must pass the
+learning-rate fit first, so a rank-deficient sample raises
+SingularityError at once; a rank-deficient resample is drawn again on the
+next attempt, up to _MAX_REDRAWS times. The bands are read off one sort of
+the fits (_bands) and widened to hold the mean.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import philox
 from .errors import (
     ArgumentError,
     BootstrapFailureError,
@@ -67,9 +70,11 @@ from .errors import (
 
 DEFAULT_RESAMPLES = 1000
 MAX_RESAMPLES = 100_000
-# resamples x observations: from 300,000 cells up the bootstrap peaks at 8-13
-# bytes per cell, most of them the index matrix's 8, so this bounds it near
-# 40 MB and admits MAX_RESAMPLES of the paper's 30
+# resamples x observations: the bootstrap's time grows with the cells, its
+# memory with the resamples. Its tracemalloc peak was 3.8 and 2.9 bytes per
+# cell at 10,000 and 100,000 resamples of 30 observations, mostly the
+# (resamples, 5) fits and their samples, 80 bytes a resample, so it stays
+# near 10 MB; this bounds its time and admits MAX_RESAMPLES of the paper's 30
 MAX_BOOTSTRAP_CELLS = 4_000_000
 # resamples x observations gathered, factored and solved at once
 _BLOCK_CELLS = 8_192
@@ -315,45 +320,18 @@ def fit_bs_law(obs) -> dict:
 # --- bootstrap ---------------------------------------------------------------
 
 
-def resample_indices(n: int, resamples: int, seed: int, degenerate):
-    """The bootstrap index matrix: row i lists resample i's observations.
-
-    One generator, default_rng(seed), draws all (resamples, n) indices at
-    once, and each row is sorted in place. degenerate(rows, idx) gets row
-    numbers and their index rows and returns a mask of those to draw
-    again; they are redrawn from the same generator, all at once in
-    ascending row order, up to 10 times. Returns the final matrix and the
-    ascending numbers of the redrawn rows.
-    """
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, (resamples, n))
-    idx.sort(axis=1)
-    pending = redrawn = np.flatnonzero(degenerate(np.arange(resamples), idx))
-    for _ in range(_MAX_REDRAWS):
-        if pending.size == 0:
-            break
-        draw = rng.integers(0, n, (pending.size, n))
-        draw.sort(axis=1)
-        idx[pending] = draw
-        pending = pending[degenerate(pending, draw)]
-    if pending.size:
-        raise BootstrapFailureError(
-            f"{pending.size} resamples stayed degenerate after "
-            f"{_MAX_REDRAWS} redraws (first index {int(pending[0])})"
-        )
-    return idx, redrawn
-
-
 def bootstrap_fit(obs, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> FitResult:
     """Bootstrap both laws over `resamples` draws with replacement.
 
-    resample_indices draws every resample's indices from one generator
-    seeded with `seed`, so the result is a pure function of the sorted
-    observations, resamples and seed. The whole sample must pass the
-    learning-rate fit first, as no resample has a higher rank. Degenerate
-    resamples (design rank below 3, which covers the all-same-N and
-    all-same-D cases) are redrawn from that generator, up to 10 times,
-    keeping the resample count intact; FitResult.redraws counts them.
+    Resample i's indices are philox.indices(seed, [i], attempt, n), so the
+    result is a pure function of the sorted observations, resamples and
+    seed, and resample i is the same for every resamples > i. The whole
+    sample must pass the learning-rate fit first, as no resample has a
+    higher rank. A degenerate resample (design rank below 3, which covers
+    the all-same-N and all-same-D cases) is drawn again on attempts 1 to
+    10, keeping the resample count intact; FitResult.redraws counts those
+    whose attempt-0 draw was degenerate, and a resample still degenerate
+    after 10 redraws raises BootstrapFailureError once every block has run.
     resamples must be an integer (not a bool) in 1..MAX_RESAMPLES, and
     resamples x observations at most MAX_BOOTSTRAP_CELLS, both checked
     before any resample is drawn.
@@ -361,8 +339,10 @@ def bootstrap_fit(obs, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Fit
     Each resample is fitted by one _qr_r of its rows of [1, log D, log N |
     log lr, log bs] (see the module docstring), then _solve for each law,
     a block of at most _BLOCK_CELLS resamples x observations at a time.
-    The bands are the 2.5/97.5 percentiles of the fits (_bands). A CI end
-    or mean of log c or log d whose exp overflows a float raises
+    The bands are the 2.5/97.5 percentiles of the fits (_bands), widened
+    where needed to hold the mean, in log space for c and d: on exact data
+    the mean of the rounding noise can fall outside its percentiles. A CI
+    end or mean of log c or log d whose exp overflows a float raises
     DomainError naming that quantity.
     """
     if (
@@ -387,25 +367,25 @@ def bootstrap_fit(obs, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Fit
     cols = np.vstack([np.ones(len(table)), table[:, [1, 0, 2, 3]].T])
     params = np.full((resamples, 5), np.nan)
     step = max(1, _BLOCK_CELLS // len(table))
-
-    def degenerate(rows, idx):
-        bad = np.empty(len(rows), dtype=bool)
-        for start in range(0, len(rows), step):
-            block = slice(start, start + step)
-            r = _qr_r(np.take(cols, idx[block], axis=1), 3)
-            lr, bad[block] = _solve(r[:, :, :4])
-            bs = _solve(r[:, :2, [0, 1, 4]])[0]
-            good = ~bad[block]
-            fitted = rows[block][good]
-            params[fitted, :3] = lr[good][:, [0, 2, 1]]
-            params[fitted, 3:] = bs[good]
-        return bad
-
-    # the index matrix is not kept, so it is freed before the bands are taken
-    redrawn = resample_indices(len(table), resamples, seed, degenerate)[1]
+    redraws, stuck = 0, []
+    for start in range(0, resamples, step):
+        rows = np.arange(start, min(start + step, resamples))
+        pending = _fit_resamples(cols, seed, rows, 0, params)
+        redraws += pending.size
+        for attempt in range(1, _MAX_REDRAWS + 1):
+            if pending.size == 0:
+                break
+            pending = _fit_resamples(cols, seed, pending, attempt, params)
+        stuck += pending.tolist()
+    if stuck:
+        raise BootstrapFailureError(
+            f"{len(stuck)} resamples stayed degenerate after "
+            f"{_MAX_REDRAWS} redraws (first index {stuck[0]})"
+        )
 
     means = params.mean(axis=0)
     lo, hi = _bands(params)
+    lo, hi = np.minimum(lo, means), np.maximum(hi, means)
     names = _LR_NAMES + _BS_NAMES
     c, d = _exp(means[0], "fitted c"), _exp(means[3], "fitted d")
     ci = {}
@@ -425,9 +405,26 @@ def bootstrap_fit(obs, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Fit
         ci=ci,
         resamples=int(resamples),
         seed=int(seed),
-        redraws=int(redrawn.size),
+        redraws=redraws,
         samples={name: params[:, k].copy() for k, name in enumerate(names)},
     )
+
+
+def _fit_resamples(cols, seed, rows, attempt, params):
+    """Draw the listed resamples on one attempt and fit those of full rank.
+
+    cols is the (5, n) table [1, log D, log N | log lr, log bs]; each
+    resample's (log c, alpha, beta, log d, gamma) goes to its row of
+    params. Returns the numbers of the resamples that were degenerate.
+    """
+    idx = philox.indices(seed, rows, attempt, cols.shape[1])
+    r = _qr_r(np.take(cols, idx, axis=1), 3)
+    lr, bad = _solve(r[:, :, :4])
+    bs = _solve(r[:, :2, [0, 1, 4]])[0]
+    fitted = rows[~bad]
+    params[fitted, :3] = lr[~bad][:, [0, 2, 1]]
+    params[fitted, 3:] = bs[~bad]
+    return rows[bad]
 
 
 def _bands(params):

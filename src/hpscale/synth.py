@@ -5,22 +5,8 @@ modules: generate_surface builds a convex (quadratic in log coordinates)
 loss bowl with optional multiplicative lognormal noise, and
 generate_observations emits law-consistent optima over an (N, D) lattice.
 
-Noise. Each draw is a pure function of (seed, stream, i, j), where (i, j)
-is the node's index in the grid or lattice: stream 0 is a surface's loss
-noise, streams 1 and 2 the lr and bs noise of observations. So two grids
-share noise wherever their indices align, and the draws may be made in any
-order or in parallel without changing the output. The draw is the
-counter-based generator Philox4x32-10 (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11) of the counter (i, j, stream, 0)
-under the key (s mod 2**32, (s >> 32) mod 2**32), where s is the seed
-folded to 64 bits: the XOR of its 64-bit words, so that s is the seed
-itself below 2**64, and a larger seed shares its noise with the one its
-words fold to. Of the output words (x0, x1, x2, x3), u1 = ((x0 << 32 | x1)
->> 11) * 2**-53 and u2 = ((x2 << 32 | x3) >> 11) * 2**-53 are uniform on
-[0, 1), and Box-Muller gives z = sqrt(-2 log(1 - u1)) * cos(2 pi u2). The
-generator runs in exact uint64 arithmetic over whole arrays; log, cos and
-the surface's exp(noise_sigma * z) are taken per element with math, not
-numpy, whose vectorised transcendentals can differ in the last ulp.
+Noise comes from philox._normals: stream 0 is a surface's loss noise,
+streams 1 and 2 the lr and bs noise of observations (see philox).
 """
 
 from __future__ import annotations
@@ -33,6 +19,7 @@ import numpy as np
 from .errors import ArgumentError, DomainError, check_number, check_seed, decode_json
 from .fitting import OptimumObservation
 from .laws import DEFAULT_LAWS, GridSpec, ModelScale, Prediction, snap_to_grid
+from .philox import _normals
 from .surface import LossSurface, _check_cells
 
 
@@ -186,57 +173,6 @@ def _exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:  # from extreme spec values; callers reject inf
         return math.inf
-
-
-# Philox4x32-10's round multipliers and key increments (Salmon et al., SC'11)
-_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
-_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_32 = np.uint64(32)
-
-
-def _philox4x32(x0, x1, x2, x3, k0: int, k1: int) -> tuple:
-    """Philox4x32-10 of the counter words (x0, x1, x2, x3), uint64 arrays
-    that broadcast together and hold 32-bit values, under the key (k0, k1).
-
-    Each 32 x 32-bit product is exact in uint64, so the result is the
-    reference generator's, word for word.
-    """
-    for _ in range(10):
-        p0, p1 = _PHILOX_M[0] * x0, _PHILOX_M[1] * x2
-        x0, x1, x2, x3 = (
-            (p1 >> _32) ^ x1 ^ np.uint64(k0),
-            p1 & _LOW32,
-            (p0 >> _32) ^ x3 ^ np.uint64(k1),
-            p0 & _LOW32,
-        )
-        k0, k1 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFF, (k1 + _PHILOX_W[1]) & 0xFFFFFFFF
-    return x0, x1, x2, x3
-
-
-def _normals(seed: int, stream: int, shape: tuple[int, int]) -> np.ndarray:
-    """The standard normals z[i, j] of one stream over i < shape[0] and
-    j < shape[1], as the module docstring defines them."""
-    folded, seed = 0, int(seed)
-    while seed:
-        folded ^= seed & 0xFFFFFFFFFFFFFFFF
-        seed >>= 64
-    x = _philox4x32(
-        np.arange(shape[0], dtype=np.uint64)[:, None],
-        np.arange(shape[1], dtype=np.uint64)[None, :],
-        np.uint64(stream),
-        np.uint64(0),
-        folded & 0xFFFFFFFF,
-        folded >> 32,
-    )
-    # 53-bit uniforms in [0, 1): 1 - u1 is exact and never 0
-    u1 = (((x[0] << _32) | x[1]) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    u2 = (((x[2] << _32) | x[3]) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    z = [
-        math.sqrt(-2.0 * math.log(a)) * math.cos(b)
-        for a, b in zip((1.0 - u1).ravel().tolist(), (2.0 * math.pi * u2).ravel().tolist())
-    ]
-    return np.array(z).reshape(u1.shape)
 
 
 def generate_surface(spec: SurfaceSpec, grid: GridSpec | None = None) -> LossSurface:

@@ -34,14 +34,8 @@ from hpscale import (
     observations_to_csv,
     ols,
 )
-from hpscale import cli, errors, fitting
-from hpscale.fitting import (
-    MAX_BOOTSTRAP_CELLS,
-    MAX_RESAMPLES,
-    _qr_r,
-    _solve,
-    resample_indices,
-)
+from hpscale import cli, errors, fitting, philox
+from hpscale.fitting import MAX_BOOTSTRAP_CELLS, MAX_RESAMPLES, _qr_r, _solve
 
 
 def canonical(obs):
@@ -451,8 +445,27 @@ def test_bands_order_signed_zeros_the_same_way_every_time():
     assert (lo, math.copysign(1, lo), hi, math.copysign(1, hi)) == (0.0, -1, 0.0, 1)
 
 
-def _no_redraws(rows, idx):
-    return np.zeros(len(rows), dtype=bool)
+def final_draws(n, resamples, seed, degenerate):
+    """Each resample's kept indices and the rows whose first draw was
+    degenerate, one resample at a time: resample i keeps the first of its
+    draws on attempts 0 to 10 that degenerate(indices) does not reject."""
+    kept, redrawn = [], []
+    for i in range(resamples):
+        for attempt in range(11):
+            idx = philox.indices(seed, [i], attempt, n)[0]
+            if not degenerate(idx):
+                break
+            if attempt == 0:
+                redrawn.append(i)
+        else:
+            raise AssertionError(f"resample {i} stayed degenerate")
+        kept.append(idx)
+    return np.array(kept), redrawn
+
+
+def first_draws(n, resamples, seed):
+    """Every resample's attempt-0 indices, drawn one resample at a time."""
+    return final_draws(n, resamples, seed, lambda idx: False)[0]
 
 
 def test_bootstrap_matches_per_resample_ols_fits():
@@ -462,8 +475,8 @@ def test_bootstrap_matches_per_resample_ols_fits():
     result = bootstrap_fit(obs, resamples, seed=seed)
 
     items = canonical(obs)
-    indices, _ = resample_indices(len(items), resamples, seed, _no_redraws)
-    for i, idx in enumerate(indices):
+    assert result.redraws == 0
+    for i, idx in enumerate(first_draws(len(items), resamples, seed)):
         resample = [items[j] for j in idx]
         lr_fit = fit_lr_law(resample)
         bs_fit = fit_bs_law(resample)
@@ -493,18 +506,15 @@ def test_bootstrap_redraws_degenerate_resamples():
     result = bootstrap_fit(obs, resamples, seed=seed)
     items = canonical(obs)
 
-    def single_fit_fails(rows, idx):
-        bad = []
-        for row in idx:
-            try:
-                fit_lr_law([items[j] for j in row])
-                bad.append(False)
-            except (DegenerateDesignError, SingularityError):
-                bad.append(True)
-        return np.array(bad)
+    def single_fit_fails(idx):
+        try:
+            fit_lr_law([items[j] for j in idx])
+        except (DegenerateDesignError, SingularityError):
+            return True
+        return False
 
-    indices, redrawn = resample_indices(len(items), resamples, seed, single_fit_fails)
-    assert 0 < result.redraws == redrawn.size < resamples
+    indices, redrawn = final_draws(len(items), resamples, seed, single_fit_fails)
+    assert 0 < result.redraws == len(redrawn) < resamples
     for samples in result.samples.values():
         assert np.isfinite(samples).all()
     for i, idx in enumerate(indices):
@@ -521,17 +531,25 @@ def test_bootstrap_redraws_degenerate_resamples():
     seed=st.integers(0, 2**32),
 )
 def test_bootstrap_rows_do_not_depend_on_resample_count(k, extra, seed):
-    # one generator draws the (R, n) matrix row by row, so with no
-    # redraws the first k resamples are the same for every R >= k
+    # resample i is a function of (seed, i), so the first k resamples are
+    # the same for every R >= k
     obs = lattice_obs(noise_sigma=0.05, seed=6)
     n = len(obs)
     small, large = bootstrap_fit(obs, k, seed=seed), bootstrap_fit(obs, k + extra, seed=seed)
     assert small.redraws == large.redraws == 0
     for name, samples in small.samples.items():
         assert np.array_equal(samples, large.samples[name][:k])
-    first = np.sort(np.random.default_rng(seed).integers(0, n, (k + extra, n)), axis=1)
-    indices, redrawn = resample_indices(n, k + extra, seed, _no_redraws)
-    assert np.array_equal(indices, first) and redrawn.size == 0
+    together = philox.indices(seed, np.arange(k + extra), 0, n)
+    assert np.array_equal(together, first_draws(n, k + extra, seed))
+
+
+@pytest.mark.parametrize("k,extra", [(40, 61), (101, 899)])
+def test_redrawn_rows_do_not_depend_on_resample_count(k, extra):
+    # a redrawn resample too is a function of (seed, i), not of R
+    obs = four_plus_one_obs()
+    small, large = bootstrap_fit(obs, k, seed=3), bootstrap_fit(obs, k + extra, seed=3)
+    assert 0 < small.redraws <= large.redraws
+    assert np.array_equal(_samples(small), _samples(large)[:k])
 
 
 @pytest.mark.parametrize("case", ["noisy-lattice", "four-plus-one"])
@@ -555,7 +573,8 @@ def test_bootstrap_block_size_changes_no_bit(case, monkeypatch):
 
 
 def test_bootstrap_peak_memory_per_cell():
-    # the index matrix takes 8 bytes a cell; the gather and QR run in blocks
+    # no (resamples, n) index matrix, which alone would take 8 bytes a cell:
+    # the draw, gather and QR run in blocks
     obs = independent_n_observations(0, n=30)
     resamples = 10_000
     tracemalloc.start()
@@ -564,15 +583,15 @@ def test_bootstrap_peak_memory_per_cell():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * resamples * len(obs)
+    assert peak < 8 * resamples * len(obs)
 
 
 def test_bootstrap_rejects_too_many_resamples_before_drawing(monkeypatch):
     def no_draws(*args):
-        raise AssertionError("a generator was built or an array allocated")
+        raise AssertionError("a resample was drawn or an array allocated")
 
     obs = lattice_obs()
-    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(philox, "indices", no_draws)
     monkeypatch.setattr(np, "full", no_draws)
     for resamples in (MAX_RESAMPLES + 1, 10**9, 10**30, 0, 10.5, 10.0, True, "10", None):
         with pytest.raises(ArgumentError, match="an integer between 1 and 100,000"):
@@ -580,12 +599,12 @@ def test_bootstrap_rejects_too_many_resamples_before_drawing(monkeypatch):
 
 
 def test_bootstrap_past_the_cell_limit_is_refused_before_allocating(monkeypatch):
-    # 100,000 resamples of 3,000 observations would draw a 2.4 GB index matrix
+    # 100,000 resamples of 3,000 observations: 300,000,000 cells, about 30 s of work
     def no_draws(*args):
         raise AssertionError("a resample was drawn")
 
     obs = independent_n_observations(0, n=3000)
-    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(philox, "indices", no_draws)
     refused = ("100,000 resamples x 3,000 observations = 300,000,000 cells exceeds the "
                "bootstrap limit of 4,000,000")  # fmt: skip
     tracemalloc.start()
@@ -606,6 +625,18 @@ def test_bootstrap_at_the_cell_limit_is_kept(monkeypatch):
     assert bootstrap_fit(obs, 3, seed=0).resamples == 3
     with pytest.raises(ArgumentError, match="4 resamples x 16 observations = 64 cells"):
         bootstrap_fit(obs, 4, seed=0)
+
+
+def test_exact_fit_estimates_lie_in_their_bands():
+    # on exact data every resample fits the law up to rounding noise, whose
+    # mean can lie outside its own 2.5-97.5 percentiles; the bands hold it
+    spec = ObservationSpec(n_values=(1e8, 3e8, 1e9, 3e9), d_values=(1e10, 3e10, 1e11, 3e11))
+    obs = generate_observations(spec)
+    for seed in range(20):
+        result = bootstrap_fit(obs, 1000, seed=seed)
+        outside = [name for name, (lo, hi) in result.ci.items()
+                   if not lo <= getattr(result, name) <= hi]  # fmt: skip
+        assert outside == [], seed
 
 
 def test_bootstrap_single_resample_degenerate_ci():
@@ -639,7 +670,7 @@ def test_collinear_sample_fails_fast_with_its_cause(monkeypatch):
     def no_draws(*args):
         raise AssertionError("a resample was drawn")
 
-    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(philox, "indices", no_draws)
     with pytest.raises(SingularityError):
         bootstrap_fit(obs, 1000, seed=0)
 
@@ -655,11 +686,23 @@ def test_bootstrap_redraws_can_run_out_on_a_full_rank_sample():
     with pytest.raises(BootstrapFailureError, match=r"stayed degenerate after 10 redraws"):
         bootstrap_fit(obs, 1000, seed=0)
 
-    def always(rows, idx):
-        return np.ones(len(rows), dtype=bool)
 
-    with pytest.raises(BootstrapFailureError, match=r"^5 resamples .* \(first index 0\)$"):
-        resample_indices(4, 5, 0, always)
+@pytest.mark.parametrize("block_cells", [1, 2 * 16, fitting._BLOCK_CELLS])
+def test_bootstrap_failure_counts_every_block(block_cells, monkeypatch):
+    # every draw of an odd resample repeats one observation, so 3 of 7 stay
+    # degenerate; the error counts them over every block and names the first
+    draw = philox.indices
+
+    def odd_rows_repeat_one(seed, rows, attempt, n):
+        idx = draw(seed, rows, attempt, n)
+        idx[rows % 2 == 1] = 0
+        return idx
+
+    monkeypatch.setattr(philox, "indices", odd_rows_repeat_one)
+    monkeypatch.setattr(fitting, "_BLOCK_CELLS", block_cells)
+    stuck = r"^3 resamples stayed degenerate after 10 redraws \(first index 1\)$"
+    with pytest.raises(BootstrapFailureError, match=stuck):
+        bootstrap_fit(lattice_obs(noise_sigma=0.05, seed=6), 7, seed=0)
 
 
 # --- the bootstrap QR ------------------------------------------------------------
@@ -702,7 +745,7 @@ def test_bootstrap_matches_lstsq_on_near_collinear_designs(jitter):
     result = bootstrap_fit(obs, 200, seed=3)
     assert result.redraws == 0
     items = canonical(obs)
-    indices, _ = resample_indices(len(items), 200, 3, _no_redraws)
+    indices = first_draws(len(items), 200, 3)
     assert np.abs(_samples(result) - _lstsq_fits(_exact_logs(items), indices)).max() <= 1e-9
 
 
@@ -712,12 +755,9 @@ def _qr_rule(items):
     logs = _exact_logs(items)
     xy = np.column_stack([np.ones(len(items)), logs[:, :3]])
 
-    def degenerate(rows, idx):
-        bad = []
-        for row in idx:
-            diag = np.abs(np.diag(np.linalg.qr(xy[row], mode="r"))[:3])
-            bad.append(diag.min() <= 1e-10 * max(diag.max(), 1.0))
-        return np.array(bad)
+    def degenerate(idx):
+        diag = np.abs(np.diag(np.linalg.qr(xy[idx], mode="r"))[:3])
+        return diag.min() <= 1e-10 * max(diag.max(), 1.0)
 
     return degenerate
 
@@ -732,21 +772,20 @@ def test_bootstrap_mixed_batches_redraw_as_the_qr_rule_does(case, monkeypatch):
     else:
         obs = generate_observations(ObservationSpec(n_values=(1e8, 1e9), d_values=(1e9, 1e10)))
     items = canonical(obs)
-    drawn = []
-
-    def recording(*args):
-        drawn.append(resample_indices(*args))
-        return drawn[-1]
-
-    monkeypatch.setattr(fitting, "resample_indices", recording)
     resamples, seed = 200, 4
+    indices, redrawn = final_draws(len(items), resamples, seed, _qr_rule(items))
+    draw, second = philox.indices, []
+
+    def recording(seed, rows, attempt, n):
+        second.extend(rows.tolist() if attempt == 1 else [])
+        return draw(seed, rows, attempt, n)
+
+    monkeypatch.setattr(philox, "indices", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = bootstrap_fit(obs, resamples, seed=seed)
-    ref_indices, ref_redrawn = resample_indices(len(items), resamples, seed, _qr_rule(items))
-    ((indices, redrawn),) = drawn
-    assert 0 < result.redraws == ref_redrawn.size < resamples
-    assert np.array_equal(redrawn, ref_redrawn) and np.array_equal(indices, ref_indices)
+    assert 0 < result.redraws == len(redrawn) < resamples
+    assert sorted(second) == redrawn
     assert np.abs(_samples(result) - _lstsq_fits(_exact_logs(items), indices)).max() <= 1e-9
 
 

@@ -70,8 +70,8 @@ GOLDEN_SHA256 = {
 
 
 OBSERVATION_REPORT_SHA256 = {
-    "fit": "4eec0d6251eeba34e4b79f87f4f968214c43eb6ac5e8cb9e1fc9abb1ab166719",
-    "fit-exact": "fb5c3240a21d2d027afc25c1aa9371b23f6254dd4e909f9b469f236b8b928ba7",
+    "fit": "15664da13c667fc7232c0c635f839fd38b2ebbe0cb1d392c90c77889dc92d409",
+    "fit-exact": "9422fee7ebe6c2249bd585370a0f41d3eede17ee1be064b9142ad66f06ab294a",
     "stats": "6b54a67952061b66234195f65597b81420d2222964426c97f5c1b72cd75fe2ad",
     "stats-exact": "9e20f7808c88099b3ca1d2cd7f7e473e63910003a4a81c2574377bfd211a56e7",
     "predict-step": "9d2d84f104cdc494065912784d17d75d563d2702f1da63cb556606ff7a229c62",

@@ -21,7 +21,7 @@ from hpscale import (
     generate_observations,
     generate_surface,
 )
-from hpscale.synth import _normals, _philox4x32
+from hpscale.philox import _normals, _philox4x32
 
 
 def test_surface_spec_validation():
