@@ -7,13 +7,14 @@ of plain values or raise one of these errors: the CLI encodes the one
 and maps the other onto an exit code.
 
 Outside bytes become checked values here and nowhere else: decode_text
-turns bytes into text, decode_json parses a JSON document, decode_csv
-splits a CSV text into its metadata, header and data lines, decode_table
-checks a CSV header and reads the data cells as numbers, check_number
-accepts a number and check_seed a random seed. Each turns every
-malformed input into an ArgumentError, so one rule covers every spec,
-law-override, overlay and CSV input and none ends in a traceback. The
-loaders parse bytes; only the CLI opens files.
+turns bytes into text, decode_json parses a JSON document, decode_table
+takes a CSV text to its metadata and the checked rows its caller builds,
+check_number accepts a number and check_seed a random seed. Each turns
+every malformed input into an ArgumentError, so one rule covers every
+spec, law-override, overlay and CSV input and none ends in a traceback.
+A loader's build raises RowError for the first row that breaks its row
+rule, and decode_table names that row's line. The loaders parse bytes;
+only the CLI opens files.
 
 The number rule lives in check_number, and every numeric input field
 and argument goes through it, with two exceptions: the rows of a loss
@@ -27,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +48,15 @@ class ParseError(ArgumentError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class RowError(ArgumentError):
+    """Row `row` of a table's input breaks its row rule, as the message
+    says; decode_table names the row's line instead."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
 class GridShapeError(ArgumentError):
@@ -115,23 +124,20 @@ def decode_json(raw, what: str):
         raise ParseError(f"invalid {what} JSON: {exc}") from exc
 
 
-class CsvLines(NamedTuple):
-    """A CSV text's stripped lines, numbered from 1, as decode_csv splits them."""
+def decode_table(raw, headers: tuple[tuple[str, ...], ...], build):
+    """(meta, build(values, missing)) of the CSV text in raw (see decode_text).
 
-    meta: dict[str, str]  # key=value of the '#' lines; the last key wins
-    header: str | None  # the first line neither blank nor a comment
-    header_line: int  # its number, 0 when there is none
-    rows: list[str]  # the later lines neither blank nor a comment
-    row_lines: list[int]  # their numbers
-
-
-def decode_csv(raw) -> CsvLines:
-    """The lines of the CSV text in raw (see decode_text), in one scan.
-
-    Each line is stripped, so a CRLF line end goes, and blank lines are
-    skipped. A '#' line is a comment, whose key=value, if it holds one, is
-    metadata. The first other line is the header; the rest are data lines.
+    Lines are stripped, so CRLF ends go, and blank ones skipped. A '#' line
+    is a comment; its key=value, if it holds one, goes into meta, the last
+    key winning. The first other line is the header, one of headers, each
+    a prefix of the longest; the rest are data lines, which np.loadtxt
+    reads or, if it refuses them, the row loop. values is float64 (rows
+    read, columns of the longest header); missing, its shape, marks the
+    blank or absent cells of an optional column (one that not every header
+    has), which are NaN. build runs if a row was read; a RowError from it
+    names its row's line, ahead of the first unread line's fault.
     """
+    columns, required = max(headers, key=len), min(map(len, headers))
     meta: dict[str, str] = {}
     header, header_line, rows, row_lines = None, 0, [], []
     for number, line in enumerate(map(str.strip, decode_text(raw).split("\n")), start=1):
@@ -146,47 +152,28 @@ def decode_csv(raw) -> CsvLines:
         else:
             rows.append(line)
             row_lines.append(number)
-    return CsvLines(meta, header, header_line, rows, row_lines)
-
-
-class CsvTable(NamedTuple):
-    """The metadata and data cells of a CSV text, as decode_table reads them."""
-
-    meta: dict[str, str]  # as decode_csv gives it
-    values: np.ndarray  # float64, (rows read, columns of the longest header)
-    missing: np.ndarray  # its shape: True where an optional cell is blank or absent
-    row_lines: list[int]  # the number of every data line, read or not
-    fault: tuple[int, str] | None  # (row, message) of the first unread line
-
-    def error(self, row: int, message: str) -> ParseError:
-        """A ParseError that names data row `row`'s line."""
-        return ParseError(message, line=self.row_lines[row])
-
-
-def decode_table(raw, headers: tuple[tuple[str, ...], ...]) -> CsvTable:
-    """The table of the CSV text in raw (see decode_csv), whose header is
-    one of headers, each a prefix of the longest. A column that not every
-    header has is optional: its blank or absent cells are NaN and missing.
-    np.loadtxt reads the data lines, or, if it refuses them, the row loop."""
-    columns, required = max(headers, key=len), min(map(len, headers))
-    csv = decode_csv(raw)
-    if csv.header is None:
+    if header is None:
         raise ParseError("no header found (empty file?)")
-    header = tuple(c.strip() for c in csv.header.split(","))
-    if header not in headers:
+    names = tuple(c.strip() for c in header.split(","))
+    if names not in headers:
         expected = ",".join(columns[:required]) + "".join(f"[,{c}]" for c in columns[required:])
-        raise ParseError(
-            f"bad header {csv.header!r:.40}; expected {expected!r}", line=csv.header_line
-        )
-    if not csv.rows:
+        raise ParseError(f"bad header {header!r:.40}; expected {expected!r}", line=header_line)
+    if not rows:
         raise ParseError("no data rows found")
-    width = len(header)
-    values, missing, fault = _bulk_table(csv.rows, width) or _row_table(csv.rows, width, required)
+    width = len(names)
+    values, missing, fault = _bulk_table(rows, width) or _row_table(rows, width, required)
+    del rows  # hold no line text while build allocates
     if width < len(columns):  # the columns the header lacks
         pad = (len(values), len(columns) - width)
         values = np.hstack((values, np.full(pad, np.nan)))
         missing = np.hstack((missing, np.ones(pad, dtype=bool)))
-    return CsvTable(csv.meta, values, missing, csv.row_lines, fault)
+    try:  # with no row read, the first line is the fault
+        built = build(values, missing) if len(values) else None
+    except RowError as bad:
+        raise ParseError(str(bad), line=row_lines[bad.row]) from None
+    if fault is not None:  # raised after the rows: an earlier row-rule break wins
+        raise ParseError(fault[1], line=row_lines[fault[0]])
+    return meta, built
 
 
 def _bulk_table(lines: list[str], width: int) -> tuple | None:

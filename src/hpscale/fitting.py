@@ -62,6 +62,7 @@ from .errors import (
     BootstrapFailureError,
     DegenerateDesignError,
     DomainError,
+    RowError,
     SingularityError,
     check_number,
     check_seed,
@@ -478,15 +479,17 @@ def load_observations(source) -> list[OptimumObservation]:
     errors.decode_table reads the table; '#' metadata is ignored. Errors name
     the first row read that is not an OptimumObservation, else the first unread line.
     """
-    table = decode_table(source, (_OBS_HEADER,))
+    return decode_table(source, (_OBS_HEADER,), _observations)[1]
+
+
+def _observations(values: np.ndarray, missing: np.ndarray) -> list[OptimumObservation]:
+    """decode_table's rows as OptimumObservations; a row that is none is a RowError."""
     out = []
-    for row, values in enumerate(table.values.tolist()):
+    for row, cells in enumerate(values.tolist()):
         try:
-            out.append(OptimumObservation(*values))
+            out.append(OptimumObservation(*cells))
         except ArgumentError as exc:
-            raise table.error(row, str(exc)) from exc
-    if table.fault is not None:
-        raise table.error(*table.fault)
+            raise RowError(row, str(exc)) from exc
     return out
 
 

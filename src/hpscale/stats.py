@@ -13,8 +13,9 @@ Every F statistic is one nested test (_f_test) of two fitting.ols
 dicts; a regression's own F tests it against the intercept-only model. A
 model fits exactly when its R-squared rounds to 1 (R-squared is 1 for a
 constant response). An exact full model gives F = inf and p = 0, or F = 0
-and p = 1 when the restricted model is exact too, so exactly
-law-consistent data never turns rounding noise into significance.
+and p = 1 when the restricted model is exact too, and an exact model's
+predictor rows have t and p None (coefficient, SE and ci95 kept), so
+exactly law-consistent data never turns rounding noise into significance.
 Otherwise F is the usual ratio of the RSS drop per dropped predictor to
 the full model's residual variance, clamped at 0 against rounding.
 
@@ -201,8 +202,11 @@ def _regress(predictors, obs):
     t_crit = student_t_critical(0.05, df)
     rows = []
     names = ("intercept",) + preds
+    exact = sol["r_squared"] >= 1.0  # the exact-fit rule: no t or p
     for name, coef, se in zip(names, sol["coefficients"], sol["standard_errors"]):
-        if se > 0:
+        if exact:
+            t = None
+        elif se > 0:
             t = coef / se
         else:
             t = 0.0 if coef == 0 else math.copysign(math.inf, coef)
@@ -212,7 +216,7 @@ def _regress(predictors, obs):
                 "coefficient": coef,
                 "standard_error": se,
                 "t_value": t,
-                "p_value": student_t_two_sided_p(t, df),
+                "p_value": None if exact else student_t_two_sided_p(t, df),
                 "ci95": [coef - t_crit * se, coef + t_crit * se],
             }
         )

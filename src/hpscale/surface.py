@@ -27,11 +27,13 @@ reads the arrays in whole-array expressions and none rescans the points.
 The sweep-row rule has one home, _check_rows, which LossSurface._build
 runs on its rows: every value finite and positive except a val the input
 marks missing, every bs integral, no cell filled twice, and the first row
-in input order that breaks it is the one named. LossSurface(scale,
-points), synth's row arrays and load_surface, of the rows
-errors.decode_table reads, all build through _build, so all apply the
-same rule. A surface of more than MAX_GRID_CELLS lr x bs cells is
-refused before its tables are allocated. The invariants:
+in input order that breaks it is the one named, in an errors.RowError.
+LossSurface(scale, points), synth's row arrays and load_surface, of the
+rows errors.decode_table reads, all build through _build, so all apply
+the same rule. The constructor and synth raise the RowError as it is, an
+ArgumentError; decode_table makes it a ParseError naming the row's line.
+A surface of more than MAX_GRID_CELLS lr x bs cells is refused before
+its tables are allocated. The invariants:
 
 - every value that leaves the module is a Python float or int, never a
   numpy scalar (taken with ndarray.item or .tolist());
@@ -69,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ArgumentError, DomainError, GridShapeError, OutOfHullError, ParseError
-from .errors import check_number, decode_table
+from .errors import RowError, check_number, decode_table
 from .laws import DEFAULT_FLOPS_FACTOR, LAW_METHODS, GridSpec, ModelScale, _nearest
 from .laws import baseline_predict, compute_budget, snap_to_grid
 
@@ -107,15 +109,6 @@ class OptimumReport(NamedTuple):
     metric: str
 
 
-class _BadRow(ArgumentError):
-    """Row `row` of a surface's input breaks the sweep-row rule, as the
-    message says; load_surface names the row's line instead."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
-
-
 def _check_cells(n_lr: int, n_bs: int) -> None:
     """Refuse an lr x bs grid of more than MAX_GRID_CELLS cells."""
     if n_lr * n_bs > MAX_GRID_CELLS:
@@ -132,7 +125,7 @@ def _check_rows(
 
     Every value is finite and positive, except a val that missing_val
     marks; every bs is integral; no two rows fill one of the `size` cells
-    (cells holds each row's cell). Raises _BadRow for the first row in
+    (cells holds each row's cell). Raises RowError for the first row in
     input order that breaks the rule.
     """
     in_range = (rows > 0.0) & (rows < inf)
@@ -145,13 +138,13 @@ def _check_rows(
     filled[cells[:n]] = True
     if np.count_nonzero(filled) != n:
         k = _first_repeat(cells[:n])
-        raise _BadRow(k, f"duplicate sweep point at lr={rows.item(k, 0)}, bs={int(bs[k])}")
+        raise RowError(k, f"duplicate sweep point at lr={rows.item(k, 0)}, bs={int(bs[k])}")
     if n < len(rows):
         if in_range[n].all():
-            raise _BadRow(n, f"bs_tokens must be integral, got {bs.item(n)}")
+            raise RowError(n, f"bs_tokens must be integral, got {bs.item(n)}")
         j = int(in_range[n].argmin())
         name = SweepPoint._fields[j]
-        raise _BadRow(n, f"{name} must be finite and positive, got {rows.item(n, j)}")
+        raise RowError(n, f"{name} must be finite and positive, got {rows.item(n, j)}")
 
 
 def _first_repeat(cells: np.ndarray) -> int:
@@ -217,7 +210,7 @@ class LossSurface:
         rows is an (n, 4) float64 array of lr, bs, train and val in input
         order, at least one, which the surface takes over; missing_val
         marks the rows that have no val, whose val is NaN. The axes become
-        grid, a GridSpec with bs as ints. Raises _BadRow, an ArgumentError,
+        grid, a GridSpec with bs as ints. Raises RowError, an ArgumentError,
         before anything is held, if the rows break the sweep-row rule.
         """
         lr_axis, li = np.unique(rows[:, 0], return_inverse=True)
@@ -339,18 +332,14 @@ def load_surface(source) -> LossSurface:
     return surface
 
 
+def _build_rows(values: np.ndarray, missing: np.ndarray) -> LossSurface:
+    """A surface of decode_table's rows, its scale and tags still unset."""
+    return LossSurface.__new__(LossSurface)._build(values, missing[:, 3])
+
+
 def _parse_surface(raw) -> LossSurface:
     """load_surface of raw text or bytes, without the memo."""
-    table = decode_table(raw, _HEADERS)
-    surface = LossSurface.__new__(LossSurface)
-    try:
-        if len(table.values):  # else no line was read, and the first is the fault
-            surface._build(table.values, table.missing[:, 3])
-    except _BadRow as bad:
-        raise table.error(bad.row, str(bad)) from None
-    if table.fault is not None:  # raised after the rows: an earlier row-rule break wins
-        raise table.error(*table.fault)
-    meta = table.meta
+    meta, surface = decode_table(raw, _HEADERS, _build_rows)
     missing = [k for k in _REQUIRED_META if k not in meta]
     if missing:
         raise ParseError(f"missing required metadata {missing}")

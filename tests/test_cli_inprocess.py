@@ -297,6 +297,19 @@ def test_plot_overlay_label_outside_xml_exit_2(tmp_path, method, to_file):
     assert stderr.startswith("error: overlay row 0: method must be XML text, got ")
 
 
+def test_plot_overlay_row_without_an_lr_draws_no_marker(tmp_path):
+    path = tmp_path / "overlay.json"
+    path.write_bytes(b'{"rows": [{"method": "x", "status": "ok", '
+                     b'"predicted": {"lr": null, "bs": 262144}}]}')  # fmt: skip
+    rc, stdout, _ = main_inprocess("plot", "--surface", str(FIG3_PATH), "--overlay", str(path))
+    assert rc == 0 and stdout == main_inprocess("plot", "--surface", str(FIG3_PATH))[1]
+
+
+def test_compare_with_no_method_exit_2():
+    rc, stdout, stderr = main_inprocess("compare", "--surface", str(FIG3_PATH), "--methods", ",")
+    assert (rc, stdout, stderr) == (2, b"", "error: method list must not be empty\n")
+
+
 def test_extreme_losses_analyze_and_plot_without_overflow(tmp_path):
     # a subnormal minimum and losses near the float maximum pass the row rule;
     # every relative error but the optimum's overflows to inf

@@ -27,6 +27,7 @@ from hpscale import (
     ParseError,
     SingularityError,
     bootstrap_fit,
+    compare_formulations,
     fit_bs_law,
     fit_lr_law,
     generate_observations,
@@ -847,6 +848,12 @@ def test_observations_csv_skips_comments():
     text = "# seed=3\nn_params,d_tokens,opt_lr,opt_bs_tokens\n1e9,1e10,1e-3,2e5\n"
     obs = load_observations(text)
     assert obs == [OptimumObservation(1e9, 1e10, 1e-3, 2e5)]
+
+
+@pytest.mark.parametrize("fit", [bootstrap_fit, fit_lr_law, compare_formulations])
+def test_no_observations_is_an_argument_error(fit):
+    with pytest.raises(ArgumentError, match="^no observations given$"):
+        fit([])
 
 
 def test_observations_csv_errors():

@@ -10,7 +10,8 @@ as it is. That dense surface carries the noise of synth's SeedSequence
 generator, rebuilt in test_surface._dense_surface; the bytes synth's own
 generator writes for it, and for noisy observations, are pinned apart.
 fit, stats and predict are pinned on synth's 4 x 4 lattice observations,
-noisy and exact; stats on the exact lattice writes a null F statistic.
+noisy and exact; stats on the exact lattice writes a null F statistic
+and null predictor t and p values.
 The fit and stats bytes must also be the same under every OpenBLAS
 kernel, as no BLAS or LAPACK routine takes part in a fit. The analyze,
 compare and stats bodies that the library builds, with the command's
@@ -73,7 +74,7 @@ OBSERVATION_REPORT_SHA256 = {
     "fit": "15664da13c667fc7232c0c635f839fd38b2ebbe0cb1d392c90c77889dc92d409",
     "fit-exact": "9422fee7ebe6c2249bd585370a0f41d3eede17ee1be064b9142ad66f06ab294a",
     "stats": "6b54a67952061b66234195f65597b81420d2222964426c97f5c1b72cd75fe2ad",
-    "stats-exact": "9e20f7808c88099b3ca1d2cd7f7e473e63910003a4a81c2574377bfd211a56e7",
+    "stats-exact": "295e5fd04bda464af5cbd81aa3e5de75e1c077b822884f1a9fab48afb3b3e598",
     "predict-step": "9d2d84f104cdc494065912784d17d75d563d2702f1da63cb556606ff7a229c62",
 }
 
@@ -134,7 +135,10 @@ def test_observation_command_output_is_pinned(tmp_path):
         rc, stdout, stderr = main_inprocess(*argv)
         assert rc == 0, stderr
         if key == "stats-exact":
-            assert json.loads(stdout)["full_model"]["f_statistic"] is None
+            full = json.loads(stdout)["full_model"]
+            assert full["f_statistic"] is None
+            rows = full["predictors"]
+            assert {(row["t_value"], row["p_value"]) for row in rows} == {(None, None)}
         outputs[key] = _sha256(stdout)
     assert outputs == OBSERVATION_REPORT_SHA256
 

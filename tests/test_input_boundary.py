@@ -3,7 +3,7 @@
 The loaders reach their text only through the errors.py decoders, so no
 module but errors.py calls decode_text or splits a text on "\\n" itself.
 CSV data cells become numbers in one place, errors.decode_table: no module
-but errors.py calls np.loadtxt or decode_csv.
+but errors.py calls np.loadtxt.
 Files are opened in one module, cli.py, and written by one function in
 it, _emit. Reports are encoded by one function, cli._encode_json: no
 module calls json.dumps or json.dump.
@@ -35,7 +35,7 @@ def test_only_errors_decodes_text():
 
 
 def test_only_errors_reads_csv_tables():
-    assert _where(lambda call: _name(call.func) in ("loadtxt", "decode_csv")) == []
+    assert _where(lambda call: _name(call.func) == "loadtxt") == []
 
 
 def _calls_by_function(tree):

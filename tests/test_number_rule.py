@@ -1,11 +1,12 @@
 """The input boundary: the one number rule (errors.check_number, and every
 field that uses it), the decoding of outside bytes (errors.decode_text),
-the one CSV line rule (errors.decode_csv) and the one table reader
-(errors.decode_table) that both CSV loaders share."""
+and the one CSV reader (errors.decode_table), with its line rule, that
+both CSV loaders share."""
 
 import io
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from hpscale import (
     generate_surface,
     interpolate_loss,
 )
-from hpscale.errors import CsvLines, check_number, decode_csv, decode_json
+from hpscale.errors import RowError, check_number, decode_json, decode_table
 from hpscale.svgplot import render_surface_svg
 
 
@@ -139,6 +140,12 @@ def test_every_number_field_rejects_nan_inf_and_bool(where, sign, build, value):
 
 # --- decoding ------------------------------------------------------------------
 
+
+def _values(values, missing):
+    """A decode_table build that returns the values as lists."""
+    return values.tolist()
+
+
 _DECODERS = [
     pytest.param(load_surface, FIG3_PATH.read_bytes(), id="load_surface"),
     pytest.param(load_observations,
@@ -146,7 +153,8 @@ _DECODERS = [
                  id="load_observations"),
     pytest.param(lambda raw: decode_json(raw, "test"), '{"a": [1, 2.5, "\u00b5"]}'.encode(),
                  id="decode_json"),
-    pytest.param(decode_csv, b"# a=1\nx,y\n1,2\n", id="decode_csv"),
+    pytest.param(lambda raw: decode_table(raw, (("x", "y"),), _values), b"# a=1\nx,y\n1,2\n",
+                 id="decode_table"),
 ]  # fmt: skip
 
 
@@ -170,24 +178,58 @@ def test_decoders_refuse_input_that_is_neither_text_nor_bytes(decode, data, valu
 # '=', a blank line, a row, two metadata lines and a row; CRLF on some
 _CSV_TEXT = "# n=1\r\n\r\n  h1,h2 \r\n# note\n\n1,2\r\n#k = v = w\n# n = 2\n 3,4\n"
 
-
-@pytest.mark.parametrize(
+_FORMS = pytest.mark.parametrize(
     "form",
     [str, str.encode, io.StringIO, lambda text: io.BytesIO(text.encode())],
     ids=["str", "bytes", "text-stream", "bytes-stream"],
 )
-def test_decode_csv_splits_metadata_header_and_data_lines(form):
-    assert decode_csv(form(_CSV_TEXT)) == CsvLines(
-        meta={"n": "2", "k": "v = w"},  # the last n wins
-        header="h1,h2",
-        header_line=3,
-        rows=["1,2", "3,4"],
-        row_lines=[6, 9],
-    )
 
 
-def test_decode_csv_of_comments_alone_has_no_header():
-    assert decode_csv("\n# a\r\n#\n\n") == CsvLines({}, None, 0, [], [])
+@_FORMS
+def test_decode_table_reads_metadata_and_data_lines(form):
+    meta, values = decode_table(form(_CSV_TEXT), (("h1", "h2"),), _values)
+    assert meta == {"n": "2", "k": "v = w"}  # the last n wins; '# note' holds no '='
+    assert values == [[1, 2], [3, 4]]
+
+
+@_FORMS
+def test_decode_table_names_the_stripped_header_and_its_line(form):
+    # the header line loses its padding and its CRLF end
+    with pytest.raises(ParseError) as err:
+        decode_table(form(_CSV_TEXT), (("a", "b"),), _values)
+    assert str(err.value) == "line 3: bad header 'h1,h2'; expected 'a,b'"
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("row,line", [(0, 6), (1, 9)])
+def test_decode_table_names_the_line_of_a_row_error_from_build(row, line):
+    def build(values, missing):
+        raise RowError(row, "row rule broken")
+
+    with pytest.raises(ParseError) as err:
+        decode_table(_CSV_TEXT, (("h1", "h2"),), build)
+    assert str(err.value) == f"line {line}: row rule broken" and err.value.line == line
+
+
+def test_decode_table_of_comments_alone_has_no_header():
+    with pytest.raises(ParseError, match=r"^no header found \(empty file\?\)$"):
+        decode_table("\n# a\r\n#\n\n", (("h1", "h2"),), _values)
+
+
+def test_decode_table_does_not_build_when_no_row_was_read():
+    calls = []
+    with pytest.raises(ParseError) as err:
+        decode_table("h1,h2\nx,2\n3,4\n", (("h1", "h2"),), lambda *rows: calls.append(rows))
+    assert err.value.line == 2 and calls == []
+
+
+def test_decode_table_holds_no_line_text_while_it_builds():
+    # a 60 x 70 surface's lines are about 0.2 MB: build's peak must not hold them
+    def build(values, missing):
+        held = sys._getframe(1).f_locals.values()
+        return [v for v in held if isinstance(v, list) and v and isinstance(v[0], str)]
+
+    assert decode_table("h1,h2\n1,2\n3,4\n", (("h1", "h2"),), build)[1] == []
 
 
 _OBS_HEADER = "n_params,d_tokens,opt_lr,opt_bs_tokens"

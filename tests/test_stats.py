@@ -106,8 +106,12 @@ def test_regress_exact_linear_response():
     report = regress(("logN", "logD"), obs)
     assert report["r_squared"] == pytest.approx(1.0, abs=1e-12)
     assert report["adjusted_r_squared"] == pytest.approx(1.0, abs=1e-12)
-    assert _entry(report["predictors"], "logN")["p_value"] == pytest.approx(0.0, abs=1e-10)
-    assert _entry(report["predictors"], "logD")["p_value"] == pytest.approx(0.0, abs=1e-10)
+    # the exact-fit rule: no t or p, the coefficients and their errors kept
+    for name, coef in (("logN", 0.2), ("logD", 0.58)):
+        row = _entry(report["predictors"], name)
+        assert row["t_value"] is None and row["p_value"] is None
+        assert row["coefficient"] == pytest.approx(coef, rel=1e-12)
+        assert row["ci95"][0] <= row["coefficient"] <= row["ci95"][1]
 
 
 def test_regress_orthogonal_predictor_is_null():

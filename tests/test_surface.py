@@ -86,6 +86,13 @@ def test_load_surface_optional_metadata_and_bytes():
     assert surf.scale == ModelScale(1.07e9, 1.0e11, n_active=5e8)
 
 
+def test_surface_csv_round_trip_keeps_n_active():
+    meta = "# d_tokens=1.0e11\n# arch_tag=dense\n# n_active=5e8"
+    surf = load_surface(MINI_CSV.replace("# d_tokens=1.0e11", meta))
+    assert "\n# n_active=500000000.0\n" in surface_to_csv(surf)
+    assert load_surface(surface_to_csv(surf)) == surf
+
+
 def test_load_surface_empty_file():
     with pytest.raises(ParseError, match="empty"):
         load_surface("")
@@ -356,6 +363,14 @@ def test_relative_error_one_step_offset_matches_oracle():
     got = relative_error(surf, probe)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got > 0
+
+
+def test_relative_error_reads_a_rounding_undershoot_as_zero():
+    # every node is 2.3, but this query interpolates one ulp below it
+    surf = _points_grid((1e-3, 2e-3), (65536, 131072), lambda lr, bs: 2.3)
+    query = (0.0016027941314794177, 66760.02130535236)
+    assert interpolate_loss(surf, *query) == 2.2999999999999994
+    assert relative_error(surf, query) == 0.0
 
 
 def test_relative_error_out_of_hull():
