@@ -13,7 +13,7 @@ laws per resample, averages the per-resample (log c, alpha, beta, log d,
 gamma), and reports empirical 2.5/97.5 percentile confidence bands.
 fit_lr_law and fit_bs_law return one point fit as a dict under the same
 names (log_c, alpha, beta; log_d, gamma), and ols returns its solution
-and goodness-of-fit numbers as a dict.
+and the goodness of fit of it and of each prefix model as a dict.
 
 Every fit reads one table, _log_table: math.log of (N, D, lr, bs), rows
 sorted by the raw values, so results are bit-identical under input
@@ -24,7 +24,9 @@ R depends only on that matrix's entries, not on the stack around it nor
 on which LAPACK or BLAS kernel the host would pick. _solve then solves
 R[:p, :p] b = R[:p, p] by back-substitution. The design is rank deficient
 when some |diag R[:p, :p]| <= 1e-10 * max(max |diag|, 1). Two
-observations give the exact batch-size line.
+observations give the exact batch-size line. ols reads the RSS of the
+model on the first k columns of X off the same QR: sum_{j >= k} R[j, p]**2
+(Golub & Van Loan, Matrix Computations, 5.3), which no longer model exceeds.
 
 The bootstrap takes one QR per resample, of its rows of [1, log D, log N
 | log lr, log bs]. A reflection changes only the columns right of its
@@ -220,9 +222,10 @@ def _least_squares(cols):
     Householder QR commutes exactly with such a scaling, so the solve sees
     the bits of an unscaled QR wherever that one neither overflows nor
     underflows, and no sum of squares overflows for columns past 1e154.
+    With n >= q the last column is reflected too, and no coefficient moves.
     """
     exponents = np.frexp(np.abs(cols).max(axis=1))[1]
-    scaled = _qr_r(np.ldexp(cols, -exponents[:, None])[:, None].copy(), len(cols) - 1)
+    scaled = _qr_r(np.ldexp(cols, -exponents[:, None])[:, None].copy(), min(cols.shape))
     coeffs, bad = _solve(np.ldexp(scaled, exponents))
     if bad[0]:
         raise SingularityError("design matrix is rank deficient")
@@ -230,12 +233,13 @@ def _least_squares(cols):
 
 
 def ols(design, response) -> dict:
-    """Least squares of response on a design matrix with intercept column.
+    """Least squares of response on a design whose column 0 is the intercept.
 
-    Returns a dict of coefficients, residuals, rss, standard_errors,
-    r_squared, adjusted_r_squared, n_obs and df_resid (n_obs minus the
-    number of columns). Needs finite numbers, at least one column, more
-    rows than columns and full column rank.
+    Returns a dict of coefficients, residuals, standard_errors, rss,
+    r_squared, adjusted_r_squared, df_resid (n_obs minus its p columns),
+    n_obs and nested: the fits on columns 0 .. k - 1 for 0 < k < p, each as
+    rss, r_squared, adjusted_r_squared and df_resid. Needs finite numbers,
+    at least one column, more rows than columns and full column rank.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -253,32 +257,42 @@ def ols(design, response) -> dict:
 
     coeffs, r, exponents = _least_squares(np.vstack([x.T, y]))
     resid = y - (x * coeffs).sum(axis=1)
-    rss = float((resid * resid).sum())
+    # rss[k] is the RSS on columns 0 .. k - 1; TSS is rss[1], or 0 for a
+    # constant y, whose QR can leave an ulp of residual
+    rss = np.ldexp(np.cumsum(r[::-1, p] ** 2)[::-1], 2 * exponents[p]).tolist()
+    tss = rss[1] if np.ptp(y) > 0 else 0.0
+    r2 = [1.0 - v / tss if tss > 0 else 1.0 for v in rss]
+    *nested, full = [{"rss": rss[k], "r_squared": r2[k],
+                      "adjusted_r_squared": 1.0 - (1.0 - r2[k]) * (n - 1) / (n - k),
+                      "df_resid": n - k} for k in range(1, p + 1)]  # fmt: skip
 
-    df = n - p
     # row i of r_inv solves R b = e_i for the scaled R, which passed the rank
     # rule unscaled: it is column i of that R's inverse, whose row k is
     # 2**exponents[k] times row k of R^-1
-    systems = np.concatenate([np.broadcast_to(r[:, :p], (p, p, p)), np.eye(p)[..., None]], axis=2)
+    systems = np.concatenate([np.broadcast_to(r[:p, :p], (p, p, p)), np.eye(p)[..., None]], axis=2)
     r_inv = _back_substitute(systems)
-    se = np.ldexp(np.sqrt(rss / df * (r_inv * r_inv).sum(axis=0)), -exponents[:p])
-
-    # a constant y has TSS 0, though its float mean can miss it by an ulp
-    tss = float(np.sum((y - y.mean()) ** 2)) if np.ptp(y) > 0 else 0.0
-    r2 = 1.0 - rss / tss if tss > 0 else 1.0
+    se = np.sqrt(full["rss"] / full["df_resid"] * (r_inv * r_inv).sum(axis=0))
     return {
         "coefficients": tuple(coeffs.tolist()),
         "residuals": tuple(resid.tolist()),
-        "rss": rss,
-        "standard_errors": tuple(se.tolist()),
-        "r_squared": r2,
-        "adjusted_r_squared": 1.0 - (1.0 - r2) * (n - 1) / df,
+        "standard_errors": tuple(np.ldexp(se, -exponents[:p]).tolist()),
+        **full,
         "n_obs": n,
-        "df_resid": df,
+        "nested": nested,
     }
 
 
 # --- law fits ---------------------------------------------------------------
+
+
+def _design(table, what, columns, response):
+    """Columns [1, listed | response] of a _log_table (log N, D, lr, bs) once
+    each listed N or D column spans >= 2 values, else a DegenerateDesignError naming what."""
+    if (np.ptp(table[:, columns], axis=0) == 0).any():
+        raise DegenerateDesignError(
+            f"{what} needs " + " and ".join(f">= 2 distinct {'ND'[c]}" for c in columns)
+        )
+    return np.vstack([np.ones(len(table)), table[:, [*columns, response]].T])
 
 
 def _lr_design(table):
@@ -287,16 +301,7 @@ def _lr_design(table):
         raise DegenerateDesignError(
             f"learning-rate law needs >= 4 observations, got {len(table)}"
         )
-    if (np.ptp(table[:, :2], axis=0) == 0).any():
-        raise DegenerateDesignError(
-            "learning-rate law needs >= 2 distinct N and >= 2 distinct D"
-        )
-    return np.vstack([np.ones(len(table)), table[:, :3].T])
-
-
-def _bs_design(table):
-    """Columns [1, log D | log bs] of the batch-size law."""
-    return np.vstack([np.ones(len(table)), table[:, 1::2].T])
+    return _design(table, "learning-rate law", [0, 1], 2)
 
 
 def fit_lr_law(obs) -> dict:
@@ -311,10 +316,7 @@ def fit_bs_law(obs) -> dict:
     Two observations with distinct D give the exact line through both
     points; more observations are fitted by least squares.
     """
-    table = _log_table(obs)
-    if np.ptp(table[:, 1]) == 0:
-        raise DegenerateDesignError("batch-size law needs >= 2 distinct D")
-    coeffs = _least_squares(_bs_design(table))[0]
+    coeffs = _least_squares(_design(_log_table(obs), "batch-size law", [1], 3))[0]
     return dict(zip(_BS_NAMES, coeffs.tolist()))
 
 

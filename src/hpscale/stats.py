@@ -5,19 +5,20 @@ p-values, 95% confidence intervals, adjusted R-squared) for regressions of
 log batch size on subsets of {logN, logD}, plus hierarchical nested
 F-tests comparing the N-only and D-only formulations against the Full
 model. Each analytic returns its report section as a dict of plain
-values: regress the `full_model` section (for logN and logD), and
-compare_formulations the body of the `stats` report, which takes regress's
-section as its full_model unchanged; the command adds only its meta.
+values: regress the `full_model` section, and compare_formulations the
+whole body of the `stats` report around it; the command adds only its meta.
 
-Every F statistic is one nested test (_f_test) of two fitting.ols
-dicts; a regression's own F tests it against the intercept-only model. A
-model fits exactly when its R-squared rounds to 1 (R-squared is 1 for a
-constant response). An exact full model gives F = inf and p = 0, or F = 0
-and p = 1 when the restricted model is exact too, and an exact model's
-predictor rows have t and p None (coefficient, SE and ci95 kept), so
-exactly law-consistent data never turns rounding noise into significance.
-Otherwise F is the usual ratio of the RSS drop per dropped predictor to
-the full model's residual variance, clamped at 0 against rounding.
+Two fitting.ols calls, one QR each, give all four models: [1, logN, logD |
+log bs] the Full one and, as nested prefix models, the intercept-only and
+N-only ones; [1, logD, logN | log bs] the D-only one. Every F statistic is a
+nested test (_f_test) of two models of one call, a regression's own against
+its intercept-only model. A model fits exactly when its R-squared rounds to
+1. An exact full model gives F = inf and p = 0, or F = 0 and p = 1 when the
+restricted model is exact too, and an exact model's predictor rows have t
+and p None (coefficient, SE and ci95 kept), so exactly law-consistent data
+never turns rounding noise into significance. Otherwise F is the usual
+ratio of the RSS drop per dropped predictor to the full model's residual
+variance, clamped at 0 against rounding.
 
 The Student-t and F reference distributions are evaluated through a
 regularized incomplete beta function implemented here (continued
@@ -30,10 +31,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ArgumentError, DomainError
-from .fitting import _log_table, ols
+from .fitting import _design, _log_table, ols
 
 PREDICTOR_NAMES = ("logN", "logD")
 
@@ -156,8 +155,8 @@ def f_sf(f: float, df1: float, df2: float) -> float:
 
 def _f_test(restricted, full) -> tuple[float, float]:
     """F statistic and p-value of `full` against a `restricted` model it
-    nests: ols dicts, of which it reads rss, r_squared and df_resid
-    (exact-fit rule above)."""
+    nests: ols dicts or their nested models, of which it reads rss,
+    r_squared and df_resid (exact-fit rule above)."""
     df = full["df_resid"]
     q = restricted["df_resid"] - df
     if full["r_squared"] >= 1.0:
@@ -173,37 +172,33 @@ def regress(predictors, obs) -> dict:
     `full_model` section of the stats report for ("logN", "logD").
 
     predictors is a subset of {"logN", "logD"}; diagnostics use Student-t
-    with n - p - 1 degrees of freedom for p predictors. The regression's F
-    tests it against the intercept-only model.
+    with n - p - 1 degrees of freedom for p predictors.
     """
-    return _regress(predictors, obs)[0]
-
-
-def _regress(predictors, obs):
-    """regress's section and the ols dict it was built from, whose rss,
-    r_squared and df_resid the nested F-tests read."""
     preds = tuple(predictors)
     if not preds:
         raise ArgumentError("at least one predictor is required")
     if len(set(preds)) != len(preds):
         raise ArgumentError(f"duplicate predictors in {preds}")
-    unknown = set(preds) - set(PREDICTOR_NAMES)
-    if unknown:
+    if unknown := set(preds) - set(PREDICTOR_NAMES):
         raise ArgumentError(
             f"unknown predictors {sorted(unknown)}; expected from {PREDICTOR_NAMES}"
         )
-    table = _log_table(obs)  # columns logN, logD, log lr, log bs
-    design = np.column_stack(
-        [np.ones(len(table))] + [table[:, PREDICTOR_NAMES.index(name)] for name in preds]
-    )
-    y = table[:, 3]
-    sol = ols(design, y)
+    return _report(preds, _ols(_log_table(obs), [PREDICTOR_NAMES.index(name) for name in preds]))
+
+
+def _ols(table, columns):
+    """fitting.ols of log bs on [1, the listed _log_table columns], once each spans >= 2 values."""
+    cols = _design(table, "batch-size regression", columns, 3)
+    return ols(cols[:-1].T, cols[-1])
+
+
+def _report(preds, sol) -> dict:
+    """regress's section from the ols dict of log bs on [1, preds...]."""
     df = sol["df_resid"]
     t_crit = student_t_critical(0.05, df)
     rows = []
-    names = ("intercept",) + preds
     exact = sol["r_squared"] >= 1.0  # the exact-fit rule: no t or p
-    for name, coef, se in zip(names, sol["coefficients"], sol["standard_errors"]):
+    for name, coef, se in zip(("intercept",) + preds, sol["coefficients"], sol["standard_errors"]):
         if exact:
             t = None
         elif se > 0:
@@ -220,7 +215,7 @@ def _regress(predictors, obs):
                 "ci95": [coef - t_crit * se, coef + t_crit * se],
             }
         )
-    f_stat, f_pvalue = _f_test(ols(design[:, :1], y), sol)
+    f_stat, f_pvalue = _f_test(sol["nested"][0], sol)
     return {
         "n": sol["n_obs"],
         "r_squared": sol["r_squared"],
@@ -228,29 +223,31 @@ def _regress(predictors, obs):
         "f_statistic": f_stat,
         "f_pvalue": f_pvalue,
         "predictors": rows,
-    }, sol
+    }
 
 
 def compare_formulations(obs) -> dict:
     """The body of the `stats` report: the N-only, D-only and Full
     formulations, the nested F-test of N-only and of D-only against Full,
     and the Full model's own diagnostics, regress's section."""
-    full, full_sol = _regress(("logN", "logD"), obs)
-    restricted = (("N-only", _regress(("logN",), obs)), ("D-only", _regress(("logD",), obs)))
+    table = _log_table(obs)
+    full, swapped = _ols(table, [0, 1]), _ols(table, [1, 0])  # columns logN, logD
+    restricted = (("N-only", full, full["nested"][1]), ("D-only", swapped, swapped["nested"][1]))
     formulations = [
         {
             "name": name,
-            "r_squared": report["r_squared"],
-            "adjusted_r_squared": report["adjusted_r_squared"],
-            "delta_adj_r2_vs_full": report["adjusted_r_squared"] - full["adjusted_r_squared"],
-            "f_statistic": report["f_statistic"],
+            "r_squared": model["r_squared"],
+            "adjusted_r_squared": model["adjusted_r_squared"],
+            "delta_adj_r2_vs_full": model["adjusted_r_squared"] - full["adjusted_r_squared"],
+            "f_statistic": _f_test(sol["nested"][0], model)[0],
         }
-        for name, (report, _) in (*restricted, ("Full", (full, full_sol)))
+        for name, sol, model in (*restricted, ("Full", full, full))
     ]
     nested_tests = []
-    for name, (_, sol) in restricted:
-        f_stat, p_value = _f_test(sol, full_sol)
+    for name, sol, model in restricted:
+        f_stat, p_value = _f_test(model, sol)
         nested_tests.append(
             {"restricted": name, "full": "Full", "f_statistic": f_stat, "p_value": p_value}
         )
-    return {"formulations": formulations, "nested_tests": nested_tests, "full_model": full}
+    full_model = _report(PREDICTOR_NAMES, full)
+    return {"formulations": formulations, "nested_tests": nested_tests, "full_model": full_model}

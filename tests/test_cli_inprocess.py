@@ -494,6 +494,29 @@ def test_stats_on_exact_lattice_is_strict_json(tmp_path):
     assert b"Infinity" not in stdout and b": null" in stdout
 
 
+_SPAN_ERROR = "error: batch-size regression needs >= 2 distinct N and >= 2 distinct D\n"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1e9,1e10,1e-3,1e5\n1e9,2e10,1e-3,1.5e5\n1e9,4e10,1e-3,2e5\n1e9,8e10,1e-3,3e5\n",
+         _SPAN_ERROR),
+        ("1e8,1e10,1e-3,1e5\n2e8,1e10,1e-3,1.5e5\n4e8,1e10,1e-3,2e5\n8e8,1e10,1e-3,3e5\n",
+         _SPAN_ERROR),
+        # N proportional to D: each spans 5 values, but log N - log D is constant
+        ("1e8,1e10,1e-3,1e5\n2e8,2e10,1e-3,1.5e5\n4e8,4e10,1e-3,2e5\n8e8,8e10,1e-3,3e5\n"
+         "1.6e9,1.6e11,1e-3,4e5\n", "error: design matrix is rank deficient\n"),
+    ],
+    ids=["one-N", "one-D", "N-proportional-to-D"],
+)  # fmt: skip
+def test_stats_degenerate_observations_exit_2(tmp_path, rows, message):
+    path = tmp_path / "obs.csv"
+    path.write_text("n_params,d_tokens,opt_lr,opt_bs_tokens\n" + rows)
+    rc, stdout, stderr = main_inprocess("stats", "--observations", str(path))
+    assert (rc, stdout, stderr) == (2, b"", message)
+
+
 def test_finite_reports_are_unchanged_by_the_strict_encoder():
     rc, stdout, _ = main_inprocess("analyze", "--surface", str(FIG3_PATH))
     assert rc == 0

@@ -793,11 +793,16 @@ def test_bootstrap_mixed_batches_redraw_as_the_qr_rule_does(case, monkeypatch):
 def test_fit_results_hold_python_floats():
     obs = lattice_obs(noise_sigma=0.05, seed=2)
     sol = ols(np.column_stack([np.ones(6), np.arange(6.0)]), np.arange(6.0) ** 2)
-    assert list(sol) == ["coefficients", "residuals", "rss", "standard_errors", "r_squared",
-                         "adjusted_r_squared", "n_obs", "df_resid"]  # fmt: skip
+    assert list(sol) == ["coefficients", "residuals", "standard_errors", "rss", "r_squared",
+                         "adjusted_r_squared", "df_resid", "n_obs", "nested"]  # fmt: skip
     assert [(type(sol[k]), sol[k]) for k in ("n_obs", "df_resid")] == [(int, 6), (int, 4)]
     values = [*sol["coefficients"], *sol["residuals"], *sol["standard_errors"],
               sol["rss"], sol["r_squared"], sol["adjusted_r_squared"]]  # fmt: skip
+    # the intercept-only prefix model
+    (nested,) = sol["nested"]
+    assert list(nested) == ["rss", "r_squared", "adjusted_r_squared", "df_resid"]
+    assert (type(nested["df_resid"]), nested["df_resid"]) == (int, 5)
+    values += [nested["rss"], nested["r_squared"], nested["adjusted_r_squared"]]
     fits = (fit_lr_law(obs), fit_bs_law(obs), fit_bs_law(obs[:2]))
     assert [list(fit) for fit in fits] == [["log_c", "alpha", "beta"], ["log_d", "gamma"],
                                            ["log_d", "gamma"]]  # fmt: skip

@@ -13,7 +13,8 @@ fit, stats and predict are pinned on synth's 4 x 4 lattice observations,
 noisy and exact; stats on the exact lattice writes a null F statistic
 and null predictor t and p values.
 The fit and stats bytes must also be the same under every OpenBLAS
-kernel, as no BLAS or LAPACK routine takes part in a fit. The analyze,
+kernel, as no BLAS or LAPACK routine takes part in a fit, and with
+numpy's SIMD dispatch cut back to each of its targets in turn. The analyze,
 compare and stats bodies that the library builds, with the command's
 meta added, must encode to the bytes the command writes.
 """
@@ -73,8 +74,8 @@ GOLDEN_SHA256 = {
 OBSERVATION_REPORT_SHA256 = {
     "fit": "15664da13c667fc7232c0c635f839fd38b2ebbe0cb1d392c90c77889dc92d409",
     "fit-exact": "9422fee7ebe6c2249bd585370a0f41d3eede17ee1be064b9142ad66f06ab294a",
-    "stats": "6b54a67952061b66234195f65597b81420d2222964426c97f5c1b72cd75fe2ad",
-    "stats-exact": "295e5fd04bda464af5cbd81aa3e5de75e1c077b822884f1a9fab48afb3b3e598",
+    "stats": "1e62e785439d0db907bbdb5d4d985ff21108b50850dc7b9da05f518c0d0a0443",
+    "stats-exact": "3ea209b05386e8cccbc97ba81fb64cd471a887dc9fe58dfa1bfadb619c57768f",
     "predict-step": "9d2d84f104cdc494065912784d17d75d563d2702f1da63cb556606ff7a229c62",
 }
 
@@ -158,6 +159,18 @@ print(json.dumps(digests))
 """
 
 
+# Prepended to _DIGEST_CHILD: first prints the numpy SIMD dispatch targets
+# that are on, as a JSON list.
+_SIMD_CHILD = """\
+import json
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy before 2.0
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+print(json.dumps([name for name in __cpu_dispatch__ if __cpu_features__.get(name)]))
+"""
+
+
 def _blas_name() -> str:
     try:
         return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
@@ -188,6 +201,30 @@ def test_observation_reports_do_not_depend_on_the_blas_kernel(tmp_path):
     assert len(digests[None]) == 4
     for kernel in ("Haswell", "Nehalem", "Prescott"):
         assert digests[kernel] == digests[None], kernel
+
+
+def test_observation_reports_do_not_depend_on_the_simd_dispatch(tmp_path):
+    # numpy picks a SIMD loop for the CPU it runs on, from the dispatch
+    # targets it was built with; NPY_DISABLE_CPU_FEATURES turns targets off.
+    # Each run turns off one more, from the top, down to the build's baseline
+    commands = json.dumps([c for c in _observation_commands(tmp_path) if c[0] != "predict-step"])
+
+    def run(disabled):
+        env = {**CLI_ENV, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}
+        proc = subprocess.run([sys.executable, "-c", _SIMD_CHILD + _DIGEST_CHILD, commands],
+                              capture_output=True, env=env)  # fmt: skip
+        assert proc.returncode == 0, proc.stderr.decode()
+        on, digests = proc.stdout.decode().splitlines()
+        return json.loads(on), json.loads(digests)
+
+    targets, base = run([])
+    if not targets:
+        pytest.skip("this CPU runs none of numpy's SIMD dispatch targets")
+    assert len(base) == 4
+    for k in reversed(range(len(targets))):
+        on, digests = run(targets[k:])
+        assert not set(on) & set(targets[k:]), f"{targets[k:]} stayed on"
+        assert digests == base, targets[k:]
 
 
 def _surface_commands(path, rows) -> list[tuple[str, list[str]]]:

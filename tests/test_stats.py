@@ -14,12 +14,14 @@ from hpscale import (
     compare_formulations,
     f_sf,
     generate_observations,
+    ols,
     regress,
     regularized_incomplete_beta,
     student_t_critical,
     student_t_two_sided_p,
 )
-from hpscale.stats import _f_test, _regress
+from hpscale import fitting
+from hpscale.stats import _f_test
 
 
 def _entry(rows, name):
@@ -227,6 +229,24 @@ def test_noise_predictor_raises_raw_r2_but_can_lower_adjusted():
     assert full["adjusted_r_squared"] < d_only["adjusted_r_squared"]  # t^2 < 1 here
 
 
+def test_compare_formulations_takes_two_factorizations(monkeypatch):
+    # one QR of [1, logN, logD | log bs] and one of [1, logD, logN | log bs]
+    # give all four models; a regression's intercept-only model is in its own
+    calls, qr_r = [], fitting._qr_r
+
+    def counting(a, p):
+        calls.append(a.shape)
+        return qr_r(a, p)
+
+    monkeypatch.setattr(fitting, "_qr_r", counting)
+    obs = independent_n_observations(3)
+    compare_formulations(obs)
+    assert calls == [(4, 1, 40)] * 2
+    calls.clear()
+    regress(("logN", "logD"), obs)
+    assert calls == [(4, 1, 40)]
+
+
 def test_f_test_exact_full_fit():
     def solution(rss, df_resid):  # TSS 1, so R-squared is 1 - RSS
         return {"rss": rss, "r_squared": 1.0 - rss, "df_resid": df_resid}
@@ -313,17 +333,22 @@ def _leaves(value):
 
 
 def test_reports_hold_python_floats():
-    comp = compare_formulations(independent_n_observations(3))
+    obs = independent_n_observations(3)
+    comp = compare_formulations(obs)
     values = _leaves(comp)
     assert {type(v) for v in values} == {str, int, float}
     assert [v for v in values if type(v) is int] == [comp["full_model"]["n"]]
-    report, sol = _regress(("logN", "logD"), independent_n_observations(3))
+    report = regress(("logN", "logD"), obs)
     values = _leaves(report)
     assert {type(v) for v in values} == {str, int, float}
     assert [v for v in values if type(v) is int] == [report["n"]]
-    assert [v for v in _leaves(sol) if type(v) is not float] == [sol["n_obs"], sol["df_resid"]]
-    assert type(sol["n_obs"]) is type(sol["df_resid"]) is int
-    assert "np." not in repr(comp) + repr(report)
+    # the ols dict of the same regression
+    logs = np.log([[o.n_params, o.d_tokens, o.opt_bs_tokens] for o in obs])
+    sol = ols(np.column_stack([np.ones(len(obs)), logs[:, :2]]), logs[:, 2])
+    ints = [sol["df_resid"], sol["n_obs"], *(model["df_resid"] for model in sol["nested"])]
+    assert [v for v in _leaves(sol) if type(v) is not float] == ints
+    assert {type(v) for v in ints} == {int} and len(ints) == 4
+    assert "np." not in repr(comp) + repr(report) + repr(sol)
 
 
 def test_rejection_frequencies_over_seeds():
@@ -335,3 +360,46 @@ def test_rejection_frequencies_over_seeds():
         n_keep_n += _entry(report["predictors"], "logN")["p_value"] > 0.05
     assert n_reject_d == 50
     assert n_keep_n >= 45
+
+
+def _lstsq_rss(columns, y):
+    """RSS of y on columns by LAPACK's least squares, an oracle apart from fitting.ols."""
+    x = np.column_stack(columns)
+    resid = y - x @ np.linalg.lstsq(x, y, rcond=None)[0]
+    return float(resid @ resid)
+
+
+def test_compare_formulations_matches_a_lstsq_oracle():
+    for seed in range(12):
+        obs = independent_n_observations(seed, n=24)
+        comp = compare_formulations(obs)
+        log_n, log_d, y = np.log([[o.n_params, o.d_tokens, o.opt_bs_tokens] for o in obs]).T
+        one, n = np.ones(len(obs)), len(obs)
+        columns = {"intercept": [one], "N-only": [one, log_n], "D-only": [one, log_d],
+                   "Full": [one, log_n, log_d]}  # fmt: skip
+        rss = {name: _lstsq_rss(cols, y) for name, cols in columns.items()}
+        df = {name: n - len(cols) for name, cols in columns.items()}
+        tss = rss["intercept"]
+        adj = {name: 1 - rss[name] / tss * (n - 1) / df[name] for name in rss}
+
+        def f_test(restricted, name):  # F and p of model name against one it nests
+            q = df[restricted] - df[name]
+            f_stat = (rss[restricted] - rss[name]) / q / (rss[name] / df[name])
+            return f_stat, sp_stats.f.sf(f_stat, q, df[name])
+
+        full = comp["full_model"]
+        pairs = [(full["r_squared"], 1 - rss["Full"] / tss),
+                 (full["adjusted_r_squared"], adj["Full"]),
+                 ((full["f_statistic"], full["f_pvalue"]), f_test("intercept", "Full"))]  # fmt: skip
+        for row in comp["formulations"]:
+            name = row["name"]
+            pairs += [(row["r_squared"], 1 - rss[name] / tss),
+                      (row["adjusted_r_squared"], adj[name]),
+                      (row["delta_adj_r2_vs_full"], adj[name] - adj["Full"]),
+                      (row["f_statistic"], f_test("intercept", name)[0])]  # fmt: skip
+        for test in comp["nested_tests"]:
+            pairs.append(((test["f_statistic"], test["p_value"]),
+                          f_test(test["restricted"], "Full")))  # fmt: skip
+        mine, oracle = zip(*pairs)
+        np.testing.assert_allclose(np.hstack(mine), np.hstack(oracle), rtol=1e-9, atol=0,
+                                   err_msg=f"seed {seed}")  # fmt: skip
