@@ -13,8 +13,15 @@ This module keeps argv parsing, file bytes, the encoder and exit codes;
 each report body is built where its numbers are computed. analyze, compare
 and stats take theirs from surface.analyze_report, surface.compare_rows
 and stats.compare_formulations, fit from FitResult.to_json_dict, and each
-adds only its meta (version and input digest). predict's four fields are
-the one body assembled here.
+adds only its meta (version and input digest), through _report. predict's
+four fields are the one body assembled here.
+
+One table, _COMMANDS, declares every command: its function, its help line
+and its options in order, --out last. An option that two commands take is
+defined once, above the table. A command function reads its namespace and
+its input files and returns its outputs, a list of (text, target) pairs;
+a target of None or "-" is stdout. It writes nothing itself: main hands
+the outputs to _emit, and maps every error to its exit code in one place.
 
 Reports are strict JSON written by one encoder, _encode_json. Its bytes
 equal json.dumps(doc, indent=2, sort_keys=True), except that a
@@ -35,13 +42,13 @@ overrides) exits 2, and a well-formed one whose numbers overflow a float
 exits 3; no input file ends in a traceback. Files are opened here only;
 the loaders parse the bytes through the input boundary in errors.py.
 
-_emit is the one writer. It takes every output of a command at once
-(compare --csv has two), encodes them all and opens every file target
-before it writes a byte, so a target that cannot be opened leaves nothing
-written. It rewrites a file in place: the file is opened without
-truncating it to zero, every byte is written, and the file is cut to the
-text's length only when it was longer. /dev/null, FIFOs and other
-targets of size 0 are never cut. The reason is cost: on ext4, truncating
+_emit is the one writer, and main its one caller. It takes every output
+of a command at once (compare --csv has two), encodes them all and opens
+every file target before it writes a byte, so a target that cannot be
+opened leaves nothing written. It rewrites a file in place: the file is
+opened without truncating it to zero, every byte is written, and the file
+is cut to the text's length only when it was longer. /dev/null, FIFOs and
+other targets of size 0 are never cut. The reason is cost: on ext4, truncating
 an existing file to zero is slow in open, and with auto_da_alloc (the
 default) the close then starts writeback. On a 2-vCPU VM a 900-byte
 rewrite took a median of 108 us through open(path, "w") and 7 us in
@@ -134,9 +141,11 @@ def _meta(input_bytes: bytes) -> dict:
 
 
 _STDOUT = (None, "-")
+# a command's outputs are (text, target) pairs; a target in _STDOUT is stdout
+_Output = tuple[str, str | None]
 
 
-def _emit(*outputs: tuple[str, str | None]) -> None:
+def _emit(*outputs: _Output) -> None:
     """Write each (text, target) output of one command. A target of None
     or "-" is stdout; a file target is rewritten in place (see the module
     doc).
@@ -247,26 +256,32 @@ def _comma_floats(text: str, what: str) -> list[float]:
     return [check_number(v, what) for v in values]
 
 
-def _load_laws(args) -> tuple[LawTable, AuxInputs]:
+def _law_inputs(args) -> tuple[LawTable, AuxInputs]:
+    """The law table and aux inputs of predict and compare: --laws's
+    overrides (the defaults without it), with --loss and --meituan-params
+    on top. The laws file is read before --meituan-params is parsed."""
+    laws, aux = DEFAULT_LAWS, AuxInputs()
     if args.laws:
-        return load_law_overrides(_read_input(args.laws))
-    return DEFAULT_LAWS, AuxInputs()
-
-
-def _build_aux(args, laws_aux: AuxInputs) -> AuxInputs:
-    meituan = laws_aux.meituan_params
+        laws, aux = load_law_overrides(_read_input(args.laws))
+    meituan = aux.meituan_params
     if args.meituan_params is not None:
         meituan = tuple(_comma_floats(args.meituan_params, "--meituan-params"))
-    return AuxInputs(expected_loss=args.loss, meituan_params=meituan)
+    return laws, AuxInputs(expected_loss=args.loss, meituan_params=meituan)
+
+
+def _report(doc: dict, raw: bytes, target: str | None) -> _Output:
+    """The output of a JSON report read off the input bytes raw: doc with
+    its meta added, encoded."""
+    doc["meta"] = _meta(raw)
+    return _encode_json(doc) + "\n", target
 
 
 # --- subcommands --------------------------------------------------------------
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> list[_Output]:
     check_number(args.budget_factor, "--budget-factor", "positive")
-    laws, laws_aux = _load_laws(args)
-    aux = _build_aux(args, laws_aux)
+    laws, aux = _law_inputs(args)
     scale = ModelScale(
         n_params=args.n, d_tokens=args.d, n_active=args.n_active
     )
@@ -277,42 +292,32 @@ def cmd_predict(args) -> int:
     if args.snap:
         pred = snap_to_grid(pred, GridSpec.default())
     doc = {"method": pred.method, "lr": pred.lr, "bs": pred.bs_tokens, "snapped": pred.snapped}
-    _emit((_encode_json(doc) + "\n", args.out))
-    return 0
+    return [(_encode_json(doc) + "\n", args.out)]
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> list[_Output]:
     raw = _read_input(args.observations)
     obs = load_observations(raw)
     result = bootstrap_fit(obs, resamples=args.bootstrap, seed=args.seed)
-    doc = result.to_json_dict()
-    doc["meta"] = _meta(raw)
-    _emit((_encode_json(doc) + "\n", args.out))
-    return 0
+    return [_report(result.to_json_dict(), raw, args.out)]
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> list[_Output]:
     raw = _read_input(args.observations)
-    doc = compare_formulations(load_observations(raw))
-    doc["meta"] = _meta(raw)
-    _emit((_encode_json(doc) + "\n", args.out))
-    return 0
+    return [_report(compare_formulations(load_observations(raw)), raw, args.out)]
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> list[_Output]:
     raw = _read_input(args.surface)
     doc = analyze_report(load_surface(raw), args.metric, args.delta, args.epsilon)
-    doc["meta"] = _meta(raw)
-    _emit((_encode_json(doc) + "\n", args.out))
-    return 0
+    return [_report(doc, raw, args.out)]
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> list[_Output]:
     check_number(args.budget_factor, "--budget-factor", "positive")
     raw = _read_input(args.surface)
     surf = load_surface(raw)
-    laws, laws_aux = _load_laws(args)
-    aux = _build_aux(args, laws_aux)
+    laws, aux = _law_inputs(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     rows = compare_rows(
         surf,
@@ -323,8 +328,7 @@ def cmd_compare(args) -> int:
         budget_factor=args.budget_factor,
         use_snapped=args.use_snapped,
     )
-    doc = {"meta": _meta(raw), "rows": rows}
-    outputs = [(_encode_json(doc) + "\n", args.out)]
+    outputs = [_report({"rows": rows}, raw, args.out)]
     if args.csv:
         lines = ["method,predicted_lr,predicted_bs,snapped_lr,snapped_bs,"
                  "loss,relative_error_permille,status"]  # fmt: skip
@@ -335,11 +339,10 @@ def cmd_compare(args) -> int:
             cells = ["" if v is None else repr(v) for v in values]
             lines.append(",".join([row["method"], *cells, row["status"]]))
         outputs.append(("\n".join(lines) + "\n", args.csv))
-    _emit(*outputs)
-    return 0
+    return outputs
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> list[_Output]:
     raw = _read_input(args.spec)
     spec = load_spec_file_bytes(raw)
     if args.seed is not None:
@@ -357,11 +360,10 @@ def cmd_synth(args) -> int:
         f"# seed={spec.seed}\n"
         f"# spec_digest={_digest(raw)}\n"
     )
-    _emit((header + text, args.out))
-    return 0
+    return [(header + text, args.out)]
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> list[_Output]:
     raw = _read_input(args.surface)
     surf = load_surface(raw)
     levels = (
@@ -383,8 +385,75 @@ def cmd_plot(args) -> int:
         overlays=overlays,
         use_snapped=args.use_snapped,
     )
-    _emit((svg, args.out))
-    return 0
+    return [(svg, args.out)]
+
+
+# --- the command table --------------------------------------------------------
+
+# An option is its flag and its add_argument keywords. Each one that two
+# commands take is defined once, here.
+_SURFACE = "--surface", dict(required=True, help="surface CSV path or -")
+_METRIC = "--metric", dict(default="train", choices=METRICS)
+_OBSERVATIONS = "--observations", dict(default="-", help="CSV path or - for stdin")
+_LOSS = "--loss", dict(type=float, help="expected loss for loss-based rules")
+_BUDGET_FACTOR = "--budget-factor", dict(type=float, default=DEFAULT_FLOPS_FACTOR)
+_MEITUAN_PARAMS = "--meituan-params", dict(help="lambda,alpha,lambda_b,alpha_b")
+_LAWS = "--laws", dict(help="law override JSON path or -")
+_OUT = "--out", dict(help="output path (default: stdout)")
+
+# name: (function, help, options in order); every command takes _OUT last
+_COMMANDS = {
+    "predict": (cmd_predict, "evaluate one law at (N, D)", [
+        ("--method", dict(required=True, choices=LAW_METHODS)),
+        ("--n", dict(type=float, required=True, help="non-vocabulary parameters")),
+        ("--d", dict(type=float, required=True, help="dataset size in tokens")),
+        _LOSS,
+        _BUDGET_FACTOR,
+        ("--n-active", dict(type=float, help="activated parameters (MoE)")),
+        ("--use-active", dict(action="store_true")),
+        _MEITUAN_PARAMS,
+        ("--snap", dict(action="store_true", help="snap onto the sweep grid")),
+        _LAWS,
+    ]),
+    "fit": (cmd_fit, "bootstrap-fit both laws from observations CSV", [
+        _OBSERVATIONS,
+        ("--bootstrap", dict(
+            type=int, default=DEFAULT_RESAMPLES,
+            help=f"number of resamples, 1 to {MAX_RESAMPLES:,} (default: {DEFAULT_RESAMPLES})",
+        )),
+        ("--seed", dict(type=int, default=0, help="bootstrap seed")),
+    ]),
+    "stats": (cmd_stats, "batch-size N-independence diagnostics", [_OBSERVATIONS]),
+    "analyze": (cmd_analyze, "optimum, plateau, convexity of a surface", [
+        _SURFACE,
+        _METRIC,
+        ("--delta", dict(type=float, default=DEFAULT_DELTA)),
+        ("--epsilon", dict(type=float, default=DEFAULT_EPSILON)),
+    ]),
+    "compare": (cmd_compare, "score law predictions against a surface", [
+        _SURFACE,
+        ("--methods", dict(required=True, help="comma-separated law ids")),
+        _METRIC,
+        _LOSS,
+        _BUDGET_FACTOR,
+        _MEITUAN_PARAMS,
+        ("--use-snapped", dict(action="store_true", help="score snapped points")),
+        ("--csv", dict(help="also write rows as CSV to this path")),
+        _LAWS,
+    ]),
+    "synth": (cmd_synth, "generate synthetic surfaces or observations", [
+        ("kind", dict(choices=("surface", "observations"))),
+        ("--spec", dict(required=True, help="spec JSON path or -")),
+        ("--seed", dict(type=int, help="replaces the spec's seed")),
+    ]),
+    "plot": (cmd_plot, "SVG contour plot of a surface", [
+        _SURFACE,
+        _METRIC,
+        ("--levels", dict(help="comma-separated per-mille contour levels")),
+        ("--overlay", dict(help="compare JSON whose rows to overlay")),
+        ("--use-snapped", dict(action="store_true")),
+    ]),
+}
 
 
 # --- parser -------------------------------------------------------------------
@@ -424,76 +493,11 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     )
     parser.add_argument("--version", action="version", version=f"hpscale {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_out(p):
-        p.add_argument("--out", help="output path (default: stdout)")
-
-    p = sub.add_parser("predict", help="evaluate one law at (N, D)")
-    p.add_argument("--method", required=True, choices=LAW_METHODS)
-    p.add_argument("--n", type=float, required=True, help="non-vocabulary parameters")
-    p.add_argument("--d", type=float, required=True, help="dataset size in tokens")
-    p.add_argument("--loss", type=float, help="expected loss for loss-based rules")
-    p.add_argument("--budget-factor", type=float, default=DEFAULT_FLOPS_FACTOR)
-    p.add_argument("--n-active", type=float, help="activated parameters (MoE)")
-    p.add_argument("--use-active", action="store_true")
-    p.add_argument("--meituan-params", help="lambda,alpha,lambda_b,alpha_b")
-    p.add_argument("--snap", action="store_true", help="snap onto the sweep grid")
-    p.add_argument("--laws", help="law override JSON path or -")
-    add_out(p)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("fit", help="bootstrap-fit both laws from observations CSV")
-    p.add_argument("--observations", default="-", help="CSV path or - for stdin")
-    p.add_argument(
-        "--bootstrap", type=int, default=DEFAULT_RESAMPLES,
-        help=f"number of resamples, 1 to {MAX_RESAMPLES:,} (default: {DEFAULT_RESAMPLES})",
-    )
-    p.add_argument("--seed", type=int, default=0, help="bootstrap seed")
-    add_out(p)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("stats", help="batch-size N-independence diagnostics")
-    p.add_argument("--observations", default="-", help="CSV path or - for stdin")
-    add_out(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("analyze", help="optimum, plateau, convexity of a surface")
-    p.add_argument("--surface", required=True, help="surface CSV path or -")
-    p.add_argument("--metric", default="train", choices=METRICS)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    add_out(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("compare", help="score law predictions against a surface")
-    p.add_argument("--surface", required=True, help="surface CSV path or -")
-    p.add_argument("--methods", required=True, help="comma-separated law ids")
-    p.add_argument("--metric", default="train", choices=METRICS)
-    p.add_argument("--loss", type=float, help="expected loss for loss-based rules")
-    p.add_argument("--budget-factor", type=float, default=DEFAULT_FLOPS_FACTOR)
-    p.add_argument("--meituan-params", help="lambda,alpha,lambda_b,alpha_b")
-    p.add_argument("--use-snapped", action="store_true", help="score snapped points")
-    p.add_argument("--csv", help="also write rows as CSV to this path")
-    p.add_argument("--laws", help="law override JSON path or -")
-    add_out(p)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("synth", help="generate synthetic surfaces or observations")
-    p.add_argument("kind", choices=("surface", "observations"))
-    p.add_argument("--spec", required=True, help="spec JSON path or -")
-    p.add_argument("--seed", type=int, help="replaces the spec's seed")
-    add_out(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("plot", help="SVG contour plot of a surface")
-    p.add_argument("--surface", required=True, help="surface CSV path or -")
-    p.add_argument("--metric", default="train", choices=METRICS)
-    p.add_argument("--levels", help="comma-separated per-mille contour levels")
-    p.add_argument("--overlay", help="compare JSON whose rows to overlay")
-    p.add_argument("--use-snapped", action="store_true")
-    add_out(p)
-    p.set_defaults(func=cmd_plot)
-
+    for name, (func, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, keywords in (*options, _OUT):
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser, sub.choices
 
 
@@ -520,21 +524,21 @@ def _parse(argv) -> argparse.Namespace:
     return args
 
 
+# an error's exit code is that of the first kind it is an instance of
+_EXIT_CODES = ((DomainError, 3), (HpscaleError, 2), (OSError, 4))
+
+
 def main(argv=None) -> int:
-    """Run one hpscale command line (sys.argv[1:] when argv is None) and
-    return its exit code; a usage error exits 2 through SystemExit."""
+    """Run one hpscale command line (sys.argv[1:] when argv is None), write
+    its outputs and return its exit code; a usage error exits 2 through
+    SystemExit."""
     args = _parse(argv)
     try:
-        return args.func(args)
-    except DomainError as exc:
+        _emit(*args.func(args))
+    except (HpscaleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ArgumentError, HpscaleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    return 0
 
 
 if __name__ == "__main__":

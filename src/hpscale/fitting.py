@@ -239,7 +239,8 @@ def ols(design, response) -> dict:
     r_squared, adjusted_r_squared, df_resid (n_obs minus its p columns),
     n_obs and nested: the fits on columns 0 .. k - 1 for 0 < k < p, each as
     rss, r_squared, adjusted_r_squared and df_resid. Needs finite numbers,
-    at least one column, more rows than columns and full column rank.
+    at least one column, more rows than columns, full column rank and a
+    column 0 that is one nonzero constant.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -254,6 +255,9 @@ def ols(design, response) -> dict:
         raise DegenerateDesignError("design must have at least one column")
     if n <= p:
         raise DegenerateDesignError(f"need more observations than coefficients ({n} <= {p})")
+    # TSS is the RSS of the model on column 0, so that column must be the intercept
+    if x[0, 0] == 0 or (x[:, 0] != x[0, 0]).any():
+        raise ArgumentError("design column 0 must be the intercept, one nonzero constant")
 
     coeffs, r, exponents = _least_squares(np.vstack([x.T, y]))
     resid = y - (x * coeffs).sum(axis=1)

@@ -7,6 +7,7 @@ through it: whatever the bytes or the number, a command ends in exit 0,
 2 or 3 and never in an exception, and a JSON report is strict JSON.
 """
 
+import argparse
 import contextlib
 import inspect
 import io
@@ -239,6 +240,58 @@ def test_compare_interpolates_each_scored_law_once(use_snapped, monkeypatch):
 def test_seed_option_only_where_it_seeds(argv):
     rc, _, stderr = main_inprocess(*argv, "--seed", "1")
     assert rc == 2 and "unrecognized arguments: --seed" in stderr
+
+
+# every command with each option it declares set, {name} standing for an input
+# or output path
+_EVERY_OPTION = {
+    "predict": ("predict", "--method", "deepseek", "--n", "1e9", "--d", "1e11", "--loss", "2.5",
+                "--budget-factor", "8", "--n-active", "5e8", "--use-active",
+                "--meituan-params", "0.006,1.0,1e8,0.2", "--snap", "--laws", "{laws}",
+                "--out", "{out}"),
+    "fit": ("fit", "--observations", "{obs}", "--bootstrap", "20", "--seed", "3",
+            "--out", "{out}"),
+    "stats": ("stats", "--observations", "{obs}", "--out", "{out}"),
+    "analyze": ("analyze", "--surface", "{surface}", "--metric", "val", "--delta", "0.02",
+                "--epsilon", "0.001", "--out", "{out}"),
+    "compare": ("compare", "--surface", "{surface}", "--methods", "step,meituan",
+                "--metric", "val", "--loss", "2.5", "--budget-factor", "8",
+                "--meituan-params", "0.006,1.0,1e8,0.2", "--use-snapped", "--csv", "{csv}",
+                "--laws", "{laws}", "--out", "{out}"),
+    "synth": ("synth", "surface", "--spec", "{surface_spec}", "--seed", "4", "--out", "{out}"),
+    "plot": ("plot", "--surface", "{surface}", "--metric", "val", "--levels", "5,10",
+             "--overlay", "{overlay}", "--use-snapped", "--out", "{out}"),
+}  # fmt: skip
+
+
+def test_every_command_is_run_with_every_option():
+    assert sorted(_EVERY_OPTION) == sorted(cli._parsers()[1])
+
+
+@pytest.mark.parametrize("name", sorted(_EVERY_OPTION))
+def test_no_option_is_accepted_but_ignored(inputs, tmp_path, monkeypatch, name):
+    # each option the command declares is read off its namespace
+    laws = tmp_path / "laws.json"
+    laws.write_text('{"step": {"c": 2.0}}')
+    paths = {"surface": str(FIG3_PATH), "obs": str(inputs["obs"]), "laws": str(laws),
+             "surface_spec": str(inputs["surface_spec"]), "overlay": str(inputs["overlay"]),
+             "out": str(tmp_path / "out"), "csv": str(tmp_path / "out.csv")}  # fmt: skip
+    argv = [arg.format(**paths) for arg in _EVERY_OPTION[name]]
+    flags = [a.option_strings for a in cli._parsers()[1][name]._actions if a.dest != "help"]
+    assert [f for f in flags if f and not set(f) & set(argv)] == []
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, attr):
+            read.add(attr)
+            return super().__getattribute__(attr)
+
+    parse = cli._parse
+    parsed = vars(parse(argv))
+    monkeypatch.setattr(cli, "_parse", lambda line: Recording(**vars(parse(line))))
+    assert main_inprocess(*argv) == (0, b"", "")
+    # command and func are set by the parser, not by an option
+    assert set(parsed) - {"command", "func"} - read == set()
 
 
 # --- malformed inputs that once ended in a traceback ------------------------------

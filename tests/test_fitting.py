@@ -129,6 +129,20 @@ def test_ols_requires_more_rows_than_columns():
         ols(np.ones((2, 2)), np.ones(2))
 
 
+def test_ols_column_0_must_be_one_nonzero_constant():
+    # R² is taken against the model on column 0, so a column 0 that is not
+    # an intercept would report a wrong R²
+    y = [1.0, 2.5, 2.9, 4.2, 5.1]
+    x = [0.0, 1.0, 0.0, 1.0, 0.5]
+    for column in ([1.0, 2.0, 3.0, 4.0, 5.0], [0.0] * 5, [1.0, 1.0, 1.0, 1.0, -1.0]):
+        with pytest.raises(ArgumentError, match="column 0 must be the intercept"):
+            ols(np.column_stack([column, x]), y)
+    twos = ols(np.column_stack([np.full(5, 2.0), x]), y)
+    ones = ols(np.column_stack([np.ones(5), x]), y)
+    assert twos["r_squared"] == pytest.approx(ones["r_squared"], rel=1e-12)
+    assert twos["coefficients"][0] * 2 == pytest.approx(ones["coefficients"][0], rel=1e-12)
+
+
 def test_ols_standard_errors_match_closed_form():
     # simple regression: se(slope) = sigma_hat / sqrt(Sxx)
     x = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])

@@ -11,7 +11,8 @@ generator, rebuilt in test_surface._dense_surface; the bytes synth's own
 generator writes for it, and for noisy observations, are pinned apart.
 fit, stats and predict are pinned on synth's 4 x 4 lattice observations,
 noisy and exact; stats on the exact lattice writes a null F statistic
-and null predictor t and p values.
+and null predictor t and p values. So is the -h text of hpscale and of
+each command.
 The fit and stats bytes must also be the same under every OpenBLAS
 kernel, as no BLAS or LAPACK routine takes part in a fit, and with
 numpy's SIMD dispatch cut back to each of its targets in turn. The analyze,
@@ -77,6 +78,19 @@ OBSERVATION_REPORT_SHA256 = {
     "stats": "1e62e785439d0db907bbdb5d4d985ff21108b50850dc7b9da05f518c0d0a0443",
     "stats-exact": "3ea209b05386e8cccbc97ba81fb64cd471a887dc9fe58dfa1bfadb619c57768f",
     "predict-step": "9d2d84f104cdc494065912784d17d75d563d2702f1da63cb556606ff7a229c62",
+}
+
+# `hpscale -h` and each command's -h at COLUMNS=80: every option, its
+# default and help, and their order
+HELP_SHA256 = {
+    "hpscale": "fa6f86733c85735c13b6057fa66edffa47edc9bf059227117f494f294bbde0f4",
+    "predict": "a079015b43591dd658a114d75c787786cbfe391848602ad8f6f7baabe1f7af4c",
+    "fit": "a461637dee1a97bf3b30717ac82c085e38de15e1566381ab721aef185011e1d7",
+    "stats": "12f9b143adf134b8dbe0436c891e88f5be9c16d97622d360324cbd571c3ba2e0",
+    "analyze": "cfb55b3bc6449b5c7b3bf6819ab84dba34aaed4eb7586e4398ca94f545ce2f91",
+    "compare": "79d65c392d986dfb20a90cae5ef8482a609290201d6aba0af87a975678422506",
+    "synth": "8d2ce8cc05e39a8c3fd490ca5bdb0c01e0f8cab1c9fe1a02e199286e1a9f8ede",
+    "plot": "3a319cb0911bb294b5b3f48dfce28edf41c709eb22aec8e89eeb17d27718a548",
 }
 
 
@@ -225,6 +239,17 @@ def test_observation_reports_do_not_depend_on_the_simd_dispatch(tmp_path):
         on, digests = run(targets[k:])
         assert not set(on) & set(targets[k:]), f"{targets[k:]} stayed on"
         assert digests == base, targets[k:]
+
+
+def test_help_text_is_pinned(monkeypatch):
+    # argparse wraps help at COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    digests = {}
+    for name in HELP_SHA256:
+        rc, stdout, stderr = main_inprocess(*([] if name == "hpscale" else [name]), "-h")
+        assert (rc, stderr) == (0, "")
+        digests[name] = _sha256(stdout)
+    assert digests == HELP_SHA256
 
 
 def _surface_commands(path, rows) -> list[tuple[str, list[str]]]:

@@ -5,12 +5,14 @@ module but errors.py calls decode_text or splits a text on "\\n" itself.
 CSV data cells become numbers in one place, errors.decode_table: no module
 but errors.py calls np.loadtxt.
 Files are opened in one module, cli.py, and written by one function in
-it, _emit. Reports are encoded by one function, cli._encode_json: no
+it, _emit, which only main calls: a command returns its outputs and
+writes none. Reports are encoded by one function, cli._encode_json: no
 module calls json.dumps or json.dump.
 """
 
 import ast
 
+from hpscale import cli
 from test_dead_code import TREES
 
 
@@ -79,6 +81,14 @@ def test_only_cli_opens_files_and_only_emit_writes():
     assert [where for module, _, _, where in opens if module != "cli.py"] == []
     assert [where for _, owner, writes, where in opens if writes and owner != "_emit"] == []
     assert [owner for _, owner, writes, _ in opens if writes] == ["_emit"]
+    # and only main calls _emit; no command names it
+    tree = TREES["cli.py"]
+    emits = [owner for owner, call in _calls_by_function(tree) if _name(call.func) == "_emit"]
+    assert emits == ["main"]
+    commands = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name[:4] == "cmd_"]
+    assert sorted(f.name for f in commands) == sorted(f"cmd_{name}" for name in cli._parsers()[1])
+    names = [(f.name, getattr(node, "id", None)) for f in commands for node in ast.walk(f)]
+    assert [command for command, name in names if name == "_emit"] == []
 
 
 def test_only_errors_splits_text_into_lines():
