@@ -265,7 +265,7 @@ def _law_inputs(args) -> tuple[LawTable, AuxInputs]:
         laws, aux = load_law_overrides(_read_input(args.laws))
     meituan = aux.meituan_params
     if args.meituan_params is not None:
-        meituan = tuple(_comma_floats(args.meituan_params, "--meituan-params"))
+        meituan = _comma_floats(args.meituan_params, "--meituan-params")
     return laws, AuxInputs(expected_loss=args.loss, meituan_params=meituan)
 
 

@@ -20,7 +20,13 @@ The number rule lives in check_number, and every numeric input field
 and argument goes through it, with two exceptions: the rows of a loss
 surface, which surface._check_rows checks as one array however the
 surface is built, and the delta and epsilon of plateau and
-convexity_report, which may be infinite by design.
+convexity_report, which may be infinite by design. A record holds the
+float check_number returns: the constructors of ModelScale, AuxInputs,
+OptimumObservation, SurfaceSpec and ObservationSpec set their number
+fields through hold_number, in declaration order, and are their only
+check, whether Python code or a JSON loader builds them. GridSpec and
+Prediction keep the numbers they are given, as a surface's bs axis
+holds ints.
 """
 
 from __future__ import annotations
@@ -230,6 +236,15 @@ def check_number(value, where: str, sign: str = "") -> float:
             return number
     kind = f"a {sign} finite number" if sign else "a finite number"
     raise ArgumentError(f"{where} must be {kind}, got {value!r:.40}")
+
+
+def hold_number(record, name: str, sign: str = "", where: str = "") -> float:
+    """Set the field name of the frozen dataclass record to the float
+    check_number returns for it, and return that float; the error names
+    where, or name when where is empty."""
+    number = check_number(getattr(record, name), where or name, sign)
+    object.__setattr__(record, name, number)
+    return number
 
 
 def check_seed(seed) -> None:

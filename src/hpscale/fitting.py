@@ -66,9 +66,9 @@ from .errors import (
     DomainError,
     RowError,
     SingularityError,
-    check_number,
     check_seed,
     decode_table,
+    hold_number,
 )
 
 DEFAULT_RESAMPLES = 1000
@@ -104,7 +104,7 @@ class OptimumObservation:
 
     def __post_init__(self):
         for name in ("n_params", "d_tokens", "opt_lr", "opt_bs_tokens"):
-            check_number(getattr(self, name), name, "positive")
+            hold_number(self, name, "positive")
 
 
 @dataclass(frozen=True)

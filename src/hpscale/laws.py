@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import ArgumentError, DomainError, check_number, decode_json
+from .errors import ArgumentError, DomainError, check_number, decode_json, hold_number
 
 LAW_METHODS = ("step", "openai", "microsoft", "deepseek", "porian", "minicpm", "meituan")
 
@@ -34,6 +34,9 @@ DEFAULT_FLOPS_FACTOR = 6.0
 
 # law name -> coefficient name -> value, the shape of DEFAULT_LAWS
 LawTable = Mapping[str, Mapping[str, float]]
+
+# meituan's coefficients travel in AuxInputs.meituan_params, in this order
+_MEITUAN_KEYS = ("lambda", "alpha", "lambda_b", "alpha_b")
 
 
 @dataclass(frozen=True)
@@ -50,11 +53,10 @@ class ModelScale:
     n_active: float | None = None
 
     def __post_init__(self):
-        check_number(self.n_params, "n_params", "positive")
-        check_number(self.d_tokens, "d_tokens", "positive")
+        hold_number(self, "n_params", "positive")
+        hold_number(self, "d_tokens", "positive")
         if self.n_active is not None:
-            check_number(self.n_active, "n_active", "positive")
-            if self.n_active > self.n_params:
+            if hold_number(self, "n_active", "positive") > self.n_params:
                 raise ArgumentError(f"n_active must lie in (0, n_params], got {self.n_active}")
 
 
@@ -64,7 +66,8 @@ class AuxInputs:
 
     expected_loss is the cross-entropy value consumed by the
     loss-parameterized batch-size rules; meituan_params is the
-    (lam, alpha, lam_b, alpha_b) quadruple of the meituan law.
+    (lambda, alpha, lambda_b, alpha_b) quadruple of the meituan law, each
+    named in errors by its law-override key.
     """
 
     expected_loss: float | None = None
@@ -72,16 +75,19 @@ class AuxInputs:
 
     def __post_init__(self):
         if self.expected_loss is not None:
-            check_number(self.expected_loss, "expected_loss", "positive")
-        if self.meituan_params is not None:
-            if len(self.meituan_params) != 4:
+            hold_number(self, "expected_loss", "positive")
+        params = self.meituan_params
+        if params is not None:
+            if not isinstance(params, (list, tuple)) or len(params) != 4:
                 raise ArgumentError(
-                    "meituan_params must be four numbers "
-                    f"(lam, alpha, lam_b, alpha_b), got {self.meituan_params}"
+                    f"meituan_params must be four numbers ({', '.join(_MEITUAN_KEYS)}), "
+                    f"got {params!r:.40}"
                 )
-            names = ("lam", "alpha", "lam_b", "alpha_b")
-            for name, value in zip(names, self.meituan_params):
-                check_number(value, f"meituan_params {name}", "positive")
+            held = tuple(
+                check_number(v, f"meituan_params {k}", "positive")
+                for k, v in zip(_MEITUAN_KEYS, params)
+            )
+            object.__setattr__(self, "meituan_params", held)
 
 
 @dataclass(frozen=True)
@@ -180,9 +186,6 @@ DEFAULT_LAWS = _table({
 # through log(), and openai's slope divides its non-positive-lr threshold.
 _POSITIVE_FIELDS = {"c", "d", "slope", "bs_coef", "coef", "lr_coef"}
 
-# meituan's coefficients travel in AuxInputs.meituan_params, in this order
-_MEITUAN_KEYS = ("lambda", "alpha", "lambda_b", "alpha_b")
-
 
 def law_overrides_from_dict(doc: Mapping) -> tuple[LawTable, AuxInputs]:
     """Build a law table (and meituan aux, if present) from a JSON document.
@@ -194,7 +197,8 @@ def law_overrides_from_dict(doc: Mapping) -> tuple[LawTable, AuxInputs]:
     flat document's other keys (ci, meta, seed, ...) are ignored, but one
     that also names a law is refused: that law's override would be lost.
     Each law, meituan too, accepts only its own coefficient names. Every
-    value must be a finite number, and leading coefficients positive. The
+    value must be a finite number, and leading coefficients positive;
+    meituan's four values are the returned AuxInputs' to check. The
     table returned is a read-only copy; DEFAULT_LAWS never changes.
     """
     if not isinstance(doc, Mapping):
@@ -216,9 +220,7 @@ def law_overrides_from_dict(doc: Mapping) -> tuple[LawTable, AuxInputs]:
         if name == "meituan":
             if any(k not in params for k in _MEITUAN_KEYS):
                 raise ArgumentError("meituan overrides need lambda, alpha, lambda_b, alpha_b")
-            meituan = tuple(
-                check_number(params[k], f"meituan.{k}", "positive") for k in _MEITUAN_KEYS
-            )
+            meituan = tuple(params[k] for k in _MEITUAN_KEYS)
         unknown = set(params) - set(_MEITUAN_KEYS if name == "meituan" else laws[name])
         if unknown:
             raise ArgumentError(f"unknown keys {sorted(unknown)!r:.40} for law {name!r}")

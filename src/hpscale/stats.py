@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, check_number
 from .fitting import _design, _log_table, ols
 
 PREDICTOR_NAMES = ("logN", "logD")
@@ -75,9 +75,9 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise ArgumentError(f"shape parameters must be positive, got a={a}, b={b}")
+    """I_x(a, b) for positive finite a, b and x in [0, 1]."""
+    check_number(a, "a", "positive")
+    check_number(b, "b", "positive")
     if math.isnan(x):
         raise ArgumentError("x must not be NaN")
     if x <= 0.0:
@@ -98,9 +98,9 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 
 def student_t_two_sided_p(t: float, df: float) -> float:
-    """P(|T_df| >= |t|) via the incomplete beta identity."""
-    if df <= 0:
-        raise ArgumentError(f"df must be positive, got {df}")
+    """P(|T_df| >= |t|) via the incomplete beta identity; df is positive
+    and finite."""
+    check_number(df, "df", "positive")
     if math.isnan(t):
         raise ArgumentError("t must not be NaN")
     if math.isinf(t):
@@ -130,9 +130,9 @@ def student_t_critical(alpha: float, df: int) -> float:
 
 
 def f_sf(f: float, df1: float, df2: float) -> float:
-    """Upper tail P(F_{df1, df2} >= f)."""
-    if df1 <= 0 or df2 <= 0:
-        raise ArgumentError(f"degrees of freedom must be positive ({df1}, {df2})")
+    """Upper tail P(F_{df1, df2} >= f); df1 and df2 are positive and finite."""
+    check_number(df1, "df1", "positive")
+    check_number(df2, "df2", "positive")
     if f <= 0:
         return 1.0
     if math.isinf(f):

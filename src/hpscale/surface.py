@@ -195,6 +195,8 @@ class LossSurface:
         points = tuple(points)
         if not points:
             raise ArgumentError("surface must contain at least one point")
+        if not isinstance(scale, ModelScale):
+            raise ArgumentError(f"scale must be a ModelScale, got {scale!r:.40}")
         for name, tag in (("arch_tag", arch_tag), ("recipe_tag", recipe_tag)):
             if not isinstance(tag, str) or "\n" in tag or "\r" in tag or tag != tag.strip():
                 raise ArgumentError(

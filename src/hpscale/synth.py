@@ -7,6 +7,12 @@ generate_observations emits law-consistent optima over an (N, D) lattice.
 
 Noise comes from philox._normals: stream 0 is a surface's loss noise,
 streams 1 and 2 the lr and bs noise of observations (see philox).
+
+A spec's constructor is the only check of its fields, and each spec
+holds the floats check_number returns (see errors), so a spec built in
+Python and the same spec read from JSON are equal and write equal bytes.
+from_json_dict passes the JSON values through unchanged; a surface
+spec's n_params and d_tokens become its scale.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, check_number, check_seed, decode_json
+from .errors import ArgumentError, DomainError, check_number, check_seed, decode_json, hold_number
 from .fitting import OptimumObservation
 from .laws import DEFAULT_LAWS, GridSpec, ModelScale, Prediction, snap_to_grid
 from .philox import _normals
@@ -47,36 +53,30 @@ class SurfaceSpec:
     scale: ModelScale = ModelScale(1.0e9, 1.0e11)
 
     def __post_init__(self):
-        check_number(self.opt_lr, "opt_lr", "positive")
-        check_number(self.opt_bs, "opt_bs", "positive")
-        check_number(self.curvature_lr, "curvatures: curvature_lr", "non-negative")
-        check_number(self.curvature_bs, "curvatures: curvature_bs", "non-negative")
-        check_number(self.cross_term, "cross_term")
+        hold_number(self, "opt_lr", "positive")
+        hold_number(self, "opt_bs", "positive")
+        hold_number(self, "curvature_lr", "non-negative", "curvatures: curvature_lr")
+        hold_number(self, "curvature_bs", "non-negative", "curvatures: curvature_bs")
+        hold_number(self, "cross_term")
         if self.cross_term * self.cross_term > self.curvature_lr * self.curvature_bs:
             raise ArgumentError(
                 f"cross_term {self.cross_term} breaks positive semi-definiteness "
                 f"(needs cross**2 <= {self.curvature_lr * self.curvature_bs})"
             )
-        check_number(self.base_loss, "base_loss", "positive")
-        check_number(self.noise_sigma, "noise_sigma", "non-negative")
-        if self.val_offset is not None:
-            check_number(self.val_offset, "val_offset")
+        hold_number(self, "base_loss", "positive")
+        hold_number(self, "noise_sigma", "non-negative")
         check_seed(self.seed)
+        if self.val_offset is not None:
+            hold_number(self, "val_offset")
+        if not isinstance(self.scale, ModelScale):
+            raise ArgumentError(f"scale must be a ModelScale, got {self.scale!r:.40}")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SurfaceSpec":
-        """Build from a spec JSON object; every bad type is an ArgumentError."""
-        doc = _coerce(
-            doc,
-            "surface",
-            floats=("opt_lr", "opt_bs", "curvature_lr", "curvature_bs", "cross_term",
-                     "base_loss", "noise_sigma", "n_params", "d_tokens"),
-            optional=("val_offset",),
-        )  # fmt: skip
-        scale = ModelScale(
-            n_params=doc.pop("n_params", 1.0e9),
-            d_tokens=doc.pop("d_tokens", 1.0e11),
-        )
+        """Build from a spec JSON object, whose n_params and d_tokens,
+        checked first, form the scale; every bad type is an ArgumentError."""
+        doc = dict(doc)
+        scale = ModelScale(doc.pop("n_params", 1.0e9), doc.pop("d_tokens", 1.0e11))
         try:
             return cls(scale=scale, **doc)
         except TypeError as exc:  # quotes the unknown key: keep 100 chars
@@ -89,7 +89,8 @@ class ObservationSpec:
 
     opt_lr = c * N**alpha * D**beta * exp(sigma * z1) and
     opt_bs = d_coef * D**gamma * exp(sigma * z2); snap maps both onto the
-    default sweep grid. The law defaults to the published step law.
+    default sweep grid. The law defaults to the published step law. The
+    lattice is held as two tuples of floats, given as lists or tuples.
     """
 
     c: float = DEFAULT_LAWS["step"]["c"]
@@ -104,16 +105,19 @@ class ObservationSpec:
     snap: bool = False
 
     def __post_init__(self):
-        check_number(self.c, "law coefficients: c", "positive")
-        check_number(self.d_coef, "law coefficients: d_coef", "positive")
-        for name in ("alpha", "beta", "gamma"):
-            check_number(getattr(self, name), name)
+        hold_number(self, "c", "positive", "law coefficients: c")
+        hold_number(self, "alpha")
+        hold_number(self, "beta")
+        hold_number(self, "d_coef", "positive", "law coefficients: d_coef")
+        hold_number(self, "gamma")
         for name in ("n_values", "d_values"):
-            for v in getattr(self, name):
-                check_number(v, name, "positive")
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ArgumentError(f"{name} must be a list of numbers, got {values!r:.40}")
+            object.__setattr__(self, name, tuple(check_number(v, name, "positive") for v in values))
         if len(set(self.n_values)) < 2 or len(set(self.d_values)) < 2:
             raise ArgumentError("lattice needs >= 2 distinct N and >= 2 distinct D")
-        check_number(self.noise_sigma, "noise_sigma", "non-negative")
+        hold_number(self, "noise_sigma", "non-negative")
         check_seed(self.seed)
         if not isinstance(self.snap, bool):
             raise ArgumentError(f"snap must be true or false, got {self.snap!r:.40}")
@@ -121,38 +125,10 @@ class ObservationSpec:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ObservationSpec":
         """Build from a spec JSON object; every bad type is an ArgumentError."""
-        doc = _coerce(
-            doc,
-            "observation",
-            floats=("c", "alpha", "beta", "d_coef", "gamma", "noise_sigma"),
-            lists=("n_values", "d_values"),
-        )
         try:
             return cls(**doc)
         except TypeError as exc:  # quotes the unknown key: keep 100 chars
             raise ArgumentError(f"bad observation spec: {exc!s:.100}") from exc
-
-
-def _coerce(doc: dict, what: str, floats, optional=(), lists=()) -> dict:
-    """Copy of a spec JSON object with its number fields made floats.
-
-    Float keys must hold finite JSON numbers (bools are not numbers);
-    optional keys may also be null and list keys hold a list of numbers.
-    Any other value is an ArgumentError. Remaining keys pass through for
-    the dataclass to check or reject.
-    """
-    out = dict(doc)
-    for key in (*floats, *optional, *lists):
-        if key not in out or (key in optional and out[key] is None):
-            continue
-        where = f"{what} spec {key}"
-        if key in lists:
-            if not isinstance(out[key], list):
-                raise ArgumentError(f"{where} must be a list of numbers")
-            out[key] = tuple(check_number(v, where) for v in out[key])
-        else:
-            out[key] = check_number(out[key], where)
-    return out
 
 
 def load_spec_file_bytes(raw: bytes) -> SurfaceSpec | ObservationSpec:

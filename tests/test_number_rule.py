@@ -3,6 +3,7 @@ field that uses it), the decoding of outside bytes (errors.decode_text),
 and the one CSV reader (errors.decode_table), with its line rule, that
 both CSV loaders share."""
 
+import dataclasses
 import io
 import math
 import re
@@ -92,7 +93,7 @@ _FIELDS = [
     ("compute_budget", "flops_factor", "positive",
      lambda v: compute_budget(ModelScale(1e9, 1e10), v)),
     ("AuxInputs", "expected_loss", "positive", lambda v: AuxInputs(expected_loss=v)),
-    ("AuxInputs", "meituan_params lam_b", "positive",
+    ("AuxInputs", "meituan_params lambda_b", "positive",
      lambda v: AuxInputs(meituan_params=(1, 2, v, 1))),
     ("Prediction", "lr", "positive", lambda v: Prediction(v, None, "x")),
     ("Prediction", "bs_tokens", "positive", lambda v: Prediction(None, v, "x")),
@@ -136,6 +137,29 @@ def test_every_number_field_rejects_nan_inf_and_bool(where, sign, build, value):
     kind = f"a {sign} finite number" if sign else "a finite number"
     with pytest.raises(ArgumentError, match=f"^{re.escape(where)} must be {kind}, got "):
         build(value)
+
+
+# the records that hold each number field as the float check_number returns
+_HOLDERS = ("ModelScale", "OptimumObservation", "SurfaceSpec", "ObservationSpec", "AuxInputs")
+
+
+def _held_numbers(record):
+    """Each number a record holds; the seed, the snap flag and the scale
+    are not number fields, and a tuple's numbers count one by one."""
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if f.name not in ("seed", "snap", "scale") and value is not None:
+            yield from value if isinstance(value, tuple) else (value,)
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.5)], ids=repr)
+@pytest.mark.parametrize(
+    "build",
+    [pytest.param(case[3], id=f"{case[0]}.{case[1]}") for case in _FIELDS if case[0] in _HOLDERS],
+)
+def test_every_record_holds_its_numbers_as_floats(build, value):
+    held = list(_held_numbers(build(value)))
+    assert held and [type(v) for v in held] == [float] * len(held)
 
 
 # --- decoding ------------------------------------------------------------------

@@ -74,6 +74,24 @@ def test_f_sf_accuracy():
     assert f_sf(0.0, 2, 10) == 1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -2.0], ids=repr)
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("a", lambda v: regularized_incomplete_beta(v, 1.0, 0.5)),
+        ("b", lambda v: regularized_incomplete_beta(1.0, v, 0.5)),
+        ("df", lambda v: student_t_two_sided_p(1.0, v)),
+        ("df", lambda v: student_t_critical(0.05, v)),
+        ("df1", lambda v: f_sf(1.0, v, 2)),
+        ("df2", lambda v: f_sf(1.0, 2, v)),
+    ],
+    ids=["beta-a", "beta-b", "t-p", "t-critical", "f-df1", "f-df2"],
+)
+def test_special_functions_name_a_bad_shape_or_df(name, call, bad):
+    with pytest.raises(ArgumentError, match=f"^{name} must be a positive finite number, got "):
+        call(bad)
+
+
 # --- regress -------------------------------------------------------------------
 
 

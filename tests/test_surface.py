@@ -174,6 +174,12 @@ def test_surface_refuses_a_tag_that_cannot_round_trip(name, tag):
         LossSurface(ModelScale(1e9, 1e10), (SweepPoint(1e-3, 32768, 2.0),), **{name: tag})
 
 
+@pytest.mark.parametrize("scale", ["x", (1e9, 1e10), None], ids=repr)
+def test_surface_refuses_a_scale_that_is_not_a_model_scale(scale):
+    with pytest.raises(ArgumentError, match="^scale must be a ModelScale, got "):
+        LossSurface(scale, (SweepPoint(1e-3, 32768, 2.0),))
+
+
 @pytest.mark.parametrize("tag", ["", "dense", "moe v2", "a=b", "#x", "µ-p"])
 def test_surface_tags_round_trip_through_csv(tag):
     surf = LossSurface(ModelScale(1e9, 1e10), (SweepPoint(1e-3, 32768, 2.0),),

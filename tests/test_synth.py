@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -20,6 +21,9 @@ from hpscale import (
     fit_lr_law,
     generate_observations,
     generate_surface,
+    load_spec_file_bytes,
+    observations_to_csv,
+    surface_to_csv,
 )
 from hpscale.philox import _normals, _philox4x32
 
@@ -50,10 +54,10 @@ def test_observation_spec_validation():
 @pytest.mark.parametrize(
     "doc,match",
     [
-        ({"n_params": "abc"}, "n_params must be a finite number"),
-        ({"d_tokens": 1e999}, "d_tokens must be a finite number"),
-        ({"opt_lr": True}, "opt_lr must be a finite number"),
-        ({"curvature_lr": [1]}, "curvature_lr must be a finite number"),
+        ({"n_params": "abc"}, "n_params must be a positive finite number"),
+        ({"d_tokens": 1e999}, "d_tokens must be a positive finite number"),
+        ({"opt_lr": True}, "opt_lr must be a positive finite number"),
+        ({"curvature_lr": [1]}, "curvature_lr must be a non-negative finite number"),
         ({"val_offset": "x"}, "val_offset must be a finite number"),
         ({"seed": "x", "noise_sigma": 0.1}, "seed must be a non-negative integer"),
         ({"seed": -1}, "seed must be a non-negative integer"),
@@ -72,7 +76,7 @@ def test_surface_spec_from_json_rejects_bad_types(doc, match):
     [
         ({"n_values": "ab"}, "n_values must be a list of numbers"),
         ({"n_values": 5}, "n_values must be a list of numbers"),
-        ({"d_values": [1e9, "x"]}, "d_values must be a finite number"),
+        ({"d_values": [1e9, "x"]}, "d_values must be a positive finite number"),
         ({"seed": "x", "noise_sigma": 0.1}, "seed must be a non-negative integer"),
         ({"snap": 1}, "snap must be true or false"),
         ({"gamma": None}, "gamma must be a finite number"),
@@ -94,6 +98,39 @@ def test_spec_from_json_keeps_valid_values():
         {"n_values": [1, 2], "d_values": [3, 4.5], "snap": True}
     )
     assert obs.n_values == (1.0, 2.0) and obs.d_values == (3.0, 4.5) and obs.snap
+
+
+def test_surface_spec_refuses_a_scale_that_is_not_a_model_scale():
+    with pytest.raises(ArgumentError, match=r"^scale must be a ModelScale, got \(1000000000\.0, "):
+        SurfaceSpec(opt_lr=1e-3, opt_bs=2e5, scale=(1e9, 1e11))
+
+
+@pytest.mark.parametrize("number", [int, float])
+def test_python_and_json_specs_write_equal_bytes(number):
+    n, d = number(10**9), number(10**11)
+    surface = {"opt_lr": 1e-3, "opt_bs": number(2**18), "base_loss": number(2), "seed": 4}
+    built = SurfaceSpec(**surface, scale=ModelScale(n, d))
+    read = load_spec_file_bytes(
+        json.dumps({"kind": "surface", **surface, "n_params": n, "d_tokens": d}).encode()
+    )
+    assert read == built
+    assert surface_to_csv(generate_surface(read)) == surface_to_csv(generate_surface(built))
+    lattice = {"n_values": (n // 10, n), "d_values": (d // 10, d), "c": number(2)}
+    built = ObservationSpec(**lattice)
+    read = load_spec_file_bytes(json.dumps({"kind": "observations", **lattice}).encode())
+    assert read == built
+    assert observations_to_csv(generate_observations(read)) == observations_to_csv(
+        generate_observations(built)
+    )
+
+
+def test_observation_spec_holds_its_lattice_as_tuples():
+    n_values, d_values = [1e8, 1e9], [1e9, 1e10]
+    spec = ObservationSpec(n_values=n_values, d_values=d_values)
+    assert hash(spec) == hash(ObservationSpec(n_values=(1e8, 1e9), d_values=(1e9, 1e10)))
+    n_values.append(-1.0)  # the caller's list is not the spec's
+    d_values.clear()
+    assert (spec.n_values, spec.d_values) == ((1e8, 1e9), (1e9, 1e10))
 
 
 def test_seed_replaced_after_parsing_is_checked():
