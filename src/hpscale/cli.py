@@ -253,7 +253,7 @@ def _comma_floats(text: str, what: str) -> list[float]:
         raise ArgumentError(f"bad {what} {text!r:.40}: {exc!s:.75}") from exc
     if not values:
         raise ArgumentError(f"{what} must list at least one number, got {text!r:.40}")
-    return [check_number(v, what) for v in values]
+    return [check_number(v, what, "positive") for v in values]
 
 
 def _law_inputs(args) -> tuple[LawTable, AuxInputs]:

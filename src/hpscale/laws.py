@@ -116,7 +116,8 @@ class Prediction:
 @dataclass(frozen=True)
 class GridSpec:
     """Sweep grid for learning rate and batch size: two strictly increasing
-    axes of positive values.
+    axes of positive values, each given as a list or tuple and held as a
+    tuple of the values given.
 
     The default grid is the paper's sweep design: learning rates 2**e for
     e = -10.5, -10.0, ..., -7.0 and batch sizes from 32,768 growing by
@@ -136,13 +137,17 @@ class GridSpec:
     log_bs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, values in (("lr_values", self.lr_values), ("bs_values", self.bs_values)):
+        for name in ("lr_values", "bs_values"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ArgumentError(f"{name} must be a list of numbers, got {values!r:.40}")
             if not values:
                 raise ArgumentError(f"{name} must be non-empty")
             for v in values:
                 check_number(v, name, "positive")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ArgumentError(f"{name} must be strictly increasing")
+            object.__setattr__(self, name, tuple(values))
         object.__setattr__(self, "log_lr", tuple(map(math.log, self.lr_values)))
         object.__setattr__(self, "log_bs", tuple(map(math.log, self.bs_values)))
 

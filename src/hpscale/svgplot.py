@@ -25,6 +25,13 @@ rule. Levels are taken in groups of at most MAX_GRID_CELLS // nodes, so a
 group's tables hold at most MAX_GRID_CELLS entries whatever the number of
 levels. The renderer maps the segments to pixels as arrays and writes each
 level's lines, then its legend entry.
+
+Every element is written from a module-level %-template, and the parts
+that never change (the frame, the title but its metric, the axis labels)
+are built once, at import; render_surface_svg builds no element with an
+f-string or str.format. A template's varying parts are %.3f for a pixel,
+%.2e for a tick value, %g for a level, %d or %s. One %-format of a contour
+line took about half the time of an f-string's four format specs.
 """
 
 from __future__ import annotations
@@ -39,13 +46,10 @@ from .surface import MAX_GRID_CELLS, LossSurface, find_optimum
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 24, 40, 64
+PLOT_W, PLOT_H = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
 
 LEVEL_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 DEFAULT_LEVELS_PERMILLE = (1.0, 2.5, 5.0, 10.0)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.3f}"
 
 
 # Each cell case's contour segments, as (edge, edge) pairs; a saddle whose
@@ -128,9 +132,57 @@ def _marching_squares(xs, ys, field, levels):
     return np.concatenate(found_level), np.concatenate(found_segments)
 
 
-# A contour line: x1, y1, x2, y2 and colour. One %-format a line took about
-# half the time of an f-string's four format specs.
+# the templates (see the module docstring); a contour line: x1, y1, x2, y2 and colour
 _LINE = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="%s" stroke-width="1.2"/>'
+# the prolog, the page, the plot box and the title, whose %s is the metric
+_HEAD = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{WIDTH}" '
+    f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+    f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
+    f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{PLOT_W}" height="{PLOT_H}" '
+    'fill="none" stroke="black" stroke-width="1"/>\n'
+    f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" font-family="monospace" '
+    'font-size="14">relative error contours (%s loss, per-mille)</text>'
+)
+_AXIS_LABELS = (
+    f'<text x="{WIDTH // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
+    'font-family="monospace" font-size="12">learning rate</text>\n'
+    f'<text x="16" y="{HEIGHT // 2}" text-anchor="middle" font-family="monospace" '
+    f'font-size="12" transform="rotate(-90 16 {HEIGHT // 2})">batch size (tokens)</text>'
+)
+# a tick's mark and label: x, x, x and value; y, y, y + 3 and value
+_X_TICK = (
+    f'<line x1="%.3f" y1="{MARGIN_T + PLOT_H}" x2="%.3f" y2="{MARGIN_T + PLOT_H + 5}" '
+    'stroke="black" stroke-width="1"/>\n'
+    f'<text x="%.3f" y="{MARGIN_T + PLOT_H + 18}" text-anchor="middle" '
+    'font-family="monospace" font-size="9">%.2e</text>'
+)
+_Y_TICK = (
+    f'<line x1="{MARGIN_L - 5}" y1="%.3f" x2="{MARGIN_L}" y2="%.3f" '
+    'stroke="black" stroke-width="1"/>\n'
+    f'<text x="{MARGIN_L - 8}" y="%.3f" text-anchor="end" '
+    'font-family="monospace" font-size="9">%.2e</text>'
+)
+# a level's legend entry: y, colour and level
+_LEGEND = (
+    f'<text x="{WIDTH - MARGIN_R - 120}" y="%d" font-family="monospace" '
+    'font-size="10" fill="%s">%g permille</text>'
+)
+# the optimum's cross, its two lines' ends
+_CROSS = (
+    '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="red" stroke-width="2"/>\n'
+    '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="red" stroke-width="2"/>'
+)
+# an out_of_hull row's triangle, an ok row's circle, and the row's label
+_TRIANGLE = (
+    '<path d="M %.3f %.3f L %.3f %.3f L %.3f %.3f Z" '
+    'fill="none" stroke="purple" stroke-width="1.5"/>'
+)
+_CIRCLE = '<circle cx="%.3f" cy="%.3f" r="4" fill="none" stroke="black" stroke-width="1.5"/>'
+_MARKER_LABEL = '<text x="%.3f" y="%.3f" font-family="monospace" font-size="10">%s</text>'
+# a label as XML text: & < and > escaped
+_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 # a character XML 1.0 forbids: a C0 control but \t\n\r, a surrogate, U+FFFE or U+FFFF
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
@@ -138,8 +190,9 @@ _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff
 
 def _check_overlay_row(row, index: int) -> None:
     """The overlay-row rule: a dict whose method (the label), if given, is
-    a str of characters XML 1.0 allows, and whose predicted and snapped are
-    None or dicts of an lr and a bs that are None or positive and finite."""
+    a str of characters XML 1.0 allows, whose predicted and snapped are
+    None or dicts of an lr and a bs that are None or positive and finite,
+    and whose status, if given, is None or one that compare_rows writes."""
     if not isinstance(row, dict):
         raise ArgumentError(f"overlay row {index} must be a JSON object")
     label = row.get("method", "")
@@ -154,33 +207,24 @@ def _check_overlay_row(row, index: int) -> None:
         for key in ("lr", "bs"):
             if block.get(key) is not None:
                 check_number(block[key], f"overlay row {index}: {group}.{key}", "positive")
-
-
-class _Axes:
-    """Maps (log lr, log bs) data coordinates, floats or arrays of them, to
-    pixel coordinates."""
-
-    def __init__(self, log_lrs, log_bss):
-        self.x0, self.x1 = log_lrs[0], log_lrs[-1]
-        self.y0, self.y1 = log_bss[0], log_bss[-1]
-        self.plot_w = WIDTH - MARGIN_L - MARGIN_R
-        self.plot_h = HEIGHT - MARGIN_T - MARGIN_B
-
-    def px(self, x: float) -> float:
-        span = self.x1 - self.x0
-        frac = 0.5 if span == 0 else (x - self.x0) / span
-        return MARGIN_L + frac * self.plot_w
-
-    def py(self, y: float) -> float:
-        span = self.y1 - self.y0
-        frac = 0.5 if span == 0 else (y - self.y0) / span
-        return MARGIN_T + (1.0 - frac) * self.plot_h
-
-    def clamp(self, x: float, y: float) -> tuple[float, float]:
-        return (
-            min(max(x, self.x0), self.x1),
-            min(max(y, self.y0), self.y1),
+    if row.get("status") not in (None, "ok", "out_of_hull", "unsupported"):
+        raise ArgumentError(
+            f"overlay row {index}: status must be ok, out_of_hull, unsupported or null, "
+            f"got {row['status']!r:.40}"
         )
+
+
+def _frac(v, logs):
+    """Where v, a log or an array of them, lies between the first and last
+    of an axis's logs, as a fraction; 0.5 on a one-node axis."""
+    span = logs[-1] - logs[0]
+    return 0.5 if span == 0 else (v - logs[0]) / span
+
+
+def _ticks(values, logs):
+    """(value, log) of every node of an axis, subsampled to at most 8."""
+    step = max(1, math.ceil(len(values) / 8))
+    return zip(values[::step], logs[::step])
 
 
 def render_surface_svg(
@@ -206,81 +250,34 @@ def render_surface_svg(
     opt = find_optimum(surface, metric)
     with np.errstate(over="ignore"):  # an inf lies above every contour level
         field = (table - opt.loss) / opt.loss * 1000.0
-    ax = _Axes(grid.log_lr, grid.log_bs)
+    log_lr, log_bs = grid.log_lr, grid.log_bs
 
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{ax.plot_w}" '
-        f'height="{ax.plot_h}" fill="none" stroke="black" stroke-width="1"/>',
-        f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" '
-        f'font-family="monospace" font-size="14">'
-        f"relative error contours ({metric} loss, per-mille)</text>",
-    ]
-
-    # axis ticks: subsample to at most 8 labels per axis
-    def ticks(values, logs):
-        step = max(1, math.ceil(len(values) / 8))
-        return [(values[k], logs[k]) for k in range(0, len(values), step)]
-
-    for value, lx in ticks(grid.lr_values, grid.log_lr):
-        x = ax.px(lx)
-        out.append(
-            f'<line x1="{_fmt(x)}" y1="{MARGIN_T + ax.plot_h}" x2="{_fmt(x)}" '
-            f'y2="{MARGIN_T + ax.plot_h + 5}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(x)}" y="{MARGIN_T + ax.plot_h + 18}" '
-            f'text-anchor="middle" font-family="monospace" font-size="9">'
-            f"{value:.2e}</text>"
-        )
-    for value, ly in ticks(grid.bs_values, grid.log_bs):
-        y = ax.py(ly)
-        out.append(
-            f'<line x1="{MARGIN_L - 5}" y1="{_fmt(y)}" x2="{MARGIN_L}" '
-            f'y2="{_fmt(y)}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{MARGIN_L - 8}" y="{_fmt(y + 3)}" text-anchor="end" '
-            f'font-family="monospace" font-size="9">{value:.2e}</text>'
-        )
-    out.append(
-        f'<text x="{WIDTH // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12">learning rate</text>'
-    )
-    out.append(
-        f'<text x="16" y="{HEIGHT // 2}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12" '
-        f'transform="rotate(-90 16 {HEIGHT // 2})">batch size (tokens)</text>'
-    )
+    out = [_HEAD % metric]
+    for value, lx in _ticks(grid.lr_values, log_lr):
+        x = MARGIN_L + _frac(lx, log_lr) * PLOT_W
+        out.append(_X_TICK % (x, x, x, value))
+    for value, ly in _ticks(grid.bs_values, log_bs):
+        y = MARGIN_T + (1.0 - _frac(ly, log_bs)) * PLOT_H
+        out.append(_Y_TICK % (y, y, y + 3, value))
+    out.append(_AXIS_LABELS)
 
     # contours, each level's lines and then its legend entry
-    level_of, segments = _marching_squares(grid.log_lr, grid.log_bs, field, levels)
+    level_of, segments = _marching_squares(log_lr, log_bs, field, levels)
     pixels = np.empty_like(segments)
-    pixels[..., 0] = ax.px(segments[..., 0])
-    pixels[..., 1] = ax.py(segments[..., 1])
+    pixels[..., 0] = MARGIN_L + _frac(segments[..., 0], log_lr) * PLOT_W
+    pixels[..., 1] = MARGIN_T + (1.0 - _frac(segments[..., 1], log_bs)) * PLOT_H
     bounds = np.searchsorted(level_of, np.arange(len(levels) + 1)).tolist()
     pixels = pixels.tolist()
     for k, level in enumerate(levels):
         color = LEVEL_COLORS[k % len(LEVEL_COLORS)]
         for (xa, ya), (xb, yb) in pixels[bounds[k] : bounds[k + 1]]:
             out.append(_LINE % (xa, ya, xb, yb, color))
-        out.append(
-            f'<text x="{WIDTH - MARGIN_R - 120}" y="{MARGIN_T + 14 + 12 * k}" '
-            f'font-family="monospace" font-size="10" fill="{color}">'
-            f"{level:g} permille</text>"
-        )
+        out.append(_LEGEND % (MARGIN_T + 14 + 12 * k, color, level))
 
     # optimum marker (cross)
-    ox, oy = ax.px(math.log(opt.hp[0])), ax.py(math.log(opt.hp[1]))
-    for dx1, dy1, dx2, dy2 in ((-5, -5, 5, 5), (-5, 5, 5, -5)):
-        out.append(
-            f'<line x1="{_fmt(ox + dx1)}" y1="{_fmt(oy + dy1)}" '
-            f'x2="{_fmt(ox + dx2)}" y2="{_fmt(oy + dy2)}" '
-            f'stroke="red" stroke-width="2"/>'
-        )
+    ox = MARGIN_L + _frac(math.log(opt.hp[0]), log_lr) * PLOT_W
+    oy = MARGIN_T + (1.0 - _frac(math.log(opt.hp[1]), log_bs)) * PLOT_H
+    out.append(_CROSS % (ox - 5, oy - 5, ox + 5, oy + 5, ox - 5, oy + 5, ox + 5, oy - 5))
 
     for row in rows:
         coords = row.get("snapped") if use_snapped else row.get("predicted")
@@ -291,26 +288,15 @@ def render_surface_svg(
         if lr is None or bs is None:
             continue
         x, y = math.log(lr), math.log(bs)
-        label = str(row.get("method", "?"))
-        label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        if status == "out_of_hull":  # clamped to the hull border
+            x, y = min(max(x, log_lr[0]), log_lr[-1]), min(max(y, log_bs[0]), log_bs[-1])
+        px = MARGIN_L + _frac(x, log_lr) * PLOT_W
+        py = MARGIN_T + (1.0 - _frac(y, log_bs)) * PLOT_H
         if status == "out_of_hull":
-            x, y = ax.clamp(x, y)
-            px, py = ax.px(x), ax.py(y)
-            out.append(
-                f'<path d="M {_fmt(px)} {_fmt(py - 6)} L {_fmt(px - 5)} '
-                f'{_fmt(py + 4)} L {_fmt(px + 5)} {_fmt(py + 4)} Z" '
-                f'fill="none" stroke="purple" stroke-width="1.5"/>'
-            )
+            out.append(_TRIANGLE % (px, py - 6, px - 5, py + 4, px + 5, py + 4))
         else:
-            px, py = ax.px(x), ax.py(y)
-            out.append(
-                f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="none" '
-                f'stroke="black" stroke-width="1.5"/>'
-            )
-        out.append(
-            f'<text x="{_fmt(px + 7)}" y="{_fmt(py + 3)}" '
-            f'font-family="monospace" font-size="10">{label}</text>'
-        )
+            out.append(_CIRCLE % (px, py))
+        out.append(_MARKER_LABEL % (px + 7, py + 3, row.get("method", "?").translate(_ESCAPE)))
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

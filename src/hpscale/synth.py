@@ -28,6 +28,9 @@ from .laws import DEFAULT_LAWS, GridSpec, ModelScale, Prediction, snap_to_grid
 from .philox import _normals
 from .surface import LossSurface, _check_cells
 
+# the most (N, D) nodes an observation lattice may have: one observation each
+MAX_LATTICE_NODES = 100_000
+
 
 @dataclass(frozen=True)
 class SurfaceSpec:
@@ -90,7 +93,8 @@ class ObservationSpec:
     opt_lr = c * N**alpha * D**beta * exp(sigma * z1) and
     opt_bs = d_coef * D**gamma * exp(sigma * z2); snap maps both onto the
     default sweep grid. The law defaults to the published step law. The
-    lattice is held as two tuples of floats, given as lists or tuples.
+    lattice is held as two tuples of floats, given as lists or tuples, of
+    at most MAX_LATTICE_NODES nodes in all.
     """
 
     c: float = DEFAULT_LAWS["step"]["c"]
@@ -115,6 +119,12 @@ class ObservationSpec:
             if not isinstance(values, (list, tuple)):
                 raise ArgumentError(f"{name} must be a list of numbers, got {values!r:.40}")
             object.__setattr__(self, name, tuple(check_number(v, name, "positive") for v in values))
+        nodes = len(self.n_values) * len(self.d_values)
+        if nodes > MAX_LATTICE_NODES:
+            raise ArgumentError(
+                f"the N x D lattice of {len(self.n_values):,} x {len(self.d_values):,} = "
+                f"{nodes:,} nodes exceeds the limit of {MAX_LATTICE_NODES:,}"
+            )
         if len(set(self.n_values)) < 2 or len(set(self.d_values)) < 2:
             raise ArgumentError("lattice needs >= 2 distinct N and >= 2 distinct D")
         hold_number(self, "noise_sigma", "non-negative")

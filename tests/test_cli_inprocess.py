@@ -16,6 +16,7 @@ import math
 import os
 import stat
 import subprocess
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -309,6 +310,11 @@ def test_no_option_is_accepted_but_ignored(inputs, tmp_path, monkeypatch, name):
         b'{"rows": [{"method": "x", "predicted": {"lr": NaN, "bs": 1}}]}',
         b'{"rows": [{"method": 5}]}',
         b'{"rows": [{"method": null}]}',
+        b'{"rows": [{"method": "x", "predicted": {"lr": 1.0, "bs": 1e9}, '
+        b'"status": "out_of_hul"}]}',
+        b'{"rows": [{"method": "x", "predicted": {"lr": 1e-3, "bs": 262144}, "status": 5}]}',
+        b'{"rows": [{"method": "x", "predicted": {"lr": 1e-3, "bs": 262144}, "status": [1]}]}',
+        b'{"rows": [{"method": "x", "predicted": {"lr": 1e-3, "bs": 262144}, "status": {}}]}',
     ],
 )
 def test_plot_bad_overlay_exit_2(tmp_path, overlay):
@@ -436,6 +442,28 @@ def test_fit_negative_seed_exit_2(inputs):
 def test_plot_non_finite_levels_exit_2(levels):
     rc, stdout, stderr = main_inprocess("plot", "--surface", str(FIG3_PATH), "--levels", levels)
     assert rc == 2 and stdout == b"" and stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("plot", "--surface", str(FIG3_PATH), "--levels", "0"),
+         "--levels must be a positive finite number, got 0.0"),
+        (("plot", "--surface", str(FIG3_PATH), "--levels", "1,nan"),
+         "--levels must be a positive finite number, got nan"),
+        # with "=", as argparse reads a bare -1,1,1,1 as an option
+        (("predict", "--method", "meituan", "--n", "1e9", "--d", "1e10", "--loss", "2",
+          "--meituan-params=-1,1,1,1"),
+         "--meituan-params must be a positive finite number, got -1.0"),
+        (("predict", "--method", "meituan", "--n", "1e9", "--d", "1e10", "--loss", "2",
+          "--meituan-params=1,0,1,1"),
+         "--meituan-params must be a positive finite number, got 0.0"),
+    ],
+    ids=["levels-zero", "levels-nan", "meituan-params-negative", "meituan-params-zero"],
+)  # fmt: skip
+def test_comma_list_names_its_flag_and_takes_positive_numbers(argv, message):
+    rc, stdout, stderr = main_inprocess(*argv)
+    assert (rc, stdout, stderr) == (2, b"", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -734,6 +762,24 @@ def test_fit_bootstrap_past_the_cell_limit_exit_2(tmp_path, monkeypatch):
     rc, stdout, stderr = main_inprocess("fit", f"--observations={path}", "--bootstrap=100000")
     assert rc == 2 and stdout == b"" and stderr.startswith("error: ")
     assert "300,000,000 cells exceeds the bootstrap limit" in stderr
+
+
+def test_synth_observations_past_the_lattice_limit_exit_2(tmp_path):
+    # 1,000 x 1,000 nodes from a 39 KB spec: refused before any observation
+    # is built, which would take about 500 bytes each
+    path = tmp_path / "lattice.json"
+    values = [1e8 + k for k in range(1000)]
+    path.write_text(json.dumps({"kind": "observations", "n_values": values, "d_values": values}))
+    tracemalloc.start()
+    try:
+        rc, stdout, stderr = main_inprocess("synth", "observations", "--spec", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and stdout == b""
+    assert stderr == ("error: the N x D lattice of 1,000 x 1,000 = 1,000,000 nodes "
+                      "exceeds the limit of 100,000\n")  # fmt: skip
+    assert peak < 5_000_000
 
 
 @pytest.mark.parametrize("flag,value", [("--d", "inf"), ("--n", "nan"), ("--n", "inf")])

@@ -6,7 +6,8 @@ metric at seven levels) run on tests/data/fig3_style.csv and on the
 60 x 70 surface the dense_grid benchmark sweeps, alone and one after
 another in one process.
 However a surface is held or read, every byte of their output must stay
-as it is. That dense surface carries the noise of synth's SeedSequence
+as it is. plot is also pinned on a surface with one lr node, one with one
+bs node, and one whose relative errors overflow. That dense surface carries the noise of synth's SeedSequence
 generator, rebuilt in test_surface._dense_surface; the bytes synth's own
 generator writes for it, and for noisy observations, are pinned apart.
 fit, stats and predict are pinned on synth's 4 x 4 lattice observations,
@@ -330,3 +331,43 @@ def test_stats_report_body_is_the_command_output(tmp_path, noise_sigma):
     rc, stdout, stderr = main_inprocess("stats", f"--observations={path}")
     assert (rc, stderr) == (0, "")
     assert _written(compare_formulations(load_observations(raw)), raw) == stdout
+
+
+# plot on the surfaces the goldens above miss: one lr node and one bs node,
+# where a pixel sits at the middle of its one-node axis, each under an ok
+# row, an out_of_hull row and a row with no method (label "?"); and the
+# extreme-loss surface, whose relative errors but the optimum's are inf
+EDGE_PLOT_SHA256 = {
+    "one-lr": "bc9fe978034d4382c02abd939238b8a23d5e7d5974b32515cb137648739a2def",
+    "one-bs": "fbd1bca3e4dc9226d305ef803c1c1a37257de3c006656ce99aa9924c2b5f1c37",
+    "extreme": "7ec30e414e7edd8702a1c43fc36c7c51e638c7977df98ee80953cbb9d1397d35",
+}
+
+_EDGE_SURFACES = {
+    "one-lr": "1e-3,65536,2.1\n1e-3,131072,2.0\n1e-3,262144,2.05\n",
+    "one-bs": "1e-3,65536,2.1\n2e-3,65536,2.0\n4e-3,65536,2.05\n",
+    "extreme": "1e-3,65536,1e-320\n1e-3,131072,1e308\n2e-3,65536,1e308\n2e-3,131072,1e308\n",
+}
+
+_EDGE_ROWS = {
+    "rows": [
+        {"method": "step", "status": "ok", "predicted": {"lr": 1.5e-3, "bs": 100000}},
+        {"method": "far", "status": "out_of_hull", "predicted": {"lr": 1.0, "bs": 1e9}},
+        {"status": "ok", "predicted": {"lr": 2e-3, "bs": 70000}},
+    ]
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_PLOT_SHA256))
+def test_edge_plot_output_is_pinned(tmp_path, name):
+    path = tmp_path / "surface.csv"
+    path.write_text("# n_params=1e9\n# d_tokens=1e10\nlr,bs_tokens,train_smooth_loss\n"
+                    + _EDGE_SURFACES[name])  # fmt: skip
+    argv = ["plot", f"--surface={path}"]
+    if name != "extreme":
+        rows = tmp_path / "rows.json"
+        rows.write_text(json.dumps(_EDGE_ROWS))
+        argv.append(f"--overlay={rows}")
+    rc, stdout, stderr = main_inprocess(*argv)
+    assert (rc, stderr) == (0, "")
+    assert _sha256(stdout) == EDGE_PLOT_SHA256[name]

@@ -7,7 +7,9 @@ but errors.py calls np.loadtxt.
 Files are opened in one module, cli.py, and written by one function in
 it, _emit, which only main calls: a command returns its outputs and
 writes none. Reports are encoded by one function, cli._encode_json: no
-module calls json.dumps or json.dump.
+module calls json.dumps or json.dump. An SVG element is written one way,
+from one of svgplot's module-level %-templates: render_surface_svg holds
+no f-string and calls no str.format.
 """
 
 import ast
@@ -111,3 +113,15 @@ def test_no_module_calls_json_dumps():
         if isinstance(node, ast.Call) and _name(node.func) in ("dumps", "dump")
     ]
     assert calls == []
+
+
+def test_render_surface_svg_writes_elements_only_from_templates():
+    (render,) = [
+        node
+        for node in TREES["svgplot.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "render_surface_svg"
+    ]
+    nodes = list(ast.walk(render))
+    assert [node.lineno for node in nodes if isinstance(node, ast.JoinedStr)] == []
+    calls = [node for node in nodes if isinstance(node, ast.Call)]
+    assert [call.lineno for call in calls if _name(call.func) == "format"] == []

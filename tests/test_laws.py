@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -229,12 +230,25 @@ def test_grid_validation(fig3_surface):
         ((1.0,), (1.0, 3.0, 2.0), "^bs_values must be strictly increasing$"),
         ((0.0, 1.0), (1.0,), "^lr_values must be a positive finite number"),
         ((1.0,), (-2.0, 1.0), "^bs_values must be a positive finite number"),
+        (np.array([1e-3, 2e-3]), (1.0,), r"^lr_values must be a list of numbers, got array\("),
+        ((1.0,), np.array([1.0, 2.0]), r"^bs_values must be a list of numbers, got array\("),
     ],
-    ids=["bs-empty", "lr-repeated", "bs-unsorted", "lr-zero", "bs-negative"],
+    ids=["bs-empty", "lr-repeated", "bs-unsorted", "lr-zero", "bs-negative", "lr-array",
+         "bs-array"],
 )
 def test_grid_rejects_each_axis_rule(lr_values, bs_values, match):
     with pytest.raises(ArgumentError, match=match):
         GridSpec(lr_values, bs_values)
+
+
+def test_grid_holds_its_axes_as_tuples():
+    lr_values, bs_values = [1e-3, 2e-3], [65536, 131072]
+    grid = GridSpec(lr_values, bs_values)
+    assert hash(grid) == hash(GridSpec((1e-3, 2e-3), (65536, 131072)))
+    lr_values.append(1e-4)  # the caller's list is not the grid's
+    assert (grid.lr_values, grid.log_lr) == ((1e-3, 2e-3), (math.log(1e-3), math.log(2e-3)))
+    # the values are held as given: an int bs axis stays int
+    assert [type(v) for v in grid.bs_values] == [int, int]
 
 
 _UNEVEN = GridSpec((1.0, 2.0, 10.0, 11.0), (1.0, 2.0, 10.0, 11.0))

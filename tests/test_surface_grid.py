@@ -490,14 +490,26 @@ _GOOD_ROW = {"method": "step", "status": "ok", "predicted": {"lr": 1e-3, "bs": 2
          "overlay row 1: predicted.lr must be a positive finite number"),
         ({**_GOOD_ROW, "snapped": [1e-3, 262144]}, "overlay row 1: snapped must be an object"),
         ({**_GOOD_ROW, "method": "a\x00b"}, "overlay row 1: method must be XML text"),
+        *[({**_GOOD_ROW, "status": status},
+           "overlay row 1: status must be ok, out_of_hull, unsupported or null, got "
+           + repr(status)) for status in ("out_of_hul", 5, [1], {})],
     ],
-    ids=["not-a-dict", "str-lr", "negative-lr", "list-snapped", "nul-label"],
+    ids=["not-a-dict", "str-lr", "negative-lr", "list-snapped", "nul-label",
+         "misspelt-status", "int-status", "list-status", "dict-status"],
 )  # fmt: skip
 def test_render_refuses_a_bad_overlay_row(fig3_surface, row, message):
     # every row is checked before drawing, whichever point is drawn
     for use_snapped in (False, True):
         with pytest.raises(ArgumentError, match="^" + re.escape(message)):
             render_surface_svg(fig3_surface, overlays=[_GOOD_ROW, row], use_snapped=use_snapped)
+
+
+@pytest.mark.parametrize("status", [None, "ok", "out_of_hull", "unsupported"])
+def test_render_accepts_each_compare_status_and_null(fig3_surface, status):
+    row = {**_GOOD_ROW, "status": status}
+    svg = ET.fromstring(render_surface_svg(fig3_surface, overlays=[row]))
+    drawn = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")][-1] == "step"
+    assert drawn == (status != "unsupported")
 
 
 def test_not_xml_char_matches_the_complement_of_xml_chars():

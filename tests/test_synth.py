@@ -25,6 +25,7 @@ from hpscale import (
     observations_to_csv,
     surface_to_csv,
 )
+from hpscale import synth
 from hpscale.philox import _normals, _philox4x32
 
 
@@ -131,6 +132,15 @@ def test_observation_spec_holds_its_lattice_as_tuples():
     n_values.append(-1.0)  # the caller's list is not the spec's
     d_values.clear()
     assert (spec.n_values, spec.d_values) == ((1e8, 1e9), (1e9, 1e10))
+
+
+def test_observation_lattice_at_the_limit_is_kept(monkeypatch):
+    monkeypatch.setattr(synth, "MAX_LATTICE_NODES", 6)
+    spec = ObservationSpec(n_values=(1e8, 1e9), d_values=(1e9, 1e10, 1e11))
+    assert len(generate_observations(spec)) == 6
+    with pytest.raises(ArgumentError, match="^the N x D lattice of 2 x 4 = 8 nodes exceeds the "
+                                            "limit of 6$"):  # fmt: skip
+        ObservationSpec(n_values=(1e8, 1e9), d_values=(1e9, 1e10, 1e11, 1e12))
 
 
 def test_seed_replaced_after_parsing_is_checked():
