@@ -69,7 +69,6 @@ the same surface bytes parse them once (see load_surface).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import math
@@ -111,7 +110,7 @@ from .surface import (
     load_surface,
     surface_to_csv,
 )
-from .svgplot import DEFAULT_LEVELS_PERMILLE, render_surface_svg
+from .svgplot import DEFAULT_LEVELS_PERMILLE, MAX_LEVELS, render_surface_svg
 from .synth import (
     ObservationSpec,
     SurfaceSpec,
@@ -346,7 +345,7 @@ def cmd_synth(args) -> list[_Output]:
     raw = _read_input(args.spec)
     spec = load_spec_file_bytes(raw)
     if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+        spec = spec.replace(seed=args.seed)
     if args.kind == "surface":
         if not isinstance(spec, SurfaceSpec):
             raise ArgumentError('spec has "kind": "observations" but surface requested')
@@ -371,6 +370,8 @@ def cmd_plot(args) -> list[_Output]:
         if args.levels is not None
         else DEFAULT_LEVELS_PERMILLE
     )
+    if len(levels) > MAX_LEVELS:
+        raise ArgumentError(f"--levels lists {len(levels)} levels; the legend holds {MAX_LEVELS}")
     overlays = None
     if args.overlay:
         overlays = decode_json(_read_input(args.overlay), "overlay")

@@ -27,6 +27,16 @@ fields through hold_number, in declaration order, and are their only
 check, whether Python code or a JSON loader builds them. GridSpec and
 Prediction keep the numbers they are given, as a surface's bs axis
 holds ints.
+
+Record is the base of the package's eight frozen records: FitResult and
+OptimumObservation (fitting), ModelScale, AuxInputs, Prediction and
+GridSpec (laws), SurfaceSpec and ObservationSpec (synth). A record names
+its fields in _fields and __slots__, and its own __init__ checks and sets
+each field in turn, through hold_number or _set. Record adds eq, hash and
+repr over _fields, refuses any later set or delete with an
+AttributeError, and copies, pickles and replace()s by calling __init__
+again, so a changed value is checked as a new one is. A record class is
+a plain class: importing its module generates no code for it.
 """
 
 from __future__ import annotations
@@ -238,12 +248,65 @@ def check_number(value, where: str, sign: str = "") -> float:
     raise ArgumentError(f"{where} must be {kind}, got {value!r:.40}")
 
 
-def hold_number(record, name: str, sign: str = "", where: str = "") -> float:
-    """Set the field name of the frozen dataclass record to the float
-    check_number returns for it, and return that float; the error names
-    where, or name when where is empty."""
-    number = check_number(getattr(record, name), where or name, sign)
-    object.__setattr__(record, name, number)
+# sets a field of a Record, whose own __setattr__ refuses; only the
+# records' __init__ call it
+_set = object.__setattr__
+
+
+class Record:
+    """A frozen record of the fields its class names in _fields.
+
+    A subclass declares __slots__ (the fields, and any value derived from
+    them that eq and repr leave out) and an __init__ that takes the fields
+    in _fields order and sets each one. Two records are equal when they
+    are of one class and their fields are equal; the hash is that of the
+    fields' tuple, and the repr is Name(field=value, ...).
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # inspect.signature(cls) reads "(...) -> None", the None object
+        # that postponed annotations would make the string 'None'
+        cls.__init__.__annotations__["return"] = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def replace(self, **changes):
+        """A record of this class with changes to some fields, built again
+        through __init__, so every value is checked again."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+def hold_number(record, name: str, value, sign: str = "", where: str = "") -> float:
+    """Set the field name of the Record record to the float check_number
+    returns for value, and return that float; the error names where, or
+    name when where is empty."""
+    number = check_number(value, where or name, sign)
+    _set(record, name, number)
     return number
 
 

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,8 +63,10 @@ from .errors import (
     BootstrapFailureError,
     DegenerateDesignError,
     DomainError,
+    Record,
     RowError,
     SingularityError,
+    _set,
     check_seed,
     decode_table,
     hold_number,
@@ -88,8 +89,7 @@ _MAGNITUDE_BITS = np.int64(2**63 - 1)
 _RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class OptimumObservation:
+class OptimumObservation(Record):
     """Empirically optimal (lr, bs) for one (N, D) training budget.
 
     opt_bs_tokens is nominally a token count; fractional values are
@@ -97,18 +97,16 @@ class OptimumObservation:
     through the fitter without quantization error.
     """
 
-    n_params: float
-    d_tokens: float
-    opt_lr: float
-    opt_bs_tokens: float
+    __slots__ = _fields = ("n_params", "d_tokens", "opt_lr", "opt_bs_tokens")
 
-    def __post_init__(self):
-        for name in ("n_params", "d_tokens", "opt_lr", "opt_bs_tokens"):
-            hold_number(self, name, "positive")
+    def __init__(self, n_params: float, d_tokens: float, opt_lr: float, opt_bs_tokens: float):
+        hold_number(self, "n_params", n_params, "positive")
+        hold_number(self, "d_tokens", d_tokens, "positive")
+        hold_number(self, "opt_lr", opt_lr, "positive")
+        hold_number(self, "opt_bs_tokens", opt_bs_tokens, "positive")
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Bootstrap-averaged law coefficients with percentile confidence bands.
 
     ci maps each coefficient name (c, alpha, beta, d, gamma) to its
@@ -118,16 +116,33 @@ class FitResult:
     downstream diagnostics.
     """
 
-    c: float
-    alpha: float
-    beta: float
-    d: float
-    gamma: float
-    ci: dict[str, tuple[float, float]]
-    resamples: int
-    seed: int
-    redraws: int
-    samples: dict[str, np.ndarray]
+    __slots__ = _fields = (
+        "c", "alpha", "beta", "d", "gamma", "ci", "resamples", "seed", "redraws", "samples"
+    )
+
+    def __init__(
+        self,
+        c: float,
+        alpha: float,
+        beta: float,
+        d: float,
+        gamma: float,
+        ci: dict[str, tuple[float, float]],
+        resamples: int,
+        seed: int,
+        redraws: int,
+        samples: dict[str, np.ndarray],
+    ):
+        _set(self, "c", c)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "d", d)
+        _set(self, "gamma", gamma)
+        _set(self, "ci", ci)
+        _set(self, "resamples", resamples)
+        _set(self, "seed", seed)
+        _set(self, "redraws", redraws)
+        _set(self, "samples", samples)
 
     def to_json_dict(self) -> dict:
         return {

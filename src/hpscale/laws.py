@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import ArgumentError, DomainError, check_number, decode_json, hold_number
+from .errors import ArgumentError, DomainError, Record, _set, check_number, decode_json, hold_number
 
 LAW_METHODS = ("step", "openai", "microsoft", "deepseek", "porian", "minicpm", "meituan")
 
@@ -39,8 +38,7 @@ LawTable = Mapping[str, Mapping[str, float]]
 _MEITUAN_KEYS = ("lambda", "alpha", "lambda_b", "alpha_b")
 
 
-@dataclass(frozen=True)
-class ModelScale:
+class ModelScale(Record):
     """Training budget of one run family.
 
     n_params counts non-vocabulary parameters; for MoE models this is the
@@ -48,20 +46,18 @@ class ModelScale:
     which compute_budget can use).
     """
 
-    n_params: float
-    d_tokens: float
-    n_active: float | None = None
+    __slots__ = _fields = ("n_params", "d_tokens", "n_active")
 
-    def __post_init__(self):
-        hold_number(self, "n_params", "positive")
-        hold_number(self, "d_tokens", "positive")
-        if self.n_active is not None:
-            if hold_number(self, "n_active", "positive") > self.n_params:
-                raise ArgumentError(f"n_active must lie in (0, n_params], got {self.n_active}")
+    def __init__(self, n_params: float, d_tokens: float, n_active: float | None = None):
+        hold_number(self, "n_params", n_params, "positive")
+        hold_number(self, "d_tokens", d_tokens, "positive")
+        if n_active is None:
+            _set(self, "n_active", None)
+        elif hold_number(self, "n_active", n_active, "positive") > self.n_params:
+            raise ArgumentError(f"n_active must lie in (0, n_params], got {self.n_active}")
 
 
-@dataclass(frozen=True)
-class AuxInputs:
+class AuxInputs(Record):
     """Optional side inputs required by some baseline rules.
 
     expected_loss is the cross-entropy value consumed by the
@@ -70,28 +66,31 @@ class AuxInputs:
     named in errors by its law-override key.
     """
 
-    expected_loss: float | None = None
-    meituan_params: tuple[float, float, float, float] | None = None
+    __slots__ = _fields = ("expected_loss", "meituan_params")
 
-    def __post_init__(self):
-        if self.expected_loss is not None:
-            hold_number(self, "expected_loss", "positive")
-        params = self.meituan_params
-        if params is not None:
-            if not isinstance(params, (list, tuple)) or len(params) != 4:
+    def __init__(
+        self,
+        expected_loss: float | None = None,
+        meituan_params: tuple[float, float, float, float] | None = None,
+    ):
+        if expected_loss is None:
+            _set(self, "expected_loss", None)
+        else:
+            hold_number(self, "expected_loss", expected_loss, "positive")
+        if meituan_params is not None:
+            if not isinstance(meituan_params, (list, tuple)) or len(meituan_params) != 4:
                 raise ArgumentError(
                     f"meituan_params must be four numbers ({', '.join(_MEITUAN_KEYS)}), "
-                    f"got {params!r:.40}"
+                    f"got {meituan_params!r:.40}"
                 )
-            held = tuple(
+            meituan_params = tuple(
                 check_number(v, f"meituan_params {k}", "positive")
-                for k, v in zip(_MEITUAN_KEYS, params)
+                for k, v in zip(_MEITUAN_KEYS, meituan_params)
             )
-            object.__setattr__(self, "meituan_params", held)
+        _set(self, "meituan_params", meituan_params)
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(Record):
     """Recommended (learning rate, batch size) from one law.
 
     lr is absent only for the minicpm rule, which defines no learning-rate
@@ -99,22 +98,24 @@ class Prediction:
     formula (microsoft).
     """
 
-    lr: float | None
-    bs_tokens: float | None
-    method: str
-    snapped: bool = False
+    __slots__ = _fields = ("lr", "bs_tokens", "method", "snapped")
 
-    def __post_init__(self):
-        if self.lr is not None:
-            check_number(self.lr, "lr", "positive")
-        if self.bs_tokens is not None:
-            check_number(self.bs_tokens, "bs_tokens", "positive")
-        if self.lr is None and self.bs_tokens is None:
+    def __init__(
+        self, lr: float | None, bs_tokens: float | None, method: str, snapped: bool = False
+    ):
+        if lr is not None:
+            check_number(lr, "lr", "positive")
+        if bs_tokens is not None:
+            check_number(bs_tokens, "bs_tokens", "positive")
+        if lr is None and bs_tokens is None:
             raise ArgumentError("prediction must carry at least one of lr, bs")
+        _set(self, "lr", lr)
+        _set(self, "bs_tokens", bs_tokens)
+        _set(self, "method", method)
+        _set(self, "snapped", snapped)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Sweep grid for learning rate and batch size: two strictly increasing
     axes of positive values, each given as a list or tuple and held as a
     tuple of the values given.
@@ -125,20 +126,18 @@ class GridSpec:
     (LossSurface.grid, its bs values ints).
 
     log_lr and log_bs hold math.log of each node, taken once here for
-    every reader of a grid's logs. The nearest node to a value is the first at the
-    least float distance |log value - log node|: ties and equal logs go to
-    the smaller node, and a value past either end to that end (or to a
-    smaller node at the same rounded distance).
+    every reader of a grid's logs, and left out of eq, hash and repr. The
+    nearest node to a value is the first at the least float distance
+    |log value - log node|: ties and equal logs go to the smaller node,
+    and a value past either end to that end (or to a smaller node at the
+    same rounded distance).
     """
 
-    lr_values: tuple[float, ...]
-    bs_values: tuple[float, ...]
-    log_lr: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    log_bs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("lr_values", "bs_values")
+    __slots__ = (*_fields, "log_lr", "log_bs")
 
-    def __post_init__(self):
-        for name in ("lr_values", "bs_values"):
-            values = getattr(self, name)
+    def __init__(self, lr_values: tuple[float, ...], bs_values: tuple[float, ...]):
+        for name, values in (("lr_values", lr_values), ("bs_values", bs_values)):
             if not isinstance(values, (list, tuple)):
                 raise ArgumentError(f"{name} must be a list of numbers, got {values!r:.40}")
             if not values:
@@ -147,9 +146,10 @@ class GridSpec:
                 check_number(v, name, "positive")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ArgumentError(f"{name} must be strictly increasing")
-            object.__setattr__(self, name, tuple(values))
-        object.__setattr__(self, "log_lr", tuple(map(math.log, self.lr_values)))
-        object.__setattr__(self, "log_bs", tuple(map(math.log, self.bs_values)))
+        _set(self, "lr_values", tuple(lr_values))
+        _set(self, "bs_values", tuple(bs_values))
+        _set(self, "log_lr", tuple(map(math.log, self.lr_values)))
+        _set(self, "log_bs", tuple(map(math.log, self.bs_values)))
 
     @classmethod
     def default(cls) -> "GridSpec":

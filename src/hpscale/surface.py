@@ -159,6 +159,17 @@ def _is_number(kind: type) -> bool:
     return kind is not bool and issubclass(kind, numbers.Real)
 
 
+def _check_tags(arch_tag, recipe_tag) -> None:
+    """The tag rule, of the constructor and of load_surface: a str with no
+    line break and no surrounding whitespace."""
+    for name, tag in (("arch_tag", arch_tag), ("recipe_tag", recipe_tag)):
+        if not isinstance(tag, str) or "\n" in tag or "\r" in tag or tag != tag.strip():
+            raise ArgumentError(
+                f"{name} must be a str with no line break or surrounding "
+                f"whitespace, got {tag!r:.40}"
+            )
+
+
 def _point_rows(points: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The rows and missing_val LossSurface._build takes, of SweepPoints
     whose values are numbers, not bools; a val of None marks it missing."""
@@ -197,12 +208,7 @@ class LossSurface:
             raise ArgumentError("surface must contain at least one point")
         if not isinstance(scale, ModelScale):
             raise ArgumentError(f"scale must be a ModelScale, got {scale!r:.40}")
-        for name, tag in (("arch_tag", arch_tag), ("recipe_tag", recipe_tag)):
-            if not isinstance(tag, str) or "\n" in tag or "\r" in tag or tag != tag.strip():
-                raise ArgumentError(
-                    f"{name} must be a str with no line break or surrounding "
-                    f"whitespace, got {tag!r:.40}"
-                )
+        _check_tags(arch_tag, recipe_tag)
         self._build(*_point_rows(points), scale=scale, arch_tag=arch_tag, recipe_tag=recipe_tag)
 
     def _build(self, rows: np.ndarray, missing_val: np.ndarray, **names) -> LossSurface:
@@ -345,15 +351,15 @@ def _parse_surface(raw) -> LossSurface:
     missing = [k for k in _REQUIRED_META if k not in meta]
     if missing:
         raise ParseError(f"missing required metadata {missing}")
+    tags = {"arch_tag": meta.get("arch_tag", ""), "recipe_tag": meta.get("recipe_tag", "")}
     try:
         scale = ModelScale(**{k: float(meta[k]) for k in _SCALE_META if k in meta})
+        _check_tags(**tags)
     except ArgumentError as exc:
         raise ParseError(f"bad metadata: {exc}") from exc
     except ValueError as exc:  # float() quotes the whole value: keep 40 chars
         raise ParseError(f"bad metadata: {exc!s:.75}") from exc
-    surface.__dict__.update(
-        scale=scale, arch_tag=meta.get("arch_tag", ""), recipe_tag=meta.get("recipe_tag", "")
-    )
+    surface.__dict__.update(scale=scale, **tags)
     return surface
 
 

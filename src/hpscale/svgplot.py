@@ -24,7 +24,12 @@ in (level, i, j) order, from a table derived from _SEGMENTS, the one case
 rule. Levels are taken in groups of at most MAX_GRID_CELLS // nodes, so a
 group's tables hold at most MAX_GRID_CELLS entries whatever the number of
 levels. The renderer maps the segments to pixels as arrays and writes each
-level's lines, then its legend entry.
+level's lines, then its legend entry. Level k draws in LEVEL_COLORS[k % 6],
+so from the 7th level on the colours repeat; the legend, one entry a line,
+holds MAX_LEVELS (36) levels on the canvas, and more are refused.
+
+An overlay row's point is clamped to the hull border whatever its status,
+so no marker falls off the canvas; the status picks only the glyph.
 
 Every element is written from a module-level %-template, and the parts
 that never change (the frame, the title but its metric, the axis labels)
@@ -50,6 +55,8 @@ PLOT_W, PLOT_H = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
 
 LEVEL_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 DEFAULT_LEVELS_PERMILLE = (1.0, 2.5, 5.0, 10.0)
+# legend entry k sits at y = MARGIN_T + 14 + 12k: the most that fit the canvas
+MAX_LEVELS = (HEIGHT - MARGIN_T - 14) // 12 + 1
 
 
 # Each cell case's contour segments, as (edge, edge) pairs; a saddle whose
@@ -214,6 +221,15 @@ def _check_overlay_row(row, index: int) -> None:
         )
 
 
+def _check_levels(levels_permille) -> tuple[float, ...]:
+    """The contour levels as floats, each positive and finite, and at most
+    MAX_LEVELS of them, as many as the legend holds."""
+    levels = tuple(check_number(v, "contour level", "positive") for v in levels_permille)
+    if len(levels) > MAX_LEVELS:
+        raise ArgumentError(f"{len(levels)} contour levels; the legend holds at most {MAX_LEVELS}")
+    return levels
+
+
 def _frac(v, logs):
     """Where v, a log or an array of them, lies between the first and last
     of an axis's logs, as a fraction; 0.5 on a one-node axis."""
@@ -237,14 +253,15 @@ def render_surface_svg(
     """Render the relative-error contour view of a surface as SVG text.
 
     overlays is an iterable of compare rows (dicts with method, predicted,
-    snapped, status); rows flagged out_of_hull are clamped to the hull
-    border and drawn with a distinct triangular glyph. Every row is checked
-    first; one that breaks _check_overlay_row's rule is an ArgumentError.
+    snapped, status); every row's point is clamped to the hull border, and
+    rows flagged out_of_hull are drawn with a distinct triangular glyph.
+    Every row is checked first; one that breaks _check_overlay_row's rule
+    is an ArgumentError, and so are more than MAX_LEVELS levels.
     """
     rows = list(overlays or ())
     for i, row in enumerate(rows):
         _check_overlay_row(row, i)
-    levels = tuple(check_number(v, "contour level", "positive") for v in levels_permille)
+    levels = _check_levels(levels_permille)
     table = surface._losses(metric)
     grid = surface.grid
     opt = find_optimum(surface, metric)
@@ -287,9 +304,9 @@ def render_surface_svg(
         lr, bs = coords.get("lr"), coords.get("bs")
         if lr is None or bs is None:
             continue
-        x, y = math.log(lr), math.log(bs)
-        if status == "out_of_hull":  # clamped to the hull border
-            x, y = min(max(x, log_lr[0]), log_lr[-1]), min(max(y, log_bs[0]), log_bs[-1])
+        # clamped to the hull border, whatever the status says
+        x = min(max(math.log(lr), log_lr[0]), log_lr[-1])
+        y = min(max(math.log(bs), log_bs[0]), log_bs[-1])
         px = MARGIN_L + _frac(x, log_lr) * PLOT_W
         py = MARGIN_T + (1.0 - _frac(y, log_bs)) * PLOT_H
         if status == "out_of_hull":

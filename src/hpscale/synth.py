@@ -18,11 +18,11 @@ spec's n_params and d_tokens become its scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, check_number, check_seed, decode_json, hold_number
+from .errors import ArgumentError, DomainError, Record, _set, check_number, check_seed, decode_json
+from .errors import hold_number
 from .fitting import OptimumObservation
 from .laws import DEFAULT_LAWS, GridSpec, ModelScale, Prediction, snap_to_grid
 from .philox import _normals
@@ -32,8 +32,7 @@ from .surface import LossSurface, _check_cells
 MAX_LATTICE_NODES = 100_000
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(Record):
     """Quadratic-in-log loss bowl around (opt_lr, opt_bs).
 
     loss(lr, bs) = (base_loss + q(dx, dy)) * exp(noise_sigma * z) with
@@ -44,35 +43,45 @@ class SurfaceSpec:
     loss column.
     """
 
-    opt_lr: float
-    opt_bs: float
-    curvature_lr: float = 1.0
-    curvature_bs: float = 1.0
-    cross_term: float = 0.0
-    base_loss: float = 2.0
-    noise_sigma: float = 0.0
-    seed: int = 0
-    val_offset: float | None = None
-    scale: ModelScale = ModelScale(1.0e9, 1.0e11)
+    __slots__ = _fields = (
+        "opt_lr", "opt_bs", "curvature_lr", "curvature_bs", "cross_term",
+        "base_loss", "noise_sigma", "seed", "val_offset", "scale",
+    )  # fmt: skip
 
-    def __post_init__(self):
-        hold_number(self, "opt_lr", "positive")
-        hold_number(self, "opt_bs", "positive")
-        hold_number(self, "curvature_lr", "non-negative", "curvatures: curvature_lr")
-        hold_number(self, "curvature_bs", "non-negative", "curvatures: curvature_bs")
-        hold_number(self, "cross_term")
+    def __init__(
+        self,
+        opt_lr: float,
+        opt_bs: float,
+        curvature_lr: float = 1.0,
+        curvature_bs: float = 1.0,
+        cross_term: float = 0.0,
+        base_loss: float = 2.0,
+        noise_sigma: float = 0.0,
+        seed: int = 0,
+        val_offset: float | None = None,
+        scale: ModelScale = ModelScale(1.0e9, 1.0e11),
+    ):
+        hold_number(self, "opt_lr", opt_lr, "positive")
+        hold_number(self, "opt_bs", opt_bs, "positive")
+        hold_number(self, "curvature_lr", curvature_lr, "non-negative", "curvatures: curvature_lr")
+        hold_number(self, "curvature_bs", curvature_bs, "non-negative", "curvatures: curvature_bs")
+        hold_number(self, "cross_term", cross_term)
         if self.cross_term * self.cross_term > self.curvature_lr * self.curvature_bs:
             raise ArgumentError(
                 f"cross_term {self.cross_term} breaks positive semi-definiteness "
                 f"(needs cross**2 <= {self.curvature_lr * self.curvature_bs})"
             )
-        hold_number(self, "base_loss", "positive")
-        hold_number(self, "noise_sigma", "non-negative")
-        check_seed(self.seed)
-        if self.val_offset is not None:
-            hold_number(self, "val_offset")
-        if not isinstance(self.scale, ModelScale):
-            raise ArgumentError(f"scale must be a ModelScale, got {self.scale!r:.40}")
+        hold_number(self, "base_loss", base_loss, "positive")
+        hold_number(self, "noise_sigma", noise_sigma, "non-negative")
+        check_seed(seed)
+        _set(self, "seed", seed)
+        if val_offset is None:
+            _set(self, "val_offset", None)
+        else:
+            hold_number(self, "val_offset", val_offset)
+        if not isinstance(scale, ModelScale):
+            raise ArgumentError(f"scale must be a ModelScale, got {scale!r:.40}")
+        _set(self, "scale", scale)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SurfaceSpec":
@@ -86,8 +95,7 @@ class SurfaceSpec:
             raise ArgumentError(f"bad surface spec: {exc!s:.100}") from exc
 
 
-@dataclass(frozen=True)
-class ObservationSpec:
+class ObservationSpec(Record):
     """Law-consistent optima over the (n_values x d_values) lattice.
 
     opt_lr = c * N**alpha * D**beta * exp(sigma * z1) and
@@ -97,28 +105,33 @@ class ObservationSpec:
     at most MAX_LATTICE_NODES nodes in all.
     """
 
-    c: float = DEFAULT_LAWS["step"]["c"]
-    alpha: float = DEFAULT_LAWS["step"]["alpha"]
-    beta: float = DEFAULT_LAWS["step"]["beta"]
-    d_coef: float = DEFAULT_LAWS["step"]["d"]
-    gamma: float = DEFAULT_LAWS["step"]["gamma"]
-    n_values: tuple[float, ...] = ()
-    d_values: tuple[float, ...] = ()
-    noise_sigma: float = 0.0
-    seed: int = 0
-    snap: bool = False
+    __slots__ = _fields = (
+        "c", "alpha", "beta", "d_coef", "gamma", "n_values", "d_values", "noise_sigma", "seed",
+        "snap",
+    )  # fmt: skip
 
-    def __post_init__(self):
-        hold_number(self, "c", "positive", "law coefficients: c")
-        hold_number(self, "alpha")
-        hold_number(self, "beta")
-        hold_number(self, "d_coef", "positive", "law coefficients: d_coef")
-        hold_number(self, "gamma")
-        for name in ("n_values", "d_values"):
-            values = getattr(self, name)
+    def __init__(
+        self,
+        c: float = DEFAULT_LAWS["step"]["c"],
+        alpha: float = DEFAULT_LAWS["step"]["alpha"],
+        beta: float = DEFAULT_LAWS["step"]["beta"],
+        d_coef: float = DEFAULT_LAWS["step"]["d"],
+        gamma: float = DEFAULT_LAWS["step"]["gamma"],
+        n_values: tuple[float, ...] = (),
+        d_values: tuple[float, ...] = (),
+        noise_sigma: float = 0.0,
+        seed: int = 0,
+        snap: bool = False,
+    ):
+        hold_number(self, "c", c, "positive", "law coefficients: c")
+        hold_number(self, "alpha", alpha)
+        hold_number(self, "beta", beta)
+        hold_number(self, "d_coef", d_coef, "positive", "law coefficients: d_coef")
+        hold_number(self, "gamma", gamma)
+        for name, values in (("n_values", n_values), ("d_values", d_values)):
             if not isinstance(values, (list, tuple)):
                 raise ArgumentError(f"{name} must be a list of numbers, got {values!r:.40}")
-            object.__setattr__(self, name, tuple(check_number(v, name, "positive") for v in values))
+            _set(self, name, tuple([check_number(v, name, "positive") for v in values]))
         nodes = len(self.n_values) * len(self.d_values)
         if nodes > MAX_LATTICE_NODES:
             raise ArgumentError(
@@ -127,10 +140,12 @@ class ObservationSpec:
             )
         if len(set(self.n_values)) < 2 or len(set(self.d_values)) < 2:
             raise ArgumentError("lattice needs >= 2 distinct N and >= 2 distinct D")
-        hold_number(self, "noise_sigma", "non-negative")
-        check_seed(self.seed)
-        if not isinstance(self.snap, bool):
-            raise ArgumentError(f"snap must be true or false, got {self.snap!r:.40}")
+        hold_number(self, "noise_sigma", noise_sigma, "non-negative")
+        check_seed(seed)
+        _set(self, "seed", seed)
+        if not isinstance(snap, bool):
+            raise ArgumentError(f"snap must be true or false, got {snap!r:.40}")
+        _set(self, "snap", snap)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ObservationSpec":

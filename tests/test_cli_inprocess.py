@@ -364,6 +364,49 @@ def test_plot_overlay_row_without_an_lr_draws_no_marker(tmp_path):
     assert rc == 0 and stdout == main_inprocess("plot", "--surface", str(FIG3_PATH))[1]
 
 
+@pytest.mark.parametrize("status", ["ok", None, "absent", "out_of_hull"])
+def test_plot_overlay_point_off_the_hull_is_drawn_on_its_border(tmp_path, status):
+    row = {"method": "x", "predicted": {"lr": 1e-300, "bs": 1e300}, "status": status}
+    if status == "absent":
+        del row["status"]
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps([row]))
+    rc, stdout, _ = main_inprocess("plot", "--surface", str(FIG3_PATH), "--overlay", str(path))
+    svg = ET.fromstring(stdout)
+    # the smallest lr and the largest bs: the plot box's top left corner
+    circles = [(c.get("cx"), c.get("cy")) for c in svg.iter(_SVG + "circle")]
+    paths = [p.get("d") for p in svg.iter(_SVG + "path")]
+    if status == "out_of_hull":
+        triangle = "M 80.000 34.000 L 75.000 44.000 L 85.000 44.000 Z"
+        assert rc == 0 and circles == [] and paths == [triangle]
+    else:
+        assert rc == 0 and circles == [("80.000", "40.000")] and paths == []
+    label = [t for t in svg.iter(_SVG + "text")][-1]
+    assert (label.text, label.get("x"), label.get("y")) == ("x", "87.000", "43.000")
+
+
+@pytest.mark.parametrize("count", [36, 37])
+def test_plot_levels_past_the_legend_exit_2(count):
+    levels = ",".join(str(k + 1) for k in range(count))
+    rc, stdout, stderr = main_inprocess("plot", "--surface", str(FIG3_PATH), "--levels", levels)
+    if count == 36:
+        legend = [t for t in ET.fromstring(stdout).iter(_SVG + "text") if "permille" in t.text]
+        assert rc == 0 and len(legend) == 36 and legend[-1].get("y") == "474"
+    else:
+        assert (rc, stdout) == (2, b"")
+        assert stderr == "error: --levels lists 37 levels; the legend holds 36\n"
+
+
+def test_surface_tag_with_a_carriage_return_exit_2(tmp_path):
+    path = tmp_path / "tag.csv"
+    path.write_bytes(FIG3_PATH.read_bytes().replace(b"# arch_tag=dense", b"# arch_tag=moe\rdense"))
+    for command in ("analyze", "plot"):
+        rc, stdout, stderr = main_inprocess(command, "--surface", str(path))
+        assert (rc, stdout) == (2, b"")
+        assert stderr == ("error: bad metadata: arch_tag must be a str with no line break or "
+                          "surrounding whitespace, got 'moe\\rdense'\n")  # fmt: skip
+
+
 def test_compare_with_no_method_exit_2():
     rc, stdout, stderr = main_inprocess("compare", "--surface", str(FIG3_PATH), "--methods", ",")
     assert (rc, stdout, stderr) == (2, b"", "error: method list must not be empty\n")

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -39,9 +38,14 @@ from hpscale import cli, errors, fitting, philox
 from hpscale.fitting import MAX_BOOTSTRAP_CELLS, MAX_RESAMPLES, _qr_r, _solve
 
 
+def astuple(record):
+    """A record's fields' values, in the order of its _fields."""
+    return tuple(getattr(record, name) for name in record._fields)
+
+
 def canonical(obs):
     """The observations in the fitter's row order: sorted by (N, D, lr, bs)."""
-    return sorted(obs, key=dataclasses.astuple)
+    return sorted(obs, key=astuple)
 
 
 def lattice_obs(noise_sigma=0.0, seed=0, **kwargs):
@@ -727,7 +731,7 @@ COEFF_NAMES = ("log_c", "alpha", "beta", "log_d", "gamma")
 
 def _exact_logs(items):
     """math.log of each observation's (N, D, lr, bs), as the fitter takes them."""
-    return np.array([[math.log(v) for v in dataclasses.astuple(o)] for o in items])
+    return np.array([[math.log(v) for v in astuple(o)] for o in items])
 
 
 def _lstsq_fits(logs, indices):
@@ -943,7 +947,7 @@ def _observations_outcome(text):
         obs = load_observations(text)
     except ParseError as exc:
         return str(exc), exc.line
-    return obs, [type(v) for o in obs for v in dataclasses.astuple(o)]
+    return obs, [type(v) for o in obs for v in astuple(o)]
 
 
 _HEADER = ",".join(fitting._OBS_HEADER) + "\n"

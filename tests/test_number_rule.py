@@ -3,7 +3,6 @@ field that uses it), the decoding of outside bytes (errors.decode_text),
 and the one CSV reader (errors.decode_table), with its line rule, that
 both CSV loaders share."""
 
-import dataclasses
 import io
 import math
 import re
@@ -146,9 +145,9 @@ _HOLDERS = ("ModelScale", "OptimumObservation", "SurfaceSpec", "ObservationSpec"
 def _held_numbers(record):
     """Each number a record holds; the seed, the snap flag and the scale
     are not number fields, and a tuple's numbers count one by one."""
-    for f in dataclasses.fields(record):
-        value = getattr(record, f.name)
-        if f.name not in ("seed", "snap", "scale") and value is not None:
+    for name in record._fields:
+        value = getattr(record, name)
+        if name not in ("seed", "snap", "scale") and value is not None:
             yield from value if isinstance(value, tuple) else (value,)
 
 

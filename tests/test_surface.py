@@ -174,6 +174,28 @@ def test_surface_refuses_a_tag_that_cannot_round_trip(name, tag):
         LossSurface(ModelScale(1e9, 1e10), (SweepPoint(1e-3, 32768, 2.0),), **{name: tag})
 
 
+def _tag_outcome(build):
+    try:
+        return build().arch_tag
+    except ArgumentError as exc:
+        return str(exc).removeprefix("bad metadata: ")
+
+
+@settings(max_examples=fuzz_examples(200))
+@given(tag=st.text(st.sampled_from(["a", "b", " ", "\t", "\r", "\x0b", "\x85", "\u2028"]),
+                   max_size=6))  # fmt: skip
+@example(tag="moe\rdense")
+def test_constructor_and_loader_keep_and_refuse_the_same_tags(tag):
+    # the loader reads a metadata value stripped; a tag with no line feed fits one line
+    kept = tag.strip()
+    csv = f"# n_params=1e9\n# d_tokens=1e10\n# arch_tag={tag}\nlr,bs_tokens,train_smooth_loss\n"
+    loaded = _tag_outcome(lambda: load_surface(csv + "1e-3,32768,2.0\n"))
+    built = _tag_outcome(lambda: LossSurface(ModelScale(1e9, 1e10),
+                                             (SweepPoint(1e-3, 32768, 2.0),), arch_tag=kept))
+    assert loaded == built
+    assert (loaded == kept) == ("\r" not in kept)
+
+
 @pytest.mark.parametrize("scale", ["x", (1e9, 1e10), None], ids=repr)
 def test_surface_refuses_a_scale_that_is_not_a_model_scale(scale):
     with pytest.raises(ArgumentError, match="^scale must be a ModelScale, got "):

@@ -469,6 +469,30 @@ def test_render_rejects_levels_outside_the_positive_finite_floats(fig3_surface, 
         render_surface_svg(fig3_surface, levels_permille=(1.0, level))
 
 
+def test_render_keeps_as_many_levels_as_the_legend_holds(fig3_surface):
+    assert svgplot.MAX_LEVELS == 36
+    levels = [float(k + 1) for k in range(37)]
+    svg = ET.fromstring(render_surface_svg(fig3_surface, levels_permille=levels[:36]))
+    legend = [t for t in svg.iter("{http://www.w3.org/2000/svg}text") if "permille" in t.text]
+    assert len(legend) == 36 and int(legend[-1].get("y")) <= svgplot.HEIGHT - 6
+    with pytest.raises(ArgumentError, match="^37 contour levels; the legend holds at most 36$"):
+        render_surface_svg(fig3_surface, levels_permille=levels)
+
+
+@pytest.mark.parametrize("status", [None, "ok", "out_of_hull"])
+@pytest.mark.parametrize("lr,bs", [(1e-300, 1e300), (1e300, 1e-300), (1e-3, 1e300)])
+def test_render_clamps_every_overlay_point_to_the_hull(fig3_surface, status, lr, bs):
+    row = {"method": "x", "status": status, "predicted": {"lr": lr, "bs": bs}}
+    svg = ET.fromstring(render_surface_svg(fig3_surface, overlays=[row]))
+    label = [t for t in svg.iter("{http://www.w3.org/2000/svg}text")][-1]
+    px, py = float(label.get("x")) - 7, float(label.get("y")) - 3  # the marker's centre
+    assert label.text == "x"
+    assert svgplot.MARGIN_L <= px <= svgplot.MARGIN_L + svgplot.PLOT_W
+    assert svgplot.MARGIN_T <= py <= svgplot.MARGIN_T + svgplot.PLOT_H
+    glyphs = [e.tag.rpartition("}")[2] for e in svg if e.tag.endswith(("circle", "path"))]
+    assert glyphs == (["path"] if status == "out_of_hull" else ["circle"])
+
+
 def test_render_escapes_overlay_labels(fig3_surface):
     # & < > are XML text: escaped, not refused
     label = "a<b & c>d"

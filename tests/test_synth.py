@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -146,7 +145,7 @@ def test_observation_lattice_at_the_limit_is_kept(monkeypatch):
 def test_seed_replaced_after_parsing_is_checked():
     spec = ObservationSpec(n_values=(1e8, 1e9), d_values=(1e9, 1e10))
     with pytest.raises(ArgumentError, match="seed"):
-        dataclasses.replace(spec, seed=-1)
+        spec.replace(seed=-1)
 
 
 def test_generators_reject_overflowing_specs():
